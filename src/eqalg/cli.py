@@ -26,7 +26,7 @@ from .evaluator import (
     solve,
     solve_nonempty,
 )
-from .model import ModelError, flat_type
+from .model import Database, ModelError, flat_type
 from .parser import ParseError, parse_database, parse_expr, render_relation
 from .profiler import DbGenerator, meter_expression, profile
 from .typecheck import TypecheckError, infer_type
@@ -166,9 +166,12 @@ def cmd_construction(args) -> int:
 
 def _parse_n_range(text: str):
     lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ParseError(f"bad n-range {text!r}, expected A..B", 1, 1)
-    return range(int(lo), int(hi) + 1)
+    try:
+        if sep:
+            return range(int(lo), int(hi) + 1)
+    except ValueError:
+        pass
+    raise ParseError(f"bad n-range {text!r}, expected A..B", 1, 1)
 
 
 def _parse_gen(text: str | None, default_schema: dict, seed: int) -> DbGenerator:
@@ -190,7 +193,10 @@ def _parse_gen(text: str | None, default_schema: dict, seed: int) -> DbGenerator
             name, _, rest = part.partition(":")
             type_text, _, dens = rest.rpartition(":")
             schema[name] = parse_type(type_text)
-            density[name] = float(dens)
+            try:
+                density[name] = float(dens)
+            except ValueError:
+                raise ParseError(f"bad density {dens!r} for {name} in --gen", 1, 1) from None
         return DbGenerator(schema=schema, mode="random-flat", density=density, seed=seed)
     raise ParseError(f"bad --gen {text!r}", 1, 1)
 

@@ -9,17 +9,27 @@ total size of live intermediate results, where the size of a value is its
 recursive atom-occurrence count plus tuple count; the input database itself
 is ambient and not counted.
 
-Two shortcuts over literal re-evaluation, neither observable in results: an
-equation side that mentions no bound variable is evaluated once per solve,
-not once per candidate, and re-occurrences of one solve node whose free
-inputs are the identical values reuse the previous solution set instead of
-enumerating again (candidates_tested counts real enumerations).
+Three shortcuts over literal re-evaluation, none observable in results or
+metrics: an equation side that mentions no bound variable is evaluated once
+per solve, not once per candidate; re-occurrences of one solve node whose
+free inputs are the identical values reuse the previous solution set instead
+of enumerating again (candidates_tested counts real enumerations); and a
+chain of selections on a product whose innermost test equates a column of
+the left operand with one of the right, optionally under a projection, runs
+as a hash join that never builds the product or the selections.  The join
+still charges the product and every selection at its exact size, in the
+order literal evaluation would, so ``peak_space_units`` and every budget
+refusal stay the same.
+
+Products and unnests check the space budget against their exactly computed
+size before building any row, as powersets do against a lower bound.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import ast
 from .model import (
@@ -245,13 +255,25 @@ def _grow(ctx, amount: int, path: str) -> None:
             raise BudgetExceeded("space", path, f"live {live} units > cap {ctx.max_space}")
 
 
-def _compile(e: ast.Expr, path: str):
+def _product_size(na: int, sa: int, nb: int, sb: int) -> int:
+    """Size of the product of relations with ``na``/``nb`` rows of total size
+    ``sa``/``sb``: each row pair carries both rows' units, less one tuple."""
+    return na * sb + nb * sa - na * nb
+
+
+def _at(path: str, label: str) -> str:
+    return f"{path}.{label}" if path else label
+
+
+def _compile(e: ast.Expr, path: str, types: dict):
     """Compile an expression into ``fn(env, ctx) -> Rel``.
 
-    Contract: when ``fn`` returns, exactly the size of its result has been
-    added to ``ctx.live``; the caller releases it after consuming it.
-    Kernels are inlined here; the ``op_*`` functions above stay the readable
-    reference versions for direct use.
+    ``types`` maps every node path to its type, as filled in by
+    ``infer_type``.  Contract: when ``fn`` returns, exactly the size of its
+    result has been added to ``ctx.live``; the caller releases it after
+    consuming it.  Kernels are inlined here, and a select chain over a
+    product becomes one hash join (see ``_compile_join``); the ``op_*``
+    functions above stay the readable reference versions for direct use.
     """
     size = value_size
     grow = _grow
@@ -276,8 +298,8 @@ def _compile(e: ast.Expr, path: str):
         return run
 
     if isinstance(e, (ast.Union, ast.Difference, ast.Product)):
-        f1 = _compile(e.left, f"{path}.left" if path else "left")
-        f2 = _compile(e.right, f"{path}.right" if path else "right")
+        f1 = _compile(e.left, _at(path, "left"), types)
+        f2 = _compile(e.right, _at(path, "right"), types)
 
         if isinstance(e, ast.Union):
 
@@ -303,34 +325,30 @@ def _compile(e: ast.Expr, path: str):
 
             return run
 
-        rt_cache: list = [None]
-
-        def run(env, ctx, _f1=f1, _f2=f2, _p=path, _rt=rt_cache):
+        def run(env, ctx, _f1=f1, _f2=f2, _p=path, _rt=types[path]):
             a = _f1(env, ctx)
             b = _f2(env, ctx)
-            rt = _rt[0]
-            if rt is None:
-                _rt[0] = rt = RelType(a.rtype.components + b.rtype.components)
-            res = Rel(rt, frozenset({x + y for x in a.rows for y in b.rows}))
-            grow(ctx, size(res), _p)
-            ctx.live -= size(a) + size(b)
+            sa = size(a)
+            sb = size(b)
+            # charged before any row is built, so an over-cap product is refused cheaply
+            grow(ctx, _product_size(len(a.rows), sa, len(b.rows), sb), _p)
+            res = Rel(_rt, frozenset({x + y for x in a.rows for y in b.rows}))
+            ctx.live -= sa + sb
             return res
 
         return run
 
-    if isinstance(e, ast.Project):
-        f = _compile(e.arg, f"{path}.arg" if path else "arg")
-        idx = tuple(i - 1 for i in e.indices)
-        rt_cache = [None]
+    if isinstance(e, (ast.Project, ast.Select)):
+        join = _compile_join(e, path, types)
+        if join is not None:
+            return join
 
-        def run(env, ctx, _f=f, _idx=idx, _p=path, _rt=rt_cache):
+    if isinstance(e, ast.Project):
+        f = _compile(e.arg, _at(path, "arg"), types)
+        idx = tuple(i - 1 for i in e.indices)
+
+        def run(env, ctx, _f=f, _idx=idx, _p=path, _rt=types[path]):
             a = _f(env, ctx)
-            rt = _rt[0]
-            if rt is None:
-                comps = a.rtype.components
-                if any(i >= len(comps) for i in _idx):
-                    raise ModelError(f"project indices out of range at {_p or '<expr>'}")
-                _rt[0] = rt = RelType(tuple(comps[i] for i in _idx))
             if len(_idx) == 1:
                 i0 = _idx[0]
                 rows = {(r[i0],) for r in a.rows}
@@ -339,7 +357,7 @@ def _compile(e: ast.Expr, path: str):
                 rows = {(r[i0], r[j0]) for r in a.rows}
             else:
                 rows = {tuple(r[i] for i in _idx) for r in a.rows}
-            res = Rel(rt, frozenset(rows))
+            res = Rel(_rt, frozenset(rows))
             grow(ctx, size(res), _p)
             ctx.live -= size(a)
             return res
@@ -347,7 +365,7 @@ def _compile(e: ast.Expr, path: str):
         return run
 
     if isinstance(e, ast.Select):
-        f = _compile(e.arg, f"{path}.arg" if path else "arg")
+        f = _compile(e.arg, _at(path, "arg"), types)
         i0, j0 = e.i - 1, e.j - 1
         want_eq = e.op == "="
 
@@ -372,7 +390,7 @@ def _compile(e: ast.Expr, path: str):
         return run
 
     if isinstance(e, ast.Nest):
-        f = _compile(e.arg, f"{path}.arg" if path else "arg")
+        f = _compile(e.arg, _at(path, "arg"), types)
         indices = e.indices
 
         def run(env, ctx, _f=f, _p=path):
@@ -385,28 +403,25 @@ def _compile(e: ast.Expr, path: str):
         return run
 
     if isinstance(e, ast.Unnest):
-        f = _compile(e.arg, f"{path}.arg" if path else "arg")
+        f = _compile(e.arg, _at(path, "arg"), types)
         i0 = e.index - 1
-        rt_cache = [None]
 
-        def run(env, ctx, _f=f, _p=path, _rt=rt_cache):
+        def run(env, ctx, _f=f, _p=path, _rt=types[path]):
             a = _f(env, ctx)
-            rt = _rt[0]
-            if rt is None:
-                comps = a.rtype.components
-                inner = comps[i0]
-                if inner.is_atom:
-                    raise ModelError(f"unnest on atom column at {_p or '<expr>'}")
-                _rt[0] = rt = RelType(comps + inner.components)
-            res = Rel(rt, frozenset({r + y for r in a.rows for y in r[i0].rows}))
-            grow(ctx, size(res), _p)
+            # each row paired with the rows of its nested set: a one-row product
+            projected = 0
+            for r in a.rows:
+                inner = r[i0]
+                projected += _product_size(1, 1 + sum(map(size, r)), len(inner.rows), size(inner))
+            grow(ctx, projected, _p)
+            res = Rel(_rt, frozenset({r + y for r in a.rows for y in r[i0].rows}))
             ctx.live -= size(a)
             return res
 
         return run
 
     if isinstance(e, ast.Powerset):
-        f = _compile(e.arg, f"{path}.arg" if path else "arg")
+        f = _compile(e.arg, _at(path, "arg"), types)
 
         def run(env, ctx, _f=f, _p=path):
             a = _f(env, ctx)
@@ -424,7 +439,7 @@ def _compile(e: ast.Expr, path: str):
         return run
 
     if isinstance(e, ast.Solve):
-        parts = _solve_parts(e, path)
+        parts = _solve_parts(e, path, types)
         res_type = RelType(tuple(t for _, t in e.binders))
         fnames = tuple(sorted(ast.free_names(e)))
         key = id(e)
@@ -449,15 +464,93 @@ def _compile(e: ast.Expr, path: str):
     raise ModelError(f"cannot compile {type(e).__name__}")
 
 
-def _solve_parts(e: ast.Solve, path: str):
+def _compile_join(e: ast.Expr, path: str, types: dict):
+    """The hash join for ``[project] select ... select[i=j](times(a, b))``
+    with column i in ``a`` and column j in ``b`` (or the reverse); None for
+    any other shape, which compiles operator by operator.
+
+    The right rows are indexed by their key column and each left row meets
+    only its matches.  The outer selects filter the joined rows and a
+    projection picks its columns from them; neither the product nor any
+    selection becomes a relation.  Metering replays literal evaluation: the
+    product, then each select level, is grown at its own path by its exact
+    size and the level below it released, in the same order, so the peak and
+    every budget refusal are unchanged.
+    """
+    top = path
+    pick = None
+    if isinstance(e, ast.Project):
+        idx = tuple(i - 1 for i in e.indices)
+        # itemgetter returns a bare value for one index, a tuple for a slice
+        pick = itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+        e, path = e.arg, _at(path, "arg")
+    filters = []
+    while isinstance(e, ast.Select):
+        filters.append((e.i - 1, e.op == "=", e.j - 1, path))
+        e, path = e.arg, _at(path, "arg")
+    if not filters or not isinstance(e, ast.Product):
+        return None
+    i0, want_eq, j0, key_path = filters.pop()
+    lk, rk = min(i0, j0), max(i0, j0)
+    ka = types[_at(path, "left")].arity
+    if not (want_eq and lk < ka <= rk):
+        return None
+    rk -= ka
+    # innermost level first; its test is the join key, so it filters nothing
+    levels = [(None, True, None, key_path)] + filters[::-1]
+    fa = _compile(e.left, _at(path, "left"), types)
+    fb = _compile(e.right, _at(path, "right"), types)
+    size = value_size
+    grow = _grow
+    width = types[path].flat_row_size  # units per joined row, None if nested
+
+    def run(env, ctx, _p=path, _rt=types[top]):
+        a = fa(env, ctx)
+        b = fb(env, ctx)
+        sa = size(a)
+        sb = size(b)
+        live = _product_size(len(a.rows), sa, len(b.rows), sb)
+        grow(ctx, live, _p)
+        ctx.live -= sa + sb
+        index: dict = {}
+        for y in b.rows:
+            k = y[rk]
+            ys = index.get(k)
+            if ys is None:
+                index[k] = [y]
+            else:
+                ys.append(y)
+        rows = [x + y for x in a.rows for y in index.get(x[lk], ())]
+        for i, eq, j, level_path in levels:
+            if i is not None:
+                if eq:
+                    rows = [r for r in rows if r[i] == r[j]]
+                else:
+                    rows = [r for r in rows if r[i] != r[j]]
+            # product rows are distinct, so each level's rows are its result
+            s = len(rows) * width if width else sum(1 + sum(map(size, r)) for r in rows)
+            grow(ctx, s, level_path)
+            ctx.live -= live
+            live = s
+        if pick is None:
+            return Rel(_rt, frozenset(rows))
+        res = Rel(_rt, frozenset(map(pick, rows)))
+        grow(ctx, size(res), top)
+        ctx.live -= live
+        return res
+
+    return run
+
+
+def _solve_parts(e: ast.Solve, path: str, types: dict):
     names = e.var_names
-    types = tuple(t for _, t in e.binders)
-    fl = _compile(e.lhs, f"{path}.lhs" if path else "lhs")
-    fr = _compile(e.rhs, f"{path}.rhs" if path else "rhs")
+    var_types = tuple(t for _, t in e.binders)
+    fl = _compile(e.lhs, _at(path, "lhs"), types)
+    fr = _compile(e.rhs, _at(path, "rhs"), types)
     bound = set(names)
     l_inv = not (ast.free_names(e.lhs) & bound)
     r_inv = not (ast.free_names(e.rhs) & bound)
-    return names, types, fl, fr, l_inv, r_inv
+    return names, var_types, fl, fr, l_inv, r_inv
 
 
 def _iter_masks(counts):
@@ -591,11 +684,14 @@ def _run_solve(parts, env, ctx, path, early_exit):
 # public entry points
 
 
-def _precheck(e: ast.Expr, db: Database) -> RelType:
+def _precheck(e: ast.Expr, db: Database) -> dict:
+    """Check bindings and types; return the type of every node path."""
     violations = ast.check_bindings(e)
     if violations:
         raise BindingError(violations)
-    return infer_type(e, db.schema)
+    types: dict = {}
+    infer_type(e, db.schema, types)
+    return types
 
 
 def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
@@ -604,10 +700,11 @@ def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
     Returns ``(value, metrics)``; the output type is checked against the
     inferred type as a runtime soundness invariant.
     """
-    expected = _precheck(e, db)
+    types = _precheck(e, db)
+    expected = types[""]
     ctx = _Ctx(db, budget or EvalBudget())
     env = dict(db.relations)
-    res = _compile(e, "")(env, ctx)
+    res = _compile(e, "", types)(env, ctx)
     if res.rtype != expected:
         raise InternalCheckError(
             f"evaluator produced type {res.rtype}, typechecker said {expected}"
@@ -625,8 +722,8 @@ def solve_nonempty(
 ) -> bool:
     """True iff the equation has at least one solution (stops at the first)."""
     node = ast.Solve(tuple(binders), lhs, rhs)
-    _precheck(node, db)
+    types = _precheck(node, db)
     ctx = _Ctx(db, budget or EvalBudget())
     env = dict(db.relations)
-    rows = _run_solve(_solve_parts(node, ""), env, ctx, "", early_exit=True)
+    rows = _run_solve(_solve_parts(node, "", types), env, ctx, "", early_exit=True)
     return bool(rows)

@@ -106,30 +106,85 @@ def oracle_eval(e: ast.Expr, env: dict, atoms, schema: dict):
         return env[e.name]
     if isinstance(e, ast.Domain):
         return o_domain(atoms)
-    if isinstance(e, ast.Union):
-        return o_union(oracle_eval(e.left, env, atoms, schema), oracle_eval(e.right, env, atoms, schema))
-    if isinstance(e, ast.Difference):
-        return o_difference(
-            oracle_eval(e.left, env, atoms, schema), oracle_eval(e.right, env, atoms, schema)
-        )
-    if isinstance(e, ast.Product):
-        return o_product(
-            oracle_eval(e.left, env, atoms, schema), oracle_eval(e.right, env, atoms, schema)
-        )
-    if isinstance(e, ast.Project):
-        return o_project(oracle_eval(e.arg, env, atoms, schema), e.indices)
-    if isinstance(e, ast.Select):
-        return o_select(oracle_eval(e.arg, env, atoms, schema), e.i, e.op, e.j)
-    if isinstance(e, ast.Nest):
-        arity = infer_type(e.arg, schema).arity
-        return o_nest(oracle_eval(e.arg, env, atoms, schema), e.indices, arity)
-    if isinstance(e, ast.Unnest):
-        return o_unnest(oracle_eval(e.arg, env, atoms, schema), e.index)
-    if isinstance(e, ast.Powerset):
-        return o_powerset(oracle_eval(e.arg, env, atoms, schema))
     if isinstance(e, ast.Solve):
         return oracle_solve(e.binders, e.lhs, e.rhs, env, atoms, schema)
+    args = [oracle_eval(child, env, atoms, schema) for _, child in _operands(e)]
+    return _apply(e, args, schema)
+
+
+def _operands(e: ast.Expr):
+    """(path label, node) of each operand, in evaluation order."""
+    if isinstance(e, (ast.Union, ast.Difference, ast.Product)):
+        return [("left", e.left), ("right", e.right)]
+    if isinstance(e, (ast.Project, ast.Select, ast.Nest, ast.Unnest, ast.Powerset)):
+        return [("arg", e.arg)]
     raise AssertionError(f"oracle cannot evaluate {type(e).__name__}")
+
+
+def _apply(e: ast.Expr, args, schema: dict):
+    """The operator of ``e`` applied to its evaluated operands."""
+    if isinstance(e, ast.Union):
+        return o_union(*args)
+    if isinstance(e, ast.Difference):
+        return o_difference(*args)
+    if isinstance(e, ast.Product):
+        return o_product(*args)
+    if isinstance(e, ast.Project):
+        return o_project(args[0], e.indices)
+    if isinstance(e, ast.Select):
+        return o_select(args[0], e.i, e.op, e.j)
+    if isinstance(e, ast.Nest):
+        return o_nest(args[0], e.indices, infer_type(e.arg, schema).arity)
+    if isinstance(e, ast.Unnest):
+        return o_unnest(args[0], e.index)
+    return o_powerset(args[0])
+
+
+# ---------------------------------------------------------------------------
+# the metering contract, replayed on plain values
+
+
+def plain_size(v) -> int:
+    """Space units of a plain value: atom occurrences plus tuples, at every depth."""
+    if isinstance(v, str):
+        return 1
+    return sum(1 + sum(plain_size(c) for c in row) for row in v)
+
+
+def oracle_peak(e: ast.Expr, env: dict, atoms, schema: dict):
+    """``(peak, path)`` of a solve-free expression under the metering contract.
+
+    Literal evaluation, operands left to right: a name or ``D`` charges its
+    value; an operator's result is charged once built, while its operands are
+    still live, and the operands are released right after.  ``peak`` is the
+    largest live total and ``path`` the node where it is first reached, so a
+    space cap of ``peak - 1`` must be refused there.
+    """
+    state = {"live": 0, "peak": 0, "path": None}
+
+    def charge(units: int, path: str) -> None:
+        state["live"] += units
+        if state["live"] > state["peak"]:
+            state["peak"] = state["live"]
+            state["path"] = path
+
+    def walk(node: ast.Expr, path: str):
+        if isinstance(node, ast.Solve):
+            raise AssertionError("oracle_peak does not meter solve nodes")
+        if isinstance(node, (ast.Name, ast.Domain)):
+            value = oracle_eval(node, env, atoms, schema)
+            charge(plain_size(value), path)
+            return value
+        args = [
+            walk(child, f"{path}.{label}" if path else label) for label, child in _operands(node)
+        ]
+        value = _apply(node, args, schema)
+        charge(plain_size(value), path)
+        state["live"] -= sum(plain_size(a) for a in args)
+        return value
+
+    walk(e, "")
+    return state["peak"], state["path"]
 
 
 def plain_relations(t: RelType, atoms):

@@ -321,3 +321,39 @@ def test_stdout_identical_across_processes_and_hash_seeds(tmp_path):
             assert proc.returncode == 0, proc.stderr
             outs.add(proc.stdout)
         assert len(outs) == 1, argv
+
+
+BAD_ARGV = [
+    ["profile", "--eq", "powerset", "--n-range", "1..x"],
+    ["profile", "--eq", "powerset", "--n-range", "12"],
+    ["profile", "--eq", "powerset", "--n-range", "0..2"],
+    ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0):abc"],
+    ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0,0"],
+    ["profile", "--eq", "no-such-construction", "--n-range", "1..2"],
+    ["eval", "--db", "{missing}", "--expr", "R"],
+    ["eval", "--db", "{db}", "--expr", "times(R"],
+    ["eval", "--db", "{db}", "--expr", "R", "--max-space", "0"],
+    ["solve", "--db", "{db}", "--expr", "R"],
+    ["construction", "--name", "no-such-construction", "--db", "{db}"],
+    ["eval", "--db", "{db}"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_bad_argv_exits_with_error_code_not_traceback(argv, tmp_path, pair_db):
+    import os
+    import subprocess
+    import sys
+
+    import eqalg
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(eqalg.__file__)))
+    argv = [a.format(db=pair_db, missing=tmp_path / "missing.edb") for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqalg.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+    assert proc.returncode in (1, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr

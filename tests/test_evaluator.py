@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -31,8 +32,18 @@ from eqalg.evaluator import (
     solve,
     solve_nonempty,
 )
-from eqalg.model import Database, Rel, RelType, flat_type, rename_database, rename_value, value_size
+from eqalg.model import (
+    ATOM,
+    Database,
+    Rel,
+    RelType,
+    flat_type,
+    rename_database,
+    rename_value,
+    value_size,
+)
 from eqalg.parser import parse_expr, render_relation
+from eqalg.typecheck import infer_type
 
 from oracles import (
     o_domain,
@@ -42,6 +53,8 @@ from oracles import (
     o_project,
     o_select,
     o_unnest,
+    oracle_eval,
+    oracle_peak,
     oracle_solution_set,
     random_expr,
     random_flat_rel,
@@ -240,6 +253,36 @@ def test_powerset_budget_guard_refuses_early():
     assert "powerset" in str(err.value)
 
 
+def test_product_and_unnest_refused_before_allocating():
+    # 20 atoms: the outer product would be 160,000 rows (800,000 units)
+    db = db_of(tuple(f"x{i:02}" for i in range(20)))
+    dd = Product(Domain(), Domain())
+    budget = EvalBudget(max_space_units=10_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            evaluate(Product(dd, dd), db, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.which, err.value.path) == ("space", "")
+    assert "live 802400 units > cap 10000" in str(err.value)
+    assert peak < 1_000_000
+
+    # 30 atoms: the unnest would be 27,000 rows; the nest below it fits the cap
+    db = db_of(tuple(f"x{i:02}" for i in range(30)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            unnest = Unnest(3, Nest((2,), Product(Domain(), Domain())))
+            evaluate(unnest, db, EvalBudget(max_space_units=60_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.which, err.value.path) == ("space", "")
+    assert peak < 1_000_000
+
+
 def test_binding_violation_raises():
     inner = Solve((("X", FLAT1),), Union(Name("X"), Name("R")), Name("R"))
     with pytest.raises(BindingError):
@@ -364,3 +407,91 @@ def test_eval_commutes_with_atom_permutations():
         mapping = dict(zip(atoms, perm))
         permuted, _ = evaluate(e, rename_database(db, mapping), budget)
         assert permuted == rename_value(base, mapping)
+
+
+# ---------------------------------------------------------------------------
+# select chains over products (run as hash joins) against the oracles
+
+JOIN_KINDS = ("cross", "cross_reversed", "within_one_side", "not_equal")
+JOIN_TYPES = {
+    "N": RelType((ATOM, FLAT1)),
+    "M": RelType((FLAT1, ATOM, FLAT1)),
+}
+
+
+def _same_type_pairs(comps, lo, hi, lo2, hi2):
+    return [
+        (i, j)
+        for i in range(lo, hi + 1)
+        for j in range(lo2, hi2 + 1)
+        if comps[i - 1] == comps[j - 1]
+    ]
+
+
+def _join_expr(rng, schema, kind, depth, tags):
+    """``[project] select* select(product(a, b))`` whose innermost test is of
+    the given kind; an operand is sometimes itself such an expression."""
+
+    def operand():
+        if depth and rng.random() < 0.3:
+            tags.add("join_operand")
+            return _join_expr(rng, schema, "cross", depth - 1, tags)
+        return Name(rng.choice(sorted(schema)))
+
+    while True:
+        a, b = operand(), operand()
+        ta, tb = infer_type(a, schema), infer_type(b, schema)
+        comps = ta.components + tb.components
+        ka, k = ta.arity, len(comps)
+        cross = _same_type_pairs(comps, 1, ka, ka + 1, k)
+        pairs = {
+            "cross": cross,
+            "cross_reversed": [(j, i) for i, j in cross],
+            "within_one_side": _same_type_pairs(comps, 1, ka, 1, ka)
+            + _same_type_pairs(comps, ka + 1, k, ka + 1, k),
+            "not_equal": cross,
+        }[kind]
+        if pairs and k <= 8:
+            break
+    if a == b:
+        tags.add("self_join")
+    i, j = rng.choice(pairs)
+    if not comps[i - 1].is_atom:
+        tags.add("nested_key")
+    e = Select(i, "!=" if kind == "not_equal" else "=", j, Product(a, b))
+    for _ in range(rng.randint(0, 2)):
+        fi, fj = rng.choice(_same_type_pairs(comps, 1, k, 1, k))
+        e = Select(fi, rng.choice(["=", "!="]), fj, e)
+        tags.add("filters")
+    if rng.random() < 0.6:
+        e = Project(tuple(rng.randint(1, k) for _ in range(rng.randint(1, 3))), e)
+        tags.add("project")
+    return e
+
+
+@pytest.mark.parametrize("kind", JOIN_KINDS)
+def test_select_over_product_matches_oracle_value_and_peak(kind):
+    rng = random.Random(9100 + JOIN_KINDS.index(kind))
+    tags: set = set()
+    for _ in range(50):
+        atoms = ("a", "b", "c")[: rng.randint(2, 3)]
+        schema = {nm: flat_type(rng.randint(1, 3)) for nm in ("P", "Q")}
+        schema.update(JOIN_TYPES)
+        rels = {nm: random_value(rng, t, atoms, max_rows=5) for nm, t in schema.items()}
+        db = Database(atoms, rels)
+        e = _join_expr(rng, schema, kind, 1, tags)
+        env = {nm: to_plain(r) for nm, r in db.relations.items()}
+
+        value, metrics = evaluate(e, db)
+        assert to_plain(value) == oracle_eval(e, env, atoms, schema)
+        peak, peak_path = oracle_peak(e, env, atoms, schema)
+        assert metrics.peak_space_units == peak
+        if peak < 2:
+            continue
+        _, at_cap = evaluate(e, db, EvalBudget(max_space_units=peak))
+        assert at_cap.peak_space_units == peak
+        with pytest.raises(BudgetExceeded) as err:
+            evaluate(e, db, EvalBudget(max_space_units=peak - 1))
+        assert (err.value.which, err.value.path) == ("space", peak_path)
+        assert f"live {peak} units > cap {peak - 1}" in str(err.value)
+    assert {"self_join", "nested_key", "filters", "project", "join_operand"} <= tags

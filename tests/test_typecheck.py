@@ -72,3 +72,49 @@ def test_typecheck_database_reports():
     assert any("missing relation Q" in item for item in report)
     report = typecheck_database(db, {})
     assert any("not in schema" in item for item in report)
+
+
+def test_types_by_node_path():
+    e = Solve((("X", FLAT1),), Union(Name("X"), Name("S")), Name("S"))
+    types: dict = {}
+    infer_type(e, SCHEMA, types)
+    assert types == {
+        "": RelType((FLAT1,)),
+        "lhs": FLAT1,
+        "lhs.left": FLAT1,
+        "lhs.right": FLAT1,
+        "rhs": FLAT1,
+    }
+
+
+def test_reimporting_eqalg_releases_the_previous_modules():
+    # A type alias subscripted at import time is cached by typing, and an
+    # entry holding RelType would pin every earlier import of eqalg.model.
+    import os
+    import subprocess
+    import sys
+
+    import eqalg
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(eqalg.__file__)))
+    script = (
+        "import gc, importlib, sys, weakref\n"
+        "def fresh():\n"
+        "    for n in [n for n in sys.modules if n == 'eqalg' or n.startswith('eqalg.')]:\n"
+        "        del sys.modules[n]\n"
+        "    importlib.import_module('eqalg')\n"
+        "    return sys.modules['eqalg.model']\n"
+        "first = weakref.ref(fresh().RelType)\n"
+        "for _ in range(3):\n"
+        "    fresh()\n"
+        "gc.collect()\n"
+        "print('alive' if first() is not None else 'released')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "released\n"
