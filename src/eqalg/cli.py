@@ -167,11 +167,11 @@ def cmd_construction(args) -> int:
 def _parse_n_range(text: str):
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
+        if sep and int(lo) <= int(hi):
             return range(int(lo), int(hi) + 1)
     except ValueError:
         pass
-    raise ParseError(f"bad n-range {text!r}, expected A..B", 1, 1)
+    raise ParseError(f"bad n-range {text!r}, expected A..B with A <= B", 1, 1)
 
 
 def _parse_gen(text: str | None, default_schema: dict, seed: int) -> DbGenerator:
@@ -194,9 +194,15 @@ def _parse_gen(text: str | None, default_schema: dict, seed: int) -> DbGenerator
             type_text, _, dens = rest.rpartition(":")
             schema[name] = parse_type(type_text)
             try:
-                density[name] = float(dens)
+                d = float(dens)
             except ValueError:
-                raise ParseError(f"bad density {dens!r} for {name} in --gen", 1, 1) from None
+                d = None
+            # NaN fails this comparison too
+            if d is None or not 0.0 <= d <= 1.0:
+                raise ParseError(
+                    f"bad density {dens!r} for {name} in --gen, expected a number in [0, 1]", 1, 1
+                )
+            density[name] = d
         return DbGenerator(schema=schema, mode="random-flat", density=density, seed=seed)
     raise ParseError(f"bad --gen {text!r}", 1, 1)
 

@@ -28,6 +28,7 @@ size before building any row, as powersets do against a lower bound.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -120,21 +121,20 @@ def op_product(a: Rel, b: Rel) -> Rel:
     return Rel(rtype, frozenset(x + y for x in a.rows for y in b.rows))
 
 
+def _row_picker(indices: tuple[int, ...]):
+    """The projection kernel: a function from a row to the tuple of its
+    columns at the 1-based ``indices``, repeats allowed."""
+    idx = tuple(i - 1 for i in indices)
+    # itemgetter returns a bare value for one index, a tuple for a slice
+    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+
+
 def op_project(a: Rel, indices: tuple[int, ...]) -> Rel:
     k = a.rtype.arity
     if any(i > k for i in indices):
         raise ModelError(f"project indices {indices} out of range for arity {k}")
-    idx = tuple(i - 1 for i in indices)
-    rtype = RelType(tuple(a.rtype.components[i] for i in idx))
-    if len(idx) == 1:
-        (i0,) = idx
-        rows = frozenset((r[i0],) for r in a.rows)
-    elif len(idx) == 2:
-        i0, j0 = idx
-        rows = frozenset((r[i0], r[j0]) for r in a.rows)
-    else:
-        rows = frozenset(tuple(r[i] for i in idx) for r in a.rows)
-    return Rel(rtype, rows)
+    rtype = RelType(tuple(a.rtype.components[i - 1] for i in indices))
+    return Rel(rtype, frozenset(map(_row_picker(indices), a.rows)))
 
 
 def op_select(a: Rel, i: int, op: str, j: int) -> Rel:
@@ -159,19 +159,15 @@ def op_nest(a: Rel, indices: tuple[int, ...]) -> Rel:
     k = len(comps)
     if any(i > k for i in indices):
         raise ModelError(f"nest indices {indices} out of range for arity {k}")
-    idx = tuple(i - 1 for i in indices)
-    idx_set = set(idx)
-    rest = tuple(c for c in range(k) if c not in idx_set)
-    nested_type = RelType(tuple(comps[i] for i in idx))
-    groups: dict = {}
+    rest = tuple(c for c in range(1, k + 1) if c not in indices)
+    nested_type = RelType(tuple(comps[i - 1] for i in indices))
+    pick = _row_picker(indices)
+    key = _row_picker(rest) if rest else lambda r: ()
+    groups = defaultdict(set)
     for r in a.rows:
-        key = tuple(r[c] for c in rest)
-        g = groups.get(key)
-        if g is None:
-            groups[key] = g = set()
-        g.add(tuple(r[i] for i in idx))
-    packed = {key: Rel(nested_type, frozenset(g)) for key, g in groups.items()}
-    rows = frozenset(r + (packed[tuple(r[c] for c in rest)],) for r in a.rows)
+        groups[key(r)].add(pick(r))
+    packed = {kv: Rel(nested_type, frozenset(g)) for kv, g in groups.items()}
+    rows = frozenset([r + (packed[key(r)],) for r in a.rows])
     return Rel(RelType(comps + (nested_type,)), rows)
 
 
@@ -271,9 +267,12 @@ def _compile(e: ast.Expr, path: str, types: dict):
     ``types`` maps every node path to its type, as filled in by
     ``infer_type``.  Contract: when ``fn`` returns, exactly the size of its
     result has been added to ``ctx.live``; the caller releases it after
-    consuming it.  Kernels are inlined here, and a select chain over a
-    product becomes one hash join (see ``_compile_join``); the ``op_*``
-    functions above stay the readable reference versions for direct use.
+    consuming it.  Projection, nest and powerset call the same kernels as
+    ``op_project``, ``op_nest`` and ``op_powerset``; union, difference,
+    product, select and unnest are one-line set expressions inlined around
+    their metering, with the ``op_*`` versions kept for direct value-level
+    use.  A select chain over a product becomes one hash join (see
+    ``_compile_join``), which projects with the same kernel.
     """
     size = value_size
     grow = _grow
@@ -345,19 +344,10 @@ def _compile(e: ast.Expr, path: str, types: dict):
 
     if isinstance(e, ast.Project):
         f = _compile(e.arg, _at(path, "arg"), types)
-        idx = tuple(i - 1 for i in e.indices)
 
-        def run(env, ctx, _f=f, _idx=idx, _p=path, _rt=types[path]):
+        def run(env, ctx, _f=f, _pick=_row_picker(e.indices), _p=path, _rt=types[path]):
             a = _f(env, ctx)
-            if len(_idx) == 1:
-                i0 = _idx[0]
-                rows = {(r[i0],) for r in a.rows}
-            elif len(_idx) == 2:
-                i0, j0 = _idx
-                rows = {(r[i0], r[j0]) for r in a.rows}
-            else:
-                rows = {tuple(r[i] for i in _idx) for r in a.rows}
-            res = Rel(_rt, frozenset(rows))
+            res = Rel(_rt, frozenset(map(_pick, a.rows)))
             grow(ctx, size(res), _p)
             ctx.live -= size(a)
             return res
@@ -480,9 +470,7 @@ def _compile_join(e: ast.Expr, path: str, types: dict):
     top = path
     pick = None
     if isinstance(e, ast.Project):
-        idx = tuple(i - 1 for i in e.indices)
-        # itemgetter returns a bare value for one index, a tuple for a slice
-        pick = itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+        pick = _row_picker(e.indices)
         e, path = e.arg, _at(path, "arg")
     filters = []
     while isinstance(e, ast.Select):

@@ -164,25 +164,46 @@ def value_size(v: Value) -> int:
     return s
 
 
-def check_value(v: Value, expected: RelType) -> None:
-    """Deep structural validation of a value against a type."""
+def check_value(v: Value, expected: RelType) -> set:
+    """Deep structural validation of a value against a type.
+
+    Returns the set of atoms occurring in ``v`` at any depth, so a caller
+    that must also vet the atoms (a database checks them against its domain)
+    needs no second walk.  The rows of a flat relation are validated in
+    bulk: one pass checks each row's shape, then each *distinct* atom among
+    them is checked once.  Nested columns recurse, so a flat relation at any
+    depth takes the bulk path.
+    """
     if expected.is_atom:
-        if not isinstance(v, str):
-            raise ModelError(f"expected an atom, got a relation of type {getattr(v, 'rtype', '?')}")
-        if not ATOM_RE.match(v):
-            raise ModelError(f"bad atom symbol {v!r}")
-        return
+        _check_atom(v)
+        return {v}
     if not isinstance(v, Rel):
         raise ModelError(f"expected a relation of type {expected}, got atom {v!r}")
     if v.rtype != expected:
         raise ModelError(f"value has type {v.rtype}, expected {expected}")
     comps = expected.components
     k = len(comps)
-    for row in v.rows:
+    rows = v.rows
+    for row in rows:
         if not isinstance(row, tuple) or len(row) != k:
             raise ModelError(f"row {row!r} does not have arity {k}")
+    if expected.is_flat:
+        atoms = set().union(*rows)
+        for a in atoms:
+            _check_atom(a)
+        return atoms
+    atoms = set()
+    for row in rows:
         for c, t in zip(row, comps):
-            check_value(c, t)
+            atoms |= check_value(c, t)
+    return atoms
+
+
+def _check_atom(v) -> None:
+    if not isinstance(v, str):
+        raise ModelError(f"expected an atom, got a relation of type {getattr(v, 'rtype', '?')}")
+    if not ATOM_RE.match(v):
+        raise ModelError(f"bad atom symbol {v!r}")
 
 
 def canonicalize(v: Value) -> Value:
@@ -192,8 +213,7 @@ def canonicalize(v: Value) -> Value:
     validates deeply and returns the value itself; it is idempotent.
     """
     if isinstance(v, str):
-        if not ATOM_RE.match(v):
-            raise ModelError(f"bad atom symbol {v!r}")
+        _check_atom(v)
         return v
     check_value(v, v.rtype)
     return v
@@ -282,7 +302,9 @@ class Database:
 
     Immutable after construction; every atom reachable inside a stored
     relation must belong to the domain, and no relation may be named ``D``
-    (the reserved domain symbol).
+    (the reserved domain symbol).  Each relation is walked once: the walk
+    that validates it against its type returns its atoms, and that set is
+    checked against the domain.
     """
 
     __slots__ = ("domain", "relations", "atoms")
@@ -300,10 +322,11 @@ class Database:
                 raise ModelError(f"bad relation name {name!r}")
             if not isinstance(rel, Rel):
                 raise ModelError(f"relation {name} must be a Rel value")
-            check_value(rel, rel.rtype)
-            for atom in iter_atoms(rel):
-                if atom not in self.domain:
-                    raise ModelError(f"relation {name} mentions atom {atom!r} outside the domain")
+            outside = check_value(rel, rel.rtype) - self.domain
+            if outside:
+                raise ModelError(
+                    f"relation {name} mentions atom {min(outside)!r} outside the domain"
+                )
         self.atoms = tuple(sorted(self.domain))
 
     @property

@@ -309,7 +309,7 @@ def test_stdout_identical_across_processes_and_hash_seeds(tmp_path):
         outs = set()
         for seed in ("0", "12345"):
             proc = subprocess.run(
-                [sys.executable, "-m", "eqalg.cli", *argv],
+                [sys.executable, "-B", "-m", "eqalg.cli", *argv],
                 capture_output=True,
                 text=True,
                 env={
@@ -323,6 +323,12 @@ def test_stdout_identical_across_processes_and_hash_seeds(tmp_path):
         assert len(outs) == 1, argv
 
 
+# an empty n-range and densities outside [0, 1]: well-formed, but user errors
+OUT_OF_RANGE_ARGV = [
+    ["profile", "--eq", "powerset", "--n-range", "3..1"],
+    ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0):nan"],
+    ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0):2.5"],
+]
 BAD_ARGV = [
     ["profile", "--eq", "powerset", "--n-range", "1..x"],
     ["profile", "--eq", "powerset", "--n-range", "12"],
@@ -336,6 +342,7 @@ BAD_ARGV = [
     ["solve", "--db", "{db}", "--expr", "R"],
     ["construction", "--name", "no-such-construction", "--db", "{db}"],
     ["eval", "--db", "{db}"],
+    *OUT_OF_RANGE_ARGV,
 ]
 
 
@@ -350,10 +357,18 @@ def test_bad_argv_exits_with_error_code_not_traceback(argv, tmp_path, pair_db):
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(eqalg.__file__)))
     argv = [a.format(db=pair_db, missing=tmp_path / "missing.edb") for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-m", "eqalg.cli", *argv],
+        [sys.executable, "-B", "-m", "eqalg.cli", *argv],
         capture_output=True,
         text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
     )
     assert proc.returncode in (1, 2, 3), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGV, ids=" ".join)
+def test_empty_n_range_and_bad_density_exit_1(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad ")

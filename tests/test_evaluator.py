@@ -244,6 +244,44 @@ def test_solution_budget():
     assert err.value.which == "solutions"
 
 
+def _cap_cases():
+    """(expression, solve path, solve node, db): one solve node at the root,
+    under a projection and on the right of a union."""
+    unary = Solve((("X", FLAT1),), Union(Name("X"), Name("R")), Domain())
+    squares = Solve((("X", FLAT2),), Name("X"), Name("X"))
+    pairs = Solve((("X", FLAT1), ("Y", FLAT1)), Union(Name("X"), Name("Y")), Domain())
+    abc = db_of(("a", "b", "c"), R=rel(FLAT1, [("a",)]))
+    ab = db_of(("a", "b"), S=rel(RelType((FLAT1, FLAT1)), []))
+    return [
+        (unary, "", unary, abc),
+        (Project((1,), squares), "arg", squares, ab),
+        (Union(Name("S"), pairs), "right", pairs, ab),
+    ]
+
+
+@pytest.mark.parametrize("e,path,node,db", _cap_cases(), ids=["root", "arg", "right"])
+def test_candidate_and_solution_caps_at_the_boundary(e, path, node, db):
+    n = len(db.atoms)
+    space = 1
+    for _, t in node.binders:
+        space *= 2 ** (n ** t.arity)
+    found = len(oracle_solution_set(node.binders, node.lhs, node.rhs, db))
+    assert found >= 2
+
+    _, metrics = evaluate(e, db, EvalBudget(max_candidates=space, max_solutions=found))
+    assert [(s.path, s.candidates_tested, s.solutions_found) for s in metrics.solves] == [
+        (path, space, found)
+    ]
+    with pytest.raises(BudgetExceeded) as err:
+        evaluate(e, db, EvalBudget(max_candidates=space - 1))
+    assert (err.value.which, err.value.path) == ("candidates", path)
+    assert f"candidate space {space} exceeds cap {space - 1}" in str(err.value)
+    with pytest.raises(BudgetExceeded) as err:
+        evaluate(e, db, EvalBudget(max_solutions=found - 1))
+    assert (err.value.which, err.value.path) == ("solutions", path)
+    assert f"more than {found - 1} solutions" in str(err.value)
+
+
 def test_powerset_budget_guard_refuses_early():
     db = db_of(tuple("abcdefgh"))
     budget = EvalBudget(max_candidates=10**6, max_space_units=1000, max_solutions=10)
@@ -495,3 +533,65 @@ def test_select_over_product_matches_oracle_value_and_peak(kind):
         assert (err.value.which, err.value.path) == ("space", peak_path)
         assert f"live {peak} units > cap {peak - 1}" in str(err.value)
     assert {"self_join", "nested_key", "filters", "project", "join_operand"} <= tags
+
+
+# ---------------------------------------------------------------------------
+# projections: the value-level kernel, the compiled node and the join's
+# projection, against the oracles
+
+
+def _projection_indices(rng, k):
+    """1, 2 or 3-4 indices within arity ``k``, repeats allowed and sometimes forced."""
+    idx = [rng.randint(1, k) for _ in range(rng.choice((1, 2, rng.randint(3, 4))))]
+    if len(idx) > 1 and rng.random() < 0.3:
+        idx[1] = idx[0]
+    return tuple(idx)
+
+
+def _assert_matches_oracle(e, db, atoms, schema):
+    env = {nm: to_plain(r) for nm, r in db.relations.items()}
+    value, metrics = evaluate(e, db)
+    assert to_plain(value) == oracle_eval(e, env, atoms, schema)
+    peak, peak_path = oracle_peak(e, env, atoms, schema)
+    assert metrics.peak_space_units == peak
+    if peak >= 2:
+        with pytest.raises(BudgetExceeded) as err:
+            evaluate(e, db, EvalBudget(max_space_units=peak - 1))
+        assert (err.value.which, err.value.path) == ("space", peak_path)
+
+
+def test_projection_paths_match_oracle_value_and_peak():
+    rng = random.Random(9300)
+    seen: set = set()
+    for case in range(60):
+        atoms = ("a", "b", "c")[: rng.randint(2, 3)]
+        schema = {"P": flat_type(rng.randint(1, 3)), "Q": flat_type(rng.randint(1, 3))}
+        schema.update(JOIN_TYPES)
+        rels = {nm: random_value(rng, t, atoms, max_rows=5) for nm, t in schema.items()}
+        db = Database(atoms, rels)
+        name = rng.choice(sorted(schema))
+        t = schema[name]
+        idx = (2, 2, 1) if case == 0 and t.arity >= 2 else _projection_indices(rng, t.arity)
+        seen.add(min(len(idx), 3))
+        if len(set(idx)) < len(idx):
+            seen.add("repeat")
+        if any(not t.components[i - 1].is_atom for i in idx):
+            seen.add("relation_column")
+
+        # the value-level kernel
+        got = op_project(db.relations[name], idx)
+        assert got.rtype == infer_type(Project(idx, Name(name)), schema)
+        assert to_plain(got) == o_project(to_plain(db.relations[name]), idx)
+        # the compiled node, over a name and over a non-join operator
+        _assert_matches_oracle(Project(idx, Name(name)), db, atoms, schema)
+        _assert_matches_oracle(Project(idx, Union(Name(name), Name(name))), db, atoms, schema)
+        # the join's projection, picking the same columns of its left side
+        other = rng.choice(sorted(schema))
+        comps = t.components + schema[other].components
+        pairs = _same_type_pairs(comps, 1, t.arity, t.arity + 1, len(comps))
+        if pairs:
+            i, j = rng.choice(pairs)
+            join = Project(idx, Select(i, "=", j, Product(Name(name), Name(other))))
+            _assert_matches_oracle(join, db, atoms, schema)
+            seen.add("join")
+    assert {1, 2, 3, "repeat", "relation_column", "join"} <= seen

@@ -234,6 +234,54 @@ def test_database_validation():
         Database(("a",), {"D": rel(FLAT1, [])})  # reserved name
 
 
+NESTED = RelType((ATOM, FLAT1))
+BAD_DATABASES = [
+    ("wrong_arity", rel(FLAT2, [("a", "b"), ("a",)]), "row ('a',) does not have arity 2"),
+    ("non_tuple_row", rel(FLAT2, ["ab"]), "row 'ab' does not have arity 2"),
+    ("int_atom", rel(FLAT2, [("a", 3)]), "expected an atom, got a relation of type ?"),
+    (
+        "rel_in_flat_column",
+        rel(FLAT2, [("a", rel(FLAT1, [("a",)]))]),
+        "expected an atom, got a relation of type (0)",
+    ),
+    ("bad_atom_symbol", rel(FLAT1, [("a-b",)]), "bad atom symbol 'a-b'"),
+    (
+        "atom_in_relation_column",
+        rel(RelType((FLAT1,)), [("a",)]),
+        "expected a relation of type (0), got atom 'a'",
+    ),
+    (
+        "inner_value_of_wrong_type",
+        rel(NESTED, [("a", rel(FLAT2, []))]),
+        "value has type (0,0), expected (0)",
+    ),
+    (
+        "wrong_arity_inside_nested",
+        rel(NESTED, [("a", rel(FLAT1, [("b",), ("a", "b")]))]),
+        "row ('a', 'b') does not have arity 1",
+    ),
+    (
+        "foreign_atom_top_level",
+        rel(FLAT2, [("a", "z")]),
+        "relation R mentions atom 'z' outside the domain",
+    ),
+    (
+        "foreign_atom_in_nested_flat",
+        rel(NESTED, [("a", rel(FLAT1, [("b",), ("z",)]))]),
+        "relation R mentions atom 'z' outside the domain",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value,message", [c[1:] for c in BAD_DATABASES], ids=[c[0] for c in BAD_DATABASES]
+)
+def test_bad_database_message(value, message):
+    with pytest.raises(ModelError) as err:
+        Database(("a", "b"), {"R": value})
+    assert str(err.value) == message
+
+
 def test_rename_roundtrip():
     db = Database(("a", "b"), {"R": rel(FLAT2, [("a", "b"), ("b", "b")])})
     mapping = {"a": "b", "b": "a"}

@@ -111,7 +111,7 @@ def test_reimporting_eqalg_releases_the_previous_modules():
         "print('alive' if first() is not None else 'released')\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-B", "-c", script],
         capture_output=True,
         text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
