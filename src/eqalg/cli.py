@@ -36,6 +36,9 @@ EXIT_USER = 1
 EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
+# errors in what the user typed or named: exit 1 from main, "error:" in the repl
+USER_ERRORS = (ParseError, TypecheckError, BindingError, ModelError, ast.AstError, OSError)
+
 
 def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
@@ -300,7 +303,7 @@ def cmd_repl(args) -> int:
             print(render_relation(value))
             if show_metrics:
                 print(metrics.format(), file=sys.stderr)
-        except (ParseError, TypecheckError, BindingError, ModelError, ast.AstError, OSError) as exc:
+        except USER_ERRORS as exc:
             print(f"error: {exc}", file=sys.stderr)
         except BudgetExceeded as exc:
             print(f"budget: {exc}", file=sys.stderr)
@@ -362,7 +365,7 @@ def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, TypecheckError, BindingError, ModelError, ast.AstError, OSError) as exc:
+    except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except BudgetExceeded as exc:

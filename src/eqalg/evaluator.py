@@ -251,6 +251,18 @@ def _grow(ctx, amount: int, path: str) -> None:
             raise BudgetExceeded("space", path, f"live {live} units > cap {ctx.max_space}")
 
 
+def _row_sizer(rtype: RelType):
+    """Space units of one row of a type with relation-valued columns.
+
+    The tuple and its atom columns are a constant known from the type, so
+    only the relation-valued columns are sized, from their cached sizes.
+    """
+    pick = _row_picker(tuple(i + 1 for i in rtype.nested_columns))
+    base = rtype.row_base_size
+    size = value_size
+    return lambda r: base + sum(map(size, pick(r)))
+
+
 def _product_size(na: int, sa: int, nb: int, sb: int) -> int:
     """Size of the product of relations with ``na``/``nb`` rows of total size
     ``sa``/``sb``: each row pair carries both rows' units, less one tuple."""
@@ -396,13 +408,13 @@ def _compile(e: ast.Expr, path: str, types: dict):
         f = _compile(e.arg, _at(path, "arg"), types)
         i0 = e.index - 1
 
-        def run(env, ctx, _f=f, _p=path, _rt=types[path]):
+        def run(env, ctx, _f=f, _p=path, _rt=types[path], _rs=_row_sizer(types[_at(path, "arg")])):
             a = _f(env, ctx)
             # each row paired with the rows of its nested set: a one-row product
             projected = 0
             for r in a.rows:
                 inner = r[i0]
-                projected += _product_size(1, 1 + sum(map(size, r)), len(inner.rows), size(inner))
+                projected += _product_size(1, _rs(r), len(inner.rows), size(inner))
             grow(ctx, projected, _p)
             res = Rel(_rt, frozenset({r + y for r in a.rows for y in r[i0].rows}))
             ctx.live -= size(a)
@@ -491,6 +503,7 @@ def _compile_join(e: ast.Expr, path: str, types: dict):
     size = value_size
     grow = _grow
     width = types[path].flat_row_size  # units per joined row, None if nested
+    row_size = None if width else _row_sizer(types[path])
 
     def run(env, ctx, _p=path, _rt=types[top]):
         a = fa(env, ctx)
@@ -516,7 +529,7 @@ def _compile_join(e: ast.Expr, path: str, types: dict):
                 else:
                     rows = [r for r in rows if r[i] != r[j]]
             # product rows are distinct, so each level's rows are its result
-            s = len(rows) * width if width else sum(1 + sum(map(size, r)) for r in rows)
+            s = len(rows) * width if width else sum(map(row_size, rows))
             grow(ctx, s, level_path)
             ctx.live -= live
             live = s

@@ -4,7 +4,10 @@ A relation type is either the atom type or a tuple of component types.  A
 value is an atom symbol (plain ``str``) or a :class:`Rel`, a finite set of
 equal-typed tuples.  ``Rel`` deduplicates on construction and keeps its rows
 in a ``frozenset``; the canonical *order* of rows (the single source of
-determinism for rendering and enumeration) is materialized lazily.
+determinism for rendering and enumeration) is materialized lazily, by one
+sort per relation that fills both its row order and its sort key.  A flat
+row (all atoms) is its own sort key, so a flat relation sorts its rows with
+no key function and its sorted rows are its key.
 """
 
 from __future__ import annotations
@@ -35,10 +38,16 @@ class RelType:
         comps = self.components
         if comps is not None and len(comps) == 0:
             raise ModelError("tuple type needs at least one component")
-        # units per row when every component is an atom; None otherwise
+        # per row: the 0-based positions of the relation-valued columns, and
+        # the units of the tuple and its atom columns; flat_row_size is the
+        # latter when every component is an atom, None otherwise
         flat_size = None
-        if comps is not None and all(c.components is None for c in comps):
-            flat_size = len(comps) + 1
+        if comps is not None:
+            nested = tuple(i for i, c in enumerate(comps) if c.components is not None)
+            object.__setattr__(self, "nested_columns", nested)
+            object.__setattr__(self, "row_base_size", 1 + len(comps) - len(nested))
+            if not nested:
+                flat_size = self.row_base_size
         object.__setattr__(self, "flat_row_size", flat_size)
 
     @property
@@ -82,8 +91,11 @@ class Rel:
     """A nested relation value: its type plus a frozenset of rows.
 
     Construction deduplicates (set semantics).  Instances are immutable and
-    hashable; hash, size, and the sorted row list are computed on demand and
+    hashable; hash, size, and the canonical order are computed on demand and
     cached, so they are cheap to use as tuple components of other relations.
+    The order is one sort, which fills ``_sorted`` (the rows in order) and
+    ``_key`` (their sort keys in order, the relation's own key) together; for
+    a flat relation the two are the same tuple.
     """
 
     __slots__ = ("rtype", "rows", "_hash", "_size", "_key", "_sorted")
@@ -127,8 +139,23 @@ class Rel:
         """Rows in canonical order (atoms lexicographic, relations by sorted row lists)."""
         s = self._sorted
         if s is None:
-            s = self._sorted = tuple(sorted(self.rows, key=row_sort_key))
+            s = self._sort()[0]
         return s
+
+    def _sort(self) -> tuple:
+        """Fill both order caches with one sort; return ``(rows, key)``."""
+        if self.rtype.is_flat:
+            s = k = tuple(sorted(self.rows))
+        else:
+            # sort positions by key: each key is built once and no row is compared
+            rows = list(self.rows)
+            keys = list(map(row_sort_key, rows))
+            order = sorted(range(len(rows)), key=keys.__getitem__)
+            s = tuple(map(rows.__getitem__, order))
+            k = tuple(map(keys.__getitem__, order))
+        self._sorted = s
+        self._key = k
+        return s, k
 
 
 def value_sort_key(v: Value):
@@ -137,12 +164,12 @@ def value_sort_key(v: Value):
         return v
     k = v._key
     if k is None:
-        k = v._key = tuple(sorted(row_sort_key(r) for r in v.rows))
+        k = v._sort()[1]
     return k
 
 
 def row_sort_key(row: tuple):
-    return tuple(value_sort_key(c) for c in row)
+    return tuple(map(value_sort_key, row))
 
 
 def value_size(v: Value) -> int:
@@ -151,15 +178,13 @@ def value_size(v: Value) -> int:
         return 1
     s = v._size
     if s is None:
-        per_row = v.rtype.flat_row_size
-        if per_row is not None:
-            s = len(v.rows) * per_row
-        else:
-            s = 0
+        t = v.rtype
+        s = len(v.rows) * t.row_base_size
+        cols = t.nested_columns
+        if cols:
             for row in v.rows:
-                s += 1
-                for c in row:
-                    s += value_size(c)
+                for i in cols:
+                    s += value_size(row[i])
         v._size = s
     return s
 

@@ -355,14 +355,23 @@ def render_type(t: RelType) -> str:
 
 
 def render_relation(v: Value) -> str:
-    """Deterministic text for a value, rows in canonical order; parses back."""
+    """Deterministic text for a value, rows in canonical order; parses back.
+
+    A flat relation's sorted rows are all atoms, so they are joined directly
+    with no call per row or atom; relation-valued columns recurse.
+    """
     if isinstance(v, str):
         return v
-    return "[" + ",".join(_render_row(row) for row in v.sorted_rows()) + "]"
+    rows = v.sorted_rows()
+    if not rows:
+        return "[]"
+    if v.rtype.is_flat:
+        return "[[" + "],[".join(map(",".join, rows)) + "]]"
+    return "[" + ",".join(map(_render_row, rows)) + "]"
 
 
 def _render_row(row: tuple) -> str:
-    return "[" + ",".join(render_relation(c) for c in row) + "]"
+    return "[" + ",".join(map(render_relation, row)) + "]"
 
 
 def render_database(db: Database) -> str:

@@ -9,6 +9,7 @@ engine's kernels, compiler, or solve loop.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -185,6 +186,51 @@ def oracle_peak(e: ast.Expr, env: dict, atoms, schema: dict):
 
     walk(e, "")
     return state["peak"], state["path"]
+
+
+# ---------------------------------------------------------------------------
+# canonical order and rendering, from their definitions
+
+
+def plain_compare(x, y) -> int:
+    """Canonical order of two plain values of one type, as -1, 0 or 1.
+
+    Atoms compare as strings.  A relation is the list of its rows in
+    canonical order, and two relations compare as those lists do: by the
+    first position where their rows differ, else the shorter list first.
+    Rows compare component by component.
+    """
+    if isinstance(x, str):
+        return (x > y) - (x < y)
+    xs, ys = plain_sorted_rows(x), plain_sorted_rows(y)
+    for a, b in zip(xs, ys):
+        c = _plain_row_compare(a, b)
+        if c:
+            return c
+    return (len(xs) > len(ys)) - (len(xs) < len(ys))
+
+
+def _plain_row_compare(a, b) -> int:
+    for c, d in zip(a, b):
+        r = plain_compare(c, d)
+        if r:
+            return r
+    return 0
+
+
+def plain_sorted_rows(r) -> list:
+    """The rows of a plain relation in canonical order."""
+    return sorted(r, key=functools.cmp_to_key(_plain_row_compare))
+
+
+def plain_render(v) -> str:
+    """Text of a plain value: an atom is itself; a relation is ``[`` its rows
+    in canonical order, comma-separated, ``]``, and a row is ``[`` its
+    rendered components, comma-separated, ``]``."""
+    if isinstance(v, str):
+        return v
+    rows = ["[" + ",".join(plain_render(c) for c in row) + "]" for row in plain_sorted_rows(v)]
+    return "[" + ",".join(rows) + "]"
 
 
 def plain_relations(t: RelType, atoms):

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import pytest
 
@@ -172,6 +173,21 @@ def test_every_registered_construction_verifies(capsys, tmp_path):
         )
         assert code == 0, (name, err)
         assert "VERIFY PASS" in err, name
+
+
+def test_construction_powerset_prints_every_subset_in_order(capsys, tmp_path):
+    atoms = ("a1", "9", "_b", "a", "10", "B")
+    db = tmp_path / "six.edb"
+    db.write_text(f"domain [{','.join(atoms)}]\nR:(0) = [{','.join(f'[{a}]' for a in atoms)}]\n")
+    code, out, err = run(capsys, ["construction", "--name", "powerset", "--db", str(db), "--verify"])
+    assert code == 0 and "VERIFY PASS" in err
+    # a subset is a row holding one unary relation; subsets as sorted atom lists
+    subsets = sorted(
+        sorted(combo) for k in range(len(atoms) + 1) for combo in itertools.combinations(atoms, k)
+    )
+    rows = ["[[" + ",".join(f"[{a}]" for a in subset) + "]]" for subset in subsets]
+    assert len(rows) == 64
+    assert out == "[" + ",".join(rows) + "]\n"
 
 
 def test_eval_accepts_solve_expressions(capsys, tmp_path):

@@ -55,6 +55,7 @@ from oracles import (
     o_unnest,
     oracle_eval,
     oracle_peak,
+    plain_size,
     oracle_solution_set,
     random_expr,
     random_flat_rel,
@@ -595,3 +596,100 @@ def test_projection_paths_match_oracle_value_and_peak():
             _assert_matches_oracle(join, db, atoms, schema)
             seen.add("join")
     assert {1, 2, 3, "repeat", "relation_column", "join"} <= seen
+
+
+# ---------------------------------------------------------------------------
+# the space cap at union, difference, nest, unnest and powerset
+
+CAP_OPS = ("union", "difference", "nest", "unnest", "powerset")
+
+
+def _relation_columns(t):
+    return [i for i, c in enumerate(t.components, start=1) if not c.is_atom]
+
+
+def _cap_expr(rng, op, schema):
+    """``(expression, path of the op node, operand of the op node)``: the op
+    over names of the schema or over a union or difference of them, sometimes
+    under a product with ``S`` or a projection, so the op node is not always
+    the root."""
+    t = schema["P"]
+
+    def operand():
+        if rng.random() < 0.3:
+            return rng.choice((Union, Difference))(Name("P"), Name("Q"))
+        return Name(rng.choice(("P", "Q")))
+
+    arg = operand()
+    if op == "union":
+        node = Union(arg, operand())
+    elif op == "difference":
+        node = Difference(arg, operand())
+    elif op == "nest":
+        count = rng.randint(1, t.arity)
+        node = Nest(tuple(sorted(rng.sample(range(1, t.arity + 1), count))), arg)
+    elif op == "unnest":
+        cols = _relation_columns(t)
+        if cols and rng.random() < 0.7:
+            node = Unnest(rng.choice(cols), arg)
+        else:  # the column a nest appends
+            node = Unnest(t.arity + 1, Nest((rng.randint(1, t.arity),), arg))
+    else:
+        node = Powerset(arg)
+    wrap = rng.choice(("root", "left", "right", "project"))
+    if wrap == "left":
+        return Product(node, Name("S")), "left", arg
+    if wrap == "right":
+        return Product(Name("S"), node), "right", arg
+    if wrap == "project":
+        return Project((1,), node), "arg", arg
+    return node, "", arg
+
+
+@pytest.mark.parametrize("op", CAP_OPS)
+def test_space_cap_boundary_at_each_operator(op):
+    rng = random.Random(9500 + CAP_OPS.index(op))
+    seen: set = set()
+    for _ in range(40):
+        atoms = ("a", "b", "c")[: rng.randint(2, 3)]
+        t = random_type(rng, max_depth=2)
+        while op == "unnest" and rng.random() < 0.7 and not _relation_columns(t):
+            t = random_type(rng, max_depth=2)
+        schema = {"P": t, "Q": t, "S": flat_type(rng.randint(1, 2))}
+        max_rows = 4 if op == "powerset" else 5
+        rels = {nm: random_value(rng, rt, atoms, max_rows=max_rows) for nm, rt in schema.items()}
+        db = Database(atoms, rels)
+        e, op_path, arg = _cap_expr(rng, op, schema)
+        env = {nm: to_plain(r) for nm, r in db.relations.items()}
+
+        value, metrics = evaluate(e, db)
+        assert to_plain(value) == oracle_eval(e, env, atoms, schema)
+        peak, peak_path = oracle_peak(e, env, atoms, schema)
+        assert metrics.peak_space_units == peak
+        if peak >= 2:
+            _, at_cap = evaluate(e, db, EvalBudget(max_space_units=peak))
+            assert at_cap.peak_space_units == peak
+            with pytest.raises(BudgetExceeded) as err:
+                evaluate(e, db, EvalBudget(max_space_units=peak - 1))
+            assert (err.value.which, err.value.path) == ("space", peak_path)
+            if peak_path == op_path:
+                seen.add("peak_at_op")
+        if _relation_columns(t):
+            seen.add("relation_column")
+
+        if op == "powerset":
+            # the lower bound of one unit per subset is checked before any
+            # subset is built: the operand, and S when evaluated first, are live
+            arg_value = oracle_eval(arg, env, atoms, schema)
+            before = plain_size(env["S"]) if op_path == "right" else 0
+            live = before + plain_size(arg_value)
+            cap = live + 2 ** len(arg_value) - 1
+            if 1 <= cap and before + oracle_peak(arg, env, atoms, schema)[0] <= cap:
+                with pytest.raises(BudgetExceeded) as err:
+                    evaluate(e, db, EvalBudget(max_space_units=cap))
+                assert (err.value.which, err.value.path) == ("space", op_path)
+                assert f"powerset of {len(arg_value)} rows needs >= " in str(err.value)
+                seen.add("precheck")
+    assert {"peak_at_op", "relation_column"} <= seen
+    if op == "powerset":
+        assert "precheck" in seen

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from eqalg import ast
-from eqalg.model import ATOM, Database, Rel, RelType, flat_type
+from eqalg.model import ATOM, Database, Rel, RelType, flat_type, value_sort_key
 from eqalg.parser import (
     ParseError,
     parse_database,
@@ -14,7 +14,15 @@ from eqalg.parser import (
     render_relation,
 )
 
-from oracles import random_type, random_value
+from oracles import (
+    from_plain,
+    plain_compare,
+    plain_render,
+    plain_sorted_rows,
+    random_type,
+    random_value,
+    to_plain,
+)
 
 FLAT1 = flat_type(1)
 FLAT2 = flat_type(2)
@@ -98,6 +106,81 @@ def test_parse_database_rejects_duplicates_and_bad_arity():
 def test_render_relation_examples():
     assert render_relation(Rel(FLAT1, frozenset({("b",), ("a",)}))) == "[[a],[b]]"
     assert render_relation(Rel(FLAT2, frozenset())) == "[]"
+
+
+# ---------------------------------------------------------------------------
+# canonical order and rendering against the plain-value oracles
+
+# string order differs from length and case order: "10" < "9" < "B" < "_b" < "a" < "a1"
+ORDER_ATOMS = ("a1", "9", "_b", "a", "10", "B", "ab")
+
+
+def _order_corpus():
+    """Values of random types up to depth 3, several per type so that values
+    of one type can be compared, plus empty and 1- to 3-ary flat relations."""
+    rng = random.Random(4242)
+    corpus = []
+    for arity in (1, 2, 3):
+        t = flat_type(arity)
+        corpus.append(Rel(t, frozenset()))
+        corpus += [random_value(rng, t, ORDER_ATOMS, max_rows=6) for _ in range(4)]
+    for _ in range(80):
+        t = random_type(rng, max_depth=3)
+        corpus += [random_value(rng, t, ORDER_ATOMS) for _ in range(3)]
+    return corpus
+
+
+def _fill(v, first):
+    """A fresh copy of ``v`` (no cache filled at any depth), asked for its
+    sort key and its sorted rows in the given order, then rendered."""
+    w = from_plain(to_plain(v), v.rtype)
+    if first == "key":
+        key = value_sort_key(w)
+        rows = w.sorted_rows()
+    else:
+        rows = w.sorted_rows()
+        key = value_sort_key(w)
+    return key, rows, render_relation(w)
+
+
+@pytest.mark.parametrize("first", ["key", "rows"])
+def test_canonical_order_and_rendering_match_oracles(first):
+    corpus = _order_corpus()
+    seen = set()
+    by_type: dict = {}
+    for v in corpus:
+        plain = to_plain(v)
+        key, rows, text = _fill(v, first)
+        assert [tuple(map(to_plain, r)) for r in rows] == plain_sorted_rows(plain)
+        assert text == plain_render(plain)
+        by_type.setdefault(v.rtype, []).append((key, plain))
+        if not plain:
+            seen.add("empty")
+        if v.rtype.is_flat:
+            seen.add(("flat", v.rtype.arity))
+        else:
+            seen.add("relation_column")
+    # the key orders the values of one type as the oracle does, and is equal
+    # exactly when the values are
+    for values in by_type.values():
+        for k1, p1 in values:
+            for k2, p2 in values:
+                assert (k1 > k2) - (k1 < k2) == plain_compare(p1, p2)
+    assert {"empty", ("flat", 1), ("flat", 2), ("flat", 3), "relation_column"} <= seen
+    assert sum(len(values) > 1 for values in by_type.values()) >= 20
+
+
+def test_order_corpus_round_trips_through_database_text():
+    corpus = _order_corpus()
+    for start in range(0, len(corpus), 5):
+        rels = {f"R{i}": v for i, v in enumerate(corpus[start : start + 5])}
+        db = Database(ORDER_ATOMS, rels)
+        text = render_database(db)
+        back, _ = parse_database(text)
+        assert back == db
+        assert render_database(back) == text
+        for name, v in rels.items():
+            assert f"{name}:{v.rtype} = {plain_render(to_plain(v))}" in text.splitlines()
 
 
 def test_value_roundtrip_through_database_text():
