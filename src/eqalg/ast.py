@@ -154,6 +154,11 @@ def child_labels(e: Expr) -> tuple[str, ...]:
     return ()
 
 
+def child_path(path: str, label: str) -> str:
+    """The node path of the child ``label`` of the node at ``path``."""
+    return f"{path}.{label}" if path else label
+
+
 def free_names(e: Expr) -> frozenset[str]:
     """Relation names occurring free (solve variables are bound inside)."""
     if isinstance(e, Name):
@@ -190,18 +195,14 @@ def check_bindings(e: Expr) -> list[BindingViolation]:
 
     def walk(node: Expr, path: str, enclosing: frozenset[str]) -> None:
         if isinstance(node, Solve):
-            inner = enclosing
             for nm in node.var_names:
                 if nm in top_free:
                     out.append(BindingViolation(nm, path, "free name also becomes bound"))
                 if nm in enclosing:
                     out.append(BindingViolation(nm, path, "rebinds a variable of an enclosing solve"))
-                inner = inner | {nm}
-            walk(node.lhs, f"{path}.lhs" if path else "lhs", inner)
-            walk(node.rhs, f"{path}.rhs" if path else "rhs", inner)
-            return
+            enclosing = enclosing | set(node.var_names)
         for label, c in zip(child_labels(node), children(node)):
-            walk(c, f"{path}.{label}" if path else label, enclosing)
+            walk(c, child_path(path, label), enclosing)
 
     walk(e, "", frozenset())
     return out

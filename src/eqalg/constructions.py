@@ -380,16 +380,6 @@ def build_nest_sparse_expr(indices: tuple[int, ...] = (2,)) -> ast.Expr:
 # ---------------------------------------------------------------------------
 # registry for the CLI and profiler
 
-EXAMPLE_SCHEMAS = {
-    "parity": {},
-    "singleton": {},
-    "powerset": {"R": FLAT1},
-    "tc-powerset": {"R": FLAT2},
-    "tc-sparse": {"R": FLAT2},
-    "nest-sparse": {"R": FLAT2},
-}
-
-
 def _oracle_parity(db: Database) -> Rel:
     import itertools
 
@@ -450,7 +440,7 @@ def registry() -> dict[str, Construction]:
     return {
         "parity": Construction(
             "parity",
-            EXAMPLE_SCHEMAS["parity"],
+            {},
             _oracle_parity,
             "matchings splitting the domain in half; solvable iff |domain| is even",
             equation=par,
@@ -458,7 +448,7 @@ def registry() -> dict[str, Construction]:
         ),
         "singleton": Construction(
             "singleton",
-            EXAMPLE_SCHEMAS["singleton"],
+            {},
             _oracle_singleton,
             "singleton subsets of the domain; linearly many solutions",
             equation=sing,
@@ -466,7 +456,7 @@ def registry() -> dict[str, Construction]:
         ),
         "powerset": Construction(
             "powerset",
-            EXAMPLE_SCHEMAS["powerset"],
+            {"R": FLAT1},
             _oracle_powerset,
             "all subsets of R via X union R = R",
             equation=(
@@ -478,14 +468,14 @@ def registry() -> dict[str, Construction]:
         ),
         "tc-powerset": Construction(
             "tc-powerset",
-            EXAMPLE_SCHEMAS["tc-powerset"],
+            {"R": FLAT2},
             _oracle_tc,
             "transitive closure as the minimal transitively closed superset",
             expression=build_tc_powerset_expr(),
         ),
         "tc-sparse": Construction(
             "tc-sparse",
-            EXAMPLE_SCHEMAS["tc-sparse"],
+            {"R": FLAT2},
             _oracle_tc,
             "transitive closure through the stage-relation equation (harness-checked)",
             expression=build_tc_sparse_expr(),
@@ -493,7 +483,7 @@ def registry() -> dict[str, Construction]:
         ),
         "nest-sparse": Construction(
             "nest-sparse",
-            EXAMPLE_SCHEMAS["nest-sparse"],
+            {"R": FLAT2},
             _oracle_nest,
             "second-column nesting of R without using the nest operator on R",
             expression=build_nest_sparse_expr(),

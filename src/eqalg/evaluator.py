@@ -1,13 +1,20 @@
 """Expression evaluation: compositional, with budgets and space metering.
 
-Every operator materializes its operand results, combines them, and releases
-the operands; a solve node streams candidate assignments one at a time over
-the candidate space (binary counter over the canonically ordered row
-universe, last variable fastest), keeps one candidate live, and materializes
-the solution set.  ``peak_space_units`` tracks the maximum over time of the
-total size of live intermediate results, where the size of a value is its
-recursive atom-occurrence count plus tuple count; the input database itself
-is ambient and not counted.
+Each operator is one kernel, a function from its operand values to its
+result, built once per node from the types the typechecker inferred (see
+``_kernel``); the value-level ``op_*`` functions call the same kernels.  One
+metering wrapper per operand arity runs every operator node the same way: it
+evaluates the operands, charges the result's size and then releases the
+operands.  Product, unnest and powerset have an exact size computed from
+their operands, charged before the kernel runs, so an over-cap one is refused
+before any row is built; the other operators charge the result they built.
+A solve node streams candidate assignments one at a time over the candidate
+space (binary counter over the canonically ordered row universe, last
+variable fastest), keeps one candidate live, and materializes the solution
+set.  ``peak_space_units`` tracks the maximum over time of the total size of
+live intermediate results, where the size of a value is its recursive
+atom-occurrence count plus tuple count; the input database itself is ambient
+and not counted.
 
 Three shortcuts over literal re-evaluation, none observable in results or
 metrics: an equation side that mentions no bound variable is evaluated once
@@ -20,9 +27,6 @@ as a hash join that never builds the product or the selections.  The join
 still charges the product and every selection at its exact size, in the
 order literal evaluation would, so ``peak_space_units`` and every budget
 refusal stay the same.
-
-Products and unnests check the space budget against their exactly computed
-size before building any row, as powersets do against a lower bound.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .model import (
     Rel,
     RelType,
     count_relations,
+    rows_for_mask,
+    subset_tables,
     tuple_universe,
     value_size,
 )
@@ -105,20 +111,7 @@ class EvalMetrics:
 
 
 # ---------------------------------------------------------------------------
-# operator kernels (value level)
-
-
-def op_union(a: Rel, b: Rel) -> Rel:
-    return Rel(a.rtype, a.rows | b.rows)
-
-
-def op_difference(a: Rel, b: Rel) -> Rel:
-    return Rel(a.rtype, a.rows - b.rows)
-
-
-def op_product(a: Rel, b: Rel) -> Rel:
-    rtype = RelType(a.rtype.components + b.rtype.components)
-    return Rel(rtype, frozenset(x + y for x in a.rows for y in b.rows))
+# operator kernels
 
 
 def _row_picker(indices: tuple[int, ...]):
@@ -129,67 +122,125 @@ def _row_picker(indices: tuple[int, ...]):
     return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
 
 
+def _row_sizer(rtype: RelType):
+    """Space units of one row of a type with relation-valued columns.
+
+    The tuple and its atom columns are a constant known from the type, so
+    only the relation-valued columns are sized, from their cached sizes.
+    """
+    pick = _row_picker(tuple(i + 1 for i in rtype.nested_columns))
+    base = rtype.row_base_size
+    size = value_size
+    return lambda r: base + sum(map(size, pick(r)))
+
+
+def _product_size(na: int, sa: int, nb: int, sb: int) -> int:
+    """Size of the product of relations with ``na``/``nb`` rows of total size
+    ``sa``/``sb``: each row pair carries both rows' units, less one tuple."""
+    return na * sb + nb * sa - na * nb
+
+
+def _kernel(e: ast.Expr, path: str, types: dict):
+    """``(kernel, need)`` for the operator node ``e`` at ``path``.
+
+    ``kernel`` maps the operand values to the result.  ``need`` is None, or
+    maps the operands to the exact size of the result, computed before
+    anything is built.  The result type and the column positions come from
+    ``types``, which the typechecker filled after checking every index and
+    column type, so neither function validates or derives anything per call.
+    """
+    # constants are defaults, not closure cells, as in _metered
+    rt = types[path]
+    if isinstance(e, ast.Union):
+        return (lambda a, b, rt=rt: Rel(rt, a.rows | b.rows)), None
+    if isinstance(e, ast.Difference):
+        return (lambda a, b, rt=rt: Rel(rt, a.rows - b.rows)), None
+    if isinstance(e, ast.Product):
+        return (
+            lambda a, b, rt=rt: Rel(rt, frozenset({x + y for x in a.rows for y in b.rows})),
+            lambda a, b: _product_size(len(a.rows), value_size(a), len(b.rows), value_size(b)),
+        )
+    if isinstance(e, ast.Project):
+
+        def project(a, rt=rt, pick=_row_picker(e.indices)):
+            return Rel(rt, frozenset(map(pick, a.rows)))
+
+        return project, None
+    if isinstance(e, ast.Select):
+        if e.op == "=":
+
+            def select(a, rt=rt, i=e.i - 1, j=e.j - 1):
+                return Rel(rt, frozenset({r for r in a.rows if r[i] == r[j]}))
+
+        else:
+
+            def select(a, rt=rt, i=e.i - 1, j=e.j - 1):
+                return Rel(rt, frozenset({r for r in a.rows if r[i] != r[j]}))
+
+        return select, None
+    if isinstance(e, ast.Nest):
+        # per row, the set of projected sub-rows agreeing on all other columns
+        rest = tuple(c for c in range(1, rt.arity) if c not in e.indices)
+        key = _row_picker(rest) if rest else lambda r: ()
+
+        def nest(a, rt=rt, pick=_row_picker(e.indices), key=key):
+            groups = defaultdict(set)
+            for r in a.rows:
+                groups[key(r)].add(pick(r))
+            packed = {kv: Rel(rt.components[-1], frozenset(g)) for kv, g in groups.items()}
+            return Rel(rt, frozenset([r + (packed[key(r)],) for r in a.rows]))
+
+        return nest, None
+    if isinstance(e, ast.Unnest):
+
+        def unnest(a, rt=rt, i=e.index - 1):
+            return Rel(rt, frozenset({r + y for r in a.rows for y in r[i].rows}))
+
+        def need(a, i=e.index - 1, row_size=_row_sizer(types[ast.child_path(path, "arg")])):
+            # each row paired with the rows of its nested set: a one-row product
+            total = 0
+            for r in a.rows:
+                inner = r[i]
+                total += _product_size(1, row_size(r), len(inner.rows), value_size(inner))
+            return total
+
+        return unnest, need
+    if isinstance(e, ast.Powerset):
+
+        def powerset(a, rt=rt, inner=rt.components[0]):
+            subs = [frozenset()]
+            for row in a.rows:
+                single = frozenset((row,))
+                subs += [s | single for s in subs]
+            return Rel(rt, frozenset((Rel(inner, s),) for s in subs))
+
+        # 2^k one-tuples, and each operand row is in half of the subsets
+        return powerset, lambda a: (1 << len(a.rows)) + ((value_size(a) << len(a.rows)) >> 1)
+    raise ModelError(f"cannot compile {type(e).__name__}")
+
+
+_A = ast.Name("A")
+
+
+def _apply(node: ast.Expr, a: Rel) -> Rel:
+    """Apply a one-operator node over the name ``A`` to the value ``a`` with
+    the kernel its compiled node runs; the typechecker checks the node."""
+    types: dict = {}
+    infer_type(node, {"A": a.rtype}, types)
+    return _kernel(node, "", types)[0](a)
+
+
 def op_project(a: Rel, indices: tuple[int, ...]) -> Rel:
-    k = a.rtype.arity
-    if any(i > k for i in indices):
-        raise ModelError(f"project indices {indices} out of range for arity {k}")
-    rtype = RelType(tuple(a.rtype.components[i - 1] for i in indices))
-    return Rel(rtype, frozenset(map(_row_picker(indices), a.rows)))
-
-
-def op_select(a: Rel, i: int, op: str, j: int) -> Rel:
-    k = a.rtype.arity
-    if i > k or j > k:
-        raise ModelError(f"select indices {i},{j} out of range for arity {k}")
-    if a.rtype.components[i - 1] != a.rtype.components[j - 1]:
-        raise ModelError("select compares columns of different types")
-    i0, j0 = i - 1, j - 1
-    if op == "=":
-        rows = frozenset(r for r in a.rows if r[i0] == r[j0])
-    elif op == "!=":
-        rows = frozenset(r for r in a.rows if r[i0] != r[j0])
-    else:
-        raise ModelError(f"bad selection test {op!r}")
-    return Rel(a.rtype, rows)
+    return _apply(ast.Project(tuple(indices), _A), a)
 
 
 def op_nest(a: Rel, indices: tuple[int, ...]) -> Rel:
     """Append, per row, the set of projected sub-rows agreeing on all other columns."""
-    comps = a.rtype.components
-    k = len(comps)
-    if any(i > k for i in indices):
-        raise ModelError(f"nest indices {indices} out of range for arity {k}")
-    rest = tuple(c for c in range(1, k + 1) if c not in indices)
-    nested_type = RelType(tuple(comps[i - 1] for i in indices))
-    pick = _row_picker(indices)
-    key = _row_picker(rest) if rest else lambda r: ()
-    groups = defaultdict(set)
-    for r in a.rows:
-        groups[key(r)].add(pick(r))
-    packed = {kv: Rel(nested_type, frozenset(g)) for kv, g in groups.items()}
-    rows = frozenset([r + (packed[key(r)],) for r in a.rows])
-    return Rel(RelType(comps + (nested_type,)), rows)
+    return _apply(ast.Nest(tuple(indices), _A), a)
 
 
 def op_unnest(a: Rel, index: int) -> Rel:
-    comps = a.rtype.components
-    if index > len(comps):
-        raise ModelError(f"unnest index {index} out of range for arity {len(comps)}")
-    inner = comps[index - 1]
-    if inner.is_atom:
-        raise ModelError(f"unnest on atom column {index}")
-    i0 = index - 1
-    rows = frozenset(r + y for r in a.rows for y in r[i0].rows)
-    return Rel(RelType(comps + inner.components), rows)
-
-
-def op_powerset(a: Rel) -> Rel:
-    subs = [frozenset()]
-    for row in a.rows:
-        single = frozenset((row,))
-        subs += [s | single for s in subs]
-    rows = frozenset((Rel(a.rtype, s),) for s in subs)
-    return Rel(RelType((a.rtype,)), rows)
+    return _apply(ast.Unnest(index, _A), a)
 
 
 def domain_relation(atoms: tuple[str, ...]) -> Rel:
@@ -203,7 +254,6 @@ def domain_relation(atoms: tuple[str, ...]) -> Rel:
 class _Ctx:
     __slots__ = (
         "atoms",
-        "domain_rel",
         "live",
         "peak",
         "max_candidates",
@@ -215,7 +265,6 @@ class _Ctx:
 
     def __init__(self, db: Database, budget: EvalBudget) -> None:
         self.atoms = db.atoms
-        self.domain_rel = domain_relation(db.atoms)
         self.live = 0
         self.peak = 0
         self.max_candidates = budget.max_candidates
@@ -251,26 +300,58 @@ def _grow(ctx, amount: int, path: str) -> None:
             raise BudgetExceeded("space", path, f"live {live} units > cap {ctx.max_space}")
 
 
-def _row_sizer(rtype: RelType):
-    """Space units of one row of a type with relation-valued columns.
+def _precharge(ctx, amount: int, path: str, node: ast.Expr, operands) -> None:
+    """``_grow`` by the exact size of a result not yet built; a refusal names
+    the operator and its operand row counts."""
+    live = ctx.live + amount
+    if live > ctx.max_space:
+        what = type(node).__name__.lower()
+        rows = " x ".join(str(len(x.rows)) for x in operands)
+        cap = ctx.max_space
+        detail = f"{what} of {rows} rows needs >= {amount} units: live {live} units > cap {cap}"
+        raise BudgetExceeded("space", path, detail)
+    _grow(ctx, amount, path)
 
-    The tuple and its atom columns are a constant known from the type, so
-    only the relation-valued columns are sized, from their cached sizes.
+
+def _metered(fs, kernel, need, path: str, node: ast.Expr):
+    """The compiled node of an operator with one or two operands.
+
+    It evaluates the operands in order, charges the result at ``path`` and
+    releases the operands.  With ``need`` the exact size is charged before
+    the kernel runs, so an over-cap result is refused before any row is
+    built; without it the built result is charged.  A refusal names
+    ``node``, the operator.
     """
-    pick = _row_picker(tuple(i + 1 for i in rtype.nested_columns))
-    base = rtype.row_base_size
-    size = value_size
-    return lambda r: base + sum(map(size, pick(r)))
+    # operands and constants are defaults, not closure cells, so a compiled
+    # node holds two objects for the cycle collector, not one per variable
+    if len(fs) == 1:
 
+        def run(env, ctx, _f=fs[0], _k=kernel, _need=need, _p=path, _node=node):
+            a = _f(env, ctx)
+            if _need is None:
+                res = _k(a)
+                _grow(ctx, value_size(res), _p)
+            else:
+                _precharge(ctx, _need(a), _p, _node, (a,))
+                res = _k(a)
+            ctx.live -= value_size(a)
+            return res
 
-def _product_size(na: int, sa: int, nb: int, sb: int) -> int:
-    """Size of the product of relations with ``na``/``nb`` rows of total size
-    ``sa``/``sb``: each row pair carries both rows' units, less one tuple."""
-    return na * sb + nb * sa - na * nb
+        return run
 
+    def run(env, ctx, _f1=fs[0], _f2=fs[1], _k=kernel, _need=need, _p=path, _node=node):
+        a = _f1(env, ctx)
+        b = _f2(env, ctx)
+        if _need is None:
+            res = _k(a, b)
+            _grow(ctx, value_size(res), _p)
+        else:
+            _precharge(ctx, _need(a, b), _p, _node, (a, b))
+            res = _k(a, b)
+        ctx.live -= value_size(a) + value_size(b)
+        return res
 
-def _at(path: str, label: str) -> str:
-    return f"{path}.{label}" if path else label
+    return run
 
 
 def _compile(e: ast.Expr, path: str, types: dict):
@@ -279,164 +360,19 @@ def _compile(e: ast.Expr, path: str, types: dict):
     ``types`` maps every node path to its type, as filled in by
     ``infer_type``.  Contract: when ``fn`` returns, exactly the size of its
     result has been added to ``ctx.live``; the caller releases it after
-    consuming it.  Projection, nest and powerset call the same kernels as
-    ``op_project``, ``op_nest`` and ``op_powerset``; union, difference,
-    product, select and unnest are one-line set expressions inlined around
-    their metering, with the ``op_*`` versions kept for direct value-level
-    use.  A select chain over a product becomes one hash join (see
-    ``_compile_join``), which projects with the same kernel.
+    consuming it.  A name, the domain and a solve node have closures of
+    their own, and a select chain over a product becomes one hash join (see
+    ``_compile_join``).  Every other operator is its kernel (``_kernel``)
+    under the metering wrapper of its arity (``_metered``), over its
+    children compiled at their paths.
     """
-    size = value_size
-    grow = _grow
-
-    if isinstance(e, ast.Name):
-        nm = e.name
+    if isinstance(e, (ast.Name, ast.Domain)):
+        nm = e.name if isinstance(e, ast.Name) else "D"
 
         def run(env, ctx, _nm=nm, _p=path):
             v = env[_nm]
-            grow(ctx, size(v), _p)
+            _grow(ctx, value_size(v), _p)
             return v
-
-        return run
-
-    if isinstance(e, ast.Domain):
-
-        def run(env, ctx, _p=path):
-            v = ctx.domain_rel
-            grow(ctx, size(v), _p)
-            return v
-
-        return run
-
-    if isinstance(e, (ast.Union, ast.Difference, ast.Product)):
-        f1 = _compile(e.left, _at(path, "left"), types)
-        f2 = _compile(e.right, _at(path, "right"), types)
-
-        if isinstance(e, ast.Union):
-
-            def run(env, ctx, _f1=f1, _f2=f2, _p=path):
-                a = _f1(env, ctx)
-                b = _f2(env, ctx)
-                res = Rel(a.rtype, a.rows | b.rows)
-                grow(ctx, size(res), _p)
-                ctx.live -= size(a) + size(b)
-                return res
-
-            return run
-
-        if isinstance(e, ast.Difference):
-
-            def run(env, ctx, _f1=f1, _f2=f2, _p=path):
-                a = _f1(env, ctx)
-                b = _f2(env, ctx)
-                res = Rel(a.rtype, a.rows - b.rows)
-                grow(ctx, size(res), _p)
-                ctx.live -= size(a) + size(b)
-                return res
-
-            return run
-
-        def run(env, ctx, _f1=f1, _f2=f2, _p=path, _rt=types[path]):
-            a = _f1(env, ctx)
-            b = _f2(env, ctx)
-            sa = size(a)
-            sb = size(b)
-            # charged before any row is built, so an over-cap product is refused cheaply
-            grow(ctx, _product_size(len(a.rows), sa, len(b.rows), sb), _p)
-            res = Rel(_rt, frozenset({x + y for x in a.rows for y in b.rows}))
-            ctx.live -= sa + sb
-            return res
-
-        return run
-
-    if isinstance(e, (ast.Project, ast.Select)):
-        join = _compile_join(e, path, types)
-        if join is not None:
-            return join
-
-    if isinstance(e, ast.Project):
-        f = _compile(e.arg, _at(path, "arg"), types)
-
-        def run(env, ctx, _f=f, _pick=_row_picker(e.indices), _p=path, _rt=types[path]):
-            a = _f(env, ctx)
-            res = Rel(_rt, frozenset(map(_pick, a.rows)))
-            grow(ctx, size(res), _p)
-            ctx.live -= size(a)
-            return res
-
-        return run
-
-    if isinstance(e, ast.Select):
-        f = _compile(e.arg, _at(path, "arg"), types)
-        i0, j0 = e.i - 1, e.j - 1
-        want_eq = e.op == "="
-
-        if want_eq:
-
-            def run(env, ctx, _f=f, _p=path):
-                a = _f(env, ctx)
-                res = Rel(a.rtype, frozenset({r for r in a.rows if r[i0] == r[j0]}))
-                grow(ctx, size(res), _p)
-                ctx.live -= size(a)
-                return res
-
-        else:
-
-            def run(env, ctx, _f=f, _p=path):
-                a = _f(env, ctx)
-                res = Rel(a.rtype, frozenset({r for r in a.rows if r[i0] != r[j0]}))
-                grow(ctx, size(res), _p)
-                ctx.live -= size(a)
-                return res
-
-        return run
-
-    if isinstance(e, ast.Nest):
-        f = _compile(e.arg, _at(path, "arg"), types)
-        indices = e.indices
-
-        def run(env, ctx, _f=f, _p=path):
-            a = _f(env, ctx)
-            res = op_nest(a, indices)
-            grow(ctx, size(res), _p)
-            ctx.live -= size(a)
-            return res
-
-        return run
-
-    if isinstance(e, ast.Unnest):
-        f = _compile(e.arg, _at(path, "arg"), types)
-        i0 = e.index - 1
-
-        def run(env, ctx, _f=f, _p=path, _rt=types[path], _rs=_row_sizer(types[_at(path, "arg")])):
-            a = _f(env, ctx)
-            # each row paired with the rows of its nested set: a one-row product
-            projected = 0
-            for r in a.rows:
-                inner = r[i0]
-                projected += _product_size(1, _rs(r), len(inner.rows), size(inner))
-            grow(ctx, projected, _p)
-            res = Rel(_rt, frozenset({r + y for r in a.rows for y in r[i0].rows}))
-            ctx.live -= size(a)
-            return res
-
-        return run
-
-    if isinstance(e, ast.Powerset):
-        f = _compile(e.arg, _at(path, "arg"), types)
-
-        def run(env, ctx, _f=f, _p=path):
-            a = _f(env, ctx)
-            # every subset costs at least one unit; refuse before materializing
-            projected = 1 << len(a.rows)
-            if ctx.live + projected > ctx.max_space:
-                raise BudgetExceeded(
-                    "space", _p, f"powerset of {len(a.rows)} rows needs >= {projected} units"
-                )
-            res = op_powerset(a)
-            grow(ctx, size(res), _p)
-            ctx.live -= size(a)
-            return res
 
         return run
 
@@ -446,7 +382,7 @@ def _compile(e: ast.Expr, path: str, types: dict):
         fnames = tuple(sorted(ast.free_names(e)))
         key = id(e)
 
-        def run(env, ctx, _parts=parts, _rt=res_type, _p=path, _node=e, _fn=fnames, _key=key):
+        def run(env, ctx, _parts=parts, _rt=res_type, _p=path, _fn=fnames, _key=key):
             # Re-occurrences of one solve node whose free inputs are the very
             # same values reuse the previous solution set instead of
             # re-enumerating; candidates_tested counts real enumerations.
@@ -454,7 +390,7 @@ def _compile(e: ast.Expr, path: str, types: dict):
             if cached is not None:
                 sig, rel = cached
                 if len(sig) == len(_fn) and all(env[nm] is v for nm, v in zip(_fn, sig)):
-                    grow(ctx, size(rel), _p)
+                    _grow(ctx, value_size(rel), _p)
                     return rel
             rows = _run_solve(_parts, env, ctx, _p, early_exit=False)
             rel = Rel(_rt, rows)
@@ -463,7 +399,16 @@ def _compile(e: ast.Expr, path: str, types: dict):
 
         return run
 
-    raise ModelError(f"cannot compile {type(e).__name__}")
+    if isinstance(e, (ast.Project, ast.Select)):
+        join = _compile_join(e, path, types)
+        if join is not None:
+            return join
+
+    kernel, need = _kernel(e, path, types)
+    fs = []
+    for label in ast.child_labels(e):
+        fs.append(_compile(getattr(e, label), ast.child_path(path, label), types))
+    return _metered(fs, kernel, need, path, e)
 
 
 def _compile_join(e: ast.Expr, path: str, types: dict):
@@ -480,26 +425,27 @@ def _compile_join(e: ast.Expr, path: str, types: dict):
     every budget refusal are unchanged.
     """
     top = path
-    pick = None
+    indices = None
     if isinstance(e, ast.Project):
-        pick = _row_picker(e.indices)
-        e, path = e.arg, _at(path, "arg")
+        indices = e.indices
+        e, path = e.arg, ast.child_path(path, "arg")
     filters = []
     while isinstance(e, ast.Select):
         filters.append((e.i - 1, e.op == "=", e.j - 1, path))
-        e, path = e.arg, _at(path, "arg")
+        e, path = e.arg, ast.child_path(path, "arg")
     if not filters or not isinstance(e, ast.Product):
         return None
     i0, want_eq, j0, key_path = filters.pop()
     lk, rk = min(i0, j0), max(i0, j0)
-    ka = types[_at(path, "left")].arity
+    ka = types[ast.child_path(path, "left")].arity
     if not (want_eq and lk < ka <= rk):
         return None
     rk -= ka
+    pick = None if indices is None else _row_picker(indices)
     # innermost level first; its test is the join key, so it filters nothing
     levels = [(None, True, None, key_path)] + filters[::-1]
-    fa = _compile(e.left, _at(path, "left"), types)
-    fb = _compile(e.right, _at(path, "right"), types)
+    fa = _compile(e.left, ast.child_path(path, "left"), types)
+    fb = _compile(e.right, ast.child_path(path, "right"), types)
     size = value_size
     grow = _grow
     width = types[path].flat_row_size  # units per joined row, None if nested
@@ -546,8 +492,8 @@ def _compile_join(e: ast.Expr, path: str, types: dict):
 def _solve_parts(e: ast.Solve, path: str, types: dict):
     names = e.var_names
     var_types = tuple(t for _, t in e.binders)
-    fl = _compile(e.lhs, _at(path, "lhs"), types)
-    fr = _compile(e.rhs, _at(path, "rhs"), types)
+    fl = _compile(e.lhs, ast.child_path(path, "lhs"), types)
+    fr = _compile(e.rhs, ast.child_path(path, "rhs"), types)
     bound = set(names)
     l_inv = not (ast.free_names(e.lhs) & bound)
     r_inv = not (ast.free_names(e.rhs) & bound)
@@ -560,36 +506,6 @@ def _iter_masks(counts):
             yield (m,)
     else:
         yield from itertools.product(*map(range, counts))
-
-
-def _subset_tables(universe):
-    """Per 8-row chunk of the universe, all 2^chunk subsets, indexed by bit pattern.
-
-    A candidate's rows are then the union of one table entry per mask byte,
-    which is much cheaper than decoding bits row by row."""
-    if not universe:
-        return [[frozenset()]]
-    tables = []
-    for ofs in range(0, len(universe), 8):
-        chunk = universe[ofs : ofs + 8]
-        tables.append(
-            [
-                frozenset(chunk[i] for i in range(len(chunk)) if b >> i & 1)
-                for b in range(1 << len(chunk))
-            ]
-        )
-    return tables
-
-
-def _rows_for_mask(tables, mask: int) -> frozenset:
-    rows = tables[0][mask & 255]
-    mask >>= 8
-    t = 1
-    while mask:
-        rows |= tables[t][mask & 255]
-        mask >>= 8
-        t += 1
-    return rows
 
 
 def _run_solve(parts, env, ctx, path, early_exit):
@@ -613,13 +529,13 @@ def _run_solve(parts, env, ctx, path, early_exit):
     stats = ctx.stats_for(path)
     universes = [tuple_universe(t, ctx.atoms) for t in types]
     counts = [1 << len(u) for u in universes]
-    all_tables = [_subset_tables(u) for u in universes]
+    all_tables = [subset_tables(u) for u in universes]
     single = len(types) == 1
     t0 = types[0]
     tables0 = all_tables[0]
     n0 = names[0]
     max_solutions = ctx.max_solutions
-    from_tables = _rows_for_mask
+    from_tables = rows_for_mask
     const_l = fl(env, ctx) if l_inv else None
     const_r = fr(env, ctx) if r_inv else None
     sol_rows: list = []
@@ -704,7 +620,7 @@ def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
     types = _precheck(e, db)
     expected = types[""]
     ctx = _Ctx(db, budget or EvalBudget())
-    env = dict(db.relations)
+    env = {**db.relations, "D": domain_relation(db.atoms)}  # no relation is named D
     res = _compile(e, "", types)(env, ctx)
     if res.rtype != expected:
         raise InternalCheckError(
@@ -725,6 +641,6 @@ def solve_nonempty(
     node = ast.Solve(tuple(binders), lhs, rhs)
     types = _precheck(node, db)
     ctx = _Ctx(db, budget or EvalBudget())
-    env = dict(db.relations)
+    env = {**db.relations, "D": domain_relation(db.atoms)}
     rows = _run_solve(_solve_parts(node, "", types), env, ctx, "", early_exit=True)
     return bool(rows)

@@ -302,17 +302,38 @@ def enumerate_relations(t: RelType, domain: Iterable[str]) -> Iterator[Rel]:
     if not atoms:
         raise ModelError("domain must be non-empty")
     universe = tuple_universe(t, atoms)
+    tables = subset_tables(universe)
     for mask in range(1 << len(universe)):
-        yield Rel(t, rows_from_mask(universe, mask))
+        yield Rel(t, rows_for_mask(tables, mask))
 
 
-def rows_from_mask(universe: list, mask: int) -> frozenset:
-    sel = []
+def subset_tables(universe) -> list:
+    """Per 8-row chunk of the universe, all 2^chunk subsets, indexed by bit pattern.
+
+    The rows of a mask over the universe (bit i is row i) are then the union
+    of one table entry per mask byte, which is much cheaper than decoding
+    bits row by row."""
+    tables = []
+    for ofs in range(0, len(universe) or 1, 8):  # an empty universe has one subset
+        chunk = universe[ofs : ofs + 8]
+        tables.append(
+            [
+                frozenset(chunk[i] for i in range(len(chunk)) if b >> i & 1)
+                for b in range(1 << len(chunk))
+            ]
+        )
+    return tables
+
+
+def rows_for_mask(tables: list, mask: int) -> frozenset:
+    rows = tables[0][mask & 255]
+    mask >>= 8
+    t = 1
     while mask:
-        low = mask & -mask
-        sel.append(universe[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(sel)
+        rows |= tables[t][mask & 255]
+        mask >>= 8
+        t += 1
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import ast
-from .evaluator import BudgetExceeded, EvalBudget, evaluate, solve
+from .evaluator import BudgetExceeded, EvalBudget, evaluate
 from .model import Database, ModelError, Rel, tuple_universe
 
 R2_FLOOR = 0.9
@@ -193,32 +193,14 @@ def _flat_verdict(binders) -> str:
 def profile(eq, gen: DbGenerator, n_range, budget: EvalBudget | None = None) -> ProfileReport:
     """Run an equation per domain size and classify solution-count growth."""
     binders, lhs, rhs = eq
-    points = []
-    truncated = False
-    note = ""
-    for n in n_range:
-        db = gen.generate(n)
-        t0 = time.monotonic()
-        try:
-            res, metrics = solve(binders, lhs, rhs, db, budget)
-        except BudgetExceeded as exc:
-            truncated = True
-            note = f"n={n}: {exc}"
-            break
-        wall = (time.monotonic() - t0) * 1000.0
-        tested = sum(s.candidates_tested for s in metrics.solves)
-        points.append(
-            ProfilePoint(n, tested, len(res.rows), metrics.peak_space_units, wall)
-        )
-    growth = classify_growth([p.n for p in points], [p.solutions for p in points])
-    return ProfileReport(
-        points=tuple(points),
+    return _sample(
+        ast.Solve(tuple(binders), lhs, rhs),
+        gen,
+        n_range,
+        budget,
+        solutions=lambda res, metrics: len(res.rows),
         verdict=_flat_verdict(binders),
-        growth=growth,
         growth_source="solutions",
-        seed=gen.seed,
-        truncated=truncated,
-        note=note,
     )
 
 
@@ -230,35 +212,45 @@ def meter_expression(
     Works for any expression of the algebra, with or without solve nodes, so
     subset-operator pipelines and solve pipelines meter identically.
     """
+    solves = [node for node in _walk(e) if isinstance(node, ast.Solve)]
+    return _sample(
+        e,
+        gen,
+        n_range,
+        budget,
+        solutions=lambda res, metrics: sum(s.solutions_found for s in metrics.solves),
+        verdict=_flat_verdict(b for node in solves for b in node.binders),
+        growth_source="peak_space",
+    )
+
+
+def _sample(e, gen, n_range, budget, solutions, verdict, growth_source) -> ProfileReport:
+    """Evaluate ``e`` on the generated database of each domain size until a
+    budget refuses, and classify the growth of the ``growth_source`` column;
+    ``solutions(result, metrics)`` gives the solutions column."""
     points = []
-    truncated = False
     note = ""
-    non_flat = False
-    for node in _walk(e):
-        if isinstance(node, ast.Solve):
-            if any(not t.is_flat for _, t in node.binders):
-                non_flat = True
     for n in n_range:
         db = gen.generate(n)
         t0 = time.monotonic()
         try:
             res, metrics = evaluate(e, db, budget)
         except BudgetExceeded as exc:
-            truncated = True
             note = f"n={n}: {exc}"
             break
         wall = (time.monotonic() - t0) * 1000.0
         tested = sum(s.candidates_tested for s in metrics.solves)
-        found = sum(s.solutions_found for s in metrics.solves)
-        points.append(ProfilePoint(n, tested, found, metrics.peak_space_units, wall))
-    growth = classify_growth([p.n for p in points], [p.peak_space_units for p in points])
+        points.append(
+            ProfilePoint(n, tested, solutions(res, metrics), metrics.peak_space_units, wall)
+        )
+    ys = [p.solutions if growth_source == "solutions" else p.peak_space_units for p in points]
     return ProfileReport(
         points=tuple(points),
-        verdict="NON_FLAT" if non_flat else "FLAT_VARS_OK",
-        growth=growth,
-        growth_source="peak_space",
+        verdict=verdict,
+        growth=classify_growth([p.n for p in points], ys),
+        growth_source=growth_source,
         seed=gen.seed,
-        truncated=truncated,
+        truncated=bool(note),
         note=note,
     )
 

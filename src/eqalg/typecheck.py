@@ -31,9 +31,6 @@ def _infer(e: ast.Expr, schema: dict[str, RelType], path: str, types: dict) -> R
 
 
 def _infer_node(e: ast.Expr, schema: dict[str, RelType], path: str, types: dict) -> RelType:
-    def at(label: str) -> str:
-        return f"{path}.{label}" if path else label
-
     if isinstance(e, ast.Name):
         t = schema.get(e.name)
         if t is None:
@@ -42,25 +39,25 @@ def _infer_node(e: ast.Expr, schema: dict[str, RelType], path: str, types: dict)
     if isinstance(e, ast.Domain):
         return RelType((ATOM,))
     if isinstance(e, (ast.Union, ast.Difference)):
-        t1 = _infer(e.left, schema, at("left"), types)
-        t2 = _infer(e.right, schema, at("right"), types)
+        t1 = _infer(e.left, schema, ast.child_path(path, "left"), types)
+        t2 = _infer(e.right, schema, ast.child_path(path, "right"), types)
         if t1 != t2:
             op = "union" if isinstance(e, ast.Union) else "minus"
             raise TypecheckError(f"{op} of mismatched types {t1} and {t2}", path)
         return t1
     if isinstance(e, ast.Product):
-        t1 = _infer(e.left, schema, at("left"), types)
-        t2 = _infer(e.right, schema, at("right"), types)
+        t1 = _infer(e.left, schema, ast.child_path(path, "left"), types)
+        t2 = _infer(e.right, schema, ast.child_path(path, "right"), types)
         return RelType(t1.components + t2.components)
     if isinstance(e, ast.Project):
-        t = _infer(e.arg, schema, at("arg"), types)
+        t = _infer(e.arg, schema, ast.child_path(path, "arg"), types)
         k = t.arity
         for i in e.indices:
             if i > k:
                 raise TypecheckError(f"project index {i} out of range for arity {k}", path)
         return RelType(tuple(t.components[i - 1] for i in e.indices))
     if isinstance(e, ast.Select):
-        t = _infer(e.arg, schema, at("arg"), types)
+        t = _infer(e.arg, schema, ast.child_path(path, "arg"), types)
         k = t.arity
         if e.i > k or e.j > k:
             raise TypecheckError(f"select indices {e.i},{e.j} out of range for arity {k}", path)
@@ -69,7 +66,7 @@ def _infer_node(e: ast.Expr, schema: dict[str, RelType], path: str, types: dict)
             raise TypecheckError(f"select compares columns of types {ti} and {tj}", path)
         return t
     if isinstance(e, ast.Nest):
-        t = _infer(e.arg, schema, at("arg"), types)
+        t = _infer(e.arg, schema, ast.child_path(path, "arg"), types)
         k = t.arity
         for i in e.indices:
             if i > k:
@@ -77,7 +74,7 @@ def _infer_node(e: ast.Expr, schema: dict[str, RelType], path: str, types: dict)
         nested = RelType(tuple(t.components[i - 1] for i in e.indices))
         return RelType(t.components + (nested,))
     if isinstance(e, ast.Unnest):
-        t = _infer(e.arg, schema, at("arg"), types)
+        t = _infer(e.arg, schema, ast.child_path(path, "arg"), types)
         if e.index > t.arity:
             raise TypecheckError(f"unnest index {e.index} out of range for arity {t.arity}", path)
         inner = t.components[e.index - 1]
@@ -85,7 +82,7 @@ def _infer_node(e: ast.Expr, schema: dict[str, RelType], path: str, types: dict)
             raise TypecheckError(f"unnest on atom column {e.index}", path)
         return RelType(t.components + inner.components)
     if isinstance(e, ast.Powerset):
-        t = _infer(e.arg, schema, at("arg"), types)
+        t = _infer(e.arg, schema, ast.child_path(path, "arg"), types)
         return RelType((t,))
     if isinstance(e, ast.Solve):
         extended = dict(schema)
@@ -93,8 +90,8 @@ def _infer_node(e: ast.Expr, schema: dict[str, RelType], path: str, types: dict)
             if nm in extended:
                 raise TypecheckError(f"solve variable {nm!r} collides with a visible relation name", path)
             extended[nm] = vt
-        t1 = _infer(e.lhs, extended, at("lhs"), types)
-        t2 = _infer(e.rhs, extended, at("rhs"), types)
+        t1 = _infer(e.lhs, extended, ast.child_path(path, "lhs"), types)
+        t2 = _infer(e.rhs, extended, ast.child_path(path, "rhs"), types)
         if t1 != t2:
             raise TypecheckError(f"equation sides have types {t1} and {t2}", path)
         return RelType(tuple(vt for _, vt in e.binders))

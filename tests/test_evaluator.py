@@ -24,10 +24,7 @@ from eqalg.evaluator import (
     domain_relation,
     evaluate,
     op_nest,
-    op_powerset,
-    op_product,
     op_project,
-    op_select,
     op_unnest,
     solve,
     solve_nonempty,
@@ -321,6 +318,20 @@ def test_product_and_unnest_refused_before_allocating():
     assert (err.value.which, err.value.path) == ("space", "")
     assert peak < 1_000_000
 
+    # 18 binary rows: the powerset would be 262,144 subsets (7,340,032 units)
+    db = db_of(tuple("abcde"), R=rel(FLAT2, [(x, y) for x in "abcde" for y in "abcde"][:18]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            evaluate(Powerset(Name("R")), db, EvalBudget(max_space_units=2_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.which, err.value.path) == ("space", "")
+    assert "powerset of 18 rows needs >= 7340032 units" in str(err.value)
+    assert "live 7340086 units > cap 2000000" in str(err.value)
+    assert peak < 1_000_000
+
 
 def test_binding_violation_raises():
     inner = Solve((("X", FLAT1),), Union(Name("X"), Name("R")), Name("R"))
@@ -599,9 +610,9 @@ def test_projection_paths_match_oracle_value_and_peak():
 
 
 # ---------------------------------------------------------------------------
-# the space cap at union, difference, nest, unnest and powerset
+# the space cap at every operator of the metering wrapper
 
-CAP_OPS = ("union", "difference", "nest", "unnest", "powerset")
+CAP_OPS = ("union", "difference", "nest", "unnest", "powerset", "product", "select")
 
 
 def _relation_columns(t):
@@ -612,7 +623,7 @@ def _cap_expr(rng, op, schema):
     """``(expression, path of the op node, operand of the op node)``: the op
     over names of the schema or over a union or difference of them, sometimes
     under a product with ``S`` or a projection, so the op node is not always
-    the root."""
+    the root.  A select is never over a product, so it is not a join."""
     t = schema["P"]
 
     def operand():
@@ -634,8 +645,15 @@ def _cap_expr(rng, op, schema):
             node = Unnest(rng.choice(cols), arg)
         else:  # the column a nest appends
             node = Unnest(t.arity + 1, Nest((rng.randint(1, t.arity),), arg))
-    else:
+    elif op == "powerset":
         node = Powerset(arg)
+    elif op == "product":
+        node = Product(arg, operand())
+    else:
+        i = rng.randint(1, t.arity)
+        same_type = [c for c in range(1, t.arity + 1) if t.components[c - 1] == t.components[i - 1]]
+        j = rng.choice(same_type)
+        node = Select(i, rng.choice(("=", "!=")), j, arg)
     wrap = rng.choice(("root", "left", "right", "project"))
     if wrap == "left":
         return Product(node, Name("S")), "left", arg
@@ -678,8 +696,8 @@ def test_space_cap_boundary_at_each_operator(op):
             seen.add("relation_column")
 
         if op == "powerset":
-            # the lower bound of one unit per subset is checked before any
-            # subset is built: the operand, and S when evaluated first, are live
+            # the exact size, at least one unit per subset, is charged before
+            # any subset is built: the operand, and S when evaluated first, are live
             arg_value = oracle_eval(arg, env, atoms, schema)
             before = plain_size(env["S"]) if op_path == "right" else 0
             live = before + plain_size(arg_value)
