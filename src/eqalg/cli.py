@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: eval, solve, check, profile, construction, repl.  Exit codes:
-0 success, 1 user error (parse, type, or binding), 2 budget exceeded,
+0 success, 1 user error (usage, parse, type, or binding), 2 budget exceeded,
 3 internal invariant failure (including a failed --verify).  Budgets come
 from flags, then the environment variables EQALG_MAX_CANDIDATES,
 EQALG_MAX_SPACE, and EQALG_MAX_SOLUTIONS, then the documented defaults.
@@ -23,7 +23,6 @@ from .evaluator import (
     EvalBudget,
     InternalCheckError,
     evaluate,
-    solve,
     solve_nonempty,
 )
 from .model import Database, ModelError, flat_type
@@ -147,10 +146,6 @@ def cmd_construction(args) -> int:
     budget = _budget_from(args)
     if entry.harness is not None:
         value = entry.harness(db, budget)
-    elif entry.equation is not None:
-        value, metrics = solve(*entry.equation, db, budget)
-        if args.metrics:
-            print(metrics.format(), file=sys.stderr)
     else:
         value, metrics = evaluate(entry.expression, db, budget)
         if args.metrics:
@@ -182,11 +177,7 @@ def _parse_gen(text: str | None, default_schema: dict, seed: int) -> DbGenerator
     from .parser import parse_type
 
     if text is None:
-        if default_schema:
-            return DbGenerator(
-                schema=default_schema, mode="random-flat", density=1.0, seed=seed
-            )
-        return DbGenerator(seed=seed)
+        return DbGenerator(schema=default_schema, density=1.0, seed=seed)
     if text == "domain":
         return DbGenerator(seed=seed)
     if text.startswith("flat:"):
@@ -206,7 +197,7 @@ def _parse_gen(text: str | None, default_schema: dict, seed: int) -> DbGenerator
                     f"bad density {dens!r} for {name} in --gen, expected a number in [0, 1]", 1, 1
                 )
             density[name] = d
-        return DbGenerator(schema=schema, mode="random-flat", density=density, seed=seed)
+        return DbGenerator(schema=schema, density=density, seed=seed)
     raise ParseError(f"bad --gen {text!r}", 1, 1)
 
 
@@ -228,33 +219,24 @@ def _split_outside_parens(text: str) -> list[str]:
 
 def cmd_profile(args) -> int:
     budget = _budget_from(args)
-    entry = registry().get(args.eq) if args.eq else None
-    if args.eq and entry is None and not os.path.exists(args.eq):
-        known = ", ".join(sorted(registry()))
-        raise ParseError(f"unknown construction {args.eq!r} (known: {known})", 1, 1)
+    entry = registry().get(args.eq)
     if entry is not None:
-        equation = entry.equation
-        expression = entry.expression
-        default_schema = entry.schema
-    else:
+        expression, default_schema = entry.expression, entry.schema
+    elif os.path.exists(args.eq):
         with open(args.eq, encoding="utf-8") as fh:
             expression = parse_expr(fh.read())
-        if not isinstance(expression, ast.Solve) and not args.meter:
-            raise ParseError("profile needs a solve{...} expression (or --meter)", 1, 1)
-        equation = (
-            (expression.binders, expression.lhs, expression.rhs)
-            if isinstance(expression, ast.Solve)
-            else None
-        )
         default_schema = {}
+    else:
+        known = ", ".join(sorted(registry()))
+        raise ParseError(f"unknown construction {args.eq!r} (known: {known})", 1, 1)
+    if not isinstance(expression, ast.Solve) and not args.meter:
+        raise ParseError("profile needs a solve{...} expression (or --meter)", 1, 1)
     gen = _parse_gen(args.gen, default_schema, args.seed)
     n_range = _parse_n_range(args.n_range)
     if args.meter:
         report = meter_expression(expression, gen, n_range, budget)
     else:
-        if equation is None:
-            raise ParseError("this construction is not a single equation; use --meter", 1, 1)
-        report = profile(equation, gen, n_range, budget)
+        report = profile((expression.binders, expression.lhs, expression.rhs), gen, n_range, budget)
     print(report.format_table())
     for p in report.points:
         print(f"n={p.n} wall_ms={p.wall_ms:.1f}", file=sys.stderr)
@@ -332,7 +314,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="parse, binding-check, and type an expression")
     _add_expr_flags(p)
     p.add_argument("--db", default=None)
-    _add_budget_flags(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("construction", help="run a named construction")
@@ -362,7 +343,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USER
     try:
         return args.fn(args)
     except USER_ERRORS as exc:

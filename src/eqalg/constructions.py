@@ -28,14 +28,6 @@ def _union(*es: ast.Expr) -> ast.Expr:
     return out
 
 
-def _sym_diff(a: ast.Expr, b: ast.Expr) -> ast.Expr:
-    return ast.Union(Difference(a, b), Difference(b, a))
-
-
-def _empty_unary() -> ast.Expr:
-    return Difference(Domain(), Domain())
-
-
 # ---------------------------------------------------------------------------
 # binary-relation helpers (value level)
 
@@ -172,7 +164,7 @@ def build_run_equation() -> tuple:
     # 1c: chk = hat U hat.R, keyed
     kcomp = Project((1, 2, 3, 6), Select(4, "=", 5, Product(khat, R)))
     rhs_k = ast.Union(khat, kcomp)
-    w1c = _sym_diff(kchk, rhs_k)
+    w1c = ast.symmetric_difference(kchk, rhs_k)
 
     # 1d
     self_chk = Project((1, 2), Select(1, "=", 3, Select(2, "=", 4, kchk)))
@@ -208,28 +200,27 @@ def build_run_equation() -> tuple:
 
     witnesses = (w1a, w1b, w1c, w1d1, w1d2, w1e1, w1e2, w2a, w2bc, w3, w4)
     lhs = _union(*(Project((1,), w) for w in witnesses))
-    return (("X", FLAT6),), lhs, _empty_unary()
+    return (("X", FLAT6),), lhs, ast.empty_like(Domain())
 
 
 def build_tc_sparse_expr() -> ast.Expr:
-    """Transitive closure via the stage-relation equation.
+    """Transitive closure via the stage-relation equation."""
+    return _tc_sparse_pipeline(Solve(*build_run_equation()))
+
+
+def _tc_sparse_pipeline(solutions: ast.Expr) -> ast.Expr:
+    """The closure read off the stage equation's solution set ``solutions``.
 
     Unnest the (unique) solution, project the middle two flat columns, and
     union with a fallback that yields R itself exactly when R is already
     transitively closed (the stage relation, and hence the pipeline's first
     branch, is empty in that case).
     """
-    binders, lhs, rhs = build_run_equation()
-    pipeline = Project((4, 5), Unnest(1, Solve(binders, lhs, rhs)))
-    return ast.Union(pipeline, _closed_fallback())
-
-
-def _closed_fallback() -> ast.Expr:
     R = Name("R")
     rsq = Project((1, 4), Select(2, "=", 3, Product(R, R)))
     growth = Difference(rsq, R)  # empty iff R transitively closed
     blank = Project((3, 4), Product(growth, R))  # R if growth nonempty, else empty
-    return Difference(R, blank)
+    return ast.Union(Project((4, 5), Unnest(1, solutions)), Difference(R, blank))
 
 
 def tc_sparse_via_harness(db: Database, budget: EvalBudget | None = None) -> Rel:
@@ -245,12 +236,8 @@ def tc_sparse_via_harness(db: Database, budget: EvalBudget | None = None) -> Rel
     if not check_run_equation(db, run_rel, budget):
         raise InternalCheckError("directly built stage relation does not satisfy its equation")
     sol = Rel(RelType((FLAT6,)), frozenset(((run_rel,),)))
-    pipe = ast.Union(
-        Project((4, 5), Unnest(1, Name("SOL"))),
-        _closed_fallback(),
-    )
     db2 = Database(db.domain, {"R": r, "SOL": sol})
-    out, _ = evaluate(pipe, db2, budget)
+    out, _ = evaluate(_tc_sparse_pipeline(Name("SOL")), db2, budget)
     return out
 
 
@@ -264,18 +251,18 @@ def check_run_equation(db: Database, candidate: Rel, budget: EvalBudget | None =
 
 
 # ---------------------------------------------------------------------------
-# transitive closure through minimization over all closed supersets
+# transitive closure as the intersection of all closed supersets
 
 
 def build_tc_powerset_expr() -> ast.Expr:
-    """Transitive closure as the minimum of all transitively closed supersets.
+    """Transitive closure as the least transitively closed superset of R.
 
-    The inner solve collects every binary T with R inside it and T.T inside T;
-    the surrounding algebra keeps the inclusion-minimal elements and flattens
-    the resulting singleton.  Minimality is decided pairwise: a pair (A,B)
-    with B not included in A is witnessed by unnesting both and subtracting;
-    self-pairing uses a nest over the collection itself so the collection is
-    evaluated only twice in total.
+    The inner solve W collects every binary T with R inside it and T.T inside
+    T.  These supersets are closed under intersection, so the least one is
+    their intersection: the pairs of D x D that no member of W leaves out.
+    A pair (x,y) is left out by some T when (T,x,y) is in W x D x D but not
+    in unnest(W).  W is never empty, since D x D is one of its members.  Both
+    occurrences are the same solve node, so W is enumerated once.
     """
     T = Name("T")
     R = Name("R")
@@ -283,18 +270,10 @@ def build_tc_powerset_expr() -> ast.Expr:
         Project((1, 4), Select(2, "=", 3, Product(T, T))), T
     )
     etc = ast.Union(closed_violation, Difference(R, T))
-    collection = Solve((("T", FLAT2),), etc, Difference(R, R))
-
-    pairs = Project((1, 3), Unnest(2, Nest((1,), collection)))  # (A,B) over W x W
-    with_b = Unnest(2, pairs)  # (A, B, x, y): (x,y) in B
-    with_ab = Unnest(1, with_b)  # (A, B, x, y, a, b): (a,b) in A
-    in_both = Project((1, 2, 3, 4), Select(3, "=", 5, Select(4, "=", 6, with_ab)))
-    not_sub = Project((1, 2), Difference(with_b, in_both))  # (A,B): B not in A
-    sub_pairs = Difference(pairs, not_sub)
-    strict = Select(1, "!=", 2, sub_pairs)
-    bad = Project((1,), strict)
-    minimal = Difference(collection, bad)
-    return Project((2, 3), Unnest(1, minimal))
+    closed = Solve((("T", FLAT2),), etc, Difference(R, R))
+    dd = Product(Domain(), Domain())
+    left_out = Project((2, 3), Difference(Product(closed, dd), Unnest(1, closed)))
+    return Difference(dd, left_out)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +298,7 @@ def build_parity_eq() -> tuple:
         Difference(Domain(), ast.Union(p1, p2)),
         Difference(ast.Union(p1, p2), Domain()),
     )
-    return (("X", FLAT2),), lhs, _empty_unary()
+    return (("X", FLAT2),), lhs, ast.empty_like(Domain())
 
 
 def build_singleton_eq() -> tuple:
@@ -333,7 +312,7 @@ def build_singleton_eq() -> tuple:
         Project((1,), Select(1, "!=", 2, Product(X, X))),
         Difference(Domain(), Project((1,), Product(Domain(), X))),
     )
-    return (("X", FLAT1),), lhs, _empty_unary()
+    return (("X", FLAT1),), lhs, ast.empty_like(Domain())
 
 
 def build_powerset_eq(var_type: RelType = FLAT1) -> ast.Expr:
@@ -350,28 +329,23 @@ def build_powerset_of_powerset_eq(var_type: RelType = FLAT1) -> ast.Expr:
     return Solve((("Y", y_type),), ast.Union(Y, inner), inner)
 
 
-def build_nest_sparse_expr(indices: tuple[int, ...] = (2,)) -> ast.Expr:
+def build_nest_sparse_expr() -> ast.Expr:
     """Nesting of a binary R on its second column, with no nest over R itself.
 
     Solutions of the inner equation are the pairs (X,Y) with X a singleton
     {x} drawn from the first column of R and Y the set of successors of x
     (plus the harmless all-empty pair, which the unnest drops).  Unnesting X
     and joining back to R rebuilds exactly the nested form of R.
-
-    Only the binary second-column case is provided; other index patterns
-    follow the same shape but are not emitted here.
     """
-    if tuple(indices) != (2,):
-        raise ModelError("only the binary second-column nesting is provided")
     X = Name("X")
     Y = Name("Y")
     R = Name("R")
     e = _union(
         Project((1,), Select(1, "!=", 2, Product(X, X))),
         Difference(X, Project((1,), R)),
-        _sym_diff(Y, Project((3,), Select(1, "=", 2, Product(X, R)))),
+        ast.symmetric_difference(Y, Project((3,), Select(1, "=", 2, Product(X, R)))),
     )
-    sol = Solve((("X", FLAT1), ("Y", FLAT1)), e, _empty_unary())
+    sol = Solve((("X", FLAT1), ("Y", FLAT1)), e, ast.empty_like(Domain()))
     triples = Unnest(1, sol)  # (X, Y, x)
     joined = Select(3, "=", 4, Product(triples, R))  # (X, Y, x, x1, x2) with x1 = x
     return Project((4, 5, 2), joined)
@@ -429,56 +403,46 @@ class Construction:
     schema: dict
     oracle: Callable[[Database], Rel]
     description: str
-    equation: tuple | None = None  # (binders, lhs, rhs) when it is one equation
-    expression: ast.Expr | None = None
+    expression: ast.Expr
     harness: Callable | None = None
 
 
 def registry() -> dict[str, Construction]:
-    par = build_parity_eq()
-    sing = build_singleton_eq()
     return {
         "parity": Construction(
             "parity",
             {},
             _oracle_parity,
             "matchings splitting the domain in half; solvable iff |domain| is even",
-            equation=par,
-            expression=Solve(*par),
+            Solve(*build_parity_eq()),
         ),
         "singleton": Construction(
             "singleton",
             {},
             _oracle_singleton,
             "singleton subsets of the domain; linearly many solutions",
-            equation=sing,
-            expression=Solve(*sing),
+            Solve(*build_singleton_eq()),
         ),
         "powerset": Construction(
             "powerset",
             {"R": FLAT1},
             _oracle_powerset,
             "all subsets of R via X union R = R",
-            equation=(
-                (("X", FLAT1),),
-                ast.Union(Name("X"), Name("R")),
-                Name("R"),
-            ),
-            expression=build_powerset_eq(),
+            build_powerset_eq(),
         ),
         "tc-powerset": Construction(
             "tc-powerset",
             {"R": FLAT2},
             _oracle_tc,
             "transitive closure as the minimal transitively closed superset",
-            expression=build_tc_powerset_expr(),
+            build_tc_powerset_expr(),
         ),
         "tc-sparse": Construction(
             "tc-sparse",
             {"R": FLAT2},
             _oracle_tc,
             "transitive closure through the stage-relation equation (harness-checked)",
-            expression=build_tc_sparse_expr(),
+            build_tc_sparse_expr(),
             harness=tc_sparse_via_harness,
         ),
         "nest-sparse": Construction(
@@ -486,6 +450,6 @@ def registry() -> dict[str, Construction]:
             {"R": FLAT2},
             _oracle_nest,
             "second-column nesting of R without using the nest operator on R",
-            expression=build_nest_sparse_expr(),
+            build_nest_sparse_expr(),
         ),
     }

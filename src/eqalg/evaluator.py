@@ -66,7 +66,19 @@ class BudgetExceeded(EvalError):
     def __init__(self, which: str, path: str, detail: str) -> None:
         self.which = which  # "candidates" | "space" | "solutions"
         self.path = path
+        # (path, candidates tested, solutions found) of the innermost solve
+        # running when the budget was exceeded; set by that solve
+        self.solve: tuple[str, int, int] | None = None
         super().__init__(f"{which} budget exceeded at {path or '<expr>'}: {detail}")
+
+    def __str__(self) -> str:
+        if self.solve is None:
+            return self.args[0]
+        path, tested, found = self.solve
+        return (
+            f"{self.args[0]} after {tested} candidates, {found} solutions"
+            f" at solve {path or '<expr>'}"
+        )
 
 
 class InternalCheckError(EvalError):
@@ -389,7 +401,7 @@ def _compile(e: ast.Expr, path: str, types: dict):
             cached = ctx.solve_cache.get(_key)
             if cached is not None:
                 sig, rel = cached
-                if len(sig) == len(_fn) and all(env[nm] is v for nm, v in zip(_fn, sig)):
+                if all(env[nm] is v for nm, v in zip(_fn, sig)):
                     _grow(ctx, value_size(rel), _p)
                     return rel
             rows = _run_solve(_parts, env, ctx, _p, early_exit=False)
@@ -500,14 +512,6 @@ def _solve_parts(e: ast.Solve, path: str, types: dict):
     return names, var_types, fl, fr, l_inv, r_inv
 
 
-def _iter_masks(counts):
-    if len(counts) == 1:
-        for m in range(counts[0]):
-            yield (m,)
-    else:
-        yield from itertools.product(*map(range, counts))
-
-
 def _run_solve(parts, env, ctx, path, early_exit):
     """Stream candidates; return the frozenset of solution rows (or, with
     early_exit, an empty/singleton frozenset stopped at the first hit).
@@ -542,7 +546,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
     tested = 0
     found = 0
     try:
-        for masks in _iter_masks(counts) if not single else range(counts[0]):
+        for masks in range(counts[0]) if single else itertools.product(*map(range, counts)):
             if single:
                 c0 = Rel(t0, from_tables(tables0, masks))
                 cand = (c0,)
@@ -579,12 +583,9 @@ def _run_solve(parts, env, ctx, path, early_exit):
                     return frozenset(sol_rows)
             ctx.live -= csize
     except BudgetExceeded as exc:
-        raise BudgetExceeded(
-            exc.which,
-            exc.path,
-            f"{exc.args[0].split(': ', 1)[-1]} after {tested} candidates,"
-            f" {found} solutions at this node",
-        ) from None
+        if exc.solve is None:
+            exc.solve = (path, tested, found)
+        raise
     finally:
         stats.candidates_tested += tested
         stats.solutions_found += found

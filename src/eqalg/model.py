@@ -388,16 +388,6 @@ class Database:
         return hash((self.domain, tuple(sorted((n, r) for n, r in self.relations.items()))))
 
 
-def iter_atoms(v: Value) -> Iterator[str]:
-    """All atom occurrences inside a value, at any depth."""
-    if isinstance(v, str):
-        yield v
-        return
-    for row in v.rows:
-        for c in row:
-            yield from iter_atoms(c)
-
-
 def rename_value(v: Value, mapping: Mapping[str, str]) -> Value:
     """Apply an atom renaming throughout a value."""
     if isinstance(v, str):

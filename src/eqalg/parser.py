@@ -350,10 +350,6 @@ def parse_type(text: str) -> RelType:
 # rendering
 
 
-def render_type(t: RelType) -> str:
-    return str(t)
-
-
 def render_relation(v: Value) -> str:
     """Deterministic text for a value, rows in canonical order; parses back.
 

@@ -86,23 +86,19 @@ def classify_growth(ns, values) -> GrowthClass:
 class DbGenerator:
     """Deterministic family of databases with domain x1..xn.
 
-    ``domain-only`` generates empty schemas; ``random-flat`` fills each (flat)
-    relation by including every possible row independently with the given
+    Each relation of ``schema`` (flat types only; an empty schema gives bare
+    domains) includes every possible row independently with the given
     density, seeded per (seed, n, relation name).
     """
 
     schema: dict = field(default_factory=dict)
-    mode: str = "domain-only"
     density: float | dict = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("domain-only", "random-flat"):
-            raise ModelError(f"unknown generator mode {self.mode!r}")
-        if self.mode == "random-flat":
-            for name, t in self.schema.items():
-                if not t.is_flat:
-                    raise ModelError(f"random-flat generation needs flat types, {name} is {t}")
+        for name, t in self.schema.items():
+            if not t.is_flat:
+                raise ModelError(f"random-flat generation needs flat types, {name} is {t}")
 
     def density_for(self, name: str) -> float:
         if isinstance(self.density, dict):
@@ -112,14 +108,13 @@ class DbGenerator:
     def generate(self, n: int) -> Database:
         atoms = tuple(f"x{i}" for i in range(1, n + 1))
         relations = {}
-        if self.mode == "random-flat":
-            for name in sorted(self.schema):
-                t = self.schema[name]
-                dens = self.density_for(name)
-                rng = random.Random(f"{self.seed}/{n}/{name}")
-                universe = tuple_universe(t, atoms)
-                rows = frozenset(row for row in universe if rng.random() < dens)
-                relations[name] = Rel(t, rows)
+        for name in sorted(self.schema):
+            t = self.schema[name]
+            dens = self.density_for(name)
+            rng = random.Random(f"{self.seed}/{n}/{name}")
+            universe = tuple_universe(t, atoms)
+            rows = frozenset(row for row in universe if rng.random() < dens)
+            relations[name] = Rel(t, rows)
         return Database(atoms, relations)
 
 

@@ -249,7 +249,7 @@ def test_criterion_9_profiler_dichotomy():
     with criterion(9, "profiler: singleton POLY_LIKE(1), full-unary subsets EXPONENTIAL_LIKE, non-flat flagged", 30):
         rep = profile(build_singleton_eq(), DbGenerator(seed=9), range(1, 6), BIG)
         assert str(rep.growth) == "POLY_LIKE(1)" and rep.verdict == "FLAT_VARS_OK"
-        gen = DbGenerator(schema={"R": FLAT1}, mode="random-flat", density=1.0, seed=9)
+        gen = DbGenerator(schema={"R": FLAT1}, density=1.0, seed=9)
         eq = ((("X", FLAT1),), Union(Name("X"), Name("R")), Name("R"))
         rep = profile(eq, gen, range(1, 5), BIG)
         assert [p.solutions for p in rep.points] == [2, 4, 8, 16]
@@ -295,7 +295,7 @@ def test_criterion_11_space_dichotomy():
         binders, lhs, rhs = build_singleton_eq()
         rep = meter_expression(ast.Solve(binders, lhs, rhs), DbGenerator(seed=11), range(2, 6), BIG)
         assert rep.growth.kind == "POLY_LIKE" and rep.growth.degree <= 3
-        gen = DbGenerator(schema={"R": FLAT2}, mode="random-flat", density=1.0, seed=11)
+        gen = DbGenerator(schema={"R": FLAT2}, density=1.0, seed=11)
         rep = meter_expression(build_nest_sparse_expr(), gen, range(2, 6), BIG)
         assert rep.growth.kind == "POLY_LIKE" and rep.growth.degree <= 3
         rep = meter_expression(Powerset(Product(Domain(), Domain())), DbGenerator(seed=11), range(2, 5), BIG)

@@ -362,6 +362,24 @@ BAD_ARGV = [
 ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "--db", "pair.edb"], ["check", "--expr", "R", "--max-space", "5"]],
+    ids=" ".join,
+)
+def test_usage_errors_exit_1(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "usage: eqalg" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0
+    assert "usage: eqalg" in out
+
+
 @pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
 def test_bad_argv_exits_with_error_code_not_traceback(argv, tmp_path, pair_db):
     import os

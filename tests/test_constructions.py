@@ -178,6 +178,32 @@ def test_tc_powerset_cycle():
     assert got == binrel(("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
 
 
+def _all_digraphs(atoms):
+    pairs = list(itertools.product(atoms, repeat=2))
+    for mask in range(1 << len(pairs)):
+        yield binrel(*(p for i, p in enumerate(pairs) if mask >> i & 1))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tc_powerset_enumerates_closed_supersets_once(n):
+    # both uses of the closed-superset solve are one node: one enumeration
+    atoms = ("a", "b", "c")[:n]
+    got, metrics = evaluate(build_tc_powerset_expr(), db_with_r(atoms, binrel(("a", "b"))), BUDGET)
+    assert got == binrel(("a", "b"))
+    assert [s.candidates_tested for s in metrics.solves] == [2 ** (n * n)]
+
+
+def test_tc_powerset_peak_space_on_three_atoms():
+    # the intersection never pairs closed supersets with each other
+    e = build_tc_powerset_expr()
+    peak = 0
+    for r in _all_digraphs(("a", "b", "c")):
+        got, metrics = evaluate(e, db_with_r(("a", "b", "c"), r), BUDGET)
+        assert got == warshall_tc(r)
+        peak = max(peak, metrics.peak_space_units)
+    assert peak < 100_000
+
+
 def test_inner_solve_collects_closed_supersets():
     r = binrel(("a", "b"))
     db = db_with_r(("a", "b"), r)
@@ -315,11 +341,6 @@ def test_nest_sparse_solution_count_is_first_column_plus_one():
         got, _ = solve(solve_node.binders, solve_node.lhs, solve_node.rhs, db_with_r(atoms, r), BUDGET)
         firsts = {a for (a, _) in r.rows}
         assert len(got.rows) == len(firsts) + 1  # plus the all-empty pair
-
-
-def test_nest_sparse_rejects_other_indices():
-    with pytest.raises(ModelError):
-        build_nest_sparse_expr((1,))
 
 
 def test_warshall_examples():

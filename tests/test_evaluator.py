@@ -242,6 +242,20 @@ def test_solution_budget():
     assert err.value.which == "solutions"
 
 
+def test_nested_solve_budget_error_carries_one_suffix():
+    # the inner solve at lhs runs out of space; the outer solve adds nothing
+    inner = "solve{(X:(0)) | union(X,Y) = Y}"
+    e = parse_expr(f"solve{{(Y:(0)) | {inner} = {inner}}}")
+    db = db_of(("a", "b"), R=rel(FLAT1, [("a",), ("b",)]))
+    with pytest.raises(BudgetExceeded) as err:
+        evaluate(e, db, EvalBudget(max_space_units=10))
+    assert (err.value.which, err.value.path) == ("space", "lhs.lhs")
+    assert str(err.value) == (
+        "space budget exceeded at lhs.lhs: live 13 units > cap 10"
+        " after 4 candidates, 1 solutions at solve lhs"
+    )
+
+
 def _cap_cases():
     """(expression, solve path, solve node, db): one solve node at the root,
     under a projection and on the right of a union."""

@@ -24,7 +24,7 @@ def powerset_eq():
 
 
 def full_unary_gen(seed=0):
-    return DbGenerator(schema={"R": FLAT1}, mode="random-flat", density=1.0, seed=seed)
+    return DbGenerator(schema={"R": FLAT1}, density=1.0, seed=seed)
 
 
 def test_singleton_profile_is_linear():
@@ -48,7 +48,7 @@ def test_non_flat_variable_flagged():
 
 def test_reports_deterministic_given_seed():
     eq = powerset_eq()
-    gen = DbGenerator(schema={"R": FLAT1}, mode="random-flat", density=0.6, seed=11)
+    gen = DbGenerator(schema={"R": FLAT1}, density=0.6, seed=11)
     a = profile(eq, gen, range(1, 5), BUDGET)
     b = profile(eq, gen, range(1, 5), BUDGET)
     assert a.format_table() == b.format_table()
@@ -86,12 +86,12 @@ def test_budget_truncation_flagged():
 
 
 def test_generator_determinism_and_density():
-    gen = DbGenerator(schema={"R": FLAT2}, mode="random-flat", density=0.5, seed=42)
+    gen = DbGenerator(schema={"R": FLAT2}, density=0.5, seed=42)
     assert gen.generate(3) == gen.generate(3)
-    full = DbGenerator(schema={"R": FLAT2}, mode="random-flat", density=1.0, seed=1)
+    full = DbGenerator(schema={"R": FLAT2}, density=1.0, seed=1)
     assert len(full.generate(3).relations["R"].rows) == 9
     with pytest.raises(ModelError):
-        DbGenerator(schema={"R": RelType((FLAT1,))}, mode="random-flat")
+        DbGenerator(schema={"R": RelType((FLAT1,))})
 
 
 def test_meter_powerset_of_domain_square_is_exponential():
@@ -109,7 +109,7 @@ def test_meter_projection_is_linear():
 
 def test_meter_nest_sparse_is_polynomial():
     # full density: a deterministic family, so four points measure cleanly
-    gen = DbGenerator(schema={"R": FLAT2}, mode="random-flat", density=1.0, seed=2)
+    gen = DbGenerator(schema={"R": FLAT2}, density=1.0, seed=2)
     rep = meter_expression(build_nest_sparse_expr(), gen, range(2, 6), BUDGET)
     assert rep.growth.kind == "POLY_LIKE"
     assert rep.growth.degree <= 3
