@@ -76,17 +76,28 @@ def _add_expr_flags(p) -> None:
     group.add_argument("--expr-file", help="file holding one expression")
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; other bytes are a parse error at their place."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        line = data.count(b"\n", 0, at) + 1
+        col = at - data.rfind(b"\n", 0, at)
+        raise ParseError(f"{path}: byte 0x{data[at]:02x} is not UTF-8 text", line, col) from None
+
+
 def _load_expr(args) -> ast.Expr:
     text = args.expr
     if text is None:
-        with open(args.expr_file, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(args.expr_file)
     return parse_expr(text)
 
 
 def _load_db(path: str) -> Database:
-    with open(path, encoding="utf-8") as fh:
-        db, _ = parse_database(fh.read())
+    db, _ = parse_database(_read_text(path))
     return db
 
 
@@ -223,8 +234,7 @@ def cmd_profile(args) -> int:
     if entry is not None:
         expression, default_schema = entry.expression, entry.schema
     elif os.path.exists(args.eq):
-        with open(args.eq, encoding="utf-8") as fh:
-            expression = parse_expr(fh.read())
+        expression = parse_expr(_read_text(args.eq))
         default_schema = {}
     else:
         known = ", ".join(sorted(registry()))

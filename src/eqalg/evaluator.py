@@ -16,17 +16,21 @@ live intermediate results, where the size of a value is its recursive
 atom-occurrence count plus tuple count; the input database itself is ambient
 and not counted.
 
-Three shortcuts over literal re-evaluation, none observable in results or
+Four shortcuts over literal re-evaluation, none observable in results or
 metrics: an equation side that mentions no bound variable is evaluated once
 per solve, not once per candidate; re-occurrences of one solve node whose
 free inputs are the identical values reuse the previous solution set instead
-of enumerating again (candidates_tested counts real enumerations); and a
-chain of selections on a product whose innermost test equates a column of
-the left operand with one of the right, optionally under a projection, runs
-as a hash join that never builds the product or the selections.  The join
-still charges the product and every selection at its exact size, in the
-order literal evaluation would, so ``peak_space_units`` and every budget
-refusal stay the same.
+of enumerating again (candidates_tested counts real enumerations); a chain
+of selections on a product whose innermost test equates a column of the
+left operand with one of the right, optionally under a projection, runs as a
+hash join that never builds the product or the selections; and a solve
+whose binders and every node of both sides have flat types evaluates its
+sides on masks, Python ints with one bit per row of the type's universe
+(see ``_mask_kernel``), so a candidate's counter value is its relation and
+a ``Rel`` is built only for a solution row.  The join and the mask kernels
+still charge every node at its exact size, at its own path, in the order
+literal evaluation would, so ``peak_space_units`` and every budget refusal
+stay the same.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import add, eq, itemgetter, ne, or_
 
 from . import ast
 from .model import (
@@ -260,6 +265,119 @@ def domain_relation(atoms: tuple[str, ...]) -> Rel:
 
 
 # ---------------------------------------------------------------------------
+# mask kernels for flat solve bodies
+#
+# A flat relation of arity k over n atoms is an int whose bit r stands for
+# row r of ``tuple_universe``: the rows in lexicographic order, so the row
+# of atoms numbered c_1..c_k (in sorted order) is bit c_1 n^(k-1) + ... + c_k.
+# A product's universe is its operands' universes concatenated, the row
+# x + y at x |U_b| + y, so a solve candidate's counter value is its mask.
+
+# A mask costs one bit per row of its universe however few rows it holds, so
+# a flat body with a node whose universe is larger keeps the relation kernels.
+_MASK_BITS = 1 << 16
+
+
+class _ByteImages(dict):
+    """Per byte of an operand mask, the OR of the images of the rows its set
+    bits stand for, keyed by byte position * 256 + byte value.  Entries are
+    filled on first use, so memory follows the bytes actually seen."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image) -> None:
+        super().__init__()
+        self.image = image  # row index -> mask
+
+    def __missing__(self, key: int) -> int:
+        row = (key >> 8) << 3
+        out = 0
+        for t in range(8):
+            if key >> t & 1:
+                out |= self.image(row + t)
+        self[key] = out
+        return out
+
+
+def _image_kernel(image, bits: int):
+    """The kernel mapping a mask over a ``bits``-row universe to the OR of
+    ``image(r)`` over its set bits r, one table lookup per nonzero byte."""
+    nbytes = (bits + 7) >> 3
+    offsets = range(0, nbytes << 8, 256)
+    get = _ByteImages(image).__getitem__
+
+    def apply(m: int) -> int:
+        data = m.to_bytes(nbytes, "little")
+        keys = map(add, itertools.compress(offsets, data), itertools.compress(data, data))
+        return reduce(or_, map(get, keys), 0)
+
+    return apply
+
+
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _select_mask(n: int, k: int, i: int, j: int, equal: bool) -> int:
+    """The rows of the k-ary universe whose 0-based columns i and j are equal
+    (``equal``) or unequal.  The two columns are compared row by row in C
+    and the outcomes read as a binary numeral, lowest row last."""
+
+    def column(c):  # the atom number in column c of every row, in row order
+        run = n ** (k - 1 - c)
+        block = list(itertools.chain.from_iterable(itertools.repeat(v, run) for v in range(n)))
+        return block * n**c
+
+    test = map(eq if equal else ne, column(i), column(j))
+    return int(bytes(test).translate(_BIT_CHARS)[::-1], 2)
+
+
+def _mask_of(v: Rel, pos: dict) -> int:
+    """The mask of a flat relation; ``pos`` numbers the atoms in sorted
+    order.  Bits are set in a byte buffer, as OR-ing them one by one into a
+    growing int takes time quadratic in the universe."""
+    n = len(pos)
+    buf = bytearray((n**v.rtype.arity + 7) >> 3)
+    for row in v.rows:
+        r = 0
+        for a in row:
+            r = r * n + pos[a]
+        buf[r >> 3] |= 1 << (r & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _mask_kernel(e: ast.Expr, path: str, types: dict, n: int):
+    """``(kernel, need)`` over masks for the flat operator node ``e``, as
+    ``_kernel`` gives them over relations, for a domain of ``n`` atoms."""
+    if isinstance(e, ast.Union):
+        return or_, None
+    if isinstance(e, ast.Difference):
+        return (lambda a, b: a & ~b), None
+    if isinstance(e, ast.Product):
+        ua = n ** types[ast.child_path(path, "left")].arity
+        ub = n ** types[ast.child_path(path, "right")].arity
+        # a copy of b at row x |U_b| for each row x of a: b times the mask
+        # that has bit x |U_b| for each bit x of a; b < 2^|U_b|, so no carries
+        spread = _image_kernel(lambda x: 1 << x * ub, ua)
+        w = types[path].row_base_size
+        return (lambda a, b: b * spread(a)), (lambda a, b: a.bit_count() * b.bit_count() * w)
+    k = types[ast.child_path(path, "arg")].arity
+    if isinstance(e, ast.Project):
+        strides = [n ** (k - i) for i in e.indices]
+
+        def image(r):
+            out = 0
+            for s in strides:
+                out = out * n + r // s % n
+            return 1 << out
+
+        return _image_kernel(image, n**k), None
+    if isinstance(e, ast.Select):
+        keep = _select_mask(n, k, e.i - 1, e.j - 1, e.op == "=")
+        return (lambda a: a & keep), None
+    raise ModelError(f"no mask kernel for {type(e).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # compilation to closures
 
 
@@ -299,28 +417,42 @@ class _Ctx:
 
 
 def _grow(ctx, amount: int, path: str) -> None:
-    """Add freshly materialized units to the live total; track peak and cap.
-
-    A cap violation always happens at a new historical peak, so the check
-    nests under the peak update.
-    """
+    """Add freshly materialized units to the live total; track peak and cap."""
     live = ctx.live + amount
     ctx.live = live
     if live > ctx.peak:
-        ctx.peak = live
-        if live > ctx.max_space:
-            raise BudgetExceeded("space", path, f"live {live} units > cap {ctx.max_space}")
+        _new_peak(ctx, live, path)
+
+
+def _new_peak(ctx, live: int, path: str) -> None:
+    """Record a new historical peak of ``live`` units, reached at ``path``.
+
+    A cap violation always happens at a new historical peak, so the cap is
+    checked here only.
+    """
+    ctx.peak = live
+    if live > ctx.max_space:
+        raise BudgetExceeded("space", path, f"live {live} units > cap {ctx.max_space}")
+
+
+def _count(n: int) -> str:
+    """A count for a message; one too long to print in full (Python refuses
+    to print an int of over 4300 digits) is given as its power of two."""
+    return str(n) if n.bit_length() <= 64 else f"~2^{n.bit_length() - 1}"
 
 
 def _precharge(ctx, amount: int, path: str, node: ast.Expr, operands) -> None:
     """``_grow`` by the exact size of a result not yet built; a refusal names
-    the operator and its operand row counts."""
+    the operator and its operand row counts (relations or masks)."""
     live = ctx.live + amount
     if live > ctx.max_space:
         what = type(node).__name__.lower()
-        rows = " x ".join(str(len(x.rows)) for x in operands)
+        rows = " x ".join(str(x.bit_count() if type(x) is int else len(x.rows)) for x in operands)
         cap = ctx.max_space
-        detail = f"{what} of {rows} rows needs >= {amount} units: live {live} units > cap {cap}"
+        detail = (
+            f"{what} of {rows} rows needs >= {_count(amount)} units:"
+            f" live {_count(live)} units > cap {cap}"
+        )
         raise BudgetExceeded("space", path, detail)
     _grow(ctx, amount, path)
 
@@ -366,13 +498,80 @@ def _metered(fs, kernel, need, path: str, node: ast.Expr):
     return run
 
 
-def _compile(e: ast.Expr, path: str, types: dict):
+def _metered_masks(fs, kernel, need, path: str, node: ast.Expr, widths):
+    """``_metered`` for an operator over masks: the same charges at the same
+    path in the same order, a mask's size being its row count times the
+    units per row of its type; ``widths`` holds those of the result and of
+    each operand.  The common case of ``_grow`` is inlined, as this runs
+    for every node of a flat solve body once per candidate."""
+    if len(fs) == 1:
+
+        def run(env, ctx, _f=fs[0], _k=kernel, _p=path, _w=widths[0], _wa=widths[1]):
+            a = _f(env, ctx)
+            res = _k(a)
+            live = ctx.live + res.bit_count() * _w
+            if live > ctx.peak:
+                _new_peak(ctx, live, _p)
+            ctx.live = live - a.bit_count() * _wa
+            return res
+
+        return run
+
+    def run(
+        env, ctx, _f1=fs[0], _f2=fs[1], _k=kernel, _need=need, _p=path, _node=node,
+        _w=widths[0], _wa=widths[1], _wb=widths[2],
+    ):  # fmt: skip
+        a = _f1(env, ctx)
+        b = _f2(env, ctx)
+        if _need is None:
+            res = _k(a, b)
+            live = ctx.live + res.bit_count() * _w
+            if live > ctx.peak:
+                _new_peak(ctx, live, _p)
+        else:
+            _precharge(ctx, _need(a, b), _p, _node, (a, b))
+            res = _k(a, b)
+            live = ctx.live
+        ctx.live = live - a.bit_count() * _wa - b.bit_count() * _wb
+        return res
+
+    return run
+
+
+def _compile_masks(e: ast.Expr, path: str, types: dict, n: int):
+    """Compile a node of a flat solve body into ``fn(env, ctx) -> mask``,
+    where ``env`` maps names to masks; metered as ``_compile``'s nodes are."""
+    w = types[path].row_base_size
+    if isinstance(e, (ast.Name, ast.Domain)):
+        nm = e.name if isinstance(e, ast.Name) else "D"
+
+        def run(env, ctx, _nm=nm, _p=path, _w=w):
+            v = env[_nm]
+            live = ctx.live + v.bit_count() * _w
+            ctx.live = live
+            if live > ctx.peak:
+                _new_peak(ctx, live, _p)
+            return v
+
+        return run
+
+    kernel, need = _mask_kernel(e, path, types, n)
+    fs = []
+    widths = [w]
+    for label in ast.child_labels(e):
+        child = ast.child_path(path, label)
+        fs.append(_compile_masks(getattr(e, label), child, types, n))
+        widths.append(types[child].row_base_size)
+    return _metered_masks(fs, kernel, need, path, e, widths)
+
+
+def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
     """Compile an expression into ``fn(env, ctx) -> Rel``.
 
     ``types`` maps every node path to its type, as filled in by
-    ``infer_type``.  Contract: when ``fn`` returns, exactly the size of its
-    result has been added to ``ctx.live``; the caller releases it after
-    consuming it.  A name, the domain and a solve node have closures of
+    ``infer_type``, and ``atoms`` is the domain.  Contract: when ``fn``
+    returns, exactly the size of its result has been added to ``ctx.live``;
+    the caller releases it after consuming it.  A name, the domain and a solve node have closures of
     their own, and a select chain over a product becomes one hash join (see
     ``_compile_join``).  Every other operator is its kernel (``_kernel``)
     under the metering wrapper of its arity (``_metered``), over its
@@ -389,7 +588,7 @@ def _compile(e: ast.Expr, path: str, types: dict):
         return run
 
     if isinstance(e, ast.Solve):
-        parts = _solve_parts(e, path, types)
+        parts = _solve_parts(e, path, types, atoms)
         res_type = RelType(tuple(t for _, t in e.binders))
         fnames = tuple(sorted(ast.free_names(e)))
         key = id(e)
@@ -412,18 +611,18 @@ def _compile(e: ast.Expr, path: str, types: dict):
         return run
 
     if isinstance(e, (ast.Project, ast.Select)):
-        join = _compile_join(e, path, types)
+        join = _compile_join(e, path, types, atoms)
         if join is not None:
             return join
 
     kernel, need = _kernel(e, path, types)
     fs = []
     for label in ast.child_labels(e):
-        fs.append(_compile(getattr(e, label), ast.child_path(path, label), types))
+        fs.append(_compile(getattr(e, label), ast.child_path(path, label), types, atoms))
     return _metered(fs, kernel, need, path, e)
 
 
-def _compile_join(e: ast.Expr, path: str, types: dict):
+def _compile_join(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
     """The hash join for ``[project] select ... select[i=j](times(a, b))``
     with column i in ``a`` and column j in ``b`` (or the reverse); None for
     any other shape, which compiles operator by operator.
@@ -456,8 +655,8 @@ def _compile_join(e: ast.Expr, path: str, types: dict):
     pick = None if indices is None else _row_picker(indices)
     # innermost level first; its test is the join key, so it filters nothing
     levels = [(None, True, None, key_path)] + filters[::-1]
-    fa = _compile(e.left, ast.child_path(path, "left"), types)
-    fb = _compile(e.right, ast.child_path(path, "right"), types)
+    fa = _compile(e.left, ast.child_path(path, "left"), types, atoms)
+    fb = _compile(e.right, ast.child_path(path, "right"), types, atoms)
     size = value_size
     grow = _grow
     width = types[path].flat_row_size  # units per joined row, None if nested
@@ -501,15 +700,33 @@ def _compile_join(e: ast.Expr, path: str, types: dict):
     return run
 
 
-def _solve_parts(e: ast.Solve, path: str, types: dict):
+def _solve_parts(e: ast.Solve, path: str, types: dict, atoms: tuple[str, ...]):
+    """The compiled sides of a solve node and what its candidate loop needs.
+
+    The sides run on masks when the binders and every node of both sides
+    have flat types whose universes have at most ``_MASK_BITS`` rows; the
+    last part then names the free names to convert to masks once per solve
+    and gives the units per row of each side, and it is None otherwise.
+    """
     names = e.var_names
     var_types = tuple(t for _, t in e.binders)
-    fl = _compile(e.lhs, ast.child_path(path, "lhs"), types)
-    fr = _compile(e.rhs, ast.child_path(path, "rhs"), types)
+    lp, rp = ast.child_path(path, "lhs"), ast.child_path(path, "rhs")
     bound = set(names)
     l_inv = not (ast.free_names(e.lhs) & bound)
     r_inv = not (ast.free_names(e.rhs) & bound)
-    return names, var_types, fl, fr, l_inv, r_inv
+    n = len(atoms)
+    inside = (lp + ".", rp + ".")
+    body = [t for p, t in types.items() if p in (lp, rp) or p.startswith(inside)]
+    if all(t.is_flat and n**t.arity <= _MASK_BITS for t in var_types + tuple(body)):
+        fl = _compile_masks(e.lhs, lp, types, n)
+        fr = _compile_masks(e.rhs, rp, types, n)
+        free = tuple(sorted(ast.free_names(e))) + ("D",)
+        masks = (free, types[lp].row_base_size, types[rp].row_base_size)
+    else:
+        fl = _compile(e.lhs, lp, types, atoms)
+        fr = _compile(e.rhs, rp, types, atoms)
+        masks = None
+    return names, var_types, fl, fr, l_inv, r_inv, masks
 
 
 def _run_solve(parts, env, ctx, path, early_exit):
@@ -517,9 +734,11 @@ def _run_solve(parts, env, ctx, path, early_exit):
     early_exit, an empty/singleton frozenset stopped at the first hit).
 
     On return, ctx.live has grown by exactly the total size of the returned
-    rows (the caller owns the materialized solution set).
+    rows (the caller owns the materialized solution set).  A candidate's
+    counter value is its mask: a mask body reads it as it is, and only a
+    solution row is built as relations.
     """
-    names, types, fl, fr, l_inv, r_inv = parts
+    names, types, fl, fr, l_inv, r_inv, masks = parts
     size = value_size
     grow = _grow
     n = len(ctx.atoms)
@@ -528,7 +747,9 @@ def _run_solve(parts, env, ctx, path, early_exit):
         total *= count_relations(t, n)
     if total > ctx.max_candidates:
         raise BudgetExceeded(
-            "candidates", path, f"candidate space {total} exceeds cap {ctx.max_candidates}"
+            "candidates",
+            path,
+            f"candidate space {_count(total)} exceeds cap {ctx.max_candidates}",
         )
     stats = ctx.stats_for(path)
     universes = [tuple_universe(t, ctx.atoms) for t in types]
@@ -540,43 +761,66 @@ def _run_solve(parts, env, ctx, path, early_exit):
     n0 = names[0]
     max_solutions = ctx.max_solutions
     from_tables = rows_for_mask
-    const_l = fl(env, ctx) if l_inv else None
-    const_r = fr(env, ctx) if r_inv else None
+
+    def decode(ms):
+        """The candidate with counter value ``ms`` as a row of relations."""
+        if single:
+            return (Rel(t0, from_tables(tables0, ms)),)
+        return tuple(Rel(t, from_tables(tb, m)) for t, tb, m in zip(types, all_tables, ms))
+
+    if masks is None:
+        benv = env
+        size_l = size_r = size
+    else:
+        free, wl, wr = masks
+        pos = {a: i for i, a in enumerate(ctx.atoms)}
+        benv = {nm: _mask_of(env[nm], pos) for nm in free}
+        widths = [t.row_base_size for t in types]
+        w0 = widths[0]
+
+        def size_l(m, _w=wl):
+            return m.bit_count() * _w
+
+        def size_r(m, _w=wr):
+            return m.bit_count() * _w
+
+    const_l = fl(benv, ctx) if l_inv else None
+    const_r = fr(benv, ctx) if r_inv else None
     sol_rows: list = []
     tested = 0
     found = 0
     try:
-        for masks in range(counts[0]) if single else itertools.product(*map(range, counts)):
-            if single:
-                c0 = Rel(t0, from_tables(tables0, masks))
-                cand = (c0,)
-                csize = size(c0)
-                env[n0] = c0
-            else:
-                cand = tuple(
-                    Rel(t, from_tables(tb, m)) for t, tb, m in zip(types, all_tables, masks)
-                )
+        for ms in range(counts[0]) if single else itertools.product(*map(range, counts)):
+            if masks is None:
+                cand = decode(ms)
                 csize = 0
-                for v in cand:
-                    csize += size(v)
                 for nm, v in zip(names, cand):
                     env[nm] = v
+                    csize += size(v)
+            elif single:
+                benv[n0] = ms
+                csize = ms.bit_count() * w0
+            else:
+                csize = 0
+                for nm, m, w in zip(names, ms, widths):
+                    benv[nm] = m
+                    csize += m.bit_count() * w
             grow(ctx, csize, path)
             tested += 1
-            va = const_l if l_inv else fl(env, ctx)
-            vb = const_r if r_inv else fr(env, ctx)
-            hit = va.rows == vb.rows
+            va = const_l if l_inv else fl(benv, ctx)
+            vb = const_r if r_inv else fr(benv, ctx)
+            hit = va == vb
             if not l_inv:
-                ctx.live -= size(va)
+                ctx.live -= size_l(va)
             if not r_inv:
-                ctx.live -= size(vb)
+                ctx.live -= size_r(vb)
             if hit:
                 found += 1
                 if found > max_solutions:
                     raise BudgetExceeded(
                         "solutions", path, f"more than {max_solutions} solutions"
                     )
-                sol_rows.append(cand)
+                sol_rows.append(cand if masks is None else decode(ms))
                 grow(ctx, 1 + csize, path)  # solution row stays live
                 if early_exit:
                     ctx.live -= csize
@@ -592,9 +836,9 @@ def _run_solve(parts, env, ctx, path, early_exit):
         for nm in names:
             env.pop(nm, None)
         if l_inv and const_l is not None:
-            ctx.live -= size(const_l)
+            ctx.live -= size_l(const_l)
         if r_inv and const_r is not None:
-            ctx.live -= size(const_r)
+            ctx.live -= size_r(const_r)
     return frozenset(sol_rows)
 
 
@@ -622,7 +866,7 @@ def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
     expected = types[""]
     ctx = _Ctx(db, budget or EvalBudget())
     env = {**db.relations, "D": domain_relation(db.atoms)}  # no relation is named D
-    res = _compile(e, "", types)(env, ctx)
+    res = _compile(e, "", types, db.atoms)(env, ctx)
     if res.rtype != expected:
         raise InternalCheckError(
             f"evaluator produced type {res.rtype}, typechecker said {expected}"
@@ -643,5 +887,5 @@ def solve_nonempty(
     types = _precheck(node, db)
     ctx = _Ctx(db, budget or EvalBudget())
     env = {**db.relations, "D": domain_relation(db.atoms)}
-    rows = _run_solve(_solve_parts(node, "", types), env, ctx, "", early_exit=True)
+    rows = _run_solve(_solve_parts(node, "", types, db.atoms), env, ctx, "", early_exit=True)
     return bool(rows)

@@ -50,6 +50,16 @@ class RelType:
                 flat_size = self.row_base_size
         object.__setattr__(self, "flat_row_size", flat_size)
 
+    def __hash__(self) -> int:
+        # types are hashed with every Rel they type, so the hash is cached on
+        # first use; most types the typechecker builds are never hashed
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.components)
+            object.__setattr__(self, "_hash", h)
+            return h
+
     @property
     def is_atom(self) -> bool:
         return self.components is None

@@ -17,6 +17,13 @@ KEYWORDS = {
 }
 
 
+# Deepest nesting of sub-expressions accepted, a name or D counting as one
+# level.  Typing, compiling and evaluating an expression each recurse once or
+# twice per level, so this keeps every pass inside Python's default
+# recursion limit of 1000 frames with room to spare.
+MAX_DEPTH = 420
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int) -> None:
         self.line = line
@@ -84,6 +91,7 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -153,6 +161,15 @@ class _Parser:
     # ---- expressions
 
     def parse_expr(self) -> ast.Expr:
+        self.depth += 1
+        try:
+            if self.depth > MAX_DEPTH:
+                raise self.fail(f"expression nested deeper than {MAX_DEPTH} levels")
+            return self._parse_node()
+        finally:
+            self.depth -= 1
+
+    def _parse_node(self) -> ast.Expr:
         tok = self.peek()
         if tok.kind == "punct" and tok.text == "(":
             self.next()

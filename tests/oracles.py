@@ -153,15 +153,28 @@ def plain_size(v) -> int:
 
 
 def oracle_peak(e: ast.Expr, env: dict, atoms, schema: dict):
-    """``(peak, path)`` of a solve-free expression under the metering contract.
+    """``(peak, path, solves)`` of an expression under the metering contract.
 
     Literal evaluation, operands left to right: a name or ``D`` charges its
     value; an operator's result is charged once built, while its operands are
     still live, and the operands are released right after.  ``peak`` is the
     largest live total and ``path`` the node where it is first reached, so a
     space cap of ``peak - 1`` must be refused there.
+
+    A solve node charges an equation side that mentions no bound variable
+    once, before its first candidate, and releases it after the last.  Each
+    candidate assignment, in enumeration order (see ``candidate_order``), is
+    charged at the solve's path, then the other sides are evaluated,
+    compared and released; a solution keeps a row of 1 + the candidate's
+    size live, and then the candidate is released.  The solution rows are
+    the solve's charged result.  A re-occurrence of a solve node whose free
+    names hold the same values charges the earlier result at its own path
+    and tests no candidate.  ``solves`` maps each enumerating solve's path
+    to ``(candidates tested, solutions found)``.
     """
     state = {"live": 0, "peak": 0, "path": None}
+    solves: dict = {}
+    cache: dict = {}
 
     def charge(units: int, path: str) -> None:
         state["live"] += units
@@ -169,23 +182,80 @@ def oracle_peak(e: ast.Expr, env: dict, atoms, schema: dict):
             state["peak"] = state["live"]
             state["path"] = path
 
-    def walk(node: ast.Expr, path: str):
+    def walk(node: ast.Expr, path: str, env: dict, schema: dict):
         if isinstance(node, ast.Solve):
-            raise AssertionError("oracle_peak does not meter solve nodes")
+            return walk_solve(node, path, env, schema)
         if isinstance(node, (ast.Name, ast.Domain)):
             value = oracle_eval(node, env, atoms, schema)
             charge(plain_size(value), path)
             return value
         args = [
-            walk(child, f"{path}.{label}" if path else label) for label, child in _operands(node)
+            walk(child, f"{path}.{label}" if path else label, env, schema)
+            for label, child in _operands(node)
         ]
         value = _apply(node, args, schema)
         charge(plain_size(value), path)
         state["live"] -= sum(plain_size(a) for a in args)
         return value
 
-    walk(e, "")
-    return state["peak"], state["path"]
+    def walk_solve(node: ast.Solve, path: str, env: dict, schema: dict):
+        free = sorted(ast.free_names(node))
+        inputs = [env[nm] for nm in free]
+        hit = cache.get(id(node))
+        if hit is not None and hit[0] == inputs:
+            charge(plain_size(hit[1]), path)
+            return hit[1]
+        inner_schema = {**schema, **dict(node.binders)}
+        bound = set(node.var_names)
+        sides = []
+        for label, side in (("lhs", node.lhs), ("rhs", node.rhs)):
+            side_path = f"{path}.{label}" if path else label
+            const = None
+            if not ast.free_names(side) & bound:
+                const = walk(side, side_path, env, inner_schema)
+            sides.append((side, side_path, const))
+        tested = found = 0
+        rows = set()
+        for assignment in itertools.product(*(candidate_order(t, atoms) for _, t in node.binders)):
+            inner = {**env, **dict(zip(node.var_names, assignment))}
+            size = sum(plain_size(v) for v in assignment)
+            charge(size, path)
+            tested += 1
+            values = [
+                const if const is not None else walk(side, side_path, inner, inner_schema)
+                for side, side_path, const in sides
+            ]
+            for (_, _, const), v in zip(sides, values):
+                if const is None:
+                    state["live"] -= plain_size(v)
+            if values[0] == values[1]:
+                found += 1
+                rows.add(tuple(assignment))
+                charge(1 + size, path)
+            state["live"] -= size
+        for _, _, const in sides:
+            if const is not None:
+                state["live"] -= plain_size(const)
+        prev = solves.get(path, (0, 0))
+        solves[path] = (prev[0] + tested, prev[1] + found)
+        value = frozenset(rows)
+        cache[id(node)] = (inputs, value)
+        return value
+
+    walk(e, "", env, schema)
+    return state["peak"], state["path"], solves
+
+
+def candidate_order(t: RelType, atoms) -> list:
+    """Every plain relation of a type, in the order a solve enumerates them:
+    a binary counter over the canonically ordered rows of the type, the
+    first row as the lowest bit."""
+    spaces = [sorted(atoms) if c.is_atom else candidate_order(c, atoms) for c in t.components]
+    universe = plain_sorted_rows(set(itertools.product(*spaces)))
+    return [
+        frozenset(row for i, row in enumerate(universe) if mask >> i & 1)
+        for mask in range(1 << len(universe))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,27 @@ def test_repl_survives_missing_load_file(capsys, monkeypatch, pair_db):
     assert "error:" in err
 
 
+def test_repl_survives_deep_and_non_utf8_input(capsys, monkeypatch, pair_db, tmp_path):
+    latin1 = tmp_path / "latin1.edb"
+    latin1.write_bytes(LATIN1)
+    lines = io.StringIO(f":load {latin1}\n{DEEP}\n:type {DEEP}\nD\n:quit\n")
+    monkeypatch.setattr("sys.stdin", lines)
+    code, out, err = run(capsys, ["repl", "--db", pair_db])
+    assert code == 0
+    assert out == "[[a],[b]]\n"
+    assert err.count("error: ") == 3
+    assert "byte 0xe9 is not UTF-8 text (line 2, column 11)" in err
+    assert "nested deeper than 420 levels" in err
+
+
+def test_expression_nested_400_deep_evaluates(capsys, pair_db):
+    deep = "union(" * 400 + "R" + ",R)" * 400
+    assert run(capsys, ["eval", "--db", pair_db, "--expr", deep]) == (0, "[[a,b]]\n", "")
+    solve = "solve{(X:(0,0)) | " + "union(" * 400 + "X" + ",R)" * 400 + " = R}"
+    code, out, _ = run(capsys, ["eval", "--db", pair_db, "--expr", solve])
+    assert (code, out) == (0, "[[[]],[[[a,b]]]]\n")
+
+
 def test_repl_metrics_toggle(capsys, monkeypatch, pair_db):
     lines = io.StringIO(":metrics\nD\n:metrics\nD\n:quit\n")
     monkeypatch.setattr("sys.stdin", lines)
@@ -358,8 +379,15 @@ BAD_ARGV = [
     ["solve", "--db", "{db}", "--expr", "R"],
     ["construction", "--name", "no-such-construction", "--db", "{db}"],
     ["eval", "--db", "{db}"],
+    ["eval", "--db", "{db}", "--expr", "{deep}"],
+    ["eval", "--db", "{latin1}", "--expr", "R"],
+    ["eval", "--db", "{db}", "--expr-file", "{latin1}"],
     *OUT_OF_RANGE_ARGV,
 ]
+
+# 900 nested unions, over the parser's nesting limit
+DEEP = "union(" * 900 + "R" + ",R)" * 900
+LATIN1 = "domain [a,b]\nR:(0) = [[\xe9]]\n".encode("latin-1")
 
 
 @pytest.mark.parametrize(
@@ -389,7 +417,12 @@ def test_bad_argv_exits_with_error_code_not_traceback(argv, tmp_path, pair_db):
     import eqalg
 
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(eqalg.__file__)))
-    argv = [a.format(db=pair_db, missing=tmp_path / "missing.edb") for a in argv]
+    latin1 = tmp_path / "latin1.edb"
+    latin1.write_bytes(LATIN1)
+    argv = [
+        a.format(db=pair_db, missing=tmp_path / "missing.edb", deep=DEEP, latin1=latin1)
+        for a in argv
+    ]
     proc = subprocess.run(
         [sys.executable, "-B", "-m", "eqalg.cli", *argv],
         capture_output=True,
@@ -398,6 +431,23 @@ def test_bad_argv_exits_with_error_code_not_traceback(argv, tmp_path, pair_db):
     )
     assert proc.returncode in (1, 2, 3), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_package_runs_as_a_module(pair_db):
+    import os
+    import subprocess
+    import sys
+
+    import eqalg
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(eqalg.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-m", "eqalg", "eval", "--db", pair_db, "--expr", "project[2](R)"],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[[b]]\n", "")
 
 
 @pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGV, ids=" ".join)

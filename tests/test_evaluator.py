@@ -21,6 +21,7 @@ from eqalg.evaluator import (
     BindingError,
     BudgetExceeded,
     EvalBudget,
+    _solve_parts,
     domain_relation,
     evaluate,
     op_nest,
@@ -347,6 +348,21 @@ def test_product_and_unnest_refused_before_allocating():
     assert peak < 1_000_000
 
 
+def test_refusals_of_counts_too_long_to_print():
+    # the fifth powerset of a 2-atom domain needs about 2^65556 units, and a
+    # solve over 14-ary relations has 2^16384 candidates: ints of thousands
+    # of digits, which Python refuses to convert to text
+    db = db_of(("a", "b"))
+    with pytest.raises(BudgetExceeded) as err:
+        evaluate(parse_expr("powerset(powerset(powerset(powerset(powerset(D)))))"), db)
+    assert (err.value.which, err.value.path) == ("space", "arg")
+    assert "powerset of 65536 rows needs >= ~2^65556 units: live ~2^65556 units" in str(err.value)
+    with pytest.raises(BudgetExceeded) as err:
+        evaluate(Solve((("X", flat_type(14)),), Name("X"), Name("X")), db)
+    assert (err.value.which, err.value.path) == ("candidates", "")
+    assert "candidate space ~2^16384 exceeds cap" in str(err.value)
+
+
 def test_binding_violation_raises():
     inner = Solve((("X", FLAT1),), Union(Name("X"), Name("R")), Name("R"))
     with pytest.raises(BindingError):
@@ -548,7 +564,7 @@ def test_select_over_product_matches_oracle_value_and_peak(kind):
 
         value, metrics = evaluate(e, db)
         assert to_plain(value) == oracle_eval(e, env, atoms, schema)
-        peak, peak_path = oracle_peak(e, env, atoms, schema)
+        peak, peak_path, _ = oracle_peak(e, env, atoms, schema)
         assert metrics.peak_space_units == peak
         if peak < 2:
             continue
@@ -578,7 +594,7 @@ def _assert_matches_oracle(e, db, atoms, schema):
     env = {nm: to_plain(r) for nm, r in db.relations.items()}
     value, metrics = evaluate(e, db)
     assert to_plain(value) == oracle_eval(e, env, atoms, schema)
-    peak, peak_path = oracle_peak(e, env, atoms, schema)
+    peak, peak_path, _ = oracle_peak(e, env, atoms, schema)
     assert metrics.peak_space_units == peak
     if peak >= 2:
         with pytest.raises(BudgetExceeded) as err:
@@ -696,7 +712,7 @@ def test_space_cap_boundary_at_each_operator(op):
 
         value, metrics = evaluate(e, db)
         assert to_plain(value) == oracle_eval(e, env, atoms, schema)
-        peak, peak_path = oracle_peak(e, env, atoms, schema)
+        peak, peak_path, _ = oracle_peak(e, env, atoms, schema)
         assert metrics.peak_space_units == peak
         if peak >= 2:
             _, at_cap = evaluate(e, db, EvalBudget(max_space_units=peak))
@@ -725,3 +741,202 @@ def test_space_cap_boundary_at_each_operator(op):
     assert {"peak_at_op", "relation_column"} <= seen
     if op == "powerset":
         assert "precheck" in seen
+
+
+# ---------------------------------------------------------------------------
+# flat solve bodies, evaluated on masks, against the oracles
+
+FLAT_BINDERS = (
+    ((("X", FLAT1),), 3),
+    ((("X", FLAT2),), 3),
+    ((("X", FLAT1), ("Y", FLAT1)), 3),
+    ((("X", FLAT1), ("Y", FLAT2)), 2),
+)
+
+
+def _to_arity(rng, e, k, target):
+    if k == target:
+        return e
+    return Project(tuple(rng.randint(1, k) for _ in range(target)), e)
+
+
+def _flat_body(rng, arities, depth, tags):
+    """``(expression, arity)``: a random flat expression over the names of
+    ``arities`` (name -> arity) and D, of arity at most 4."""
+    if depth == 0 or rng.random() < 0.25:
+        nm = rng.choice(sorted(arities) + ["D"])
+        tags.add(nm if nm in ("D", "P", "Q") else "variable")
+        return (Domain(), 1) if nm == "D" else (Name(nm), arities[nm])
+    op = rng.choice(("union", "minus", "times", "select", "project", "join"))
+    a, ka = _flat_body(rng, arities, depth - 1, tags)
+    if op in ("union", "minus"):
+        b, kb = _flat_body(rng, arities, depth - 1, tags)
+        tags.add(op)
+        return (Union if op == "union" else Difference)(a, _to_arity(rng, b, kb, ka)), ka
+    if op in ("times", "join"):
+        b, kb = _flat_body(rng, arities, depth - 1, tags)
+        if ka + kb > 4:
+            return a, ka
+        e, k = Product(a, b), ka + kb
+        tags.add("times")
+        if op == "join":
+            e = Select(rng.randint(1, ka), "=", rng.randint(ka + 1, k), e)
+            e = Project(tuple(rng.randint(1, k) for _ in range(rng.randint(1, 3))), e)
+            tags.add("join")
+            return e, len(e.indices)
+        return e, k
+    if op == "select":
+        test = rng.choice(("=", "!="))
+        tags.add("select" + test)
+        return Select(rng.randint(1, ka), test, rng.randint(1, ka), a), ka
+    indices = tuple(rng.randint(1, ka) for _ in range(rng.randint(1, 3)))
+    if len(set(indices)) < len(indices):
+        tags.add("project_repeat")
+    return Project(indices, a), len(indices)
+
+
+def _flat_solve(rng, binders, tags):
+    """A solve node over ``binders`` whose sides are random flat bodies; the
+    right side is sometimes free of the bound variables, or the empty set."""
+    free = {"P": rng.randint(1, 2), "Q": rng.randint(1, 3)}
+    arities = {**free, **{nm: t.arity for nm, t in binders}}
+    lhs, k = _flat_body(rng, arities, rng.randint(1, 3), tags)
+    form = rng.choice(("body", "free", "empty"))
+    if form == "free":
+        rhs = _to_arity(rng, *_flat_body(rng, free, rng.randint(0, 2), tags), k)
+    elif form == "empty":
+        rhs = ast.empty_like(lhs)
+    else:
+        rhs = _to_arity(rng, *_flat_body(rng, arities, rng.randint(0, 3), tags), k)
+    bound = {nm for nm, _ in binders}
+    if not (ast.free_names(lhs) & bound and ast.free_names(rhs) & bound):
+        tags.add("invariant_side")
+    return Solve(binders, lhs, rhs), free
+
+
+def test_flat_solve_bodies_match_oracles():
+    rng = random.Random(9700)
+    tags: set = set()
+    for binders, max_atoms in FLAT_BINDERS:
+        for _ in range(20):
+            atoms = ("a", "b", "c")[: rng.randint(1, max_atoms)]
+            node, free = _flat_solve(rng, binders, tags)
+            schema = {nm: flat_type(k) for nm, k in free.items()}
+            rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
+            db = Database(atoms, rels)
+            types: dict = {}
+            infer_type(node, schema, types)
+            assert _solve_parts(node, "", types, atoms)[-1] is not None  # the body runs on masks
+            # a solve node used twice: the second use charges the first's solution set
+            e = Union(node, node) if rng.random() < 0.3 else node
+            env = {nm: to_plain(r) for nm, r in db.relations.items()}
+
+            value, metrics = evaluate(e, db)
+            expected = oracle_eval(e, env, atoms, schema)
+            assert to_plain(value) == expected
+            peak, peak_path, solves = oracle_peak(e, env, atoms, schema)
+            counts = {s.path: (s.candidates_tested, s.solutions_found) for s in metrics.solves}
+            assert counts == solves
+            assert metrics.peak_space_units == peak
+            _, at_cap = evaluate(e, db, EvalBudget(max_space_units=peak))
+            assert at_cap.peak_space_units == peak
+            with pytest.raises(BudgetExceeded) as err:
+                evaluate(e, db, EvalBudget(max_space_units=peak - 1))
+            assert (err.value.which, err.value.path) == ("space", peak_path)
+            nonempty = solve_nonempty(node.binders, node.lhs, node.rhs, db)
+            assert nonempty == bool(oracle_eval(node, env, atoms, schema))
+            tags.add("has_solutions" if nonempty else "no_solutions")
+            if e is not node:
+                tags.add("reused")
+    assert {
+        "union", "minus", "times", "select=", "select!=", "project_repeat", "join",
+        "P", "Q", "D", "variable", "invariant_side", "has_solutions", "no_solutions", "reused",
+    } <= tags  # fmt: skip
+
+
+def test_mask_body_at_the_65536_row_limit_stays_small_in_memory():
+    # X has 16 candidates on 4 atoms, but R x R x R x X x D is 8-ary, so its
+    # masks index a universe of 4^8 = 65,536 rows (8,192 bytes).  Filled for
+    # every byte value, the projection's tables alone would hold 2,097,152
+    # entries; filled for the bytes seen, the evaluation stays under 2 MB.
+    rng = random.Random(9900)
+    atoms = ("a", "b", "c", "d")
+    r = random_flat_rel(rng, 2, atoms, 0.5)
+    db = db_of(atoms, R=r)
+    wide = Product(Product(Name("R"), Name("R")), Product(Name("R"), Product(Name("X"), Domain())))
+    lhs = Project((1, 7), Select(2, "=", 3, Select(4, "=", 5, wide)))
+    node = Solve((("X", FLAT1),), lhs, Project((1, 2), Product(Name("R"), Name("X"))))
+    types: dict = {}
+    infer_type(node, db.schema, types)
+    assert types["lhs.arg.arg.arg"].arity == 8
+    assert _solve_parts(node, "", types, atoms)[-1] is not None  # the body runs on masks
+
+    tracemalloc.start()
+    try:
+        value, metrics = evaluate(node, db)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    env = {"R": to_plain(r)}
+    assert to_plain(value) == oracle_eval(node, env, atoms, db.schema)
+    peak, peak_path, solves = oracle_peak(node, env, atoms, db.schema)
+    assert metrics.peak_space_units == peak
+    assert [(s.path, s.candidates_tested, s.solutions_found) for s in metrics.solves] == [
+        ("", *solves[""])
+    ]
+    with pytest.raises(BudgetExceeded) as err:
+        evaluate(node, db, EvalBudget(max_space_units=peak - 1))
+    assert (err.value.which, err.value.path) == ("space", peak_path)
+    assert peak_bytes < 2_000_000
+
+    # one more column makes a universe of 4^9 rows, past the masks' limit:
+    # the body keeps the relation kernels, with the same results
+    wider = Solve(node.binders, Project((1, 7), Product(wide, Domain())), node.rhs)
+    types = {}
+    infer_type(wider, db.schema, types)
+    assert _solve_parts(wider, "", types, atoms)[-1] is None
+    value, metrics = evaluate(wider, db)
+    assert to_plain(value) == oracle_eval(wider, env, atoms, db.schema)
+    assert metrics.peak_space_units == oracle_peak(wider, env, atoms, db.schema)[0]
+
+
+def _solve_nodes(e, path=""):
+    """``(path, node)`` of every solve node in ``e``."""
+    if isinstance(e, Solve):
+        yield path, e
+    for label in ast.child_labels(e):
+        yield from _solve_nodes(getattr(e, label), ast.child_path(path, label))
+
+
+def test_random_expressions_with_solves_match_oracle_metering():
+    # random_expr's solves sit anywhere in an expression, sometimes one node
+    # at several places; a variable of a nested type keeps the relation kernels
+    rng = random.Random(9800)
+    var_types = (FLAT1, FLAT2, RelType((FLAT1,)))
+    schema = {"R": FLAT2, "S": FLAT1}
+    budget = EvalBudget(max_candidates=10**4)
+    bodies = set()
+    for _ in range(150):
+        atoms = ("a", "b", "c")[: rng.randint(1, 3)]
+        rels = {"R": random_flat_rel(rng, 2, atoms, 0.4), "S": random_flat_rel(rng, 1, atoms, 0.5)}
+        db = Database(atoms, rels)
+        e = random_expr(rng, schema, steps=6, solve_var_types=var_types)
+        types: dict = {}
+        infer_type(e, schema, types)
+        solves = list(_solve_nodes(e))
+        if not solves:
+            continue
+        for path, node in solves:
+            masks = _solve_parts(node, path, types, atoms)[-1] is not None
+            bodies.add("masks" if masks else "relations")
+        env = {nm: to_plain(r) for nm, r in rels.items()}
+
+        value, metrics = evaluate(e, db, budget)
+        assert to_plain(value) == oracle_eval(e, env, atoms, schema)
+        peak, peak_path, counts = oracle_peak(e, env, atoms, schema)
+        assert {s.path: (s.candidates_tested, s.solutions_found) for s in metrics.solves} == counts
+        assert metrics.peak_space_units == peak
+        with pytest.raises(BudgetExceeded) as err:
+            evaluate(e, db, EvalBudget(max_candidates=10**4, max_space_units=peak - 1))
+        assert (err.value.which, err.value.path) == ("space", peak_path)
+    assert bodies == {"masks", "relations"}

@@ -46,6 +46,17 @@ def test_type_rendering_and_flags():
     assert FLAT2.arity == 2
 
 
+def test_equal_types_built_apart_hash_equal():
+    def build():
+        return RelType((RelType(), RelType((RelType(), RelType((RelType(),))))))
+
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(flat_type(3)) == hash(RelType((ATOM, RelType(), ATOM)))
+    assert len({a, b, FLAT2, flat_type(2)}) == 2
+    assert Rel(a, []) == Rel(b, []) and hash(Rel(a, [])) == hash(Rel(b, []))
+
+
 def test_empty_tuple_type_rejected():
     with pytest.raises(ModelError):
         RelType(())
