@@ -46,7 +46,7 @@ def _env_int(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"bad integer in {name}: {raw!r}")
+        raise ModelError(f"bad integer in {name}: {raw!r}") from None
 
 
 def _budget_from(args) -> EvalBudget:
@@ -176,11 +176,11 @@ def cmd_construction(args) -> int:
 def _parse_n_range(text: str):
     lo, sep, hi = text.partition("..")
     try:
-        if sep and int(lo) <= int(hi):
+        if sep and 1 <= int(lo) <= int(hi):
             return range(int(lo), int(hi) + 1)
     except ValueError:
         pass
-    raise ParseError(f"bad n-range {text!r}, expected A..B with A <= B", 1, 1)
+    raise ParseError(f"bad n-range {text!r}, expected A..B with 1 <= A <= B", 1, 1)
 
 
 def _parse_gen(text: str | None, default_schema: dict, seed: int) -> DbGenerator:

@@ -3,7 +3,9 @@
 Each operator is one kernel, a function from its operand values to its
 result, built once per node from the types the typechecker inferred (see
 ``_kernel``); the value-level ``op_*`` functions call the same kernels.  One
-metering wrapper per operand arity runs every operator node the same way: it
+compiler (``_compile``) serves two value representations, relations and the
+masks of a flat solve body (below), and one metering wrapper per operand
+arity (``_metered``) runs every operator node of either the same way: it
 evaluates the operands, charges the result's size and then releases the
 operands.  Product, unnest and powerset have an exact size computed from
 their operands, charged before the kernel runs, so an over-cap one is refused
@@ -29,8 +31,8 @@ sides on masks, Python ints with one bit per row of the type's universe
 (see ``_mask_kernel``), so a candidate's counter value is its relation and
 a ``Rel`` is built only for a solution row.  The join and the mask kernels
 still charge every node at its exact size, at its own path, in the order
-literal evaluation would, so ``peak_space_units`` and every budget refusal
-stay the same.
+literal evaluation would, so ``peak_space_units`` and every budget refusal,
+down to its message, stay the same.
 """
 
 from __future__ import annotations
@@ -457,97 +459,94 @@ def _precharge(ctx, amount: int, path: str, node: ast.Expr, operands) -> None:
     _grow(ctx, amount, path)
 
 
-def _metered(fs, kernel, need, path: str, node: ast.Expr):
+def _sizing(types: dict, path: str, masks: bool):
+    """``(count, width)`` for the node at ``path``: a value has
+    ``count(v) * width`` units.  A relation counts its own units, a mask its
+    rows, each of the units per row of the node's flat type."""
+    if masks:
+        return int.bit_count, types[path].row_base_size
+    return value_size, 1
+
+
+def _metered(fs, kernel, need, path: str, node: ast.Expr, count, widths):
     """The compiled node of an operator with one or two operands.
 
     It evaluates the operands in order, charges the result at ``path`` and
     releases the operands.  With ``need`` the exact size is charged before
     the kernel runs, so an over-cap result is refused before any row is
     built; without it the built result is charged.  A refusal names
-    ``node``, the operator.
+    ``node``, the operator.  Relations and masks run in this one wrapper: a
+    value's size is ``count(v)`` times its width, ``widths`` holding those
+    of the result and of each operand (see ``_sizing``).  The common case of
+    ``_grow`` is inlined, as this runs for every node of a solve body once
+    per candidate.
     """
     # operands and constants are defaults, not closure cells, so a compiled
     # node holds two objects for the cycle collector, not one per variable
     if len(fs) == 1:
 
-        def run(env, ctx, _f=fs[0], _k=kernel, _need=need, _p=path, _node=node):
+        def run(
+            env, ctx, _f=fs[0], _k=kernel, _need=need, _p=path, _node=node, _c=count,
+            _w=widths[0], _wa=widths[1],
+        ):  # fmt: skip
             a = _f(env, ctx)
             if _need is None:
                 res = _k(a)
-                _grow(ctx, value_size(res), _p)
+                live = ctx.live + _c(res) * _w
+                if live > ctx.peak:
+                    _new_peak(ctx, live, _p)
             else:
                 _precharge(ctx, _need(a), _p, _node, (a,))
                 res = _k(a)
-            ctx.live -= value_size(a)
-            return res
-
-        return run
-
-    def run(env, ctx, _f1=fs[0], _f2=fs[1], _k=kernel, _need=need, _p=path, _node=node):
-        a = _f1(env, ctx)
-        b = _f2(env, ctx)
-        if _need is None:
-            res = _k(a, b)
-            _grow(ctx, value_size(res), _p)
-        else:
-            _precharge(ctx, _need(a, b), _p, _node, (a, b))
-            res = _k(a, b)
-        ctx.live -= value_size(a) + value_size(b)
-        return res
-
-    return run
-
-
-def _metered_masks(fs, kernel, need, path: str, node: ast.Expr, widths):
-    """``_metered`` for an operator over masks: the same charges at the same
-    path in the same order, a mask's size being its row count times the
-    units per row of its type; ``widths`` holds those of the result and of
-    each operand.  The common case of ``_grow`` is inlined, as this runs
-    for every node of a flat solve body once per candidate."""
-    if len(fs) == 1:
-
-        def run(env, ctx, _f=fs[0], _k=kernel, _p=path, _w=widths[0], _wa=widths[1]):
-            a = _f(env, ctx)
-            res = _k(a)
-            live = ctx.live + res.bit_count() * _w
-            if live > ctx.peak:
-                _new_peak(ctx, live, _p)
-            ctx.live = live - a.bit_count() * _wa
+                live = ctx.live
+            ctx.live = live - _c(a) * _wa
             return res
 
         return run
 
     def run(
-        env, ctx, _f1=fs[0], _f2=fs[1], _k=kernel, _need=need, _p=path, _node=node,
+        env, ctx, _f1=fs[0], _f2=fs[1], _k=kernel, _need=need, _p=path, _node=node, _c=count,
         _w=widths[0], _wa=widths[1], _wb=widths[2],
     ):  # fmt: skip
         a = _f1(env, ctx)
         b = _f2(env, ctx)
         if _need is None:
             res = _k(a, b)
-            live = ctx.live + res.bit_count() * _w
+            live = ctx.live + _c(res) * _w
             if live > ctx.peak:
                 _new_peak(ctx, live, _p)
         else:
             _precharge(ctx, _need(a, b), _p, _node, (a, b))
             res = _k(a, b)
             live = ctx.live
-        ctx.live = live - a.bit_count() * _wa - b.bit_count() * _wb
+        ctx.live = live - _c(a) * _wa - _c(b) * _wb
         return res
 
     return run
 
 
-def _compile_masks(e: ast.Expr, path: str, types: dict, n: int):
-    """Compile a node of a flat solve body into ``fn(env, ctx) -> mask``,
-    where ``env`` maps names to masks; metered as ``_compile``'s nodes are."""
-    w = types[path].row_base_size
+def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...], masks: bool = False):
+    """Compile an expression into ``fn(env, ctx) -> value``.
+
+    ``types`` maps every node path to its type, as filled in by
+    ``infer_type``, and ``atoms`` is the domain.  One compiler serves two
+    value representations: relations, and with ``masks`` the masks of a
+    flat solve body (see ``_solve_parts``), where ``env`` maps names to
+    masks.  Contract: when ``fn`` returns, exactly the size of its result
+    has been added to ``ctx.live``; the caller releases it after consuming
+    it.  A name and the domain share one closure; over relations a solve
+    node has its own, and a select chain over a product becomes one hash
+    join (see ``_compile_join``).  Every other operator is its kernel
+    (``_kernel``, or ``_mask_kernel`` over masks) under the metering wrapper
+    of its arity (``_metered``), over its children compiled at their paths.
+    """
+    count, w = _sizing(types, path, masks)
     if isinstance(e, (ast.Name, ast.Domain)):
         nm = e.name if isinstance(e, ast.Name) else "D"
 
-        def run(env, ctx, _nm=nm, _p=path, _w=w):
+        def run(env, ctx, _nm=nm, _p=path, _c=count, _w=w):
             v = env[_nm]
-            live = ctx.live + v.bit_count() * _w
+            live = ctx.live + _c(v) * _w
             ctx.live = live
             if live > ctx.peak:
                 _new_peak(ctx, live, _p)
@@ -555,38 +554,7 @@ def _compile_masks(e: ast.Expr, path: str, types: dict, n: int):
 
         return run
 
-    kernel, need = _mask_kernel(e, path, types, n)
-    fs = []
-    widths = [w]
-    for label in ast.child_labels(e):
-        child = ast.child_path(path, label)
-        fs.append(_compile_masks(getattr(e, label), child, types, n))
-        widths.append(types[child].row_base_size)
-    return _metered_masks(fs, kernel, need, path, e, widths)
-
-
-def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
-    """Compile an expression into ``fn(env, ctx) -> Rel``.
-
-    ``types`` maps every node path to its type, as filled in by
-    ``infer_type``, and ``atoms`` is the domain.  Contract: when ``fn``
-    returns, exactly the size of its result has been added to ``ctx.live``;
-    the caller releases it after consuming it.  A name, the domain and a solve node have closures of
-    their own, and a select chain over a product becomes one hash join (see
-    ``_compile_join``).  Every other operator is its kernel (``_kernel``)
-    under the metering wrapper of its arity (``_metered``), over its
-    children compiled at their paths.
-    """
-    if isinstance(e, (ast.Name, ast.Domain)):
-        nm = e.name if isinstance(e, ast.Name) else "D"
-
-        def run(env, ctx, _nm=nm, _p=path):
-            v = env[_nm]
-            _grow(ctx, value_size(v), _p)
-            return v
-
-        return run
-
+    # a solve's type is never flat, so it and the join compile over relations only
     if isinstance(e, ast.Solve):
         parts = _solve_parts(e, path, types, atoms)
         res_type = RelType(tuple(t for _, t in e.binders))
@@ -610,16 +578,19 @@ def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
 
         return run
 
-    if isinstance(e, (ast.Project, ast.Select)):
+    if not masks and isinstance(e, (ast.Project, ast.Select)):
         join = _compile_join(e, path, types, atoms)
         if join is not None:
             return join
 
-    kernel, need = _kernel(e, path, types)
+    kernel, need = _mask_kernel(e, path, types, len(atoms)) if masks else _kernel(e, path, types)
     fs = []
+    widths = [w]
     for label in ast.child_labels(e):
-        fs.append(_compile(getattr(e, label), ast.child_path(path, label), types, atoms))
-    return _metered(fs, kernel, need, path, e)
+        child = ast.child_path(path, label)
+        fs.append(_compile(getattr(e, label), child, types, atoms, masks))
+        widths.append(_sizing(types, child, masks)[1])
+    return _metered(fs, kernel, need, path, e, count, widths)
 
 
 def _compile_join(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
@@ -662,13 +633,13 @@ def _compile_join(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
     width = types[path].flat_row_size  # units per joined row, None if nested
     row_size = None if width else _row_sizer(types[path])
 
-    def run(env, ctx, _p=path, _rt=types[top]):
+    def run(env, ctx, _p=path, _rt=types[top], _node=e):
         a = fa(env, ctx)
         b = fb(env, ctx)
         sa = size(a)
         sb = size(b)
         live = _product_size(len(a.rows), sa, len(b.rows), sb)
-        grow(ctx, live, _p)
+        _precharge(ctx, live, _p, _node, (a, b))
         ctx.live -= sa + sb
         index: dict = {}
         for y in b.rows:
@@ -705,8 +676,9 @@ def _solve_parts(e: ast.Solve, path: str, types: dict, atoms: tuple[str, ...]):
 
     The sides run on masks when the binders and every node of both sides
     have flat types whose universes have at most ``_MASK_BITS`` rows; the
-    last part then names the free names to convert to masks once per solve
-    and gives the units per row of each side, and it is None otherwise.
+    last part then names the free names to convert to masks once per solve,
+    and it is None otherwise.  Each side's value has ``count(v)`` times the
+    side's width units, as ``_sizing`` gives them.
     """
     names = e.var_names
     var_types = tuple(t for _, t in e.binders)
@@ -717,16 +689,13 @@ def _solve_parts(e: ast.Solve, path: str, types: dict, atoms: tuple[str, ...]):
     n = len(atoms)
     inside = (lp + ".", rp + ".")
     body = [t for p, t in types.items() if p in (lp, rp) or p.startswith(inside)]
-    if all(t.is_flat and n**t.arity <= _MASK_BITS for t in var_types + tuple(body)):
-        fl = _compile_masks(e.lhs, lp, types, n)
-        fr = _compile_masks(e.rhs, rp, types, n)
-        free = tuple(sorted(ast.free_names(e))) + ("D",)
-        masks = (free, types[lp].row_base_size, types[rp].row_base_size)
-    else:
-        fl = _compile(e.lhs, lp, types, atoms)
-        fr = _compile(e.rhs, rp, types, atoms)
-        masks = None
-    return names, var_types, fl, fr, l_inv, r_inv, masks
+    masks = all(t.is_flat and n**t.arity <= _MASK_BITS for t in var_types + tuple(body))
+    fl = _compile(e.lhs, lp, types, atoms, masks)
+    fr = _compile(e.rhs, rp, types, atoms, masks)
+    count, wl = _sizing(types, lp, masks)
+    wr = _sizing(types, rp, masks)[1]
+    free = tuple(sorted(ast.free_names(e))) + ("D",) if masks else None
+    return names, var_types, fl, fr, l_inv, r_inv, count, wl, wr, free
 
 
 def _run_solve(parts, env, ctx, path, early_exit):
@@ -738,7 +707,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
     counter value is its mask: a mask body reads it as it is, and only a
     solution row is built as relations.
     """
-    names, types, fl, fr, l_inv, r_inv, masks = parts
+    names, types, fl, fr, l_inv, r_inv, count, wl, wr, masks = parts
     size = value_size
     grow = _grow
     n = len(ctx.atoms)
@@ -770,19 +739,11 @@ def _run_solve(parts, env, ctx, path, early_exit):
 
     if masks is None:
         benv = env
-        size_l = size_r = size
     else:
-        free, wl, wr = masks
         pos = {a: i for i, a in enumerate(ctx.atoms)}
-        benv = {nm: _mask_of(env[nm], pos) for nm in free}
+        benv = {nm: _mask_of(env[nm], pos) for nm in masks}
         widths = [t.row_base_size for t in types]
         w0 = widths[0]
-
-        def size_l(m, _w=wl):
-            return m.bit_count() * _w
-
-        def size_r(m, _w=wr):
-            return m.bit_count() * _w
 
     const_l = fl(benv, ctx) if l_inv else None
     const_r = fr(benv, ctx) if r_inv else None
@@ -811,9 +772,9 @@ def _run_solve(parts, env, ctx, path, early_exit):
             vb = const_r if r_inv else fr(benv, ctx)
             hit = va == vb
             if not l_inv:
-                ctx.live -= size_l(va)
+                ctx.live -= count(va) * wl
             if not r_inv:
-                ctx.live -= size_r(vb)
+                ctx.live -= count(vb) * wr
             if hit:
                 found += 1
                 if found > max_solutions:
@@ -836,9 +797,9 @@ def _run_solve(parts, env, ctx, path, early_exit):
         for nm in names:
             env.pop(nm, None)
         if l_inv and const_l is not None:
-            ctx.live -= size_l(const_l)
+            ctx.live -= count(const_l) * wl
         if r_inv and const_r is not None:
-            ctx.live -= size_r(const_r)
+            ctx.live -= count(const_r) * wr
     return frozenset(sol_rows)
 
 

@@ -114,6 +114,16 @@ def test_env_budget_and_flag_priority(capsys, pair_db, monkeypatch):
     assert code == 0
 
 
+
+@pytest.mark.parametrize(
+    "name", ["EQALG_MAX_CANDIDATES", "EQALG_MAX_SPACE", "EQALG_MAX_SOLUTIONS"]
+)
+def test_bad_integer_in_budget_env_is_a_user_error(capsys, pair_db, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run(capsys, ["eval", "--db", pair_db, "--expr", "R"])
+    assert (code, out) == (1, "")
+    assert err == f"error: bad integer in {name}: 'abc'\n"
+
 def test_check_reports_type_and_binding_violations(capsys, pair_db):
     code, out, _ = run(
         capsys, ["check", "--expr", "solve{(X:(0,0)) | union(X,R) = R}", "--db", pair_db]
@@ -360,16 +370,17 @@ def test_stdout_identical_across_processes_and_hash_seeds(tmp_path):
         assert len(outs) == 1, argv
 
 
-# an empty n-range and densities outside [0, 1]: well-formed, but user errors
+# an empty n-range, one starting below 1 and densities outside [0, 1]:
+# well-formed, but user errors
 OUT_OF_RANGE_ARGV = [
     ["profile", "--eq", "powerset", "--n-range", "3..1"],
+    ["profile", "--eq", "powerset", "--n-range", "0..2"],
     ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0):nan"],
     ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0):2.5"],
 ]
 BAD_ARGV = [
     ["profile", "--eq", "powerset", "--n-range", "1..x"],
     ["profile", "--eq", "powerset", "--n-range", "12"],
-    ["profile", "--eq", "powerset", "--n-range", "0..2"],
     ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0):abc"],
     ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0,0"],
     ["profile", "--eq", "no-such-construction", "--n-range", "1..2"],

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from eqalg import ast
+from eqalg import ast, evaluator
 from eqalg.ast import (
     Difference,
     Domain,
@@ -814,44 +814,80 @@ def _flat_solve(rng, binders, tags):
     return Solve(binders, lhs, rhs), free
 
 
-def test_flat_solve_bodies_match_oracles():
+def _flat_cases(tags):
+    """``(expression, solve node, database, free names' schema)`` for 100
+    random flat solve bodies, a fixed sequence; each expression uses its
+    solve node twice with probability 0.3."""
     rng = random.Random(9700)
-    tags: set = set()
     for binders, max_atoms in FLAT_BINDERS:
         for _ in range(20):
             atoms = ("a", "b", "c")[: rng.randint(1, max_atoms)]
             node, free = _flat_solve(rng, binders, tags)
             schema = {nm: flat_type(k) for nm, k in free.items()}
             rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
-            db = Database(atoms, rels)
-            types: dict = {}
-            infer_type(node, schema, types)
-            assert _solve_parts(node, "", types, atoms)[-1] is not None  # the body runs on masks
             # a solve node used twice: the second use charges the first's solution set
             e = Union(node, node) if rng.random() < 0.3 else node
-            env = {nm: to_plain(r) for nm, r in db.relations.items()}
-
-            value, metrics = evaluate(e, db)
-            expected = oracle_eval(e, env, atoms, schema)
-            assert to_plain(value) == expected
-            peak, peak_path, solves = oracle_peak(e, env, atoms, schema)
-            counts = {s.path: (s.candidates_tested, s.solutions_found) for s in metrics.solves}
-            assert counts == solves
-            assert metrics.peak_space_units == peak
-            _, at_cap = evaluate(e, db, EvalBudget(max_space_units=peak))
-            assert at_cap.peak_space_units == peak
-            with pytest.raises(BudgetExceeded) as err:
-                evaluate(e, db, EvalBudget(max_space_units=peak - 1))
-            assert (err.value.which, err.value.path) == ("space", peak_path)
-            nonempty = solve_nonempty(node.binders, node.lhs, node.rhs, db)
-            assert nonempty == bool(oracle_eval(node, env, atoms, schema))
-            tags.add("has_solutions" if nonempty else "no_solutions")
             if e is not node:
                 tags.add("reused")
+            yield e, node, Database(atoms, rels), schema
+
+
+@pytest.fixture(params=["masks", "relations"])
+def representation(request, monkeypatch):
+    """The values flat solve bodies run on.  The relation run sets the masks'
+    universe limit to 0, so that every body keeps the relation kernels."""
+    if request.param == "relations":
+        monkeypatch.setattr(evaluator, "_MASK_BITS", 0)
+    return request.param
+
+
+def test_flat_solve_bodies_match_oracles(representation):
+    tags: set = set()
+    for e, node, db, schema in _flat_cases(tags):
+        atoms = db.atoms
+        types: dict = {}
+        infer_type(node, schema, types)
+        masks = _solve_parts(node, "", types, atoms)[-1] is not None
+        assert masks == (representation == "masks")
+        env = {nm: to_plain(r) for nm, r in db.relations.items()}
+
+        value, metrics = evaluate(e, db)
+        expected = oracle_eval(e, env, atoms, schema)
+        assert to_plain(value) == expected
+        peak, peak_path, solves = oracle_peak(e, env, atoms, schema)
+        counts = {s.path: (s.candidates_tested, s.solutions_found) for s in metrics.solves}
+        assert counts == solves
+        assert metrics.peak_space_units == peak
+        _, at_cap = evaluate(e, db, EvalBudget(max_space_units=peak))
+        assert at_cap.peak_space_units == peak
+        with pytest.raises(BudgetExceeded) as err:
+            evaluate(e, db, EvalBudget(max_space_units=peak - 1))
+        assert (err.value.which, err.value.path) == ("space", peak_path)
+        nonempty = solve_nonempty(node.binders, node.lhs, node.rhs, db)
+        assert nonempty == bool(oracle_eval(node, env, atoms, schema))
+        tags.add("has_solutions" if nonempty else "no_solutions")
     assert {
         "union", "minus", "times", "select=", "select!=", "project_repeat", "join",
         "P", "Q", "D", "variable", "invariant_side", "has_solutions", "no_solutions", "reused",
     } <= tags  # fmt: skip
+
+
+def test_flat_solve_bodies_agree_across_representations(monkeypatch):
+    # masks and relations give the same value and metrics, and a refusal
+    # under any cap up to 60 below the peak reads the same on both
+    mask_bits = evaluator._MASK_BITS
+    for e, _, db, _ in _flat_cases(set()):
+        runs = []
+        for bits in (mask_bits, 0):
+            monkeypatch.setattr(evaluator, "_MASK_BITS", bits)
+            value, metrics = evaluate(e, db)
+            refusals = []
+            for cap in range(max(1, metrics.peak_space_units - 60), metrics.peak_space_units):
+                with pytest.raises(BudgetExceeded) as err:
+                    evaluate(e, db, EvalBudget(max_space_units=cap))
+                refusals.append(str(err.value))
+            runs.append((value, metrics, refusals))
+        assert runs[0] == runs[1]
 
 
 def test_mask_body_at_the_65536_row_limit_stays_small_in_memory():
