@@ -190,22 +190,26 @@ def check_bindings(e: Expr) -> list[BindingViolation]:
     any subexpression, and a solve may not rebind a variable already bound
     by an enclosing solve (shadowing is rejected outright).
     """
-    top_free = free_names(e)
     out: list[BindingViolation] = []
-
-    def walk(node: Expr, path: str, enclosing: frozenset[str]) -> None:
-        if isinstance(node, Solve):
-            for nm in node.var_names:
-                if nm in top_free:
-                    out.append(BindingViolation(nm, path, "free name also becomes bound"))
-                if nm in enclosing:
-                    out.append(BindingViolation(nm, path, "rebinds a variable of an enclosing solve"))
-            enclosing = enclosing | set(node.var_names)
-        for label, c in zip(child_labels(node), children(node)):
-            walk(c, child_path(path, label), enclosing)
-
-    walk(e, "", frozenset())
+    _walk_bindings(e, "", frozenset(), free_names(e), out)
     return out
+
+
+def _walk_bindings(node: Expr, path: str, enclosing: frozenset[str], top_free, out) -> None:
+    """Append the violations of ``node`` and below to ``out``, in pre-order.
+
+    A module-level function, not a closure: a nested function that calls
+    itself holds a reference cycle, which would leave garbage on every check.
+    """
+    if isinstance(node, Solve):
+        for nm in node.var_names:
+            if nm in top_free:
+                out.append(BindingViolation(nm, path, "free name also becomes bound"))
+            if nm in enclosing:
+                out.append(BindingViolation(nm, path, "rebinds a variable of an enclosing solve"))
+        enclosing = enclosing | set(node.var_names)
+    for label, c in zip(child_labels(node), children(node)):
+        _walk_bindings(c, child_path(path, label), enclosing, top_free, out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,20 @@ from flags, then the environment variables EQALG_MAX_CANDIDATES,
 EQALG_MAX_SPACE, and EQALG_MAX_SOLUTIONS, then the documented defaults.
 Stdout is byte-identical across runs for identical inputs and seeds; timing
 and metrics go to stderr.
+
+Each command runs after one full garbage collection, with the cycle
+collector paused until it returns (the repl does this per input line), and
+the collector is enabled again only if it was enabled before.  Evaluation,
+rendering and the oracles build only acyclic values, which reference
+counting frees, so a collection during a command would walk every solution
+it holds and find nothing.  The library functions leave the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import os
 import sys
 
@@ -37,6 +46,21 @@ EXIT_INTERNAL = 3
 
 # errors in what the user typed or named: exit 1 from main, "error:" in the repl
 USER_ERRORS = (ParseError, TypecheckError, BindingError, ModelError, ast.AstError, OSError)
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """One full collection, then the cycle collector off for the block; on
+    exit it is enabled again if it was enabled on entry.  Collecting first
+    frees the garbage made before the block instead of keeping it all along."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _env_int(name: str, default: int) -> int:
@@ -269,36 +293,37 @@ def cmd_repl(args) -> int:
         line = line.strip()
         if not line:
             continue
-        try:
-            if line == ":quit":
-                break
-            if line == ":metrics":
-                show_metrics = not show_metrics
-                print(f"metrics {'on' if show_metrics else 'off'}", file=sys.stderr)
-                continue
-            if line.startswith(":load "):
-                db = _load_db(line[len(":load ") :].strip())
-                print(f"loaded database with {len(db.domain)} atoms", file=sys.stderr)
-                continue
-            if line.startswith(":type "):
-                e = parse_expr(line[len(":type ") :])
-                schema = db.schema if db else {}
-                print(infer_type(e, schema))
-                continue
-            if line.startswith(":"):
-                print(f"unknown command {line.split()[0]}", file=sys.stderr)
-                continue
-            if db is None:
-                print("no database loaded; use :load FILE", file=sys.stderr)
-                continue
-            value, metrics = evaluate(parse_expr(line), db, budget)
-            print(render_relation(value))
-            if show_metrics:
-                print(metrics.format(), file=sys.stderr)
-        except USER_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
-        except BudgetExceeded as exc:
-            print(f"budget: {exc}", file=sys.stderr)
+        with _collector_paused():
+            try:
+                if line == ":quit":
+                    break
+                if line == ":metrics":
+                    show_metrics = not show_metrics
+                    print(f"metrics {'on' if show_metrics else 'off'}", file=sys.stderr)
+                    continue
+                if line.startswith(":load "):
+                    db = _load_db(line[len(":load ") :].strip())
+                    print(f"loaded database with {len(db.domain)} atoms", file=sys.stderr)
+                    continue
+                if line.startswith(":type "):
+                    e = parse_expr(line[len(":type ") :])
+                    schema = db.schema if db else {}
+                    print(infer_type(e, schema))
+                    continue
+                if line.startswith(":"):
+                    print(f"unknown command {line.split()[0]}", file=sys.stderr)
+                    continue
+                if db is None:
+                    print("no database loaded; use :load FILE", file=sys.stderr)
+                    continue
+                value, metrics = evaluate(parse_expr(line), db, budget)
+                print(render_relation(value))
+                if show_metrics:
+                    print(metrics.format(), file=sys.stderr)
+            except USER_ERRORS as exc:
+                print(f"error: {exc}", file=sys.stderr)
+            except BudgetExceeded as exc:
+                print(f"budget: {exc}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -357,17 +382,19 @@ def main(argv=None) -> int:
         args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_USER
-    try:
-        return args.fn(args)
-    except USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except InternalCheckError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    # the repl pauses the collector per input line, not for the whole session
+    with contextlib.nullcontext() if args.fn is cmd_repl else _collector_paused():
+        try:
+            return args.fn(args)
+        except USER_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USER
+        except BudgetExceeded as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except InternalCheckError as exc:
+            print(f"internal error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

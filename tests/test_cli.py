@@ -1,9 +1,13 @@
+import gc
 import io
 import itertools
+import weakref
 
 import pytest
 
+from eqalg import cli, constructions
 from eqalg.cli import main
+from eqalg.evaluator import domain_relation, evaluate
 from eqalg.parser import parse_database
 
 PAIR = "domain [a,b]\nR:(0,0) = [[a,b]]\n"
@@ -467,3 +471,89 @@ def test_empty_n_range_and_bad_density_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: bad ")
+
+
+# ---------------------------------------------------------------------------
+# the cycle collector: one collection, then paused while a command runs
+
+COLLECTOR_CASES = {
+    "exit_0": (["eval", "--db", "PAIR", "--expr", "R"], 0),
+    "exit_1": (["eval", "--db", "PAIR", "--expr", "union(R"], 1),
+    "exit_2": (
+        ["solve", "--db", "PAIR", "--expr", "solve{(X:(0,0)) | union(X,R) = R}",
+         "--max-candidates", "3"],
+        2,
+    ),  # fmt: skip
+    "exit_3": (["construction", "--name", "parity", "--db", "THREE", "--verify"], 3),
+    "usage_error": (["eval", "--db", "PAIR"], 1),
+    "help": (["--help"], 0),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+@pytest.mark.parametrize("case", sorted(COLLECTOR_CASES))
+def test_main_restores_the_collector_state(capsys, monkeypatch, pair_db, three_db, case, enabled):
+    argv, expected = COLLECTOR_CASES[case]
+    argv = [{"PAIR": pair_db, "THREE": three_db}.get(a, a) for a in argv]
+    if case == "exit_3":  # a wrong oracle fails --verify
+        monkeypatch.setattr(constructions, "_oracle_parity", lambda db: domain_relation(db.atoms))
+    if not enabled:
+        gc.disable()
+    try:
+        code, _, err = run(capsys, argv)
+        assert (code, gc.isenabled()) == (expected, enabled), err
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_main_collects_before_the_command_and_pauses_during_it(
+    capsys, monkeypatch, pair_db, enabled
+):
+    class Node:
+        pass
+
+    node = Node()
+    node.me = node
+    ref = weakref.ref(node)
+    del node
+    seen = []
+
+    def spy(*args):
+        seen.append((ref() is None, gc.isenabled()))
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "evaluate", spy)
+    if not enabled:
+        gc.disable()
+    try:
+        assert run(capsys, ["eval", "--db", pair_db, "--expr", "R"]) == (0, "[[a,b]]\n", "")
+        assert seen == [(True, False)]  # cycle collected, collector paused
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def test_repl_pauses_the_collector_per_line(capsys, monkeypatch, pair_db):
+    # a good line, a budget refusal and a bad :load; the collector runs
+    # while the repl waits for input and is paused while it evaluates
+    reading, evaluating = [], []
+
+    class Lines(io.StringIO):
+        def readline(self, *args):
+            reading.append(gc.isenabled())
+            return super().readline(*args)
+
+    def spy(*args):
+        evaluating.append(gc.isenabled())
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "evaluate", spy)
+    monkeypatch.setattr(
+        "sys.stdin", Lines("D\nsolve{(X:(0,0)) | X = X}\n:load /nonexistent.edb\n:quit\n")
+    )
+    code, out, err = run(capsys, ["repl", "--db", pair_db, "--max-candidates", "3"])
+    assert (code, out) == (0, "[[a],[b]]\n")
+    assert "budget: " in err and "error: " in err
+    assert reading == [True] * 4 and evaluating == [False] * 2
+    assert gc.isenabled()

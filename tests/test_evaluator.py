@@ -1,9 +1,11 @@
+import gc
 import random
 import tracemalloc
 
 import pytest
 
 from eqalg import ast, evaluator
+from eqalg.constructions import tc_sparse_via_harness
 from eqalg.ast import (
     Difference,
     Domain,
@@ -976,3 +978,52 @@ def test_random_expressions_with_solves_match_oracle_metering():
             evaluate(e, db, EvalBudget(max_candidates=10**4, max_space_units=peak - 1))
         assert (err.value.which, err.value.path) == ("space", peak_path)
     assert bodies == {"masks", "relations"}
+
+
+# ---------------------------------------------------------------------------
+# evaluation builds no reference cycles: the command line pauses the cycle
+# collector while it evaluates, renders and verifies, and relies on this
+
+ACYCLIC_DB = db_of(
+    ("a", "b", "c"),
+    R=rel(FLAT2, [("a", "b"), ("b", "c")]),
+    S=rel(FLAT1, [("a",), ("c",)]),
+)
+ACYCLIC_CASES = {
+    "mask_solve": ("solve{(X:(0)) | union(X,S) = S}", EvalBudget(), None),
+    "nested_binder_solve": (
+        "solve{(X:((0))) | union(X,powerset(S)) = powerset(S)}", EvalBudget(), None
+    ),
+    "hash_join": ("project[1,4](select[2=3](times(R,R)))", EvalBudget(), None),
+    "nest_unnest_powerset": (
+        "times(unnest[3](nest[2](R)), unnest[1](powerset(S)))", EvalBudget(), None
+    ),
+    "tc_sparse_via_harness": (None, EvalBudget(max_space_units=2 * 10**9), None),
+    "space_refusal": ("solve{(X:(0,0)) | X = X}", EvalBudget(max_space_units=20), "space"),
+    "candidates_refusal": (
+        "solve{(X:(0)) | union(X,S) = S}", EvalBudget(max_candidates=7), "candidates"
+    ),
+    "solutions_refusal": (
+        "solve{(X:(0)) | union(X,S) = S}", EvalBudget(max_solutions=3), "solutions"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACYCLIC_CASES))
+def test_evaluation_leaves_no_garbage_cycles(case):
+    text, budget, refusal = ACYCLIC_CASES[case]
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            if text is None:
+                tc_sparse_via_harness(ACYCLIC_DB, budget)
+            else:
+                evaluate(parse_expr(text), ACYCLIC_DB, budget)
+        except BudgetExceeded as exc:
+            assert exc.which == refusal
+        else:
+            assert refusal is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
