@@ -1,7 +1,7 @@
 """Expression AST for the algebra, free-name analysis, and equation rewrites.
 
-Nodes are frozen dataclasses, so expression trees are immutable and safe to
-share.  Column indices are 1-based throughout.
+Nodes are immutable (see ``Expr``), so expression trees are safe to share.
+Column indices are 1-based throughout.
 """
 
 from __future__ import annotations
@@ -15,42 +15,77 @@ class AstError(Exception):
     """Structurally invalid expression node."""
 
 
+# fields are set once, in the constructor, past the Expr.__setattr__ guard
+_set = object.__setattr__
+
+
 class Expr:
-    """Base class for all expression nodes."""
+    """Base class for all expression nodes.
+
+    A node is immutable: its constructor checks and sets the fields its
+    class lists in ``__slots__``.  Nodes are equal when of one class with
+    equal fields, hash as the tuple of their fields and print as
+    ``Class(field=value, ...)``, as frozen dataclasses would; these methods
+    are shared, where a dataclass would generate its own at every import.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an expression node")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an expression node")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Name(Expr):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        if not NAME_RE.match(name) or name == "D":
+            raise AstError(f"bad relation name {name!r}")
+        _set(self, "name", name)
+
+
+class Domain(Expr):
+    """The unary relation holding every atom of the database domain."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Name(Expr):
-    name: str
-
-    def __post_init__(self):
-        if not NAME_RE.match(self.name) or self.name == "D":
-            raise AstError(f"bad relation name {self.name!r}")
+def _init_binary(self, left: Expr, right: Expr) -> None:
+    _set(self, "left", left)
+    _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Domain(Expr):
-    """The unary relation holding every atom of the database domain."""
-
-
-@dataclass(frozen=True)
 class Union(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+    __init__ = _init_binary
 
 
-@dataclass(frozen=True)
 class Difference(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+    __init__ = _init_binary
 
 
-@dataclass(frozen=True)
 class Product(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+    __init__ = _init_binary
 
 
 def _check_indices(indices) -> None:
@@ -61,66 +96,65 @@ def _check_indices(indices) -> None:
             raise AstError(f"column index {i!r} must be a positive integer")
 
 
-@dataclass(frozen=True)
 class Project(Expr):
-    indices: tuple[int, ...]
-    arg: Expr
+    __slots__ = ("indices", "arg")
 
-    def __post_init__(self):
-        _check_indices(self.indices)
+    def __init__(self, indices: tuple[int, ...], arg: Expr) -> None:
+        _check_indices(indices)
+        _set(self, "indices", indices)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Select(Expr):
     """Keep rows whose columns ``i`` and ``j`` are (un)equal as nested sets."""
 
-    i: int
-    op: str  # "=" or "!="
-    j: int
-    arg: Expr
+    __slots__ = ("i", "op", "j", "arg")
 
-    def __post_init__(self):
-        _check_indices((self.i, self.j))
-        if self.op not in ("=", "!="):
-            raise AstError(f"selection test must be '=' or '!=', got {self.op!r}")
+    def __init__(self, i: int, op: str, j: int, arg: Expr) -> None:
+        _check_indices((i, j))
+        if op not in ("=", "!="):
+            raise AstError(f"selection test must be '=' or '!=', got {op!r}")
+        _set(self, "i", i)
+        _set(self, "op", op)
+        _set(self, "j", j)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Nest(Expr):
-    indices: tuple[int, ...]
-    arg: Expr
+    __slots__ = ("indices", "arg")
 
-    def __post_init__(self):
-        _check_indices(self.indices)
+    def __init__(self, indices: tuple[int, ...], arg: Expr) -> None:
+        _check_indices(indices)
+        _set(self, "indices", indices)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Unnest(Expr):
-    index: int
-    arg: Expr
+    __slots__ = ("index", "arg")
 
-    def __post_init__(self):
-        _check_indices((self.index,))
+    def __init__(self, index: int, arg: Expr) -> None:
+        _check_indices((index,))
+        _set(self, "index", index)
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Powerset(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr) -> None:
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Solve(Expr):
     """All assignments to the bound variables making both sides evaluate equal."""
 
-    binders: tuple[tuple[str, RelType], ...]
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("binders", "lhs", "rhs")
 
-    def __post_init__(self):
-        if not self.binders:
+    def __init__(self, binders: tuple[tuple[str, RelType], ...], lhs: Expr, rhs: Expr) -> None:
+        if not binders:
             raise AstError("solve needs at least one variable")
         seen = set()
-        for nm, t in self.binders:
+        for nm, t in binders:
             if not NAME_RE.match(nm) or nm == "D":
                 raise AstError(f"bad variable name {nm!r}")
             if nm in seen:
@@ -128,6 +162,9 @@ class Solve(Expr):
             seen.add(nm)
             if not isinstance(t, RelType) or t.is_atom:
                 raise AstError(f"variable {nm} must have a relation type, not the atom type")
+        _set(self, "binders", binders)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
     @property
     def var_names(self) -> tuple[str, ...]:
@@ -181,6 +218,36 @@ class BindingViolation:
 
     def __str__(self) -> str:
         return f"{self.var} at {self.path or 'top'}: {self.reason}"
+
+
+def join_shape(e: Expr, path: str, types: dict):
+    """The parts of ``[project] select ... select[i=j](times(a, b))`` with
+    column i in ``a`` and column j in ``b`` (or the reverse), or None for any
+    other shape.
+
+    The parts are ``(indices, product, product_path, lk, rk, levels)``:
+    the projection's indices or None, the product node and its path, the
+    0-based key columns of ``a`` and ``b``, and per select level, innermost
+    first, ``(i, equal, j, path)`` with the key level's test as None.
+    """
+    indices = None
+    if isinstance(e, Project):
+        indices = e.indices
+        e, path = e.arg, child_path(path, "arg")
+    filters = []
+    while isinstance(e, Select):
+        filters.append((e.i - 1, e.op == "=", e.j - 1, path))
+        e, path = e.arg, child_path(path, "arg")
+    if not filters or not isinstance(e, Product):
+        return None
+    i0, want_eq, j0, key_path = filters.pop()
+    lk, rk = min(i0, j0), max(i0, j0)
+    ka = types[child_path(path, "left")].arity
+    if not (want_eq and lk < ka <= rk):
+        return None
+    # innermost level first; its test is the join key, so it filters nothing
+    levels = [(None, True, None, key_path)] + filters[::-1]
+    return indices, e, path, lk, rk - ka, levels
 
 
 def check_bindings(e: Expr) -> list[BindingViolation]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import os
 import sys
@@ -327,7 +328,10 @@ def cmd_repl(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it makes cyclic garbage."""
     top = argparse.ArgumentParser(prog="eqalg", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

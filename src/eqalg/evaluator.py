@@ -2,21 +2,20 @@
 
 Each operator is one kernel, a function from its operand values to its
 result, built once per node from the types the typechecker inferred (see
-``_kernel``); the value-level ``op_*`` functions call the same kernels.  One
-compiler (``_compile``) serves two value representations, relations and the
-masks of a flat solve body (below), and one metering wrapper per operand
-arity (``_metered``) runs every operator node of either the same way: it
-evaluates the operands, charges the result's size and then releases the
-operands.  Product, unnest and powerset have an exact size computed from
-their operands, charged before the kernel runs, so an over-cap one is refused
-before any row is built; the other operators charge the result they built.
-A solve node streams candidate assignments one at a time over the candidate
-space (binary counter over the canonically ordered row universe, last
-variable fastest), keeps one candidate live, and materializes the solution
-set.  ``peak_space_units`` tracks the maximum over time of the total size of
-live intermediate results, where the size of a value is its recursive
-atom-occurrence count plus tuple count; the input database itself is ambient
-and not counted.
+``_kernel``); the value-level ``op_*`` functions call the same kernels.  The
+compiler (``_compile``) turns an expression into closures over relations,
+and one metering wrapper per operand arity (``_metered``) runs every
+operator node the same way: it evaluates the operands, charges the result's
+size and then releases the operands.  Product, unnest and powerset have an
+exact size computed from their operands, charged before the kernel runs, so
+an over-cap one is refused before any row is built; the other operators
+charge the result they built.  A solve node tests candidate assignments in
+the order of a binary counter over the canonically ordered row universe,
+last variable fastest, as if one at a time with one candidate live, and
+materializes the solution set.  ``peak_space_units`` tracks the maximum over
+time of the total size of live intermediate results, where the size of a
+value is its recursive atom-occurrence count plus tuple count; the input
+database itself is ambient and not counted.
 
 Four shortcuts over literal re-evaluation, none observable in results or
 metrics: an equation side that mentions no bound variable is evaluated once
@@ -27,23 +26,22 @@ of selections on a product whose innermost test equates a column of the
 left operand with one of the right, optionally under a projection, runs as a
 hash join that never builds the product or the selections; and a solve
 whose binders and every node of both sides have flat types evaluates its
-sides on masks, Python ints with one bit per row of the type's universe
-(see ``_mask_kernel``), so a candidate's counter value is its relation and
-a ``Rel`` is built only for a solution row.  The join and the mask kernels
-still charge every node at its exact size, at its own path, in the order
-literal evaluation would, so ``peak_space_units`` and every budget refusal,
-down to its message, stay the same.
+body bit-sliced, once per block of candidates, not once per candidate (see
+``bitslice``), and builds a ``Rel`` only for a solution row.  The join
+charges every node at its exact size, at its own path, in the order literal
+evaluation would.  A bit-sliced block computes each candidate's live total
+at every such charge from per-candidate row counts, and replays its first
+refused candidate alone on the relation kernels, so ``peak_space_units``
+and every budget refusal, down to its message, stay the same.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, eq, itemgetter, ne, or_
 
-from . import ast
+from . import ast, bitslice
 from .model import (
     ATOM,
     Database,
@@ -51,6 +49,7 @@ from .model import (
     Rel,
     RelType,
     count_relations,
+    row_picker,
     rows_for_mask,
     subset_tables,
     tuple_universe,
@@ -133,21 +132,13 @@ class EvalMetrics:
 # operator kernels
 
 
-def _row_picker(indices: tuple[int, ...]):
-    """The projection kernel: a function from a row to the tuple of its
-    columns at the 1-based ``indices``, repeats allowed."""
-    idx = tuple(i - 1 for i in indices)
-    # itemgetter returns a bare value for one index, a tuple for a slice
-    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
-
-
 def _row_sizer(rtype: RelType):
     """Space units of one row of a type with relation-valued columns.
 
     The tuple and its atom columns are a constant known from the type, so
     only the relation-valued columns are sized, from their cached sizes.
     """
-    pick = _row_picker(tuple(i + 1 for i in rtype.nested_columns))
+    pick = row_picker(tuple(i + 1 for i in rtype.nested_columns))
     base = rtype.row_base_size
     size = value_size
     return lambda r: base + sum(map(size, pick(r)))
@@ -181,7 +172,7 @@ def _kernel(e: ast.Expr, path: str, types: dict):
         )
     if isinstance(e, ast.Project):
 
-        def project(a, rt=rt, pick=_row_picker(e.indices)):
+        def project(a, rt=rt, pick=row_picker(e.indices)):
             return Rel(rt, frozenset(map(pick, a.rows)))
 
         return project, None
@@ -200,9 +191,9 @@ def _kernel(e: ast.Expr, path: str, types: dict):
     if isinstance(e, ast.Nest):
         # per row, the set of projected sub-rows agreeing on all other columns
         rest = tuple(c for c in range(1, rt.arity) if c not in e.indices)
-        key = _row_picker(rest) if rest else lambda r: ()
+        key = row_picker(rest) if rest else lambda r: ()
 
-        def nest(a, rt=rt, pick=_row_picker(e.indices), key=key):
+        def nest(a, rt=rt, pick=row_picker(e.indices), key=key):
             groups = defaultdict(set)
             for r in a.rows:
                 groups[key(r)].add(pick(r))
@@ -264,119 +255,6 @@ def op_unnest(a: Rel, index: int) -> Rel:
 
 def domain_relation(atoms: tuple[str, ...]) -> Rel:
     return Rel(RelType((ATOM,)), frozenset((a,) for a in atoms))
-
-
-# ---------------------------------------------------------------------------
-# mask kernels for flat solve bodies
-#
-# A flat relation of arity k over n atoms is an int whose bit r stands for
-# row r of ``tuple_universe``: the rows in lexicographic order, so the row
-# of atoms numbered c_1..c_k (in sorted order) is bit c_1 n^(k-1) + ... + c_k.
-# A product's universe is its operands' universes concatenated, the row
-# x + y at x |U_b| + y, so a solve candidate's counter value is its mask.
-
-# A mask costs one bit per row of its universe however few rows it holds, so
-# a flat body with a node whose universe is larger keeps the relation kernels.
-_MASK_BITS = 1 << 16
-
-
-class _ByteImages(dict):
-    """Per byte of an operand mask, the OR of the images of the rows its set
-    bits stand for, keyed by byte position * 256 + byte value.  Entries are
-    filled on first use, so memory follows the bytes actually seen."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image) -> None:
-        super().__init__()
-        self.image = image  # row index -> mask
-
-    def __missing__(self, key: int) -> int:
-        row = (key >> 8) << 3
-        out = 0
-        for t in range(8):
-            if key >> t & 1:
-                out |= self.image(row + t)
-        self[key] = out
-        return out
-
-
-def _image_kernel(image, bits: int):
-    """The kernel mapping a mask over a ``bits``-row universe to the OR of
-    ``image(r)`` over its set bits r, one table lookup per nonzero byte."""
-    nbytes = (bits + 7) >> 3
-    offsets = range(0, nbytes << 8, 256)
-    get = _ByteImages(image).__getitem__
-
-    def apply(m: int) -> int:
-        data = m.to_bytes(nbytes, "little")
-        keys = map(add, itertools.compress(offsets, data), itertools.compress(data, data))
-        return reduce(or_, map(get, keys), 0)
-
-    return apply
-
-
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _select_mask(n: int, k: int, i: int, j: int, equal: bool) -> int:
-    """The rows of the k-ary universe whose 0-based columns i and j are equal
-    (``equal``) or unequal.  The two columns are compared row by row in C
-    and the outcomes read as a binary numeral, lowest row last."""
-
-    def column(c):  # the atom number in column c of every row, in row order
-        run = n ** (k - 1 - c)
-        block = list(itertools.chain.from_iterable(itertools.repeat(v, run) for v in range(n)))
-        return block * n**c
-
-    test = map(eq if equal else ne, column(i), column(j))
-    return int(bytes(test).translate(_BIT_CHARS)[::-1], 2)
-
-
-def _mask_of(v: Rel, pos: dict) -> int:
-    """The mask of a flat relation; ``pos`` numbers the atoms in sorted
-    order.  Bits are set in a byte buffer, as OR-ing them one by one into a
-    growing int takes time quadratic in the universe."""
-    n = len(pos)
-    buf = bytearray((n**v.rtype.arity + 7) >> 3)
-    for row in v.rows:
-        r = 0
-        for a in row:
-            r = r * n + pos[a]
-        buf[r >> 3] |= 1 << (r & 7)
-    return int.from_bytes(buf, "little")
-
-
-def _mask_kernel(e: ast.Expr, path: str, types: dict, n: int):
-    """``(kernel, need)`` over masks for the flat operator node ``e``, as
-    ``_kernel`` gives them over relations, for a domain of ``n`` atoms."""
-    if isinstance(e, ast.Union):
-        return or_, None
-    if isinstance(e, ast.Difference):
-        return (lambda a, b: a & ~b), None
-    if isinstance(e, ast.Product):
-        ua = n ** types[ast.child_path(path, "left")].arity
-        ub = n ** types[ast.child_path(path, "right")].arity
-        # a copy of b at row x |U_b| for each row x of a: b times the mask
-        # that has bit x |U_b| for each bit x of a; b < 2^|U_b|, so no carries
-        spread = _image_kernel(lambda x: 1 << x * ub, ua)
-        w = types[path].row_base_size
-        return (lambda a, b: b * spread(a)), (lambda a, b: a.bit_count() * b.bit_count() * w)
-    k = types[ast.child_path(path, "arg")].arity
-    if isinstance(e, ast.Project):
-        strides = [n ** (k - i) for i in e.indices]
-
-        def image(r):
-            out = 0
-            for s in strides:
-                out = out * n + r // s % n
-            return 1 << out
-
-        return _image_kernel(image, n**k), None
-    if isinstance(e, ast.Select):
-        keep = _select_mask(n, k, e.i - 1, e.j - 1, e.op == "=")
-        return (lambda a: a & keep), None
-    raise ModelError(f"no mask kernel for {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +323,11 @@ def _count(n: int) -> str:
 
 def _precharge(ctx, amount: int, path: str, node: ast.Expr, operands) -> None:
     """``_grow`` by the exact size of a result not yet built; a refusal names
-    the operator and its operand row counts (relations or masks)."""
+    the operator and its operand row counts."""
     live = ctx.live + amount
     if live > ctx.max_space:
         what = type(node).__name__.lower()
-        rows = " x ".join(str(x.bit_count() if type(x) is int else len(x.rows)) for x in operands)
+        rows = " x ".join(str(len(x.rows)) for x in operands)
         cap = ctx.max_space
         detail = (
             f"{what} of {rows} rows needs >= {_count(amount)} units:"
@@ -459,94 +337,74 @@ def _precharge(ctx, amount: int, path: str, node: ast.Expr, operands) -> None:
     _grow(ctx, amount, path)
 
 
-def _sizing(types: dict, path: str, masks: bool):
-    """``(count, width)`` for the node at ``path``: a value has
-    ``count(v) * width`` units.  A relation counts its own units, a mask its
-    rows, each of the units per row of the node's flat type."""
-    if masks:
-        return int.bit_count, types[path].row_base_size
-    return value_size, 1
-
-
-def _metered(fs, kernel, need, path: str, node: ast.Expr, count, widths):
+def _metered(fs, kernel, need, path: str, node: ast.Expr):
     """The compiled node of an operator with one or two operands.
 
     It evaluates the operands in order, charges the result at ``path`` and
     releases the operands.  With ``need`` the exact size is charged before
     the kernel runs, so an over-cap result is refused before any row is
     built; without it the built result is charged.  A refusal names
-    ``node``, the operator.  Relations and masks run in this one wrapper: a
-    value's size is ``count(v)`` times its width, ``widths`` holding those
-    of the result and of each operand (see ``_sizing``).  The common case of
-    ``_grow`` is inlined, as this runs for every node of a solve body once
-    per candidate.
+    ``node``, the operator.  The common case of ``_grow`` is inlined.
     """
     # operands and constants are defaults, not closure cells, so a compiled
     # node holds two objects for the cycle collector, not one per variable
     if len(fs) == 1:
 
-        def run(
-            env, ctx, _f=fs[0], _k=kernel, _need=need, _p=path, _node=node, _c=count,
-            _w=widths[0], _wa=widths[1],
-        ):  # fmt: skip
+        def run(env, ctx, _f=fs[0], _k=kernel, _need=need, _p=path, _node=node, _s=value_size):
             a = _f(env, ctx)
             if _need is None:
                 res = _k(a)
-                live = ctx.live + _c(res) * _w
+                live = ctx.live + _s(res)
                 if live > ctx.peak:
                     _new_peak(ctx, live, _p)
             else:
                 _precharge(ctx, _need(a), _p, _node, (a,))
                 res = _k(a)
                 live = ctx.live
-            ctx.live = live - _c(a) * _wa
+            ctx.live = live - _s(a)
             return res
 
         return run
 
     def run(
-        env, ctx, _f1=fs[0], _f2=fs[1], _k=kernel, _need=need, _p=path, _node=node, _c=count,
-        _w=widths[0], _wa=widths[1], _wb=widths[2],
+        env, ctx, _f1=fs[0], _f2=fs[1], _k=kernel, _need=need, _p=path, _node=node, _s=value_size
     ):  # fmt: skip
         a = _f1(env, ctx)
         b = _f2(env, ctx)
         if _need is None:
             res = _k(a, b)
-            live = ctx.live + _c(res) * _w
+            live = ctx.live + _s(res)
             if live > ctx.peak:
                 _new_peak(ctx, live, _p)
         else:
             _precharge(ctx, _need(a, b), _p, _node, (a, b))
             res = _k(a, b)
             live = ctx.live
-        ctx.live = live - _c(a) * _wa - _c(b) * _wb
+        ctx.live = live - _s(a) - _s(b)
         return res
 
     return run
 
 
-def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...], masks: bool = False):
-    """Compile an expression into ``fn(env, ctx) -> value``.
+def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
+    """Compile an expression into ``fn(env, ctx) -> Rel``.
 
     ``types`` maps every node path to its type, as filled in by
-    ``infer_type``, and ``atoms`` is the domain.  One compiler serves two
-    value representations: relations, and with ``masks`` the masks of a
-    flat solve body (see ``_solve_parts``), where ``env`` maps names to
-    masks.  Contract: when ``fn`` returns, exactly the size of its result
-    has been added to ``ctx.live``; the caller releases it after consuming
-    it.  A name and the domain share one closure; over relations a solve
-    node has its own, and a select chain over a product becomes one hash
+    ``infer_type``, and ``atoms`` is the domain.  Contract: when ``fn``
+    returns, exactly the size of its result has been added to ``ctx.live``;
+    the caller releases it after consuming it.  A name and the domain share
+    one closure, a solve node has its own (its body may run bit-sliced, see
+    ``_solve_parts``), and a select chain over a product becomes one hash
     join (see ``_compile_join``).  Every other operator is its kernel
-    (``_kernel``, or ``_mask_kernel`` over masks) under the metering wrapper
-    of its arity (``_metered``), over its children compiled at their paths.
+    (``_kernel``) under the metering wrapper of its arity (``_metered``),
+    over its children compiled at their paths.
     """
-    count, w = _sizing(types, path, masks)
     if isinstance(e, (ast.Name, ast.Domain)):
         nm = e.name if isinstance(e, ast.Name) else "D"
 
-        def run(env, ctx, _nm=nm, _p=path, _c=count, _w=w):
+        def run(env, ctx, _nm=nm, _p=path, _s=value_size):
             v = env[_nm]
-            live = ctx.live + _c(v) * _w
+            live = ctx.live + _s(v)
             ctx.live = live
             if live > ctx.peak:
                 _new_peak(ctx, live, _p)
@@ -554,7 +412,6 @@ def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...], masks:
 
         return run
 
-    # a solve's type is never flat, so it and the join compile over relations only
     if isinstance(e, ast.Solve):
         parts = _solve_parts(e, path, types, atoms)
         res_type = RelType(tuple(t for _, t in e.binders))
@@ -578,25 +435,20 @@ def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...], masks:
 
         return run
 
-    if not masks and isinstance(e, (ast.Project, ast.Select)):
+    if isinstance(e, (ast.Project, ast.Select)):
         join = _compile_join(e, path, types, atoms)
         if join is not None:
             return join
 
-    kernel, need = _mask_kernel(e, path, types, len(atoms)) if masks else _kernel(e, path, types)
-    fs = []
-    widths = [w]
-    for label in ast.child_labels(e):
-        child = ast.child_path(path, label)
-        fs.append(_compile(getattr(e, label), child, types, atoms, masks))
-        widths.append(_sizing(types, child, masks)[1])
-    return _metered(fs, kernel, need, path, e, count, widths)
+    kernel, need = _kernel(e, path, types)
+    fs = [_compile(getattr(e, label), ast.child_path(path, label), types, atoms)
+          for label in ast.child_labels(e)]  # fmt: skip
+    return _metered(fs, kernel, need, path, e)
 
 
 def _compile_join(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
-    """The hash join for ``[project] select ... select[i=j](times(a, b))``
-    with column i in ``a`` and column j in ``b`` (or the reverse); None for
-    any other shape, which compiles operator by operator.
+    """The hash join for the shape ``ast.join_shape`` accepts; None for any
+    other shape, which compiles operator by operator.
 
     The right rows are indexed by their key column and each left row meets
     only its matches.  The outer selects filter the joined rows and a
@@ -606,26 +458,12 @@ def _compile_join(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
     size and the level below it released, in the same order, so the peak and
     every budget refusal are unchanged.
     """
+    shape = ast.join_shape(e, path, types)
+    if shape is None:
+        return None
     top = path
-    indices = None
-    if isinstance(e, ast.Project):
-        indices = e.indices
-        e, path = e.arg, ast.child_path(path, "arg")
-    filters = []
-    while isinstance(e, ast.Select):
-        filters.append((e.i - 1, e.op == "=", e.j - 1, path))
-        e, path = e.arg, ast.child_path(path, "arg")
-    if not filters or not isinstance(e, ast.Product):
-        return None
-    i0, want_eq, j0, key_path = filters.pop()
-    lk, rk = min(i0, j0), max(i0, j0)
-    ka = types[ast.child_path(path, "left")].arity
-    if not (want_eq and lk < ka <= rk):
-        return None
-    rk -= ka
-    pick = None if indices is None else _row_picker(indices)
-    # innermost level first; its test is the join key, so it filters nothing
-    levels = [(None, True, None, key_path)] + filters[::-1]
+    indices, e, path, lk, rk, levels = shape
+    pick = None if indices is None else row_picker(indices)
     fa = _compile(e.left, ast.child_path(path, "left"), types, atoms)
     fb = _compile(e.right, ast.child_path(path, "right"), types, atoms)
     size = value_size
@@ -671,43 +509,59 @@ def _compile_join(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
     return run
 
 
+def _sliceable(e: ast.Solve, path: str, types: dict) -> bool:
+    """True when a solve's binders and every node of both sides have flat
+    types, so its body can run bit-sliced."""
+    sides = (ast.child_path(path, "lhs"), ast.child_path(path, "rhs"))
+    inside = tuple(p + "." for p in sides)
+    return all(t.is_flat for _, t in e.binders) and all(
+        t.is_flat for p, t in types.items() if p in sides or p.startswith(inside)
+    )
+
+
 def _solve_parts(e: ast.Solve, path: str, types: dict, atoms: tuple[str, ...]):
     """The compiled sides of a solve node and what its candidate loop needs.
 
-    The sides run on masks when the binders and every node of both sides
-    have flat types whose universes have at most ``_MASK_BITS`` rows; the
-    last part then names the free names to convert to masks once per solve,
-    and it is None otherwise.  Each side's value has ``count(v)`` times the
-    side's width units, as ``_sizing`` gives them.
+    Both sides compile over relations.  When ``_sliceable`` holds, the last
+    part holds each side that mentions a bound variable compiled bit-sliced
+    as well (``bitslice.compile_sliced``, None for the other side) and the
+    free names its blocks read; the candidates then run a block at a time, and
+    the relation sides run once for a side that mentions no bound variable
+    and for the replay of a refused candidate.  Otherwise it is None.
     """
-    names = e.var_names
-    var_types = tuple(t for _, t in e.binders)
     lp, rp = ast.child_path(path, "lhs"), ast.child_path(path, "rhs")
-    bound = set(names)
+    bound = set(e.var_names)
     l_inv = not (ast.free_names(e.lhs) & bound)
     r_inv = not (ast.free_names(e.rhs) & bound)
-    n = len(atoms)
-    inside = (lp + ".", rp + ".")
-    body = [t for p, t in types.items() if p in (lp, rp) or p.startswith(inside)]
-    masks = all(t.is_flat and n**t.arity <= _MASK_BITS for t in var_types + tuple(body))
-    fl = _compile(e.lhs, lp, types, atoms, masks)
-    fr = _compile(e.rhs, rp, types, atoms, masks)
-    count, wl = _sizing(types, lp, masks)
-    wr = _sizing(types, rp, masks)[1]
-    free = tuple(sorted(ast.free_names(e))) + ("D",) if masks else None
-    return names, var_types, fl, fr, l_inv, r_inv, count, wl, wr, free
+    fl = _compile(e.lhs, lp, types, atoms)
+    fr = _compile(e.rhs, rp, types, atoms)
+    sliced = None
+    if _sliceable(e, path, types):
+        sliced = (
+            None if l_inv else bitslice.compile_sliced(e.lhs, lp, types),
+            None if r_inv else bitslice.compile_sliced(e.rhs, rp, types),
+            tuple(sorted(ast.free_names(e))) + ("D",),
+        )
+    var_types = tuple(t for _, t in e.binders)
+    return e.var_names, var_types, fl, fr, l_inv, r_inv, sliced
 
 
 def _run_solve(parts, env, ctx, path, early_exit):
-    """Stream candidates; return the frozenset of solution rows (or, with
-    early_exit, an empty/singleton frozenset stopped at the first hit).
+    """Run a solve's candidates; return the frozenset of solution rows (or,
+    with early_exit, an empty/singleton frozenset stopped at the first hit).
 
     On return, ctx.live has grown by exactly the total size of the returned
-    rows (the caller owns the materialized solution set).  A candidate's
-    counter value is its mask: a mask body reads it as it is, and only a
-    solution row is built as relations.
+    rows (the caller owns the materialized solution set).  Candidates follow
+    a binary counter over the canonically ordered row universes, last
+    variable fastest, and a candidate's counter value decodes to its
+    relations.  Without a bit-sliced body, each candidate in turn is bound,
+    charged, tested on the relation sides and released, one live at a time.
+    With one, each block's solutions, peak and first refused candidate come
+    from ``bitslice.Blocks.scan``, and a refused candidate is replayed alone
+    on the relation sides, with the live total and counts it would have
+    had, so the refusal is raised by the code that defines it.
     """
-    names, types, fl, fr, l_inv, r_inv, count, wl, wr, masks = parts
+    names, types, fl, fr, l_inv, r_inv, sliced = parts
     size = value_size
     grow = _grow
     n = len(ctx.atoms)
@@ -722,71 +576,87 @@ def _run_solve(parts, env, ctx, path, early_exit):
         )
     stats = ctx.stats_for(path)
     universes = [tuple_universe(t, ctx.atoms) for t in types]
-    counts = [1 << len(u) for u in universes]
-    all_tables = [subset_tables(u) for u in universes]
-    single = len(types) == 1
-    t0 = types[0]
-    tables0 = all_tables[0]
-    n0 = names[0]
+    decoders = []
+    shift = total.bit_length() - 1
+    for t, u in zip(types, universes):
+        shift -= len(u)
+        decoders.append((t, subset_tables(u), shift, (1 << len(u)) - 1))
     max_solutions = ctx.max_solutions
     from_tables = rows_for_mask
 
     def decode(ms):
         """The candidate with counter value ``ms`` as a row of relations."""
-        if single:
-            return (Rel(t0, from_tables(tables0, ms)),)
-        return tuple(Rel(t, from_tables(tb, m)) for t, tb, m in zip(types, all_tables, ms))
+        return tuple(Rel(t, from_tables(tb, ms >> sh & m)) for t, tb, sh, m in decoders)
 
-    if masks is None:
-        benv = env
-    else:
-        pos = {a: i for i, a in enumerate(ctx.atoms)}
-        benv = {nm: _mask_of(env[nm], pos) for nm in masks}
-        widths = [t.row_base_size for t in types]
-        w0 = widths[0]
-
-    const_l = fl(benv, ctx) if l_inv else None
-    const_r = fr(benv, ctx) if r_inv else None
+    const_l = fl(env, ctx) if l_inv else None
+    const_r = fr(env, ctx) if r_inv else None
     sol_rows: list = []
     tested = 0
     found = 0
-    try:
-        for ms in range(counts[0]) if single else itertools.product(*map(range, counts)):
-            if masks is None:
-                cand = decode(ms)
-                csize = 0
-                for nm, v in zip(names, cand):
-                    env[nm] = v
-                    csize += size(v)
-            elif single:
-                benv[n0] = ms
-                csize = ms.bit_count() * w0
-            else:
-                csize = 0
-                for nm, m, w in zip(names, ms, widths):
-                    benv[nm] = m
-                    csize += m.bit_count() * w
+
+    def run(candidates) -> None:
+        """Test ``candidates`` one at a time, up to the first hit with
+        early_exit."""
+        nonlocal tested, found
+        for ms in candidates:
+            cand = decode(ms)
+            csize = 0
+            for nm, v in zip(names, cand):
+                env[nm] = v
+                csize += size(v)
             grow(ctx, csize, path)
             tested += 1
-            va = const_l if l_inv else fl(benv, ctx)
-            vb = const_r if r_inv else fr(benv, ctx)
+            va = const_l if l_inv else fl(env, ctx)
+            vb = const_r if r_inv else fr(env, ctx)
             hit = va == vb
             if not l_inv:
-                ctx.live -= count(va) * wl
+                ctx.live -= size(va)
             if not r_inv:
-                ctx.live -= count(vb) * wr
+                ctx.live -= size(vb)
             if hit:
                 found += 1
                 if found > max_solutions:
                     raise BudgetExceeded(
                         "solutions", path, f"more than {max_solutions} solutions"
                     )
-                sol_rows.append(cand if masks is None else decode(ms))
+                sol_rows.append(cand)
                 grow(ctx, 1 + csize, path)  # solution row stays live
                 if early_exit:
                     ctx.live -= csize
-                    return frozenset(sol_rows)
+                    return
             ctx.live -= csize
+
+    try:
+        if sliced is None:
+            run(range(total))
+        else:
+            blocks = bitslice.Blocks(sliced, env, (const_l, const_r), names, types, universes)
+            width = 1 << blocks.bits
+            for k in range(total >> blocks.bits):
+                live0 = ctx.live
+                hits, gains, peak, refuse = blocks.scan(
+                    k, live0, ctx.max_space, max_solutions - found, early_exit
+                )
+                base = k * width
+                if refuse is not None:
+                    i = bisect.bisect_left(hits, refuse)
+                    ctx.live = live0 + sum(gains[:i])
+                    tested += refuse
+                    found += i
+                    run((base + refuse,))
+                    raise InternalCheckError(
+                        f"candidate {base + refuse} of solve {path or '<expr>'} was not refused"
+                        " on replay"
+                    )
+                if peak > ctx.peak:
+                    ctx.peak = peak
+                sol_rows += [decode(base + h) for h in hits]
+                ctx.live = live0 + sum(gains)
+                found += len(hits)
+                if early_exit and hits:
+                    tested += hits[0] + 1
+                    break
+                tested += width
     except BudgetExceeded as exc:
         if exc.solve is None:
             exc.solve = (path, tested, found)
@@ -796,10 +666,10 @@ def _run_solve(parts, env, ctx, path, early_exit):
         stats.solutions_found += found
         for nm in names:
             env.pop(nm, None)
-        if l_inv and const_l is not None:
-            ctx.live -= count(const_l) * wl
-        if r_inv and const_r is not None:
-            ctx.live -= count(const_r) * wr
+        if const_l is not None:
+            ctx.live -= size(const_l)
+        if const_r is not None:
+            ctx.live -= size(const_r)
     return frozenset(sol_rows)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -182,6 +183,14 @@ def row_sort_key(row: tuple):
     return tuple(map(value_sort_key, row))
 
 
+def row_picker(indices: tuple[int, ...]):
+    """The projection kernel: a function from a row to the tuple of its
+    columns at the 1-based ``indices``, repeats allowed."""
+    idx = tuple(i - 1 for i in indices)
+    # itemgetter returns a bare value for one index, a tuple for a slice
+    return itemgetter(*idx) if len(idx) > 1 else itemgetter(slice(idx[0], idx[0] + 1))
+
+
 def value_size(v: Value) -> int:
     """Space units of a value: recursive atom occurrences plus tuple count."""
     if type(v) is str:
@@ -325,13 +334,12 @@ def subset_tables(universe) -> list:
     bits row by row."""
     tables = []
     for ofs in range(0, len(universe) or 1, 8):  # an empty universe has one subset
-        chunk = universe[ofs : ofs + 8]
-        tables.append(
-            [
-                frozenset(chunk[i] for i in range(len(chunk)) if b >> i & 1)
-                for b in range(1 << len(chunk))
-            ]
-        )
+        table = [frozenset()]
+        for row in universe[ofs : ofs + 8]:
+            # the subsets with this row are those without it, plus the row
+            single = frozenset((row,))
+            table += [s | single for s in table]
+        tables.append(table)
     return tables
 
 

@@ -24,6 +24,24 @@ FLAT1 = flat_type(1)
 FLAT2 = flat_type(2)
 
 
+def test_nodes_compare_hash_print_and_stay_as_built():
+    e = Select(1, "=", 2, Product(Name("R"), Domain()))
+    same = Select(1, "=", 2, Product(Name("R"), Domain()))
+    assert e == same and hash(e) == hash(same) and e is not same
+    assert hash(e) == hash((1, "=", 2, e.arg))  # the tuple of the fields
+    assert Union(Name("R"), Name("R")) != Difference(Name("R"), Name("R"))
+    assert Select(1, "=", 2, e.arg) != Select(1, "!=", 2, e.arg)
+    assert repr(e) == "Select(i=1, op='=', j=2, arg=Product(left=Name(name='R'), right=Domain()))"
+    with pytest.raises(AttributeError):
+        e.i = 2
+    with pytest.raises(AttributeError):
+        del e.arg
+    with pytest.raises(TypeError):
+        Union(Name("R"))
+    with pytest.raises(AstError):
+        Project((0,), Name("R"))
+
+
 def test_free_names_solve_hides_binders():
     e = Solve((("X", FLAT2),), Union(Name("X"), Name("R")), Name("R"))
     assert free_names(e) == {"R"}

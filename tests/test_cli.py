@@ -465,6 +465,54 @@ def test_package_runs_as_a_module(pair_db):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[[b]]\n", "")
 
 
+# the powerset construction verified against the singleton oracle: VERIFY FAIL
+WRONG_ORACLE = "constructions._oracle_powerset = constructions._oracle_singleton"
+
+
+def test_main_in_process_matches_fresh_processes(capsys, monkeypatch, pair_db, tmp_path):
+    # the parser is built once per process, so two calls of main in one
+    # process must print and exit as a fresh process does, for every exit
+    # code and for help
+    import os
+    import subprocess
+    import sys
+
+    import eqalg
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(eqalg.__file__)))
+    unary = tmp_path / "unary.edb"
+    unary.write_text("domain [a,b]\nR:(0) = [[a],[b]]\n")
+    cases = [
+        ["eval", "--db", pair_db, "--expr", "project[1](R)"],
+        ["eval", "--db", pair_db, "--expr", "union(R,D)"],
+        ["eval", "--db", pair_db],
+        ["eval", "--db", pair_db, "--expr", "powerset(R)", "--max-space", "3"],
+        ["construction", "--name", "powerset", "--verify", "--db", str(unary)],
+        ["--help"],
+        ["profile", "--help"],
+    ]
+    driver = (
+        "import sys; from eqalg import cli, constructions; "
+        f"{WRONG_ORACLE}; sys.exit(cli.main(sys.argv[1:]))"
+    )
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+    monkeypatch.setattr(constructions, "_oracle_powerset", constructions._oracle_singleton)
+    codes = set()
+    for argv in cases:
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", driver, *argv],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "COLUMNS": "80"},
+        )
+        fresh = (proc.returncode, proc.stdout, proc.stderr)
+        assert run(capsys, argv) == fresh, argv
+        assert run(capsys, argv) == fresh, argv
+        codes.add(proc.returncode)
+    assert codes == {0, 1, 2, 3}
+    assert cli.build_arg_parser() is cli.build_arg_parser()
+
+
 @pytest.mark.parametrize("argv", OUT_OF_RANGE_ARGV, ids=" ".join)
 def test_empty_n_range_and_bad_density_exit_1(capsys, argv):
     code, out, err = run(capsys, argv)

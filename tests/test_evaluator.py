@@ -1,10 +1,11 @@
 import gc
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
-from eqalg import ast, evaluator
+from eqalg import ast, bitslice, evaluator
 from eqalg.constructions import tc_sparse_via_harness
 from eqalg.ast import (
     Difference,
@@ -46,6 +47,7 @@ from eqalg.parser import parse_expr, render_relation
 from eqalg.typecheck import infer_type
 
 from oracles import (
+    candidate_order,
     o_domain,
     o_nest,
     o_powerset,
@@ -746,7 +748,7 @@ def test_space_cap_boundary_at_each_operator(op):
 
 
 # ---------------------------------------------------------------------------
-# flat solve bodies, evaluated on masks, against the oracles
+# flat solve bodies, evaluated bit-sliced, against the oracles
 
 FLAT_BINDERS = (
     ((("X", FLAT1),), 3),
@@ -834,12 +836,17 @@ def _flat_cases(tags):
             yield e, node, Database(atoms, rels), schema
 
 
-@pytest.fixture(params=["masks", "relations"])
+def _on_relations(*args):
+    """In place of ``evaluator._sliceable``: every solve body keeps the
+    relation kernels."""
+    return False
+
+
+@pytest.fixture(params=["sliced", "relations"])
 def representation(request, monkeypatch):
-    """The values flat solve bodies run on.  The relation run sets the masks'
-    universe limit to 0, so that every body keeps the relation kernels."""
+    """The values flat solve bodies run on: bit-sliced blocks, or relations."""
     if request.param == "relations":
-        monkeypatch.setattr(evaluator, "_MASK_BITS", 0)
+        monkeypatch.setattr(evaluator, "_sliceable", _on_relations)
     return request.param
 
 
@@ -849,8 +856,8 @@ def test_flat_solve_bodies_match_oracles(representation):
         atoms = db.atoms
         types: dict = {}
         infer_type(node, schema, types)
-        masks = _solve_parts(node, "", types, atoms)[-1] is not None
-        assert masks == (representation == "masks")
+        sliced = _solve_parts(node, "", types, atoms)[-1] is not None
+        assert sliced == (representation == "sliced")
         env = {nm: to_plain(r) for nm, r in db.relations.items()}
 
         value, metrics = evaluate(e, db)
@@ -875,13 +882,13 @@ def test_flat_solve_bodies_match_oracles(representation):
 
 
 def test_flat_solve_bodies_agree_across_representations(monkeypatch):
-    # masks and relations give the same value and metrics, and a refusal
-    # under any cap up to 60 below the peak reads the same on both
-    mask_bits = evaluator._MASK_BITS
+    # bit-sliced blocks and relations give the same value and metrics, and a
+    # refusal under any cap up to 60 below the peak reads the same on both
+    sliceable = evaluator._sliceable
     for e, _, db, _ in _flat_cases(set()):
         runs = []
-        for bits in (mask_bits, 0):
-            monkeypatch.setattr(evaluator, "_MASK_BITS", bits)
+        for check in (sliceable, _on_relations):
+            monkeypatch.setattr(evaluator, "_sliceable", check)
             value, metrics = evaluate(e, db)
             refusals = []
             for cap in range(max(1, metrics.peak_space_units - 60), metrics.peak_space_units):
@@ -892,11 +899,134 @@ def test_flat_solve_bodies_agree_across_representations(monkeypatch):
         assert runs[0] == runs[1]
 
 
-def test_mask_body_at_the_65536_row_limit_stays_small_in_memory():
-    # X has 16 candidates on 4 atoms, but R x R x R x X x D is 8-ary, so its
-    # masks index a universe of 4^8 = 65,536 rows (8,192 bytes).  Filled for
-    # every byte value, the projection's tables alone would hold 2,097,152
-    # entries; filled for the bytes seen, the evaluation stays under 2 MB.
+# binders of 3 to 6 counter bits, so that with two-bit blocks every solve
+# spans several blocks of 4 candidates
+BLOCK_BINDERS = (
+    ((("X", FLAT1),), 3),
+    ((("X", FLAT2),), 2),
+    ((("X", FLAT1), ("Y", FLAT1)), 3),
+    ((("X", FLAT1), ("Y", FLAT2)), 2),
+)
+
+
+def _first_hit(node, db):
+    """The position of the first solution in candidate order, or None."""
+    env = {nm: to_plain(r) for nm, r in db.relations.items()}
+    solutions = oracle_eval(node, env, db.atoms, db.schema)
+    orders = [candidate_order(t, db.atoms) for _, t in node.binders]
+    for i, assignment in enumerate(itertools.product(*orders)):
+        if assignment in solutions:
+            return i
+    return None
+
+
+def _outcome(e, db, budget):
+    try:
+        return evaluate(e, db, budget)
+    except BudgetExceeded as exc:
+        return str(exc), exc.solve
+
+
+def test_small_blocks_agree_with_relations(monkeypatch):
+    # with blocks of 4 candidates, scanned between solutions on the bit
+    # planes or on per-candidate lanes, a solve gives what the relation
+    # kernels give: value and metrics, the refusal under every cap up to 60
+    # below the peak and every solution cap below the solution count, and
+    # solve_nonempty
+    sliceable, segments = evaluator._sliceable, bitslice.SEGMENT_HITS
+    monkeypatch.setattr(bitslice, "BLOCK_BITS", 2)
+    rng = random.Random(9750)
+    tags: set = set()
+    for binders, max_atoms in BLOCK_BINDERS:
+        for _ in range(8):
+            atoms = ("a", "b", "c")[:max_atoms]
+            node, free = _flat_solve(rng, binders, tags)
+            rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
+            db = Database(atoms, rels)
+            runs = []
+            for check, segment_hits in ((sliceable, segments), (sliceable, 0), (_on_relations, 0)):
+                monkeypatch.setattr(evaluator, "_sliceable", check)
+                monkeypatch.setattr(bitslice, "SEGMENT_HITS", segment_hits)
+                value, metrics = evaluate(node, db)
+                peak = metrics.peak_space_units
+                found = metrics.solves[0].solutions_found
+                low = max(1, peak - 60)
+                caps = [EvalBudget(max_space_units=cap) for cap in range(low, peak)]
+                caps += [EvalBudget(max_solutions=m) for m in range(1, found)]
+                outcomes = [_outcome(node, db, budget) for budget in caps]
+                nonempty = solve_nonempty(node.binders, node.lhs, node.rhs, db)
+                runs.append((value, metrics, outcomes, nonempty))
+            assert runs[0] == runs[1] == runs[2]
+            if len(binders) > 1:
+                tags.add("several_binders")
+            if found > 1:
+                tags.add("solution_cap")
+            first = _first_hit(node, db)
+            if first is not None and first >= 4:
+                tags.add("first_hit_in_later_block")
+            space_refusals = outcomes[: peak - low]
+            if any(solve and solve[1] >= 4 for _, solve in space_refusals):
+                tags.add("space_refusal_in_later_block")
+    assert {
+        "several_binders", "solution_cap", "first_hit_in_later_block",
+        "space_refusal_in_later_block",
+    } <= tags  # fmt: skip
+
+
+def _nested_solve_cases(tags):
+    """``(expression, database)`` for 40 random solves under solves, a fixed
+    sequence: an outer solve over a unary Y whose left side unnests a flat
+    inner solve, whose body mentions Y as a free name."""
+    rng = random.Random(9600)
+    for _ in range(40):
+        atoms = ("a", "b", "c")[: rng.randint(1, 2)]
+        binders = rng.choice(((("X", FLAT1),), (("X", FLAT2),)))
+        k = binders[0][1].arity
+        free = {"P": rng.randint(1, 2), "Q": rng.randint(1, 2)}
+        arities = {**free, "Y": 1, "X": k}
+        inner = None
+        while inner is None or "Y" not in ast.free_names(inner):
+            lhs, kl = _flat_body(rng, arities, rng.randint(1, 3), tags)
+            rhs = _to_arity(rng, *_flat_body(rng, arities, rng.randint(0, 2), tags), kl)
+            inner = Solve(binders, lhs, rhs)
+        # unnest keeps the nested column; the projection drops it
+        lhs = Project(tuple(range(2, k + 2)), Unnest(1, inner))
+        rhs = _to_arity(rng, *_flat_body(rng, {"Y": 1, "P": free["P"]}, rng.randint(0, 2), tags), k)
+        rels = {nm: random_flat_rel(rng, ar, atoms, 0.5) for nm, ar in free.items()}
+        yield Solve((("Y", FLAT1),), lhs, rhs), Database(atoms, rels)
+
+
+def test_solves_under_solves_match_oracles(representation):
+    tags: set = set()
+    for e, db in _nested_solve_cases(tags):
+        atoms, schema = db.atoms, db.schema
+        types: dict = {}
+        infer_type(e, schema, types)
+        sliced = {path: _solve_parts(node, path, types, atoms)[-1] is not None
+                  for path, node in _solve_nodes(e)}  # fmt: skip
+        assert sliced == {"": False, "lhs.arg.arg": representation == "sliced"}
+        env = {nm: to_plain(r) for nm, r in db.relations.items()}
+
+        value, metrics = evaluate(e, db)
+        assert to_plain(value) == oracle_eval(e, env, atoms, schema)
+        peak, peak_path, solves = oracle_peak(e, env, atoms, schema)
+        assert {s.path: (s.candidates_tested, s.solutions_found) for s in metrics.solves} == solves
+        assert metrics.peak_space_units == peak
+        _, at_cap = evaluate(e, db, EvalBudget(max_space_units=peak))
+        assert at_cap.peak_space_units == peak
+        with pytest.raises(BudgetExceeded) as err:
+            evaluate(e, db, EvalBudget(max_space_units=peak - 1))
+        assert (err.value.which, err.value.path) == ("space", peak_path)
+        tags.add("peak_inside" if peak_path.startswith("lhs.arg.arg") else "peak_outside")
+        tags.add("has_solutions" if value.rows else "no_solutions")
+    assert {"peak_inside", "has_solutions", "no_solutions"} <= tags
+
+
+def test_wide_sparse_body_stays_small_in_memory():
+    # X has 16 candidates on 4 atoms, but R x R x R x X x D is 8-ary, over a
+    # universe of 4^8 = 65,536 rows.  A bit-sliced value holds only the rows
+    # some candidate holds, and the join never builds the product, so the
+    # evaluation stays under 2 MB.
     rng = random.Random(9900)
     atoms = ("a", "b", "c", "d")
     r = random_flat_rel(rng, 2, atoms, 0.5)
@@ -907,7 +1037,7 @@ def test_mask_body_at_the_65536_row_limit_stays_small_in_memory():
     types: dict = {}
     infer_type(node, db.schema, types)
     assert types["lhs.arg.arg.arg"].arity == 8
-    assert _solve_parts(node, "", types, atoms)[-1] is not None  # the body runs on masks
+    assert _solve_parts(node, "", types, atoms)[-1] is not None  # the body runs bit-sliced
 
     tracemalloc.start()
     try:
@@ -927,12 +1057,12 @@ def test_mask_body_at_the_65536_row_limit_stays_small_in_memory():
     assert (err.value.which, err.value.path) == ("space", peak_path)
     assert peak_bytes < 2_000_000
 
-    # one more column makes a universe of 4^9 rows, past the masks' limit:
-    # the body keeps the relation kernels, with the same results
+    # one more column makes a universe of 4^9 rows, with no select to join
+    # on: the body still runs bit-sliced, with the same results
     wider = Solve(node.binders, Project((1, 7), Product(wide, Domain())), node.rhs)
     types = {}
     infer_type(wider, db.schema, types)
-    assert _solve_parts(wider, "", types, atoms)[-1] is None
+    assert _solve_parts(wider, "", types, atoms)[-1] is not None
     value, metrics = evaluate(wider, db)
     assert to_plain(value) == oracle_eval(wider, env, atoms, db.schema)
     assert metrics.peak_space_units == oracle_peak(wider, env, atoms, db.schema)[0]
@@ -965,8 +1095,8 @@ def test_random_expressions_with_solves_match_oracle_metering():
         if not solves:
             continue
         for path, node in solves:
-            masks = _solve_parts(node, path, types, atoms)[-1] is not None
-            bodies.add("masks" if masks else "relations")
+            sliced = _solve_parts(node, path, types, atoms)[-1] is not None
+            bodies.add("sliced" if sliced else "relations")
         env = {nm: to_plain(r) for nm, r in rels.items()}
 
         value, metrics = evaluate(e, db, budget)
@@ -977,7 +1107,7 @@ def test_random_expressions_with_solves_match_oracle_metering():
         with pytest.raises(BudgetExceeded) as err:
             evaluate(e, db, EvalBudget(max_candidates=10**4, max_space_units=peak - 1))
         assert (err.value.which, err.value.path) == ("space", peak_path)
-    assert bodies == {"masks", "relations"}
+    assert bodies == {"sliced", "relations"}
 
 
 # ---------------------------------------------------------------------------
