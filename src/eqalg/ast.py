@@ -171,16 +171,6 @@ class Solve(Expr):
         return tuple(nm for nm, _ in self.binders)
 
 
-def children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Union, Difference, Product)):
-        return (e.left, e.right)
-    if isinstance(e, (Project, Select, Nest, Unnest, Powerset)):
-        return (e.arg,)
-    if isinstance(e, Solve):
-        return (e.lhs, e.rhs)
-    return ()
-
-
 def child_labels(e: Expr) -> tuple[str, ...]:
     if isinstance(e, (Union, Difference, Product)):
         return ("left", "right")
@@ -189,6 +179,10 @@ def child_labels(e: Expr) -> tuple[str, ...]:
     if isinstance(e, Solve):
         return ("lhs", "rhs")
     return ()
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    return tuple(getattr(e, label) for label in child_labels(e))
 
 
 def child_path(path: str, label: str) -> str:
@@ -205,8 +199,8 @@ def free_names(e: Expr) -> frozenset[str]:
     if isinstance(e, Solve):
         return (free_names(e.lhs) | free_names(e.rhs)) - set(e.var_names)
     out: frozenset[str] = frozenset()
-    for c in children(e):
-        out |= free_names(c)
+    for label in child_labels(e):
+        out |= free_names(getattr(e, label))
     return out
 
 
@@ -275,8 +269,8 @@ def _walk_bindings(node: Expr, path: str, enclosing: frozenset[str], top_free, o
             if nm in enclosing:
                 out.append(BindingViolation(nm, path, "rebinds a variable of an enclosing solve"))
         enclosing = enclosing | set(node.var_names)
-    for label, c in zip(child_labels(node), children(node)):
-        _walk_bindings(c, child_path(path, label), enclosing, top_free, out)
+    for label in child_labels(node):
+        _walk_bindings(getattr(node, label), child_path(path, label), enclosing, top_free, out)
 
 
 # ---------------------------------------------------------------------------

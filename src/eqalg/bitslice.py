@@ -5,18 +5,17 @@ A solve whose binders and body nodes all have flat types (see
 as in Biham's bit-sliced DES (FSE 1997), in place of once per candidate.
 ``compile_sliced`` compiles a side to closures over blocks, and
 ``Blocks.scan`` evaluates a block's sides, solutions and metering, then
-walks its candidates in order for the peak, the solutions and the first
-refused candidate.  Metering stays exact: every node's row count is a per-candidate
-counter, and the live total of each metering point of literal evaluation is
-composed from them.
+walks its candidates in order, all at once: one prefix sum on the bit planes
+gives each candidate's live total, and with it the peak, the solutions and
+the first refused candidate.  Metering stays exact: every node's row count
+is a per-candidate counter, and the live total of each metering point of
+literal evaluation is composed from them.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import sys
-from array import array
-from operator import add
 
 from . import ast
 from .model import row_picker
@@ -157,34 +156,40 @@ def _vat(a: list, c: int) -> int:
     return sum((p >> c & 1) << i for i, p in enumerate(a))
 
 
+def _vprefix(a: list, n: int) -> list:
+    """The vertical counter of the sum of ``a`` over the candidates before
+    each candidate 0..n, for ``a`` zero from candidate n on.
+
+    The sum is 0 up to the first candidate where ``a`` is not zero and the
+    total past the last one.  In between it is the scan of Hillis and Steele
+    (CACM 1986), shifted up one candidate: round d adds to each candidate's
+    partial sum the one d candidates before it, for d = 1, 2, 4, ... up to
+    the distance between the two, so at most log2(n) rounds.
+    """
+    nonzero = 0
+    for p in a:
+        nonzero |= p
+    if not nonzero:
+        return []
+    first = (nonzero & -nonzero).bit_length() - 1
+    last = nonzero.bit_length() - 1
+    width = last - first
+    span = (2 << width) - 1
+    s = [p >> first for p in a]
+    d = 1
+    while d <= width:
+        s = _vadd(s, [p << d & span for p in s])
+        d <<= 1
+    after = (2 << n) - (4 << last)  # candidates last + 2 .. n
+    return [p << (first + 1) | (after if p >> width & 1 else 0) for p in s]
+
+
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _bit_bytes(x: int, n: int) -> bytes:
     """Bits 0..n-1 of ``x`` as n bytes, 0 or 1, lowest bit first."""
     return format(x, f"0{n}b").encode()[: -n - 1 : -1].translate(_BIT_BYTES)
-
-
-def _lanes(a: list, n: int) -> array:
-    """The value of ``a`` for each candidate 0..n-1, which must be < 2^64.
-    Each plane's bits are spread one per 8-byte lane of one int, and the
-    shifted planes added."""
-    total = 0
-    wide = bytearray(n << 3)
-    for i, p in enumerate(a):
-        wide[::8] = _bit_bytes(p, n)
-        total += int.from_bytes(wide, "little") << i
-    out = array("Q", total.to_bytes(n << 3, "little"))
-    if sys.byteorder == "big":
-        out.byteswap()
-    return out
-
-
-# Up to this many solutions in a block, its candidates are walked one
-# segment between solutions at a time on the bit planes; past it, on
-# unpacked per-candidate lanes.  On a block of 2^14 candidates a segment
-# costs about 15 us and the lanes about 12 ms (2-CPU VM, Python 3.11).
-SEGMENT_HITS = 512
 
 
 class _Refused(Exception):
@@ -371,13 +376,13 @@ class Blocks:
                 keep &= (1 << refuse) - 1
             else:
                 return _scan(*found, keep, live0, cap, quota, early_exit, refuse)
-        return [], [], 0, refuse
+        return [], 0, 0, refuse
 
     def _evaluate(self, k: int, keep: int, room: int):
-        """``(hit, csize, top)`` for the candidates ``keep`` of block ``k``:
-        the solutions, and the vertical counters of each candidate's size
-        and of the most units live at once while it is tested, from before
-        it is charged."""
+        """``(hit, gain, top)`` for the candidates ``keep`` of block ``k``:
+        the solutions, and the vertical counters of the units each solution
+        keeps live and of the most units live at once while a candidate is
+        tested, from before it is charged."""
         env = {nm: ({r: keep for r in rows}, _vconst(len(rows), keep))
                for nm, rows in self.free}  # fmt: skip
         # the slice of each counter bit: a pattern, or all or none of keep
@@ -402,24 +407,24 @@ class Blocks:
         hit = keep ^ differ
         # a hit keeps its solution row of 1 + csize units live, then the
         # candidate is released
-        kept = [p & hit for p in _vadd(csize, [keep])]
-        top = _vadd(csize, _vmax(_vmax(pl, _vadd(sl, pr), keep), kept, keep))
-        return hit, csize, top
+        gain = [p & hit for p in _vadd(csize, [keep])]
+        top = _vadd(csize, _vmax(_vmax(pl, _vadd(sl, pr), keep), gain, keep))
+        return hit, gain, top
 
 
-def _scan(hit, csize, top, keep, live0, cap, quota, early_exit, refuse):
+def _scan(hit, gain, top, keep, live0, cap, quota, early_exit, refuse):
     """Walk a block's candidates in order, as the candidate loop would.
 
     ``live0`` is the live total before the block; candidate c has
     ``live0 + S(c) + top(c)`` units live at its highest, where ``S(c)`` sums
-    ``1 + csize`` over the solutions before it.  The walk covers the
-    candidates of ``keep``, stopping at the first solution with
-    ``early_exit`` or at the solution past ``quota``, which is refused.
-    ``refuse`` is None or a candidate after ``keep`` known to be refused.
-    Returns ``(hits, gains, peak, refuse)``: the solutions walked, what each
-    adds to the live total, the highest live total, and the first refused
-    candidate or None.  Few solutions are walked one segment between them
-    at a time on the planes, many on per-candidate lanes.
+    ``gain``, the units a solution keeps live, over the solutions before it.
+    The walk covers the candidates of ``keep`` (not 0), stopping at the first
+    solution with ``early_exit`` or at the solution past ``quota``, which is
+    refused.  ``refuse`` is None or a candidate after ``keep`` known to be
+    refused.  Returns ``(hits, gained, peak, refuse)``: the solutions before
+    the first refused candidate, the units they keep live, the highest live
+    total of the candidates walked, and the first refused candidate or None.
+    ``S`` is one prefix sum on the bit planes (``_vprefix``).
     """
     n = keep.bit_length()
     hits = list(itertools.compress(range(n), _bit_bytes(hit, n))) if hit else []
@@ -431,32 +436,13 @@ def _scan(hit, csize, top, keep, live0, cap, quota, early_exit, refuse):
         refuse = hits[quota]
         del hits[quota:]
         n = refuse + 1
-    if n == 0:
-        return hits, [], 0, refuse
-    if len(hits) <= SEGMENT_HITS or len(top) > 63:
-        gains = [1 + _vat(csize, h) for h in hits]
-        peak = 0
-        lo = 0
-        live = live0
-        for end, gain in itertools.zip_longest((*hits, n - 1), gains, fillvalue=0):
-            if end >= lo:
-                mask = ((2 << end) - 1) ^ ((1 << lo) - 1)
-                high = live + _vmax_in(top, mask)
-                if high > cap:
-                    over = _vabove(top, cap - live, mask)
-                    return hits, gains, peak, (over & -over).bit_length() - 1
-                peak = max(peak, high)
-            live += gain
-            lo = end + 1
-        return hits, gains, peak, refuse
-    tops = _lanes(top, n)
-    sizes = _lanes(csize, n)
-    gains = [1 + sizes[h] for h in hits]
-    steps = [0] * n
-    for h, gain in zip(hits, gains):
-        steps[h] = gain
-    totals = list(map(add, itertools.accumulate(steps, initial=live0), tops))
-    peak = max(totals)
+    hit &= (2 << hits[-1]) - 1 if hits else 0
+    s = _vprefix([p & hit for p in gain], n)
+    walked = (1 << n) - 1
+    high = _vadd(s, top)
+    peak = live0 + _vmax_in(high, walked)
     if peak > cap:
-        return hits, gains, peak, next(c for c, t in enumerate(totals) if t > cap)
-    return hits, gains, peak, refuse
+        over = _vabove(high, cap - live0, walked)
+        refuse = (over & -over).bit_length() - 1
+        del hits[bisect.bisect_left(hits, refuse) :]
+    return hits, _vat(s, n if refuse is None else refuse), peak, refuse

@@ -37,7 +37,6 @@ and every budget refusal, down to its message, stay the same.
 
 from __future__ import annotations
 
-import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -556,40 +555,27 @@ def _run_solve(parts, env, ctx, path, early_exit):
     variable fastest, and a candidate's counter value decodes to its
     relations.  Without a bit-sliced body, each candidate in turn is bound,
     charged, tested on the relation sides and released, one live at a time.
-    With one, each block's solutions, peak and first refused candidate come
-    from ``bitslice.Blocks.scan``, and a refused candidate is replayed alone
-    on the relation sides, with the live total and counts it would have
-    had, so the refusal is raised by the code that defines it.
+    With one, ``bitslice.Blocks.scan`` gives each block's solutions before
+    its first refused candidate, the units they keep live, its peak and
+    that candidate, and a refused candidate is replayed alone on the
+    relation sides, with the live total and counts it would have had, so
+    the refusal is raised by the code that defines it.  Every refusal,
+    including one of the candidate space or of a side that mentions no
+    bound variable, names this solve and its counts so far.
     """
     names, types, fl, fr, l_inv, r_inv, sliced = parts
     size = value_size
     grow = _grow
-    n = len(ctx.atoms)
-    total = 1
-    for t in types:
-        total *= count_relations(t, n)
-    if total > ctx.max_candidates:
-        raise BudgetExceeded(
-            "candidates",
-            path,
-            f"candidate space {_count(total)} exceeds cap {ctx.max_candidates}",
-        )
     stats = ctx.stats_for(path)
-    universes = [tuple_universe(t, ctx.atoms) for t in types]
-    decoders = []
-    shift = total.bit_length() - 1
-    for t, u in zip(types, universes):
-        shift -= len(u)
-        decoders.append((t, subset_tables(u), shift, (1 << len(u)) - 1))
     max_solutions = ctx.max_solutions
     from_tables = rows_for_mask
+    decoders: list = []
 
     def decode(ms):
         """The candidate with counter value ``ms`` as a row of relations."""
         return tuple(Rel(t, from_tables(tb, ms >> sh & m)) for t, tb, sh, m in decoders)
 
-    const_l = fl(env, ctx) if l_inv else None
-    const_r = fr(env, ctx) if r_inv else None
+    const_l = const_r = None
     sol_rows: list = []
     tested = 0
     found = 0
@@ -627,6 +613,25 @@ def _run_solve(parts, env, ctx, path, early_exit):
             ctx.live -= csize
 
     try:
+        n = len(ctx.atoms)
+        total = 1
+        for t in types:
+            total *= count_relations(t, n)
+        if total > ctx.max_candidates:
+            raise BudgetExceeded(
+                "candidates",
+                path,
+                f"candidate space {_count(total)} exceeds cap {ctx.max_candidates}",
+            )
+        universes = [tuple_universe(t, ctx.atoms) for t in types]
+        shift = total.bit_length() - 1
+        for t, u in zip(types, universes):
+            shift -= len(u)
+            decoders.append((t, subset_tables(u), shift, (1 << len(u)) - 1))
+        if l_inv:
+            const_l = fl(env, ctx)
+        if r_inv:
+            const_r = fr(env, ctx)
         if sliced is None:
             run(range(total))
         else:
@@ -634,15 +639,14 @@ def _run_solve(parts, env, ctx, path, early_exit):
             width = 1 << blocks.bits
             for k in range(total >> blocks.bits):
                 live0 = ctx.live
-                hits, gains, peak, refuse = blocks.scan(
+                hits, gained, peak, refuse = blocks.scan(
                     k, live0, ctx.max_space, max_solutions - found, early_exit
                 )
                 base = k * width
+                ctx.live = live0 + gained
+                found += len(hits)
                 if refuse is not None:
-                    i = bisect.bisect_left(hits, refuse)
-                    ctx.live = live0 + sum(gains[:i])
                     tested += refuse
-                    found += i
                     run((base + refuse,))
                     raise InternalCheckError(
                         f"candidate {base + refuse} of solve {path or '<expr>'} was not refused"
@@ -651,8 +655,6 @@ def _run_solve(parts, env, ctx, path, early_exit):
                 if peak > ctx.peak:
                     ctx.peak = peak
                 sol_rows += [decode(base + h) for h in hits]
-                ctx.live = live0 + sum(gains)
-                found += len(hits)
                 if early_exit and hits:
                     tested += hits[0] + 1
                     break

@@ -1,0 +1,107 @@
+"""The vertical-counter helpers of ``eqalg.bitslice`` against plain ints.
+
+A vertical counter holds one value per candidate of a block as bit planes:
+plane i has bit c set when bit i of candidate c's value is set.
+"""
+
+import random
+
+from eqalg import bitslice
+
+SEED = 12_001
+
+
+def planes(values, rng=None) -> list:
+    """The vertical counter of ``values``, candidate c's value at ``values[c]``,
+    with up to two zero planes on top when ``rng`` is given."""
+    out = [0] * max((v.bit_length() for v in values), default=0)
+    for c, v in enumerate(values):
+        for i in range(v.bit_length()):
+            if v >> i & 1:
+                out[i] |= 1 << c
+    return out + [0] * (rng.randrange(3) if rng else 0)
+
+
+def values(a: list, n: int) -> list:
+    """The values of vertical counter ``a`` for candidates 0..n-1."""
+    return [sum((p >> c & 1) << i for i, p in enumerate(a)) for c in range(n)]
+
+
+def random_values(rng, n: int) -> list:
+    """n values, each 0, small, or above 2^64."""
+    return [
+        rng.choice((0, rng.randrange(1, 8), rng.randrange(1 << 64, 1 << 72)))
+        for _ in range(n)
+    ]
+
+
+def cases(count=300):
+    """``(rng, n, xs, ys)``: two random value lists for a block of n."""
+    rng = random.Random(SEED)
+    for _ in range(count):
+        n = rng.randint(1, 64)
+        yield rng, n, random_values(rng, n), random_values(rng, n)
+
+
+def test_planes_round_trip_through_vat():
+    for rng, n, xs, _ in cases():
+        a = planes(xs, rng)
+        assert values(a, n) == xs
+        assert [bitslice._vat(a, c) for c in range(n)] == xs
+
+
+def test_arithmetic():
+    for rng, n, xs, ys in cases():
+        a, b = planes(xs, rng), planes(ys, rng)
+        assert values(bitslice._vadd(a, b), n) == [x + y for x, y in zip(xs, ys)]
+        assert values(bitslice._vmul(a, b), n) == [x * y for x, y in zip(xs, ys)]
+        w = rng.choice((1, 2, 3, rng.randrange(1, 1 << 20)))
+        assert values(bitslice._vscale(a, w), n) == [x * w for x in xs]
+
+
+def test_max_and_constants():
+    for rng, n, xs, ys in cases():
+        keep = (1 << n) - 1
+        a, b = planes(xs, rng), planes(ys, rng)
+        assert values(bitslice._vmax(a, b, keep), n) == [max(x, y) for x, y in zip(xs, ys)]
+        k = rng.choice((0, 1, rng.randrange(1 << 70)))
+        assert values(bitslice._vconst(k, keep), n) == [k] * n
+
+
+def test_count_of_slices():
+    for rng, n, _, _ in cases():
+        slices = [rng.getrandbits(n) for _ in range(rng.randrange(40))]
+        expected = [sum(s >> c & 1 for s in slices) for c in range(n)]
+        assert values(bitslice._vcount(slices), n) == expected
+
+
+def test_max_and_threshold_over_a_mask():
+    for rng, n, xs, ys in cases():
+        a = planes(xs, rng)
+        mask = rng.getrandbits(n) or 1 << rng.randrange(n)
+        inside = [c for c in range(n) if mask >> c & 1]
+        assert bitslice._vmax_in(a, mask) == max(xs[c] for c in inside)
+        for t in (0, ys[0], xs[inside[0]], xs[inside[-1]] - 1, 1 << 80):
+            t = max(t, 0)
+            above = sum(1 << c for c in inside if xs[c] > t)
+            assert bitslice._vabove(a, t, mask) == above
+
+
+def test_exclusive_prefix_sum():
+    # every block size from 1 to 2^6, with values of 0 and of over 2^64 and
+    # runs of zeros at both ends, so that every round count is needed
+    rng = random.Random(SEED)
+    for n in range(1, 65):
+        for _ in range(20):
+            xs = random_values(rng, n)
+            lo, hi = sorted((rng.randrange(n + 1), rng.randrange(n + 1)))
+            xs = [0] * lo + xs[lo:hi] + [0] * (n - hi)
+            s = bitslice._vprefix(planes(xs, rng), n)
+            assert values(s, n + 1) == [sum(xs[:c]) for c in range(n + 1)]
+            assert all(p >> (n + 1) == 0 for p in s)
+
+
+def test_prefix_sum_of_zero_is_empty():
+    for n in (1, 7, 64):
+        assert bitslice._vprefix([], n) == []
+        assert bitslice._vprefix([0, 0], n) == []

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from eqalg import ast, bitslice, evaluator
-from eqalg.constructions import tc_sparse_via_harness
+from eqalg.constructions import build_powerset_eq, tc_sparse_via_harness
 from eqalg.ast import (
     Difference,
     Domain,
@@ -259,6 +259,26 @@ def test_nested_solve_budget_error_carries_one_suffix():
         "space budget exceeded at lhs.lhs: live 13 units > cap 10"
         " after 4 candidates, 1 solutions at solve lhs"
     )
+
+
+@pytest.mark.parametrize(
+    "budget, detail",
+    [
+        (EvalBudget(max_space_units=10), "space budget exceeded at rhs.right: live 12 units > cap 10"),
+        (
+            EvalBudget(max_candidates=100),
+            "candidates budget exceeded at <expr>: candidate space 512 exceeds cap 100",
+        ),
+    ],
+)
+def test_refusals_before_the_candidate_loop_name_the_solve(representation, budget, detail):
+    # the candidate space, and a side that mentions no bound variable, are
+    # refused before any candidate is tested, and the refusal names the solve
+    e = parse_expr("solve{(X:(0,0)) | X = times(D,D)}")
+    with pytest.raises(BudgetExceeded) as err:
+        evaluate(e, db_of(("a", "b", "c")), budget)
+    assert err.value.solve == ("", 0, 0)
+    assert str(err.value) == f"{detail} after 0 candidates, 0 solutions at solve <expr>"
 
 
 def _cap_cases():
@@ -928,12 +948,11 @@ def _outcome(e, db, budget):
 
 
 def test_small_blocks_agree_with_relations(monkeypatch):
-    # with blocks of 4 candidates, scanned between solutions on the bit
-    # planes or on per-candidate lanes, a solve gives what the relation
-    # kernels give: value and metrics, the refusal under every cap up to 60
-    # below the peak and every solution cap below the solution count, and
+    # with blocks of 4 candidates, a solve gives what the relation kernels
+    # give: value and metrics, the refusal under every cap up to 60 below
+    # the peak and every solution cap below the solution count, and
     # solve_nonempty
-    sliceable, segments = evaluator._sliceable, bitslice.SEGMENT_HITS
+    sliceable = evaluator._sliceable
     monkeypatch.setattr(bitslice, "BLOCK_BITS", 2)
     rng = random.Random(9750)
     tags: set = set()
@@ -944,9 +963,8 @@ def test_small_blocks_agree_with_relations(monkeypatch):
             rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
             db = Database(atoms, rels)
             runs = []
-            for check, segment_hits in ((sliceable, segments), (sliceable, 0), (_on_relations, 0)):
+            for check in (sliceable, _on_relations):
                 monkeypatch.setattr(evaluator, "_sliceable", check)
-                monkeypatch.setattr(bitslice, "SEGMENT_HITS", segment_hits)
                 value, metrics = evaluate(node, db)
                 peak = metrics.peak_space_units
                 found = metrics.solves[0].solutions_found
@@ -956,7 +974,7 @@ def test_small_blocks_agree_with_relations(monkeypatch):
                 outcomes = [_outcome(node, db, budget) for budget in caps]
                 nonempty = solve_nonempty(node.binders, node.lhs, node.rhs, db)
                 runs.append((value, metrics, outcomes, nonempty))
-            assert runs[0] == runs[1] == runs[2]
+            assert runs[0] == runs[1]
             if len(binders) > 1:
                 tags.add("several_binders")
             if found > 1:
@@ -971,6 +989,28 @@ def test_small_blocks_agree_with_relations(monkeypatch):
         "several_binders", "solution_cap", "first_hit_in_later_block",
         "space_refusal_in_later_block",
     } <= tags  # fmt: skip
+
+
+def test_full_block_of_solutions_agrees_with_relations(monkeypatch):
+    # one block of 2^14 candidates, each of them a solution: the walk carries
+    # thousands of solutions to the peak, to a space refusal and to a
+    # solution cap as the relation kernels do
+    atoms = tuple(f"a{i}" for i in range(bitslice.BLOCK_BITS))
+    db = db_of(atoms, R=rel(FLAT1, [(a,) for a in atoms]))
+    e = build_powerset_eq()
+    sliceable = evaluator._sliceable
+    runs = []
+    for check in (sliceable, _on_relations):
+        monkeypatch.setattr(evaluator, "_sliceable", check)
+        value, metrics = evaluate(e, db)
+        assert metrics.solves[0].solutions_found == 1 << bitslice.BLOCK_BITS
+        peak = metrics.peak_space_units
+        budgets = [EvalBudget(max_space_units=cap) for cap in (peak - 1, peak // 2)]
+        budgets.append(EvalBudget(max_solutions=5000))
+        outcomes = [_outcome(e, db, budget) for budget in budgets]
+        runs.append((value, metrics, outcomes))
+    assert runs[0] == runs[1]
+    assert [solve[2] for _, solve in outcomes] == [(1 << bitslice.BLOCK_BITS) - 1, 8871, 5001]
 
 
 def _nested_solve_cases(tags):
