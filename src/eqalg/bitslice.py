@@ -184,12 +184,19 @@ def _vprefix(a: list, n: int) -> list:
     return [p << (first + 1) | (after if p >> width & 1 else 0) for p in s]
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+# the offsets of the set bits of each byte, lowest first, as bytes
+_BYTE_BITS = tuple(bytes(i for i in range(8) if b >> i & 1) for b in range(256))
 
 
-def _bit_bytes(x: int, n: int) -> bytes:
-    """Bits 0..n-1 of ``x`` as n bytes, 0 or 1, lowest bit first."""
-    return format(x, f"0{n}b").encode()[: -n - 1 : -1].translate(_BIT_BYTES)
+def _bits(x: int, n: int) -> list:
+    """The positions of the set bits of ``x < 2^n``, lowest first.
+
+    Only the nonzero bytes of ``x`` are visited, and each gives its bits
+    from ``_BYTE_BITS``, so a sparse ``x`` costs little more than its bytes.
+    """
+    data = x.to_bytes((n + 7) >> 3, "little")
+    nonzero = itertools.compress(itertools.count(0, 8), data)  # the bytes' first bits
+    return [j + i for j in nonzero for i in _BYTE_BITS[data[j >> 3]]]
 
 
 class _Refused(Exception):
@@ -427,7 +434,7 @@ def _scan(hit, gain, top, keep, live0, cap, quota, early_exit, refuse):
     ``S`` is one prefix sum on the bit planes (``_vprefix``).
     """
     n = keep.bit_length()
-    hits = list(itertools.compress(range(n), _bit_bytes(hit, n))) if hit else []
+    hits = _bits(hit, n) if hit else []
     if early_exit and hits:
         del hits[1:]
         n = hits[0] + 1

@@ -37,20 +37,21 @@ and every budget refusal, down to its message, stay the same.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
 from . import ast, bitslice
 from .model import (
     ATOM,
+    Candidates,
     Database,
     ModelError,
     Rel,
     RelType,
+    SolutionSet,
     count_relations,
     row_picker,
-    rows_for_mask,
-    subset_tables,
     tuple_universe,
     value_size,
 )
@@ -427,8 +428,7 @@ def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
                 if all(env[nm] is v for nm, v in zip(_fn, sig)):
                     _grow(ctx, value_size(rel), _p)
                     return rel
-            rows = _run_solve(_parts, env, ctx, _p, early_exit=False)
-            rel = Rel(_rt, rows)
+            rel = SolutionSet(_rt, *_run_solve(_parts, env, ctx, _p, early_exit=False))
             ctx.solve_cache[_key] = (tuple(env[nm] for nm in _fn), rel)
             return rel
 
@@ -546,46 +546,45 @@ def _solve_parts(e: ast.Solve, path: str, types: dict, atoms: tuple[str, ...]):
 
 
 def _run_solve(parts, env, ctx, path, early_exit):
-    """Run a solve's candidates; return the frozenset of solution rows (or,
-    with early_exit, an empty/singleton frozenset stopped at the first hit).
+    """Run a solve's candidates; return ``(rows, cands, space, units)``: the
+    solution rows in candidate order (with early_exit, none or the first),
+    their counter values as an ``array('Q')``, the ``model.Candidates`` that
+    decoded them and their total size, the arguments of ``SolutionSet``
+    after its type.
 
-    On return, ctx.live has grown by exactly the total size of the returned
-    rows (the caller owns the materialized solution set).  Candidates follow
-    a binary counter over the canonically ordered row universes, last
-    variable fastest, and a candidate's counter value decodes to its
-    relations.  Without a bit-sliced body, each candidate in turn is bound,
-    charged, tested on the relation sides and released, one live at a time.
-    With one, ``bitslice.Blocks.scan`` gives each block's solutions before
-    its first refused candidate, the units they keep live, its peak and
-    that candidate, and a refused candidate is replayed alone on the
-    relation sides, with the live total and counts it would have had, so
-    the refusal is raised by the code that defines it.  Every refusal,
-    including one of the candidate space or of a side that mentions no
-    bound variable, names this solve and its counts so far.
+    On return, ctx.live has grown by exactly ``units`` (the caller owns the
+    materialized solution set).  Candidates follow a binary counter over the
+    canonically ordered row universes, last variable fastest, and
+    ``Candidates.decode`` turns counter values into rows of relations.
+    Without a bit-sliced body, each candidate in turn is decoded alone,
+    bound, charged, tested on the relation sides and released, one live at
+    a time.  With one, ``bitslice.Blocks.scan`` gives each block's solutions
+    before its first refused candidate, the units they keep live, its peak
+    and that candidate; the block's solutions are decoded in one batch, and
+    a refused candidate is replayed alone on the relation sides, with the
+    live total and counts it would have had, so the refusal is raised by the
+    code that defines it.  Every refusal, including one of the candidate
+    space or of a side that mentions no bound variable, names this solve
+    and its counts so far.
     """
     names, types, fl, fr, l_inv, r_inv, sliced = parts
     size = value_size
     grow = _grow
     stats = ctx.stats_for(path)
     max_solutions = ctx.max_solutions
-    from_tables = rows_for_mask
-    decoders: list = []
-
-    def decode(ms):
-        """The candidate with counter value ``ms`` as a row of relations."""
-        return tuple(Rel(t, from_tables(tb, ms >> sh & m)) for t, tb, sh, m in decoders)
-
     const_l = const_r = None
     sol_rows: list = []
+    cands = array("Q")
     tested = 0
     found = 0
+    units = 0
 
     def run(candidates) -> None:
         """Test ``candidates`` one at a time, up to the first hit with
         early_exit."""
-        nonlocal tested, found
+        nonlocal tested, found, units
         for ms in candidates:
-            cand = decode(ms)
+            (cand,) = space.decode((ms,))
             csize = 0
             for nm, v in zip(names, cand):
                 env[nm] = v
@@ -606,6 +605,8 @@ def _run_solve(parts, env, ctx, path, early_exit):
                         "solutions", path, f"more than {max_solutions} solutions"
                     )
                 sol_rows.append(cand)
+                cands.append(ms)
+                units += 1 + csize
                 grow(ctx, 1 + csize, path)  # solution row stays live
                 if early_exit:
                     ctx.live -= csize
@@ -624,10 +625,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
                 f"candidate space {_count(total)} exceeds cap {ctx.max_candidates}",
             )
         universes = [tuple_universe(t, ctx.atoms) for t in types]
-        shift = total.bit_length() - 1
-        for t, u in zip(types, universes):
-            shift -= len(u)
-            decoders.append((t, subset_tables(u), shift, (1 << len(u)) - 1))
+        space = Candidates(types, universes)
         if l_inv:
             const_l = fl(env, ctx)
         if r_inv:
@@ -644,6 +642,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
                 )
                 base = k * width
                 ctx.live = live0 + gained
+                units += gained
                 found += len(hits)
                 if refuse is not None:
                     tested += refuse
@@ -654,10 +653,13 @@ def _run_solve(parts, env, ctx, path, early_exit):
                     )
                 if peak > ctx.peak:
                     ctx.peak = peak
-                sol_rows += [decode(base + h) for h in hits]
-                if early_exit and hits:
-                    tested += hits[0] + 1
-                    break
+                if hits:
+                    hits = [base + h for h in hits]
+                    sol_rows += space.decode(hits)
+                    cands.extend(hits)
+                    if early_exit:
+                        tested += hits[0] - base + 1
+                        break
                 tested += width
     except BudgetExceeded as exc:
         if exc.solve is None:
@@ -672,7 +674,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
             ctx.live -= size(const_l)
         if const_r is not None:
             ctx.live -= size(const_r)
-    return frozenset(sol_rows)
+    return sol_rows, cands, space, units
 
 
 # ---------------------------------------------------------------------------
@@ -720,5 +722,5 @@ def solve_nonempty(
     types = _precheck(node, db)
     ctx = _Ctx(db, budget or EvalBudget())
     env = {**db.relations, "D": domain_relation(db.atoms)}
-    rows = _run_solve(_solve_parts(node, "", types, db.atoms), env, ctx, "", early_exit=True)
+    rows = _run_solve(_solve_parts(node, "", types, db.atoms), env, ctx, "", early_exit=True)[0]
     return bool(rows)

@@ -7,14 +7,17 @@ in a ``frozenset``; the canonical *order* of rows (the single source of
 determinism for rendering and enumeration) is materialized lazily, by one
 sort per relation that fills both its row order and its sort key.  A flat
 row (all atoms) is its own sort key, so a flat relation sorts its rows with
-no key function and its sorted rows are its key.
+no key function and its sorted rows are its key.  A solve's solution set
+(``SolutionSet``) sorts by its candidates' counter values instead: the
+subset-lex rank of a mask over a canonically ordered universe is its
+position in canonical order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -53,11 +56,13 @@ class RelType:
 
     def __hash__(self) -> int:
         # types are hashed with every Rel they type, so the hash is cached on
-        # first use; most types the typechecker builds are never hashed
+        # first use; most types the typechecker builds are never hashed.  It
+        # is an int that hashes to itself, so hash((hash(t), rows)) equals
+        # hash((t, rows)) and a decoder can hash a type once for all its Rels
         try:
             return self._hash
         except AttributeError:
-            h = hash(self.components)
+            h = hash(hash(self.components))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -154,7 +159,10 @@ class Rel:
         return s
 
     def _sort(self) -> tuple:
-        """Fill both order caches with one sort; return ``(rows, key)``."""
+        """Fill both order caches with one sort; return ``(rows, key)``.
+
+        ``SolutionSet`` overrides it with a sort on ints; both give the same
+        caches for the same rows."""
         if self.rtype.is_flat:
             s = k = tuple(sorted(self.rows))
         else:
@@ -295,13 +303,23 @@ def count_relations(t: RelType, n: int) -> int:
 
 
 def tuple_universe(t: RelType, atoms: tuple[str, ...]) -> list:
-    """All possible rows of type ``t`` over ``atoms``, in canonical order."""
+    """All possible rows of type ``t`` over ``atoms``, in canonical order.
+
+    A relation-valued column ranges over every relation of its type, each
+    decoded from its mask and placed at the mask's subset-lex rank, so
+    nothing is sorted."""
     spaces = []
     for c in t.components:
         if c.is_atom:
             spaces.append(list(atoms))
         else:
-            spaces.append(sorted(enumerate_relations(c, atoms), key=value_sort_key))
+            universe = tuple_universe(c, atoms)
+            masks = range(1 << len(universe))
+            space = [None] * len(masks)
+            ranks = subset_ranks(masks, len(universe))
+            for (v,), r in zip(Candidates((c,), (universe,)).decode(masks), ranks):
+                space[r] = v
+            spaces.append(space)
     out = [()]
     for space in spaces:
         out = [row + (v,) for row in out for v in space]
@@ -321,37 +339,169 @@ def enumerate_relations(t: RelType, domain: Iterable[str]) -> Iterator[Rel]:
     if not atoms:
         raise ModelError("domain must be non-empty")
     universe = tuple_universe(t, atoms)
-    tables = subset_tables(universe)
+    decode = Candidates((t,), (universe,)).decode
     for mask in range(1 << len(universe)):
-        yield Rel(t, rows_for_mask(tables, mask))
+        yield decode((mask,))[0][0]
 
 
-def subset_tables(universe) -> list:
+def subset_tables(universe, ordered: bool = False) -> list:
     """Per 8-row chunk of the universe, all 2^chunk subsets, indexed by bit pattern.
 
-    The rows of a mask over the universe (bit i is row i) are then the union
-    of one table entry per mask byte, which is much cheaper than decoding
-    bits row by row."""
+    The subsets are frozensets, or with ``ordered`` tuples of their rows in
+    universe order; both are built by doubling, the subsets with a row being
+    those without it plus the row.  The rows of a mask over the universe
+    (bit i is row i) are then the union of one table entry per mask byte,
+    which is much cheaper than decoding bits row by row; for a canonically
+    ordered universe, the ordered entries of the bytes, lowest first, are
+    the mask's rows in canonical order."""
     tables = []
     for ofs in range(0, len(universe) or 1, 8):  # an empty universe has one subset
-        table = [frozenset()]
-        for row in universe[ofs : ofs + 8]:
-            # the subsets with this row are those without it, plus the row
-            single = frozenset((row,))
-            table += [s | single for s in table]
+        chunk = universe[ofs : ofs + 8]
+        if ordered:
+            table = [()]
+            for row in chunk:
+                table += [s + (row,) for s in table]
+        else:
+            table = [frozenset()]
+            for row in chunk:
+                single = frozenset((row,))
+                table += [s | single for s in table]
         tables.append(table)
     return tables
 
 
-def rows_for_mask(tables: list, mask: int) -> frozenset:
-    rows = tables[0][mask & 255]
-    mask >>= 8
-    t = 1
-    while mask:
-        rows |= tables[t][mask & 255]
-        mask >>= 8
-        t += 1
-    return rows
+# the bits of each byte in reverse order
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def subset_ranks(masks, u: int) -> list:
+    """The subset-lex rank of each mask over a universe of ``u`` rows.
+
+    The rank of a subset is its position among all 2^u subsets in the
+    canonical order of relations, where rows are compared in universe order
+    and a prefix comes first.  With ``rev`` the mask's u bits reversed (the
+    first row on top), it is 0 for the empty subset, and otherwise
+    ``popcount + 2^u - rev - lowbit(rev)``.  The subsets before a nonempty
+    one are the ``2^u - 1 - rev`` whose reversed mask is above its own,
+    except the ``lowbit(rev) - 1`` that extend it past its last row, and
+    its ``popcount`` proper prefixes, the empty one included."""
+    nbytes = (u + 7) >> 3
+    drop = 8 * nbytes - u
+    top = 1 << u
+    out = []
+    for x in masks:
+        if x:
+            r = int.from_bytes(x.to_bytes(nbytes, "little").translate(_REV8), "big") >> drop
+            out.append(x.bit_count() + top - r - (r & -r))
+        else:
+            out.append(0)
+    return out
+
+
+class Candidates:
+    """The candidate assignments of relations to a solve's binders.
+
+    Candidates are numbered by a binary counter over the binders' canonically
+    ordered row universes, the last binder fastest: binder i's field of the
+    counter value is the mask of its rows, bit j for row j.  ``decode`` is
+    the one mask decoder; ``order`` puts decoded rows in canonical order
+    from their counter values.
+    """
+
+    __slots__ = ("binders",)
+
+    def __init__(self, types, universes) -> None:
+        shift = sum(map(len, universes))
+        self.binders = []
+        for t, u in zip(types, universes):
+            shift -= len(u)
+            self.binders.append((t, u, shift, (1 << len(u)) - 1, subset_tables(u)))
+
+    def decode(self, cands) -> list:
+        """The rows of relations that the counter values ``cands`` stand for.
+
+        Each relation is the union of one ``subset_tables`` entry per byte of
+        its mask.  It is built without ``Rel.__init__``, with its hash and,
+        when flat, its size; its order caches stay empty until a sort.
+        """
+        new = object.__new__
+        columns = []
+        for t, _, shift, m, tables in self.binders:
+            first, rest = tables[0], tables[1:]
+            ht = hash(t)
+            w = t.flat_row_size
+            column = []
+            for c in cands:
+                x = c >> shift & m
+                rows = first[x & 255]
+                for table in rest:
+                    x >>= 8
+                    if x & 255:
+                        rows = rows | table[x & 255]
+                v = new(Rel)
+                v.rtype = t
+                v.rows = rows
+                v._hash = hash((ht, rows))
+                v._size = w and len(rows) * w
+                v._key = v._sorted = None
+                column.append(v)
+            columns.append(column)
+        return list(zip(*columns))
+
+    def order(self, rows: list, cands) -> tuple:
+        """``(sorted rows, key)`` of the relation with ``rows``, decoded from
+        the counter values ``cands``, as ``Rel._sort`` gives them.
+
+        A row's position follows its counter value with each binder's field
+        replaced by its subset-lex rank (``subset_ranks``), so the rows sort
+        by one int each and no row key is compared.  The flat relations of
+        the rows get their sorted rows, which are their keys, from ordered
+        subset tables; the rows' keys are then read off their relations.
+        """
+        keys = [0] * len(cands)
+        columns = []
+        for i, (t, u, shift, m, _) in enumerate(self.binders):
+            masks = [c >> shift & m for c in cands]
+            keys = [k | r << shift for k, r in zip(keys, subset_ranks(masks, len(u)))]
+            if t.is_flat:
+                first, *rest = subset_tables(u, ordered=True)
+                for row, x in zip(rows, masks):
+                    s = first[x & 255]
+                    for table in rest:
+                        x >>= 8
+                        s += table[x & 255]
+                    v = row[i]
+                    v._sorted = v._key = s
+            columns.append(attrgetter("_key") if t.is_flat else value_sort_key)
+        s = tuple(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
+        return s, tuple(zip(*[map(key, map(itemgetter(i), s)) for i, key in enumerate(columns)]))
+
+
+class SolutionSet(Rel):
+    """A solve's solution set.
+
+    Until its first sort it also holds its rows in counter order, their
+    counter values (an ``array('Q')``) and the ``Candidates`` that decoded
+    them, so that sort is ``Candidates.order`` on ints, not a sort of row
+    keys.  A set that is never sorted builds nothing for it.
+    """
+
+    __slots__ = ("_plan",)
+
+    def __init__(self, rtype: RelType, rows: list, cands, space: Candidates, size: int) -> None:
+        Rel.__init__(self, rtype, rows)
+        self._size = size
+        self._plan = (space, rows, cands)
+
+    def _sort(self) -> tuple:
+        plan = self._plan
+        if plan is None:
+            return Rel._sort(self)
+        self._plan = None
+        s, k = plan[0].order(plan[1], plan[2])
+        self._sorted = s
+        self._key = k
+        return s, k
 
 
 # ---------------------------------------------------------------------------

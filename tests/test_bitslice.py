@@ -105,3 +105,16 @@ def test_prefix_sum_of_zero_is_empty():
     for n in (1, 7, 64):
         assert bitslice._vprefix([], n) == []
         assert bitslice._vprefix([0, 0], n) == []
+
+
+def test_set_bits_match_a_plain_loop():
+    # no bit, the first or the last bit alone, sparse, half and full density,
+    # for block sizes that are and are not whole bytes
+    rng = random.Random(SEED)
+    for n in (1, 3, 8, 9, 15, 64, 100, 1 << 14):
+        full = (1 << n) - 1
+        xs = [0, 1, 1 << (n - 1), full]
+        xs += [sum({1 << rng.randrange(n) for _ in range(5)}) for _ in range(3)]
+        xs += [rng.getrandbits(n) for _ in range(3)]
+        for x in xs:
+            assert bitslice._bits(x, n) == [c for c in range(n) if x >> c & 1]

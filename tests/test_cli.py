@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import itertools
 import weakref
@@ -202,6 +203,34 @@ def test_construction_powerset_prints_every_subset_in_order(capsys, tmp_path):
     rows = ["[[" + ",".join(f"[{a}]" for a in subset) + "]]" for subset in subsets]
     assert len(rows) == 64
     assert out == "[" + ",".join(rows) + "]\n"
+
+
+# stdout digests recorded when solution sets were still sorted on their row
+# keys: the powerset of ten atoms, and a solve with two binders, one of them
+# over a 9-row universe, whose 225 solutions are not in candidate order
+GOLDEN_STDOUT = {
+    "powerset": (
+        "domain [a0,a1,a2,a3,a4,a5,a6,a7,a8,a9]\n"
+        "R:(0) = [[a3],[a7],[a0],[a9],[a1],[a5],[a8],[a2],[a6],[a4]]\n",
+        ["construction", "--name", "powerset"],
+        "48fdb9489726296fabaf3ce15717d1b43e2d3d9dc5c6197ba77e42623e78d355",
+    ),
+    "two_binders": (
+        "domain [a,b,c]\nR:(0,0) = [[a,b],[b,c]]\n",
+        ["solve", "--expr", "solve{(X:(0,0),Y:(0)) | union(project[1](X),Y) = project[1](R)}"],
+        "e40fa171a13e02bce24af6e99c44cab43e3ab3320d9578b1a1dd4e34cfcf4a5c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STDOUT))
+def test_solution_order_matches_recorded_stdout(capsys, tmp_path, case):
+    text, argv, digest = GOLDEN_STDOUT[case]
+    db = tmp_path / "golden.edb"
+    db.write_text(text)
+    code, out, _ = run(capsys, argv + ["--db", str(db)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_eval_accepts_solve_expressions(capsys, tmp_path):

@@ -38,16 +38,19 @@ from eqalg.model import (
     Database,
     Rel,
     RelType,
+    SolutionSet,
     flat_type,
     rename_database,
     rename_value,
     value_size,
+    value_sort_key,
 )
 from eqalg.parser import parse_expr, render_relation
 from eqalg.typecheck import infer_type
 
 from oracles import (
     candidate_order,
+    from_plain,
     o_domain,
     o_nest,
     o_powerset,
@@ -1060,6 +1063,99 @@ def test_solves_under_solves_match_oracles(representation):
         tags.add("peak_inside" if peak_path.startswith("lhs.arg.arg") else "peak_outside")
         tags.add("has_solutions" if value.rows else "no_solutions")
     assert {"peak_inside", "has_solutions", "no_solutions"} <= tags
+
+
+# binders whose solution sets span two table chunks (a 9-row universe),
+# several blocks of 4 candidates, and up to three binders
+ORDER_BINDERS = (
+    ((("X", FLAT1),), 3),
+    ((("X", FLAT2),), 3),
+    ((("X", FLAT1), ("Y", FLAT2)), 2),
+    ((("X", FLAT1), ("Y", FLAT1), ("Z", FLAT1)), 3),
+)
+NESTED1 = RelType((FLAT1,))
+
+
+def _ordering_cases():
+    """``(solve node, database)``: seeded solves over flat binders with random
+    flat bodies, then solves with a nested binder X and up to two flat ones,
+    whose equation relates the members of X's sets to them and to P."""
+    rng = random.Random(9800)
+    for binders, max_atoms in ORDER_BINDERS:
+        for _ in range(6):
+            atoms = ("a", "b", "c")[: rng.randint(1, max_atoms)]
+            node, free = _flat_solve(rng, binders, set())
+            rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
+            yield node, Database(atoms, rels)
+    for names in (("X",), ("X", "Y"), ("X", "Y", "Z")):
+        for _ in range(4):
+            binders = (("X", NESTED1),) + tuple((nm, FLAT1) for nm in names[1:])
+            lhs = Project((2,), Unnest(1, Name("X")))
+            for nm in names[1:]:
+                lhs = rng.choice((Union, Difference))(lhs, Name(nm))
+            db = Database(("a", "b"), {"P": random_flat_rel(rng, 1, ("a", "b"), 0.5)})
+            yield Solve(binders, lhs, Name("P")), db
+
+
+def _assert_sorts_as_fresh(v, tags):
+    """``v``, a solution set not yet sorted, sorts as the same rows rebuilt
+    through ``Rel`` do, and fills its relations' caches as they would be."""
+    assert isinstance(v, SolutionSet)
+    space, rows, cands = v._plan
+    assert list(cands) == sorted(set(cands)) and len(rows) == len(cands) == len(v.rows)
+    decoded = [x for row in rows for x in row]
+    assert all(x._sorted is None and x._key is None for x in decoded)
+    f = from_plain(to_plain(v), v.rtype)
+    assert v.sorted_rows() == f.sorted_rows()
+    assert v._key == value_sort_key(f)
+    assert (hash(v), v._size) == (hash(f), value_size(f))
+    for x in decoded:
+        fx = from_plain(to_plain(x), x.rtype)
+        assert (x._hash, value_size(x)) == (hash(fx), value_size(fx))
+        if x.rtype.is_flat:
+            assert (x._sorted, x._key) == (fx.sorted_rows(), value_sort_key(fx))
+    tags.add("empty" if not rows else "solutions")
+    if list(rows) != list(v.sorted_rows()):
+        tags.add("order_differs")
+    if len({c >> 2 for c in cands}) > 1:
+        tags.add("several_blocks")
+    if any(len(universe) > 8 for _, universe, *_ in space.binders):
+        tags.add("two_chunks")
+    if len(space.binders) == 3:
+        tags.add("three_binders")
+    if any(not t.is_flat for t, *_ in space.binders):
+        tags.add("nested")
+
+
+@pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 2])
+def test_solution_sets_sort_as_fresh_relations(representation, block_bits, monkeypatch):
+    # the set a solve returns, the same set under a solution cap and a space
+    # cap that it just fits, and the set of solve_nonempty's first solution
+    monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
+    tags: set = set()
+    for node, db in _ordering_cases():
+        value, metrics = evaluate(node, db)
+        found = metrics.solves[0].solutions_found
+        values = [value]
+        for budget in (
+            EvalBudget(max_solutions=max(1, found)),
+            EvalBudget(max_space_units=metrics.peak_space_units),
+        ):
+            values.append(evaluate(node, db, budget)[0])
+        types: dict = {}
+        infer_type(node, db.schema, types)
+        ctx = evaluator._Ctx(db, EvalBudget())
+        env = {**db.relations, "D": domain_relation(db.atoms)}
+        first = evaluator._run_solve(_solve_parts(node, "", types, db.atoms), env, ctx, "", True)
+        early = SolutionSet(types[""], *first)
+        assert values == [value] * 3 and len(early.rows) == min(1, found)
+        assert early.rows <= value.rows
+        for v in values + [early]:
+            _assert_sorts_as_fresh(v, tags)
+    expected = {"empty", "solutions", "order_differs", "two_chunks", "three_binders", "nested"}
+    if representation == "sliced" and block_bits == 2:
+        expected.add("several_blocks")
+    assert expected <= tags
 
 
 def test_wide_sparse_body_stays_small_in_memory():

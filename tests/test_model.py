@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from eqalg.model import (
     ATOM,
+    Candidates,
     Database,
     ModelError,
     Rel,
@@ -18,12 +19,15 @@ from eqalg.model import (
     rename_database,
     rename_value,
     row_sort_key,
+    subset_ranks,
+    subset_tables,
+    tuple_universe,
     value_size,
     value_sort_key,
 )
 from eqalg.parser import render_relation
 
-from oracles import random_type, random_value
+from oracles import from_plain, random_type, random_value, to_plain
 
 FLAT1 = flat_type(1)
 FLAT2 = flat_type(2)
@@ -222,6 +226,61 @@ def test_enumerate_matches_count_and_is_duplicate_free():
         atoms = tuple(f"x{i}" for i in range(1, n + 1))
         seen = {render_relation(v) for v in enumerate_relations(t, atoms)}
         assert len(seen) == count_relations(t, n)
+
+
+def test_subset_rank_is_the_position_in_canonical_order():
+    # every mask over universes of up to 10 rows, against a sort of the
+    # relations the masks stand for, built with Rel
+    atoms = tuple(f"x{i}" for i in range(10))
+    for u in range(11):
+        universe = tuple_universe(FLAT1, atoms[:u])
+        masks = range(1 << u)
+        rels = [Rel(FLAT1, [r for i, r in enumerate(universe) if m >> i & 1]) for m in masks]
+        order = sorted(masks, key=lambda m: value_sort_key(rels[m]))
+        positions = [0] * len(order)
+        for p, m in enumerate(order):
+            positions[m] = p
+        assert subset_ranks(masks, u) == positions, u
+
+
+def test_ordered_subset_tables_hold_the_sorted_rows_of_each_subset():
+    universe = tuple_universe(FLAT2, ("a", "b", "c"))  # 9 rows, two chunks
+    sets, ordered = subset_tables(universe), subset_tables(universe, ordered=True)
+    assert [len(t) for t in ordered] == [256, 2]
+    for table, rows in zip(sets, ordered):
+        assert [tuple(sorted(s)) for s in table] == rows
+
+
+DECODED_TYPES = (FLAT1, FLAT2, RelType((FLAT1, ATOM)), RelType((FLAT1,)))
+
+
+@pytest.mark.parametrize("t", DECODED_TYPES, ids=str)
+def test_decoded_relations_have_the_caches_of_fresh_ones(t):
+    atoms = ("a", "b", "c") if t.is_flat else ("a", "b")
+    universe = tuple_universe(t, atoms)
+    masks = range(1 << len(universe))  # up to 512
+    rows = Candidates((t,), (universe,)).decode(masks)
+    for (v,), m in zip(rows, masks):
+        f = from_plain(to_plain(v), t)  # rebuilt through Rel at every depth
+        assert v.rows == {r for i, r in enumerate(universe) if m >> i & 1}
+        assert v.rtype == t and v == f
+        assert v._hash == hash(f)
+        assert v._size == (value_size(f) if t.is_flat else None)
+        assert v._sorted is None and v._key is None
+        assert v.sorted_rows() == f.sorted_rows() and value_sort_key(v) == value_sort_key(f)
+        assert value_size(v) == value_size(f)
+
+
+def test_candidates_decode_fields_last_binder_fastest():
+    atoms = ("a", "b")
+    types = (FLAT1, FLAT2, RelType((FLAT1,)))
+    universes = [tuple_universe(t, atoms) for t in types]  # 2, 4 and 4 rows
+    space = Candidates(types, universes)
+    for c in (0, 1, 0b10_0000_0001, 0b11_1010_0110, (1 << 10) - 1):
+        (row,) = space.decode((c,))
+        masks = (c >> 8, c >> 4 & 15, c & 15)
+        for v, t, u, m in zip(row, types, universes, masks):
+            assert v == Rel(t, [r for i, r in enumerate(u) if m >> i & 1])
 
 
 def test_enumeration_is_lazy():
