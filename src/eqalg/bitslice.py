@@ -347,17 +347,15 @@ class Blocks:
 
     __slots__ = ("sides", "free", "binders", "bits", "patterns")
 
-    def __init__(self, sliced, env, consts, names, types, universes) -> None:
+    def __init__(self, sliced, env, consts, names, space) -> None:
         *gs, free = sliced
         self.sides = [(g, None if c is None else c.rows) for g, c in zip(gs, consts)]
         self.free = [(nm, env[nm].rows) for nm in free]
-        # the counter bit of each binder's first row: the last counts fastest
-        shift = 0
-        self.binders = []
-        for nm, t, u in reversed(tuple(zip(names, types, universes))):
-            self.binders.append((nm, u, shift, t.row_base_size))
-            shift += len(u)
-        self.bits = bits = min(BLOCK_BITS, shift)
+        # each binder's universe and its first row's counter bit, from Candidates
+        self.binders = [(nm, u, shift, t.row_base_size)
+                        for nm, (t, u, shift, _, _) in zip(names, space.binders)]  # fmt: skip
+        width = sum(len(u) for _, u, _, _ in self.binders)
+        self.bits = bits = min(BLOCK_BITS, width)
         # bit c of patterns[j] is bit j of c, then the bits fixed per block
         self.patterns = []
         for j in range(bits):
@@ -367,7 +365,7 @@ class Blocks:
                 p |= p << period
                 period <<= 1
             self.patterns.append(p)
-        self.patterns += [None] * (shift - bits)
+        self.patterns += [None] * (width - bits)
 
     def scan(self, k: int, live0: int, cap: int, quota: int, early_exit: bool):
         """``_scan`` of block ``k``.  Where a candidate would exceed the cap

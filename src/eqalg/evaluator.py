@@ -624,8 +624,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
                 path,
                 f"candidate space {_count(total)} exceeds cap {ctx.max_candidates}",
             )
-        universes = [tuple_universe(t, ctx.atoms) for t in types]
-        space = Candidates(types, universes)
+        space = Candidates(types, [tuple_universe(t, ctx.atoms) for t in types])
         if l_inv:
             const_l = fl(env, ctx)
         if r_inv:
@@ -633,7 +632,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
         if sliced is None:
             run(range(total))
         else:
-            blocks = bitslice.Blocks(sliced, env, (const_l, const_r), names, types, universes)
+            blocks = bitslice.Blocks(sliced, env, (const_l, const_r), names, space)
             width = 1 << blocks.bits
             for k in range(total >> blocks.bits):
                 live0 = ctx.live

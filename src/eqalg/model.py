@@ -16,7 +16,6 @@ position in canonical order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -31,44 +30,52 @@ ATOM_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 # ---------------------------------------------------------------------------
 # relation types
 
+# the one RelType of each components tuple; its fields are set once, when
+# it is built, past the RelType.__setattr__ guard
+_TYPES: dict = {}
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class RelType:
-    """Shape descriptor: ``components is None`` marks the atom type."""
+    """Shape descriptor: ``components is None`` marks the atom type.
 
-    components: tuple[RelType, ...] | None = None
+    Types are interned: ``RelType(components)`` returns the one immutable
+    type with those components, so equal types are the same object and
+    compare and hash by identity.  A tuple type's row layout is worked out
+    when it is first built: ``nested_columns``, the 0-based positions of
+    the relation-valued columns; ``row_base_size``, the units of a row and
+    its atom columns; and ``flat_row_size``, the latter when every component
+    is an atom (``is_flat``), None otherwise.  The atom type has none.
+    """
 
-    def __post_init__(self) -> None:
-        comps = self.components
-        if comps is not None and len(comps) == 0:
-            raise ModelError("tuple type needs at least one component")
-        # per row: the 0-based positions of the relation-valued columns, and
-        # the units of the tuple and its atom columns; flat_row_size is the
-        # latter when every component is an atom, None otherwise
-        flat_size = None
-        if comps is not None:
-            nested = tuple(i for i, c in enumerate(comps) if c.components is not None)
-            object.__setattr__(self, "nested_columns", nested)
-            object.__setattr__(self, "row_base_size", 1 + len(comps) - len(nested))
-            if not nested:
-                flat_size = self.row_base_size
-        object.__setattr__(self, "flat_row_size", flat_size)
+    __slots__ = ("components", "is_atom", "is_flat", "nested_columns", "row_base_size", "flat_row_size")
 
-    def __hash__(self) -> int:
-        # types are hashed with every Rel they type, so the hash is cached on
-        # first use; most types the typechecker builds are never hashed.  It
-        # is an int that hashes to itself, so hash((hash(t), rows)) equals
-        # hash((t, rows)) and a decoder can hash a type once for all its Rels
+    def __new__(cls, components: tuple[RelType, ...] | None = None) -> RelType:
         try:
-            return self._hash
-        except AttributeError:
-            h = hash(hash(self.components))
-            object.__setattr__(self, "_hash", h)
-            return h
+            return _TYPES[components]
+        except (KeyError, TypeError):  # not built yet, or not hashable
+            pass
+        if components is None:
+            layout = (None, True, False, None, None, None)
+        elif type(components) is tuple and components and all(type(c) is RelType for c in components):
+            nested = tuple(i for i, c in enumerate(components) if not c.is_atom)
+            base = 1 + len(components) - len(nested)
+            layout = (components, False, not nested, nested, base, None if nested else base)
+        else:
+            raise ModelError(f"a tuple type needs a non-empty tuple of types, not {components!r}")
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, layout):
+            _set(self, name, value)
+        return _TYPES.setdefault(components, self)  # one winner if threads race
 
-    @property
-    def is_atom(self) -> bool:
-        return self.components is None
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a type")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a type")
+
+    def __reduce__(self):
+        return RelType, (self.components,)
 
     @property
     def arity(self) -> int:
@@ -76,10 +83,8 @@ class RelType:
             raise ModelError("atom type has no arity")
         return len(self.components)
 
-    @property
-    def is_flat(self) -> bool:
-        """True for tuple types whose components are all atoms."""
-        return self.flat_row_size is not None
+    def __repr__(self) -> str:
+        return f"RelType(components={self.components!r})"
 
     def __str__(self) -> str:
         if self.components is None:
@@ -131,7 +136,7 @@ class Rel:
             return True
         if not isinstance(other, Rel):
             return NotImplemented
-        return self.rows == other.rows and self.rtype == other.rtype
+        return self.rows == other.rows and self.rtype is other.rtype
 
     def __ne__(self, other: object) -> bool:
         eq = self.__eq__(other)
@@ -231,7 +236,7 @@ def check_value(v: Value, expected: RelType) -> set:
         return {v}
     if not isinstance(v, Rel):
         raise ModelError(f"expected a relation of type {expected}, got atom {v!r}")
-    if v.rtype != expected:
+    if v.rtype is not expected:
         raise ModelError(f"value has type {v.rtype}, expected {expected}")
     comps = expected.components
     k = len(comps)
@@ -276,7 +281,7 @@ def deep_equal(v1: Value, v2: Value) -> bool:
     if isinstance(v1, str) and isinstance(v2, str):
         return v1 == v2
     if isinstance(v1, Rel) and isinstance(v2, Rel):
-        if v1.rtype != v2.rtype:
+        if v1.rtype is not v2.rtype:
             raise ModelError(f"deep_equal across types {v1.rtype} and {v2.rtype}")
         return v1.rows == v2.rows
     raise ModelError("deep_equal between an atom and a relation")
@@ -428,7 +433,6 @@ class Candidates:
         columns = []
         for t, _, shift, m, tables in self.binders:
             first, rest = tables[0], tables[1:]
-            ht = hash(t)
             w = t.flat_row_size
             column = []
             for c in cands:
@@ -441,7 +445,7 @@ class Candidates:
                 v = new(Rel)
                 v.rtype = t
                 v.rows = rows
-                v._hash = hash((ht, rows))
+                v._hash = hash((t, rows))
                 v._size = w and len(rows) * w
                 v._key = v._sorted = None
                 column.append(v)
@@ -494,13 +498,11 @@ class SolutionSet(Rel):
         self._plan = (space, rows, cands)
 
     def _sort(self) -> tuple:
-        plan = self._plan
-        if plan is None:
-            return Rel._sort(self)
-        self._plan = None
-        s, k = plan[0].order(plan[1], plan[2])
+        space, rows, cands = self._plan
+        s, k = space.order(rows, cands)
         self._sorted = s
         self._key = k
+        self._plan = None
         return s, k
 
 

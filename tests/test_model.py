@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -55,15 +57,26 @@ def test_equal_types_built_apart_hash_equal():
         return RelType((RelType(), RelType((RelType(), RelType((RelType(),))))))
 
     a, b = build(), build()
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert hash(flat_type(3)) == hash(RelType((ATOM, RelType(), ATOM)))
     assert len({a, b, FLAT2, flat_type(2)}) == 2
     assert Rel(a, []) == Rel(b, []) and hash(Rel(a, [])) == hash(Rel(b, []))
 
 
 def test_empty_tuple_type_rejected():
-    with pytest.raises(ModelError):
-        RelType(())
+    for components in ((), ("0",), (None,), [ATOM]):
+        with pytest.raises(ModelError):
+            RelType(components)
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_types_copy_and_pickle_to_themselves(copier):
+    for t in (ATOM, FLAT2, RelType((FLAT1, ATOM)), RelType((RelType((FLAT2,)),))):
+        assert copier(t) is t
 
 
 # ---------------------------------------------------------------------------

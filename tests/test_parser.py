@@ -41,6 +41,10 @@ def test_parse_projection_chain():
     assert e == ast.Project((2, 3), ast.Unnest(1, ast.Name("E")))
 
 
+def test_parse_parenthesised_expression():
+    assert parse_expr("((union(R,S)))") == parse_expr("union(R,S)")
+
+
 def test_parse_diseq_sugar_rewrites():
     e = parse_expr("solve{(T:(0,0)) | ETC != empty}")
     assert isinstance(e, ast.Solve)

@@ -1,6 +1,6 @@
 import pytest
 
-from eqalg.ast import Domain, Name, Nest, Powerset, Product, Select, Solve, Union, Unnest
+from eqalg.ast import Domain, Name, Nest, Powerset, Product, Project, Select, Solve, Union, Unnest
 from eqalg.model import ATOM, Database, Rel, RelType, flat_type
 from eqalg.typecheck import TypecheckError, infer_type, typecheck_database
 
@@ -30,6 +30,10 @@ def test_domain_is_unary():
         (Unnest(1, Name("R")), "atom column"),
         (Solve((("X", FLAT1),), Name("X"), Name("R")), "types"),
         (Solve((("R", FLAT2),), Name("R"), Name("R")), "collides"),
+        (Project((1, 3), Name("R")), "out of range"),
+        (Nest((3,), Name("R")), "out of range"),
+        (Unnest(3, Name("R")), "out of range"),
+        (Select(1, "=", 3, Nest((2,), Name("R"))), "compares columns"),
     ],
 )
 def test_rejections(expr, message):
