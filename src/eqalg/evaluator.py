@@ -12,10 +12,11 @@ an over-cap one is refused before any row is built; the other operators
 charge the result they built.  A solve node tests candidate assignments in
 the order of a binary counter over the canonically ordered row universe,
 last variable fastest, as if one at a time with one candidate live, and
-materializes the solution set.  ``peak_space_units`` tracks the maximum over
-time of the total size of live intermediate results, where the size of a
-value is its recursive atom-occurrence count plus tuple count; the input
-database itself is ambient and not counted.
+keeps its solutions' counter values: the solution set decodes its rows only
+when they are read (``model.SolutionSet``).  ``peak_space_units`` tracks
+the maximum over time of the total size of live intermediate results, where
+the size of a value is its recursive atom-occurrence count plus tuple count;
+the input database itself is ambient and not counted.
 
 Four shortcuts over literal re-evaluation, none observable in results or
 metrics: an equation side that mentions no bound variable is evaluated once
@@ -27,7 +28,7 @@ left operand with one of the right, optionally under a projection, runs as a
 hash join that never builds the product or the selections; and a solve
 whose binders and every node of both sides have flat types evaluates its
 body bit-sliced, once per block of candidates, not once per candidate (see
-``bitslice``), and builds a ``Rel`` only for a solution row.  The join
+``bitslice``), and decodes only a refused candidate.  The join
 charges every node at its exact size, at its own path, in the order literal
 evaluation would.  A bit-sliced block computes each candidate's live total
 at every such charge from per-candidate row counts, and replays its first
@@ -386,18 +387,18 @@ def _metered(fs, kernel, need, path: str, node: ast.Expr):
     return run
 
 
-def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
+def _compile(e: ast.Expr, path: str, types: dict):
     """Compile an expression into ``fn(env, ctx) -> Rel``.
 
     ``types`` maps every node path to its type, as filled in by
-    ``infer_type``, and ``atoms`` is the domain.  Contract: when ``fn``
-    returns, exactly the size of its result has been added to ``ctx.live``;
-    the caller releases it after consuming it.  A name and the domain share
-    one closure, a solve node has its own (its body may run bit-sliced, see
-    ``_solve_parts``), and a select chain over a product becomes one hash
-    join (see ``_compile_join``).  Every other operator is its kernel
-    (``_kernel``) under the metering wrapper of its arity (``_metered``),
-    over its children compiled at their paths.
+    ``infer_type``.  Contract: when ``fn`` returns, exactly the size of its
+    result has been added to ``ctx.live``; the caller releases it after
+    consuming it.  A name and the domain share one closure, a solve node
+    has its own (its body may run bit-sliced, see ``_solve_parts``), and a
+    select chain over a product becomes one hash join (see
+    ``_compile_join``).  Every other operator is its kernel (``_kernel``)
+    under the metering wrapper of its arity (``_metered``), over its
+    children compiled at their paths.
     """
     if isinstance(e, (ast.Name, ast.Domain)):
         nm = e.name if isinstance(e, ast.Name) else "D"
@@ -413,7 +414,7 @@ def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
         return run
 
     if isinstance(e, ast.Solve):
-        parts = _solve_parts(e, path, types, atoms)
+        parts = _solve_parts(e, path, types)
         res_type = RelType(tuple(t for _, t in e.binders))
         fnames = tuple(sorted(ast.free_names(e)))
         key = id(e)
@@ -435,17 +436,17 @@ def _compile(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
         return run
 
     if isinstance(e, (ast.Project, ast.Select)):
-        join = _compile_join(e, path, types, atoms)
+        join = _compile_join(e, path, types)
         if join is not None:
             return join
 
     kernel, need = _kernel(e, path, types)
-    fs = [_compile(getattr(e, label), ast.child_path(path, label), types, atoms)
+    fs = [_compile(getattr(e, label), ast.child_path(path, label), types)
           for label in ast.child_labels(e)]  # fmt: skip
     return _metered(fs, kernel, need, path, e)
 
 
-def _compile_join(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
+def _compile_join(e: ast.Expr, path: str, types: dict):
     """The hash join for the shape ``ast.join_shape`` accepts; None for any
     other shape, which compiles operator by operator.
 
@@ -463,8 +464,8 @@ def _compile_join(e: ast.Expr, path: str, types: dict, atoms: tuple[str, ...]):
     top = path
     indices, e, path, lk, rk, levels = shape
     pick = None if indices is None else row_picker(indices)
-    fa = _compile(e.left, ast.child_path(path, "left"), types, atoms)
-    fb = _compile(e.right, ast.child_path(path, "right"), types, atoms)
+    fa = _compile(e.left, ast.child_path(path, "left"), types)
+    fb = _compile(e.right, ast.child_path(path, "right"), types)
     size = value_size
     grow = _grow
     width = types[path].flat_row_size  # units per joined row, None if nested
@@ -518,7 +519,7 @@ def _sliceable(e: ast.Solve, path: str, types: dict) -> bool:
     )
 
 
-def _solve_parts(e: ast.Solve, path: str, types: dict, atoms: tuple[str, ...]):
+def _solve_parts(e: ast.Solve, path: str, types: dict):
     """The compiled sides of a solve node and what its candidate loop needs.
 
     Both sides compile over relations.  When ``_sliceable`` holds, the last
@@ -532,8 +533,8 @@ def _solve_parts(e: ast.Solve, path: str, types: dict, atoms: tuple[str, ...]):
     bound = set(e.var_names)
     l_inv = not (ast.free_names(e.lhs) & bound)
     r_inv = not (ast.free_names(e.rhs) & bound)
-    fl = _compile(e.lhs, lp, types, atoms)
-    fr = _compile(e.rhs, rp, types, atoms)
+    fl = _compile(e.lhs, lp, types)
+    fr = _compile(e.rhs, rp, types)
     sliced = None
     if _sliceable(e, path, types):
         sliced = (
@@ -546,26 +547,25 @@ def _solve_parts(e: ast.Solve, path: str, types: dict, atoms: tuple[str, ...]):
 
 
 def _run_solve(parts, env, ctx, path, early_exit):
-    """Run a solve's candidates; return ``(rows, cands, space, units)``: the
-    solution rows in candidate order (with early_exit, none or the first),
-    their counter values as an ``array('Q')``, the ``model.Candidates`` that
-    decoded them and their total size, the arguments of ``SolutionSet``
-    after its type.
+    """Run a solve's candidates; return ``(cands, space, units)``: the
+    solutions' counter values in candidate order as an ``array('Q')`` (with
+    early_exit, none or the first), the ``model.Candidates`` that decodes
+    them and their total size, the arguments of ``SolutionSet`` after its
+    type; the solution set decodes its rows when they are read.
 
     On return, ctx.live has grown by exactly ``units`` (the caller owns the
-    materialized solution set).  Candidates follow a binary counter over the
-    canonically ordered row universes, last variable fastest, and
-    ``Candidates.decode`` turns counter values into rows of relations.
-    Without a bit-sliced body, each candidate in turn is decoded alone,
-    bound, charged, tested on the relation sides and released, one live at
-    a time.  With one, ``bitslice.Blocks.scan`` gives each block's solutions
-    before its first refused candidate, the units they keep live, its peak
-    and that candidate; the block's solutions are decoded in one batch, and
-    a refused candidate is replayed alone on the relation sides, with the
-    live total and counts it would have had, so the refusal is raised by the
-    code that defines it.  Every refusal, including one of the candidate
-    space or of a side that mentions no bound variable, names this solve
-    and its counts so far.
+    solution set).  Candidates follow a binary counter over the canonically
+    ordered row universes, last variable fastest, and ``Candidates.decode``
+    turns counter values into rows of relations.  Without a bit-sliced body,
+    each candidate in turn is decoded alone, bound, charged, tested on the
+    relation sides and released, one live at a time.  With one,
+    ``bitslice.Blocks.scan`` gives each block's solutions before its first
+    refused candidate, the units they keep live, its peak and that
+    candidate; only a refused candidate is decoded, and it is replayed alone
+    on the relation sides, with the live total and counts it would have had,
+    so the refusal is raised by the code that defines it.  Every refusal,
+    including one of the candidate space or of a side that mentions no bound
+    variable, names this solve and its counts so far.
     """
     names, types, fl, fr, l_inv, r_inv, sliced = parts
     size = value_size
@@ -573,7 +573,6 @@ def _run_solve(parts, env, ctx, path, early_exit):
     stats = ctx.stats_for(path)
     max_solutions = ctx.max_solutions
     const_l = const_r = None
-    sol_rows: list = []
     cands = array("Q")
     tested = 0
     found = 0
@@ -604,7 +603,6 @@ def _run_solve(parts, env, ctx, path, early_exit):
                     raise BudgetExceeded(
                         "solutions", path, f"more than {max_solutions} solutions"
                     )
-                sol_rows.append(cand)
                 cands.append(ms)
                 units += 1 + csize
                 grow(ctx, 1 + csize, path)  # solution row stays live
@@ -653,11 +651,9 @@ def _run_solve(parts, env, ctx, path, early_exit):
                 if peak > ctx.peak:
                     ctx.peak = peak
                 if hits:
-                    hits = [base + h for h in hits]
-                    sol_rows += space.decode(hits)
-                    cands.extend(hits)
+                    cands.extend(base + h for h in hits)
                     if early_exit:
-                        tested += hits[0] - base + 1
+                        tested += hits[0] + 1
                         break
                 tested += width
     except BudgetExceeded as exc:
@@ -673,7 +669,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
             ctx.live -= size(const_l)
         if const_r is not None:
             ctx.live -= size(const_r)
-    return sol_rows, cands, space, units
+    return cands, space, units
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +696,7 @@ def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
     expected = types[""]
     ctx = _Ctx(db, budget or EvalBudget())
     env = {**db.relations, "D": domain_relation(db.atoms)}  # no relation is named D
-    res = _compile(e, "", types, db.atoms)(env, ctx)
+    res = _compile(e, "", types)(env, ctx)
     if res.rtype != expected:
         raise InternalCheckError(
             f"evaluator produced type {res.rtype}, typechecker said {expected}"
@@ -721,5 +717,4 @@ def solve_nonempty(
     types = _precheck(node, db)
     ctx = _Ctx(db, budget or EvalBudget())
     env = {**db.relations, "D": domain_relation(db.atoms)}
-    rows = _run_solve(_solve_parts(node, "", types, db.atoms), env, ctx, "", early_exit=True)[0]
-    return bool(rows)
+    return bool(_run_solve(_solve_parts(node, "", types), env, ctx, "", early_exit=True)[0])

@@ -8,9 +8,10 @@ determinism for rendering and enumeration) is materialized lazily, by one
 sort per relation that fills both its row order and its sort key.  A flat
 row (all atoms) is its own sort key, so a flat relation sorts its rows with
 no key function and its sorted rows are its key.  A solve's solution set
-(``SolutionSet``) sorts by its candidates' counter values instead: the
-subset-lex rank of a mask over a canonically ordered universe is its
-position in canonical order.
+(``SolutionSet``) decodes its rows from its candidates' counter values only
+when they are read, and sorts by those values instead: the subset-lex rank
+of a mask over a canonically ordered universe is its position in canonical
+order.
 """
 
 from __future__ import annotations
@@ -481,25 +482,50 @@ class Candidates:
         return s, tuple(zip(*[map(key, map(itemgetter(i), s)) for i, key in enumerate(columns)]))
 
 
-class SolutionSet(Rel):
-    """A solve's solution set.
+_rows = Rel.rows  # Rel's slot for the rows, under SolutionSet's property
 
-    Until its first sort it also holds its rows in counter order, their
-    counter values (an ``array('Q')``) and the ``Candidates`` that decoded
-    them, so that sort is ``Candidates.order`` on ints, not a sort of row
-    keys.  A set that is never sorted builds nothing for it.
+
+class SolutionSet(Rel):
+    """A solve's solution set, whose rows are decoded only when read.
+
+    It holds its solutions' counter values (an ``array('Q')``) and, until
+    its first sort, the ``Candidates`` that decodes them and their rows in
+    counter order once decoded.  Length, truth and size need no decoding.
+    The first read of ``rows`` or the first sort decodes each solution
+    once; that sort is ``Candidates.order`` on ints, not a sort of row keys.
     """
 
-    __slots__ = ("_plan",)
+    __slots__ = ("_cands", "_plan")
 
-    def __init__(self, rtype: RelType, rows: list, cands, space: Candidates, size: int) -> None:
-        Rel.__init__(self, rtype, rows)
+    def __init__(self, rtype: RelType, cands, space: Candidates, size: int) -> None:
+        self.rtype = rtype  # no Rel.__init__: the rows slot stays empty
+        self._cands = cands
+        self._plan = (space, None)
         self._size = size
-        self._plan = (space, rows, cands)
+        self._hash = self._key = self._sorted = None
+
+    def __len__(self) -> int:
+        return len(self._cands)
+
+    @property
+    def rows(self) -> frozenset:
+        try:
+            return _rows.__get__(self)
+        except AttributeError:  # not read yet
+            rows = frozenset(self._decoded() if self._sorted is None else self._sorted)
+            _rows.__set__(self, rows)
+            return rows
+
+    def _decoded(self) -> list:
+        """The solution rows in counter order, decoded on the first call."""
+        space, rows = self._plan
+        if rows is None:
+            rows = space.decode(self._cands)
+            self._plan = (space, rows)
+        return rows
 
     def _sort(self) -> tuple:
-        space, rows, cands = self._plan
-        s, k = space.order(rows, cands)
+        s, k = self._plan[0].order(self._decoded(), self._cands)
         self._sorted = s
         self._key = k
         self._plan = None

@@ -193,7 +193,7 @@ def profile(eq, gen: DbGenerator, n_range, budget: EvalBudget | None = None) -> 
         gen,
         n_range,
         budget,
-        solutions=lambda res, metrics: len(res.rows),
+        solutions=lambda res, metrics: len(res),
         verdict=_flat_verdict(binders),
         growth_source="solutions",
     )

@@ -190,6 +190,19 @@ def test_every_registered_construction_verifies(capsys, tmp_path):
         assert "VERIFY PASS" in err, name
 
 
+def test_solutions_are_decoded_only_when_read(capsys, tmp_path, decoded):
+    # profile only counts solutions; construction --verify renders and
+    # compares its solution set, which decodes each solution once
+    code, _, _ = run(capsys, ["profile", "--eq", "powerset", "--n-range", "1..10"])
+    assert code == 0 and sum(decoded) == 0
+    atoms = [f"a{i}" for i in range(10)]
+    db = tmp_path / "ten.edb"
+    db.write_text(f"domain [{','.join(atoms)}]\nR:(0) = [{','.join(f'[{a}]' for a in atoms)}]\n")
+    code, _, err = run(capsys, ["construction", "--name", "powerset", "--db", str(db), "--verify"])
+    assert code == 0 and "VERIFY PASS" in err
+    assert sum(decoded) == 1 << 10
+
+
 def test_construction_powerset_prints_every_subset_in_order(capsys, tmp_path):
     atoms = ("a1", "9", "_b", "a", "10", "B")
     db = tmp_path / "six.edb"

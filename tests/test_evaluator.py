@@ -879,7 +879,7 @@ def test_flat_solve_bodies_match_oracles(representation):
         atoms = db.atoms
         types: dict = {}
         infer_type(node, schema, types)
-        sliced = _solve_parts(node, "", types, atoms)[-1] is not None
+        sliced = _solve_parts(node, "", types)[-1] is not None
         assert sliced == (representation == "sliced")
         env = {nm: to_plain(r) for nm, r in db.relations.items()}
 
@@ -1045,7 +1045,7 @@ def test_solves_under_solves_match_oracles(representation):
         atoms, schema = db.atoms, db.schema
         types: dict = {}
         infer_type(e, schema, types)
-        sliced = {path: _solve_parts(node, path, types, atoms)[-1] is not None
+        sliced = {path: _solve_parts(node, path, types)[-1] is not None
                   for path, node in _solve_nodes(e)}  # fmt: skip
         assert sliced == {"": False, "lhs.arg.arg": representation == "sliced"}
         env = {nm: to_plain(r) for nm, r in db.relations.items()}
@@ -1101,8 +1101,10 @@ def _assert_sorts_as_fresh(v, tags):
     """``v``, a solution set not yet sorted, sorts as the same rows rebuilt
     through ``Rel`` do, and fills its relations' caches as they would be."""
     assert isinstance(v, SolutionSet)
-    space, rows, cands = v._plan
-    assert list(cands) == sorted(set(cands)) and len(rows) == len(cands) == len(v.rows)
+    cands = v._cands
+    n = len(v.rows)  # decodes the rows in counter order, kept for the sort
+    space, rows = v._plan
+    assert list(cands) == sorted(set(cands)) and len(rows) == len(cands) == n
     decoded = [x for row in rows for x in row]
     assert all(x._sorted is None and x._key is None for x in decoded)
     f = from_plain(to_plain(v), v.rtype)
@@ -1146,7 +1148,7 @@ def test_solution_sets_sort_as_fresh_relations(representation, block_bits, monke
         infer_type(node, db.schema, types)
         ctx = evaluator._Ctx(db, EvalBudget())
         env = {**db.relations, "D": domain_relation(db.atoms)}
-        first = evaluator._run_solve(_solve_parts(node, "", types, db.atoms), env, ctx, "", True)
+        first = evaluator._run_solve(_solve_parts(node, "", types), env, ctx, "", True)
         early = SolutionSet(types[""], *first)
         assert values == [value] * 3 and len(early.rows) == min(1, found)
         assert early.rows <= value.rows
@@ -1156,6 +1158,29 @@ def test_solution_sets_sort_as_fresh_relations(representation, block_bits, monke
     if representation == "sliced" and block_bits == 2:
         expected.add("several_blocks")
     assert expected <= tags
+
+
+@pytest.mark.parametrize("rows_first", [True, False], ids=["rows_first", "sort_first"])
+def test_solution_sets_read_in_either_order_equal_fresh_relations(
+    representation, rows_first, decoded
+):
+    # a solution set is counted and sized without decoding, and decodes each
+    # solution once whether its rows are read before or after its first sort
+    for node, db in _ordering_cases():
+        ref = evaluate(node, db)[0]
+        fresh = from_plain(to_plain(ref), ref.rtype)
+        v = evaluate(node, db)[0]
+        decoded.clear()
+        counted = (len(v), bool(v), value_size(v))
+        assert counted == (len(fresh), bool(fresh), value_size(fresh)) and sum(decoded) == 0
+        if rows_first:
+            assert v.rows == fresh.rows
+        assert render_relation(v) == render_relation(fresh)
+        assert (v.rows, hash(v), len(v), bool(v), value_size(v)) == (
+            fresh.rows, hash(fresh), *counted
+        )
+        assert v == fresh and fresh == v
+        assert sum(decoded) == len(v)
 
 
 def test_wide_sparse_body_stays_small_in_memory():
@@ -1173,7 +1198,7 @@ def test_wide_sparse_body_stays_small_in_memory():
     types: dict = {}
     infer_type(node, db.schema, types)
     assert types["lhs.arg.arg.arg"].arity == 8
-    assert _solve_parts(node, "", types, atoms)[-1] is not None  # the body runs bit-sliced
+    assert _solve_parts(node, "", types)[-1] is not None  # the body runs bit-sliced
 
     tracemalloc.start()
     try:
@@ -1198,7 +1223,7 @@ def test_wide_sparse_body_stays_small_in_memory():
     wider = Solve(node.binders, Project((1, 7), Product(wide, Domain())), node.rhs)
     types = {}
     infer_type(wider, db.schema, types)
-    assert _solve_parts(wider, "", types, atoms)[-1] is not None
+    assert _solve_parts(wider, "", types)[-1] is not None
     value, metrics = evaluate(wider, db)
     assert to_plain(value) == oracle_eval(wider, env, atoms, db.schema)
     assert metrics.peak_space_units == oracle_peak(wider, env, atoms, db.schema)[0]
@@ -1231,7 +1256,7 @@ def test_random_expressions_with_solves_match_oracle_metering():
         if not solves:
             continue
         for path, node in solves:
-            sliced = _solve_parts(node, path, types, atoms)[-1] is not None
+            sliced = _solve_parts(node, path, types)[-1] is not None
             bodies.add("sliced" if sliced else "relations")
         env = {nm: to_plain(r) for nm, r in rels.items()}
 
