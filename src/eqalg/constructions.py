@@ -13,7 +13,7 @@ from typing import Callable
 
 from . import ast
 from .ast import Difference, Domain, Name, Nest, Product, Project, Select, Solve, Unnest
-from .evaluator import EvalBudget, InternalCheckError, evaluate, op_nest
+from .evaluator import EvalBudget, InternalCheckError, evaluate
 from .model import Database, ModelError, Rel, RelType, flat_type
 
 FLAT1 = flat_type(1)
@@ -394,7 +394,14 @@ def _oracle_tc(db: Database) -> Rel:
 
 
 def _oracle_nest(db: Database) -> Rel:
-    return op_nest(db.relations["R"], (2,))
+    """Each row of the binary R with the set of its first column's successors."""
+    r = db.relations["R"]
+    succ: dict = {}
+    for x, y in r.rows:
+        succ.setdefault(x, set()).add((y,))
+    groups = {x: Rel(FLAT1, frozenset(ys)) for x, ys in succ.items()}
+    rows = frozenset((x, y, groups[x]) for x, y in r.rows)
+    return Rel(RelType((*FLAT2.components, FLAT1)), rows)
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,20 @@
 
 Each operator is one kernel, a function from its operand values to its
 result, built once per node from the types the typechecker inferred (see
-``_kernel``); the value-level ``op_*`` functions call the same kernels.  The
-compiler (``_compile``) turns an expression into closures over relations,
-and one metering wrapper per operand arity (``_metered``) runs every
-operator node the same way: it evaluates the operands, charges the result's
-size and then releases the operands.  Product, unnest and powerset have an
-exact size computed from their operands, charged before the kernel runs, so
-an over-cap one is refused before any row is built; the other operators
-charge the result they built.  A solve node tests candidate assignments in
-the order of a binary counter over the canonically ordered row universe,
-last variable fastest, as if one at a time with one candidate live, and
-keeps its solutions' counter values: the solution set decodes its rows only
-when they are read (``model.SolutionSet``).  ``peak_space_units`` tracks
-the maximum over time of the total size of live intermediate results, where
-the size of a value is its recursive atom-occurrence count plus tuple count;
-the input database itself is ambient and not counted.
+``_kernel``).  The compiler (``_compile``) turns an expression into closures
+over relations, and one metering wrapper per operand arity (``_metered``)
+runs every operator node the same way: it evaluates the operands, charges
+the result's size and then releases the operands.  Product, unnest and
+powerset have an exact size computed from their operands, charged before the
+kernel runs, so an over-cap one is refused before any row is built; the
+other operators charge the result they built.  A solve node tests candidate
+assignments in the order of a binary counter over the canonically ordered
+row universe, last variable fastest, as if one at a time with one candidate
+live, and keeps its solutions' counter values: the solution set decodes its
+rows only when they are read (``model.SolutionSet``).  ``peak_space_units``
+tracks the maximum over time of the total size of live intermediate results,
+where the size of a value is its recursive atom-occurrence count plus tuple
+count; the input database itself is ambient and not counted.
 
 Four shortcuts over literal re-evaluation, none observable in results or
 metrics: an equation side that mentions no bound variable is evaluated once
@@ -51,7 +50,6 @@ from .model import (
     Rel,
     RelType,
     SolutionSet,
-    count_relations,
     row_picker,
     tuple_universe,
     value_size,
@@ -230,30 +228,6 @@ def _kernel(e: ast.Expr, path: str, types: dict):
     raise ModelError(f"cannot compile {type(e).__name__}")
 
 
-_A = ast.Name("A")
-
-
-def _apply(node: ast.Expr, a: Rel) -> Rel:
-    """Apply a one-operator node over the name ``A`` to the value ``a`` with
-    the kernel its compiled node runs; the typechecker checks the node."""
-    types: dict = {}
-    infer_type(node, {"A": a.rtype}, types)
-    return _kernel(node, "", types)[0](a)
-
-
-def op_project(a: Rel, indices: tuple[int, ...]) -> Rel:
-    return _apply(ast.Project(tuple(indices), _A), a)
-
-
-def op_nest(a: Rel, indices: tuple[int, ...]) -> Rel:
-    """Append, per row, the set of projected sub-rows agreeing on all other columns."""
-    return _apply(ast.Nest(tuple(indices), _A), a)
-
-
-def op_unnest(a: Rel, index: int) -> Rel:
-    return _apply(ast.Unnest(index, _A), a)
-
-
 def domain_relation(atoms: tuple[str, ...]) -> Rel:
     return Rel(RelType((ATOM,)), frozenset((a,) for a in atoms))
 
@@ -320,6 +294,28 @@ def _count(n: int) -> str:
     """A count for a message; one too long to print in full (Python refuses
     to print an int of over 4300 digits) is given as its power of two."""
     return str(n) if n.bit_length() <= 64 else f"~2^{n.bit_length() - 1}"
+
+
+# universe sizes are counted up to this; a larger one is not built
+_SATURATED = 1 << 64
+
+
+def _universe_size(t: RelType, n: int) -> int:
+    """Rows of type ``t`` over ``n`` atoms, or ``_SATURATED`` if there are at
+    least that many, so the count builds no int longer than 129 bits (a
+    relation-valued column ranges over 2^(rows of its type) values)."""
+    rows = 1
+    for c in t.components:
+        rows = min(rows * (n if c.is_atom else 1 << min(_universe_size(c, n), 64)), _SATURATED)
+    return rows
+
+
+def _space_count(bits: int) -> str:
+    """``_count(2 ** bits)`` without building the power; a saturated
+    ``bits`` is given as a lower bound."""
+    if bits < 64:
+        return str(1 << bits)
+    return f"~2^{bits}" if bits < _SATURATED else f">= 2^{bits}"
 
 
 def _precharge(ctx, amount: int, path: str, node: ast.Expr, operands) -> None:
@@ -415,11 +411,10 @@ def _compile(e: ast.Expr, path: str, types: dict):
 
     if isinstance(e, ast.Solve):
         parts = _solve_parts(e, path, types)
-        res_type = RelType(tuple(t for _, t in e.binders))
         fnames = tuple(sorted(ast.free_names(e)))
         key = id(e)
 
-        def run(env, ctx, _parts=parts, _rt=res_type, _p=path, _fn=fnames, _key=key):
+        def run(env, ctx, _parts=parts, _rt=types[path], _p=path, _fn=fnames, _key=key):
             # Re-occurrences of one solve node whose free inputs are the very
             # same values reuse the previous solution set instead of
             # re-enumerating; candidates_tested counts real enumerations.
@@ -612,16 +607,16 @@ def _run_solve(parts, env, ctx, path, early_exit):
             ctx.live -= csize
 
     try:
+        # the space is 2^bits candidates, refused on bits so it is never built
         n = len(ctx.atoms)
-        total = 1
-        for t in types:
-            total *= count_relations(t, n)
-        if total > ctx.max_candidates:
+        bits = min(sum(_universe_size(t, n) for t in types), _SATURATED)
+        if bits >= ctx.max_candidates.bit_length():
             raise BudgetExceeded(
                 "candidates",
                 path,
-                f"candidate space {_count(total)} exceeds cap {ctx.max_candidates}",
+                f"candidate space {_space_count(bits)} exceeds cap {ctx.max_candidates}",
             )
+        total = 1 << bits
         space = Candidates(types, [tuple_universe(t, ctx.atoms) for t in types])
         if l_inv:
             const_l = fl(env, ctx)

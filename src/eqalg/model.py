@@ -139,10 +139,6 @@ class Rel:
             return NotImplemented
         return self.rows == other.rows and self.rtype is other.rtype
 
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self) -> int:
         h = self._hash
         if h is None:

@@ -23,6 +23,14 @@ KEYWORDS = {
 # recursion limit of 1000 frames with room to spare.
 MAX_DEPTH = 420
 
+# Deepest nesting of parentheses accepted in a type, ``(0)`` counting as one
+# level.  Printing a type takes about four units of the recursion limit per
+# level, and checking, rendering and comparing a value of the type two or
+# three per level of the value, on top of the expression passes above: a
+# type error on a binder at the deepest level of an expression, the worst
+# case, still fails cleanly up to about 35 levels.
+MAX_TYPE_DEPTH = 24
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int) -> None:
@@ -92,6 +100,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.type_depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -142,10 +151,14 @@ class _Parser:
             self.next()
             return ATOM
         self.expect("(")
+        if self.type_depth == MAX_TYPE_DEPTH:
+            raise ParseError(f"type nested deeper than {MAX_TYPE_DEPTH} levels", tok.line, tok.col)
+        self.type_depth += 1
         comps = [self.parse_type()]
         while self.peek().text == ",":
             self.next()
             comps.append(self.parse_type())
+        self.type_depth -= 1
         self.expect(")")
         return RelType(tuple(comps))
 

@@ -110,7 +110,7 @@ def oracle_eval(e: ast.Expr, env: dict, atoms, schema: dict):
     if isinstance(e, ast.Solve):
         return oracle_solve(e.binders, e.lhs, e.rhs, env, atoms, schema)
     args = [oracle_eval(child, env, atoms, schema) for _, child in _operands(e)]
-    return _apply(e, args, schema)
+    return _operate(e, args, schema)
 
 
 def _operands(e: ast.Expr):
@@ -122,7 +122,7 @@ def _operands(e: ast.Expr):
     raise AssertionError(f"oracle cannot evaluate {type(e).__name__}")
 
 
-def _apply(e: ast.Expr, args, schema: dict):
+def _operate(e: ast.Expr, args, schema: dict):
     """The operator of ``e`` applied to its evaluated operands."""
     if isinstance(e, ast.Union):
         return o_union(*args)
@@ -193,7 +193,7 @@ def oracle_peak(e: ast.Expr, env: dict, atoms, schema: dict):
             walk(child, f"{path}.{label}" if path else label, env, schema)
             for label, child in _operands(node)
         ]
-        value = _apply(node, args, schema)
+        value = _operate(node, args, schema)
         charge(plain_size(value), path)
         state["live"] -= sum(plain_size(a) for a in args)
         return value

@@ -9,7 +9,7 @@ import pytest
 from eqalg import cli, constructions
 from eqalg.cli import main
 from eqalg.evaluator import domain_relation, evaluate
-from eqalg.parser import parse_database
+from eqalg.parser import MAX_TYPE_DEPTH, ParseError, parse_database, parse_type
 
 PAIR = "domain [a,b]\nR:(0,0) = [[a,b]]\n"
 THREE = "domain [a,b,c]\n"
@@ -360,6 +360,22 @@ def test_expression_nested_400_deep_evaluates(capsys, pair_db):
     assert (code, out) == (0, "[[[]],[[[a,b]]]]\n")
 
 
+def test_type_nested_to_the_limit_parses_checks_and_prints(capsys, tmp_path):
+    t = "(" * MAX_TYPE_DEPTH + "0" + ")" * MAX_TYPE_DEPTH
+    assert str(parse_type(t)) == t
+    code, out, _ = run(capsys, ["check", "--expr", f"solve{{(X:{t}) | X = X}}"])
+    assert (code, out) == (0, f"({t})\n")
+    # a value as deep as its type is checked, rendered and sized
+    value = "[[" * MAX_TYPE_DEPTH + "a" + "]]" * MAX_TYPE_DEPTH
+    db = tmp_path / "deep.edb"
+    db.write_text(f"domain [a]\nR:{t} = {value}\n")
+    code, out, err = run(capsys, ["eval", "--db", str(db), "--expr", "union(R,R)", "--metrics"])
+    assert (code, out) == (0, value + "\n")
+    assert f"peak_space_units {3 * (MAX_TYPE_DEPTH + 1)}" in err
+    with pytest.raises(ParseError, match=f"type nested deeper than {MAX_TYPE_DEPTH} levels"):
+        parse_type(f"({t})")
+
+
 def test_repl_metrics_toggle(capsys, monkeypatch, pair_db):
     lines = io.StringIO(":metrics\nD\n:metrics\nD\n:quit\n")
     monkeypatch.setattr("sys.stdin", lines)
@@ -439,12 +455,23 @@ BAD_ARGV = [
     ["eval", "--db", "{db}", "--expr", "{deep}"],
     ["eval", "--db", "{latin1}", "--expr", "R"],
     ["eval", "--db", "{db}", "--expr-file", "{latin1}"],
+    ["solve", "--db", "{db}", "--expr", "{wide_solve}"],
+    ["solve", "--db", "{db}", "--expr", "{nested_solve}"],
+    ["check", "--expr", "{deep_type_solve}"],
+    ["eval", "--db", "{deep_type_db}", "--expr", "R"],
     *OUT_OF_RANGE_ARGV,
 ]
 
 # 900 nested unions, over the parser's nesting limit
 DEEP = "union(" * 900 + "R" + ",R)" * 900
 LATIN1 = "domain [a,b]\nR:(0) = [[\xe9]]\n".encode("latin-1")
+# candidate spaces of 2^(2^100) and 2^(2^128) on two atoms: refused on their
+# exponent, neither count is built
+WIDE_SOLVE = "solve{(X:(" + ",".join(["0"] * 100) + ")) | X = X}"
+NESTED_SOLVE = "solve{(X:((0,0,0,0,0,0,0))) | X = X}"
+# types nested 250 and 1200 levels deep, over the parser's type nesting limit
+DEEP_TYPE_SOLVE = "solve{(X:" + "(" * 250 + "0" + ")" * 250 + ") | X = X}"
+DEEP_TYPE_DB = "domain [a]\nR:" + "(" * 1200 + "0" + ")" * 1200 + " = []\n"
 
 
 @pytest.mark.parametrize(
@@ -476,10 +503,19 @@ def test_bad_argv_exits_with_error_code_not_traceback(argv, tmp_path, pair_db):
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(eqalg.__file__)))
     latin1 = tmp_path / "latin1.edb"
     latin1.write_bytes(LATIN1)
-    argv = [
-        a.format(db=pair_db, missing=tmp_path / "missing.edb", deep=DEEP, latin1=latin1)
-        for a in argv
-    ]
+    deep_type_db = tmp_path / "deep_type.edb"
+    deep_type_db.write_text(DEEP_TYPE_DB)
+    fields = {
+        "db": pair_db,
+        "missing": tmp_path / "missing.edb",
+        "deep": DEEP,
+        "latin1": latin1,
+        "wide_solve": WIDE_SOLVE,
+        "nested_solve": NESTED_SOLVE,
+        "deep_type_solve": DEEP_TYPE_SOLVE,
+        "deep_type_db": deep_type_db,
+    }
+    argv = [a.format(**fields) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-B", "-m", "eqalg.cli", *argv],
         capture_output=True,

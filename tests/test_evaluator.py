@@ -27,9 +27,6 @@ from eqalg.evaluator import (
     _solve_parts,
     domain_relation,
     evaluate,
-    op_nest,
-    op_project,
-    op_unnest,
     solve,
     solve_nonempty,
 )
@@ -104,9 +101,12 @@ def test_powerset_value():
 NEST_IN = [("a", "b"), ("a", "c"), ("b", "b")]
 
 
+def _nest_r(indices, rows=NEST_IN):
+    return evaluate(Nest(indices, Name("R")), db_of(("a", "b", "c"), R=rel(FLAT2, rows)))[0]
+
+
 def test_nest_groups_by_complement():
-    r = rel(FLAT2, NEST_IN)
-    got = op_nest(r, (2,))
+    got = _nest_r((2,))
     bc = rel(FLAT1, [("b",), ("c",)])
     b = rel(FLAT1, [("b",)])
     assert got == rel(
@@ -116,21 +116,22 @@ def test_nest_groups_by_complement():
 
 
 def test_nest_all_columns_pairs_with_whole_relation():
-    r = rel(FLAT2, NEST_IN)
-    got = op_nest(r, (1, 2))
+    got = _nest_r((1, 2))
     whole = rel(FLAT2, NEST_IN)
-    assert got.rows == frozenset({row + (whole,) for row in r.rows})
+    assert got.rows == frozenset({row + (whole,) for row in whole.rows})
 
 
 def test_nest_empty():
-    assert op_nest(rel(FLAT2, []), (2,)).rows == frozenset()
+    assert _nest_r((2,), []).rows == frozenset()
 
 
 def test_unnest_of_nested_keeps_nested_column():
-    nested = op_nest(rel(FLAT2, NEST_IN), (2,))
-    got = op_unnest(nested, 3)
     bc = rel(FLAT1, [("b",), ("c",)])
     b = rel(FLAT1, [("b",)])
+    nested = rel(
+        RelType((*FLAT2.components, FLAT1)), [("a", "b", bc), ("a", "c", bc), ("b", "b", b)]
+    )
+    got, _ = evaluate(Unnest(3, Name("N")), db_of(("a", "b", "c"), N=nested))
     assert got == rel(
         RelType((*FLAT2.components, FLAT1, *FLAT1.components)),
         [
@@ -146,7 +147,7 @@ def test_unnest_of_nested_keeps_nested_column():
 def test_unnest_drops_rows_with_empty_inner():
     empty_inner = rel(FLAT1, [])
     r = rel(RelType((FLAT1,)), [(empty_inner,)])
-    assert op_unnest(r, 1).rows == frozenset()
+    assert evaluate(Unnest(1, Name("R")), db_of(("a",), R=r))[0].rows == frozenset()
 
 
 def test_unnest_then_project_recovers_members():
@@ -329,6 +330,22 @@ def test_powerset_budget_guard_refuses_early():
         evaluate(Powerset(Product(Domain(), Domain())), db, budget)
     assert err.value.which == "space"
     assert "powerset" in str(err.value)
+
+
+def test_candidate_space_refused_before_counting_it():
+    # 3^16 rows of a 16-ary relation: the space of 2^43046721 candidates is
+    # refused on its exponent, without building that count (a 5 MB int)
+    x = Name("X")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            solve((("X", flat_type(16)),), x, x, db_of(("a", "b", "c")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.which, err.value.path) == ("candidates", "")
+    assert "candidate space ~2^43046721 exceeds cap 10000000" in str(err.value)
+    assert peak < 1_000_000
 
 
 def test_product_and_unnest_refused_before_allocating():
@@ -647,10 +664,6 @@ def test_projection_paths_match_oracle_value_and_peak():
         if any(not t.components[i - 1].is_atom for i in idx):
             seen.add("relation_column")
 
-        # the value-level kernel
-        got = op_project(db.relations[name], idx)
-        assert got.rtype == infer_type(Project(idx, Name(name)), schema)
-        assert to_plain(got) == o_project(to_plain(db.relations[name]), idx)
         # the compiled node, over a name and over a non-join operator
         _assert_matches_oracle(Project(idx, Name(name)), db, atoms, schema)
         _assert_matches_oracle(Project(idx, Union(Name(name), Name(name))), db, atoms, schema)

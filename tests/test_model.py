@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from eqalg.model import (
     ModelError,
     Rel,
     RelType,
+    SolutionSet,
     canonicalize,
     count_relations,
     deep_equal,
@@ -134,6 +136,16 @@ def test_deep_equal_is_set_equality():
     b = Rel(RelType((FLAT1,)), [(rel(FLAT1, [("b",)]),)])
     assert not deep_equal(a, b)
     assert deep_equal(rel(FLAT1, []), rel(FLAT1, []))
+    # != is derived from ==, both ways and across types of operand
+    assert not rel(FLAT1, [("a",)]) != rel(FLAT1, [("a",)])
+    assert a != b and b != a
+    assert rel(FLAT1, [("a",)]) != "a" and "a" != rel(FLAT1, [("a",)])
+    universe = tuple_universe(FLAT1, ("a", "b"))
+    space = Candidates((FLAT1,), (universe,))
+    solutions = SolutionSet(RelType((FLAT1,)), array("Q", [0, 3]), space, 6)
+    fresh = Rel(RelType((FLAT1,)), [(rel(FLAT1, []),), (rel(FLAT1, [("a",), ("b",)]),)])
+    assert not solutions != fresh and not fresh != solutions
+    assert solutions != a and a != solutions
 
 
 def test_deep_equal_type_mismatch_errors():
