@@ -17,7 +17,6 @@ from .model import (
     canonicalize,
     count_relations,
     deep_equal,
-    empty_rel,
     enumerate_relations,
     flat_type,
     value_size,
@@ -52,7 +51,6 @@ __all__ = [
     "canonicalize",
     "count_relations",
     "deep_equal",
-    "empty_rel",
     "enumerate_relations",
     "evaluate",
     "flat_type",

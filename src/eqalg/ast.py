@@ -6,8 +6,6 @@ Column indices are 1-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import NAME_RE, ModelError, RelType
 
 
@@ -204,16 +202,6 @@ def free_names(e: Expr) -> frozenset[str]:
     return out
 
 
-@dataclass(frozen=True)
-class BindingViolation:
-    var: str
-    path: str
-    reason: str
-
-    def __str__(self) -> str:
-        return f"{self.var} at {self.path or 'top'}: {self.reason}"
-
-
 def join_shape(e: Expr, path: str, types: dict):
     """The parts of ``[project] select ... select[i=j](times(a, b))`` with
     column i in ``a`` and column j in ``b`` (or the reverse), or None for any
@@ -242,35 +230,6 @@ def join_shape(e: Expr, path: str, types: dict):
     # innermost level first; its test is the join key, so it filters nothing
     levels = [(None, True, None, key_path)] + filters[::-1]
     return indices, e, path, lk, rk - ka, levels
-
-
-def check_bindings(e: Expr) -> list[BindingViolation]:
-    """Well-formedness of variable binding; an empty report means ok.
-
-    Two rules: a name free in the whole expression may not become bound in
-    any subexpression, and a solve may not rebind a variable already bound
-    by an enclosing solve (shadowing is rejected outright).
-    """
-    out: list[BindingViolation] = []
-    _walk_bindings(e, "", frozenset(), free_names(e), out)
-    return out
-
-
-def _walk_bindings(node: Expr, path: str, enclosing: frozenset[str], top_free, out) -> None:
-    """Append the violations of ``node`` and below to ``out``, in pre-order.
-
-    A module-level function, not a closure: a nested function that calls
-    itself holds a reference cycle, which would leave garbage on every check.
-    """
-    if isinstance(node, Solve):
-        for nm in node.var_names:
-            if nm in top_free:
-                out.append(BindingViolation(nm, path, "free name also becomes bound"))
-            if nm in enclosing:
-                out.append(BindingViolation(nm, path, "rebinds a variable of an enclosing solve"))
-        enclosing = enclosing | set(node.var_names)
-    for label in child_labels(node):
-        _walk_bindings(getattr(node, label), child_path(path, label), enclosing, top_free, out)
 
 
 # ---------------------------------------------------------------------------

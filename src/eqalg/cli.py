@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: eval, solve, check, profile, construction, repl.  Exit codes:
-0 success, 1 user error (usage, parse, type, or binding), 2 budget exceeded,
+0 success, 1 user error (usage, parse or type error), 2 budget exceeded,
 3 internal invariant failure (including a failed --verify).  Budgets come
 from flags, then the environment variables EQALG_MAX_CANDIDATES,
 EQALG_MAX_SPACE, and EQALG_MAX_SOLUTIONS, then the documented defaults.
@@ -28,7 +28,6 @@ import sys
 from . import ast
 from .constructions import registry
 from .evaluator import (
-    BindingError,
     BudgetExceeded,
     EvalBudget,
     InternalCheckError,
@@ -46,7 +45,7 @@ EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
 # errors in what the user typed or named: exit 1 from main, "error:" in the repl
-USER_ERRORS = (ParseError, TypecheckError, BindingError, ModelError, ast.AstError, OSError)
+USER_ERRORS = (ParseError, TypecheckError, ModelError, ast.AstError, OSError)
 
 
 @contextlib.contextmanager
@@ -155,11 +154,6 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     e = _load_expr(args)
-    violations = ast.check_bindings(e)
-    if violations:
-        for v in violations:
-            print(f"binding violation: {v}", file=sys.stderr)
-        return EXIT_USER
     if args.db:
         schema = _load_db(args.db).schema
     else:
@@ -179,6 +173,14 @@ def cmd_construction(args) -> int:
         known = ", ".join(sorted(registry()))
         raise ParseError(f"unknown construction {args.name!r} (known: {known})", 1, 1)
     db = _load_db(args.db)
+    for name, t in entry.schema.items():
+        r = db.relations.get(name)
+        if r is None or r.rtype != t:
+            has = "none" if r is None else f"type {r.rtype}"
+            raise ModelError(
+                f"construction {entry.name} needs a relation {name} of type {t},"
+                f" the database has {has}"
+            )
     budget = _budget_from(args)
     if entry.harness is not None:
         value = entry.harness(db, budget)
@@ -350,7 +352,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     _add_budget_flags(p)
     p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("check", help="parse, binding-check, and type an expression")
+    p = sub.add_parser("check", help="parse and type an expression")
     _add_expr_flags(p)
     p.add_argument("--db", default=None)
     p.set_defaults(fn=cmd_check)

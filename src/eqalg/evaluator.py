@@ -61,12 +61,6 @@ class EvalError(Exception):
     """Base class for evaluation failures."""
 
 
-class BindingError(EvalError):
-    def __init__(self, violations) -> None:
-        self.violations = tuple(violations)
-        super().__init__("; ".join(str(v) for v in self.violations))
-
-
 class BudgetExceeded(EvalError):
     def __init__(self, which: str, path: str, detail: str) -> None:
         self.which = which  # "candidates" | "space" | "solutions"
@@ -671,14 +665,13 @@ def _run_solve(parts, env, ctx, path, early_exit):
 # public entry points
 
 
-def _precheck(e: ast.Expr, db: Database) -> dict:
-    """Check bindings and types; return the type of every node path."""
-    violations = ast.check_bindings(e)
-    if violations:
-        raise BindingError(violations)
+def _prepare(e: ast.Expr, db: Database, budget: EvalBudget | None):
+    """Type ``e`` on ``db``; return the type of every node path, a fresh
+    context and the environment of the database's relations and ``D``."""
     types: dict = {}
     infer_type(e, db.schema, types)
-    return types
+    env = {**db.relations, "D": domain_relation(db.atoms)}  # no relation is named D
+    return types, _Ctx(db, budget or EvalBudget()), env
 
 
 def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
@@ -687,14 +680,11 @@ def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
     Returns ``(value, metrics)``; the output type is checked against the
     inferred type as a runtime soundness invariant.
     """
-    types = _precheck(e, db)
-    expected = types[""]
-    ctx = _Ctx(db, budget or EvalBudget())
-    env = {**db.relations, "D": domain_relation(db.atoms)}  # no relation is named D
+    types, ctx, env = _prepare(e, db, budget)
     res = _compile(e, "", types)(env, ctx)
-    if res.rtype != expected:
+    if res.rtype != types[""]:
         raise InternalCheckError(
-            f"evaluator produced type {res.rtype}, typechecker said {expected}"
+            f"evaluator produced type {res.rtype}, typechecker said {types['']}"
         )
     return res, ctx.metrics()
 
@@ -709,7 +699,5 @@ def solve_nonempty(
 ) -> bool:
     """True iff the equation has at least one solution (stops at the first)."""
     node = ast.Solve(tuple(binders), lhs, rhs)
-    types = _precheck(node, db)
-    ctx = _Ctx(db, budget or EvalBudget())
-    env = {**db.relations, "D": domain_relation(db.atoms)}
+    types, ctx, env = _prepare(node, db, budget)
     return bool(_run_solve(_solve_parts(node, "", types), env, ctx, "", early_exit=True)[0])

@@ -284,10 +284,6 @@ def deep_equal(v1: Value, v2: Value) -> bool:
     raise ModelError("deep_equal between an atom and a relation")
 
 
-def empty_rel(rtype: RelType) -> Rel:
-    return Rel(rtype, frozenset())
-
-
 # ---------------------------------------------------------------------------
 # enumeration of all relations of a type over a domain
 

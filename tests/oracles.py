@@ -395,6 +395,40 @@ def random_digraph(rng: random.Random, n: int, p: float | None = None) -> Rel:
     return random_flat_rel(rng, 2, atoms, density=p)
 
 
+# ---------------------------------------------------------------------------
+# the binding rules of GRAMMAR.md
+
+
+def _subterms(e: ast.Expr) -> list:
+    return [v for v in (getattr(e, f) for f in e.__slots__) if isinstance(v, ast.Expr)]
+
+
+def _names_free_in(e: ast.Expr) -> set:
+    if isinstance(e, ast.Name):
+        return {e.name}
+    free = set().union(*map(_names_free_in, _subterms(e)))
+    if isinstance(e, ast.Solve):
+        free -= {nm for nm, _ in e.binders}
+    return free
+
+
+def binding_violations(e: ast.Expr) -> list[str]:
+    """The variables bound against the two rules: a variable may not occur
+    free in the whole expression, and a solve may not rebind a variable of an
+    enclosing solve.  Empty means the bindings are well formed."""
+    top_free = _names_free_in(e)
+    out = []
+    stack = [(e, frozenset())]
+    while stack:
+        node, enclosing = stack.pop()
+        if isinstance(node, ast.Solve):
+            names = {nm for nm, _ in node.binders}
+            out += sorted(names & (top_free | enclosing))
+            enclosing |= names
+        stack += [(sub, enclosing) for sub in _subterms(node)]
+    return out
+
+
 # random well-typed expressions ------------------------------------------------
 
 _UNARY = RelType((ATOM,))

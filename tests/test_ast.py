@@ -11,14 +11,14 @@ from eqalg.ast import (
     Select,
     Solve,
     Union,
-    check_bindings,
     empty_like,
     free_names,
     rewrite_diseq_to_eq,
     rewrite_eq_to_diseq,
 )
 from eqalg.evaluator import evaluate, solve
-from eqalg.model import Database, ModelError, Rel, flat_type
+from eqalg.model import Database, ModelError, Rel, RelType, flat_type
+from eqalg.typecheck import infer_type
 
 FLAT1 = flat_type(1)
 FLAT2 = flat_type(2)
@@ -52,27 +52,12 @@ def test_free_names_domain_empty_product_unions():
     assert free_names(Product(Name("R"), Name("S"))) == {"R", "S"}
 
 
-def test_bindings_reject_free_name_becoming_bound():
-    inner = Solve((("X", FLAT2),), Union(Name("X"), Name("R")), Name("R"))
-    bad = Product(Name("X"), inner)
-    report = check_bindings(bad)
-    assert report and report[0].var == "X"
-    assert "right" in report[0].path
-
-
 def test_bindings_allow_plain_and_sibling_solves():
-    assert check_bindings(Solve((("X", FLAT1),), Name("X"), Name("X"))) == []
+    assert infer_type(Solve((("X", FLAT1),), Name("X"), Name("X")), {}) == RelType((FLAT1,))
     inner = Solve((("X", FLAT1),), Name("X"), Name("X"))
     outer = Solve((("Y", FLAT1),), inner, inner)
     # X bound in two sibling positions, never shadowed
-    assert check_bindings(outer) == []
-
-
-def test_bindings_reject_shadowing():
-    inner = Solve((("X", FLAT1),), Name("X"), Name("X"))
-    outer = Solve((("X", FLAT1),), inner, Name("X"))
-    report = check_bindings(outer)
-    assert any(v.var == "X" and "rebinds" in v.reason for v in report)
+    assert infer_type(outer, {}) == RelType((FLAT1,))
 
 
 def test_solve_constructor_validation():

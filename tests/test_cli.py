@@ -134,12 +134,16 @@ def test_check_reports_type_and_binding_violations(capsys, pair_db):
         capsys, ["check", "--expr", "solve{(X:(0,0)) | union(X,R) = R}", "--db", pair_db]
     )
     assert code == 0 and out == "((0,0))\n"
-    code, _, err = run(
-        capsys,
-        ["check", "--expr", "times(X, solve{(X:(0,0)) | union(X,R) = R})", "--db", pair_db],
+    # X is free in the whole expression and bound inside it: unknown on the
+    # database, and colliding with the binary X assumed without one
+    bound_free = "times(X, solve{(X:(0,0)) | union(X,R) = R})"
+    code, out, err = run(capsys, ["check", "--expr", bound_free, "--db", pair_db])
+    assert (code, out, err) == (1, "", "error: unknown relation name 'X' (at left)\n")
+    code, out, err = run(capsys, ["check", "--expr", bound_free])
+    assert (code, out) == (1, "")
+    assert err.endswith(
+        "error: solve variable 'X' collides with a visible relation name (at right)\n"
     )
-    assert code == 1
-    assert "binding violation" in err
 
 
 def test_parse_error_exits_1(capsys, pair_db):
@@ -188,6 +192,29 @@ def test_every_registered_construction_verifies(capsys, tmp_path):
         )
         assert code == 0, (name, err)
         assert "VERIFY PASS" in err, name
+
+
+def test_construction_checks_its_relations_not_extra_ones(capsys, tmp_path, three_db):
+    ternary = tmp_path / "ternary.edb"
+    ternary.write_text(TERNARY)
+    extra = tmp_path / "extra.edb"
+    extra.write_text("domain [a,b]\nR:(0,0) = [[a,b]]\nS:(0) = [[a]]\n")
+    code, out, err = run(capsys, ["construction", "--name", "tc-sparse", "--db", three_db])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: construction tc-sparse needs a relation R of type (0,0), the database has none\n"
+    )
+    code, out, err = run(
+        capsys, ["construction", "--name", "nest-sparse", "--verify", "--db", str(ternary)]
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: construction nest-sparse needs a relation R of type (0,0),"
+        " the database has type (0,0,0)\n"
+    )
+    for name in ("tc-powerset", "tc-sparse", "nest-sparse"):
+        code, _, err = run(capsys, ["construction", "--name", name, "--db", str(extra), "--verify"])
+        assert code == 0 and "VERIFY PASS" in err, (name, err)
 
 
 def test_solutions_are_decoded_only_when_read(capsys, tmp_path, decoded):
@@ -459,6 +486,8 @@ BAD_ARGV = [
     ["solve", "--db", "{db}", "--expr", "{nested_solve}"],
     ["check", "--expr", "{deep_type_solve}"],
     ["eval", "--db", "{deep_type_db}", "--expr", "R"],
+    ["construction", "--name", "tc-sparse", "--db", "{three}"],
+    ["construction", "--name", "nest-sparse", "--verify", "--db", "{ternary}"],
     *OUT_OF_RANGE_ARGV,
 ]
 
@@ -472,6 +501,7 @@ NESTED_SOLVE = "solve{(X:((0,0,0,0,0,0,0))) | X = X}"
 # types nested 250 and 1200 levels deep, over the parser's type nesting limit
 DEEP_TYPE_SOLVE = "solve{(X:" + "(" * 250 + "0" + ")" * 250 + ") | X = X}"
 DEEP_TYPE_DB = "domain [a]\nR:" + "(" * 1200 + "0" + ")" * 1200 + " = []\n"
+TERNARY = "domain [a,b]\nR:(0,0,0) = [[a,b,a]]\n"
 
 
 @pytest.mark.parametrize(
@@ -505,6 +535,10 @@ def test_bad_argv_exits_with_error_code_not_traceback(argv, tmp_path, pair_db):
     latin1.write_bytes(LATIN1)
     deep_type_db = tmp_path / "deep_type.edb"
     deep_type_db.write_text(DEEP_TYPE_DB)
+    three = tmp_path / "three.edb"
+    three.write_text(THREE)
+    ternary = tmp_path / "ternary.edb"
+    ternary.write_text(TERNARY)
     fields = {
         "db": pair_db,
         "missing": tmp_path / "missing.edb",
@@ -514,6 +548,8 @@ def test_bad_argv_exits_with_error_code_not_traceback(argv, tmp_path, pair_db):
         "nested_solve": NESTED_SOLVE,
         "deep_type_solve": DEEP_TYPE_SOLVE,
         "deep_type_db": deep_type_db,
+        "three": three,
+        "ternary": ternary,
     }
     argv = [a.format(**fields) for a in argv]
     proc = subprocess.run(

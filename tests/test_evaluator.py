@@ -21,7 +21,6 @@ from eqalg.ast import (
     Unnest,
 )
 from eqalg.evaluator import (
-    BindingError,
     BudgetExceeded,
     EvalBudget,
     _solve_parts,
@@ -43,7 +42,7 @@ from eqalg.model import (
     value_sort_key,
 )
 from eqalg.parser import parse_expr, render_relation
-from eqalg.typecheck import infer_type
+from eqalg.typecheck import TypecheckError, infer_type
 
 from oracles import (
     candidate_order,
@@ -409,7 +408,7 @@ def test_refusals_of_counts_too_long_to_print():
 
 def test_binding_violation_raises():
     inner = Solve((("X", FLAT1),), Union(Name("X"), Name("R")), Name("R"))
-    with pytest.raises(BindingError):
+    with pytest.raises(TypecheckError, match=r"'X' collides .* \(at right\)$"):
         evaluate(Product(Name("X"), inner), db_of(("a",), R=rel(FLAT1, []), X=rel(FLAT1, [])))
 
 

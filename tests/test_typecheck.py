@@ -1,12 +1,30 @@
+import random
+
 import pytest
 
-from eqalg.ast import Domain, Name, Nest, Powerset, Product, Project, Select, Solve, Union, Unnest
+from eqalg.ast import (
+    Difference,
+    Domain,
+    Expr,
+    Name,
+    Nest,
+    Powerset,
+    Product,
+    Project,
+    Select,
+    Solve,
+    Union,
+    Unnest,
+)
 from eqalg.model import ATOM, Database, Rel, RelType, flat_type
 from eqalg.typecheck import TypecheckError, infer_type, typecheck_database
+
+from oracles import binding_violations
 
 FLAT1 = flat_type(1)
 FLAT2 = flat_type(2)
 SCHEMA = {"R": FLAT2, "S": FLAT1}
+INNER_X = Solve((("X", FLAT1),), Name("X"), Name("X"))
 
 
 def test_nest_appends_grouped_column():
@@ -34,6 +52,16 @@ def test_domain_is_unary():
         (Nest((3,), Name("R")), "out of range"),
         (Unnest(3, Name("R")), "out of range"),
         (Select(1, "=", 3, Nest((2,), Name("R"))), "compares columns"),
+        pytest.param(
+            Product(Name("S"), Solve((("S", FLAT1),), Name("S"), Name("S"))),
+            r"'S' collides .* \(at right\)$",
+            id="free-name-bound-inside",
+        ),
+        pytest.param(
+            Solve((("X", FLAT1),), INNER_X, INNER_X),
+            r"'X' collides .* \(at lhs\)$",
+            id="solve-shadows-enclosing-variable",
+        ),
     ],
 )
 def test_rejections(expr, message):
@@ -122,3 +150,77 @@ def test_reimporting_eqalg_releases_the_previous_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "released\n"
+
+
+BINDING_NAMES = ("A", "B", "X", "Y")
+
+
+def _random_flat(rng: random.Random):
+    return FLAT2 if rng.random() < 0.1 else FLAT1
+
+
+def _random_binding_expr(rng: random.Random, depth: int, visible: tuple):
+    """A random tree of names, unions, minuses and solves over BINDING_NAMES.
+    Most names are picked from ``visible`` (the schema's and the enclosing
+    solves' names), the rest from all of BINDING_NAMES.  A solve's solutions
+    are unnested back to its first variable's type, so solves can nest and
+    sit side by side in well-typed expressions too."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return Name(rng.choice(visible if visible and rng.random() < 0.8 else BINDING_NAMES))
+    if roll < 0.6:
+        op = Union if roll < 0.45 else Difference
+        return op(*(_random_binding_expr(rng, depth - 1, visible) for _ in range(2)))
+    binders = tuple((nm, _random_flat(rng)) for nm in rng.sample(BINDING_NAMES, rng.randint(1, 2)))
+    inside = visible + tuple(nm for nm, _ in binders)
+    lhs, rhs = (_random_binding_expr(rng, depth - 1, inside) for _ in range(2))
+    k, first = len(binders), binders[0][1]
+    return Project(tuple(range(k + 1, k + 1 + first.arity)), Unnest(1, Solve(binders, lhs, rhs)))
+
+
+def _solve_layout(e) -> tuple[int, bool]:
+    """(most solves on one path from the root, whether two solves lie in
+    different operands of one node)."""
+    subs = [_solve_layout(v) for v in (getattr(e, f) for f in e.__slots__) if isinstance(v, Expr)]
+    depth = max((d for d, _ in subs), default=0)
+    apart = any(a for _, a in subs) or sum(d > 0 for d, _ in subs) >= 2
+    return depth + isinstance(e, Solve), apart
+
+
+def test_oracle_binding_rules_on_known_cases():
+    inner = Solve((("X", FLAT1),), Name("X"), Name("X"))
+    assert binding_violations(inner) == []
+    assert binding_violations(Union(inner, inner)) == []  # sibling solves
+    assert binding_violations(Solve((("Y", FLAT1),), inner, inner)) == []
+    assert binding_violations(Union(Name("X"), inner)) == ["X"]  # free and bound
+    assert binding_violations(Solve((("X", FLAT1),), inner, Name("X"))) == ["X"]  # shadowing
+
+
+def test_typecheck_rejects_every_binding_the_oracle_flags():
+    # every expression breaking a binding rule is rejected under any schema: a
+    # free name must be a relation of the schema, and an enclosing solve's
+    # variable is in the schema its body is typed under, so binding either
+    # collides with a visible relation name
+    rng = random.Random(1701)
+    flagged = accepted = nested = apart = nested_ok = apart_ok = 0
+    for _ in range(3000):
+        schema = {nm: _random_flat(rng) for nm in BINDING_NAMES if rng.random() < 0.5}
+        e = _random_binding_expr(rng, rng.randint(1, 4), tuple(schema))
+        depth, side_by_side = _solve_layout(e)
+        nested += depth >= 2
+        apart += side_by_side
+        if binding_violations(e):
+            flagged += 1
+            with pytest.raises(TypecheckError):
+                infer_type(e, schema)
+            continue
+        try:
+            infer_type(e, schema)
+        except TypecheckError:
+            continue
+        accepted += 1
+        nested_ok += depth >= 2
+        apart_ok += side_by_side
+    assert flagged >= 1000 and accepted >= 1000, (flagged, accepted)
+    assert nested >= 1000 and apart >= 500, (nested, apart)
+    assert nested_ok >= 5 and apart_ok >= 5, (nested_ok, apart_ok)
