@@ -18,21 +18,29 @@ where the size of a value is its recursive atom-occurrence count plus tuple
 count; the input database itself is ambient and not counted.
 
 Four shortcuts over literal re-evaluation, none observable in results or
-metrics: an equation side that mentions no bound variable is evaluated once
-per solve, not once per candidate; re-occurrences of one solve node whose
-free inputs are the identical values reuse the previous solution set instead
-of enumerating again (candidates_tested counts real enumerations); a chain
-of selections on a product whose innermost test equates a column of the
-left operand with one of the right, optionally under a projection, runs as a
-hash join that never builds the product or the selections; and a solve
-whose binders and every node of both sides have flat types evaluates its
-body bit-sliced, once per block of candidates, not once per candidate (see
-``bitslice``), and decodes only a refused candidate.  The join
-charges every node at its exact size, at its own path, in the order literal
-evaluation would.  A bit-sliced block computes each candidate's live total
-at every such charge from per-candidate row counts, and replays its first
-refused candidate alone on the relation kernels, so ``peak_space_units``
-and every budget refusal, down to its message, stay the same.
+metrics.  A shared node, that is an operator node object met at two or more
+places with no solve inside it, or any solve node, is computed once for the
+values its free names hold: one cache per evaluation, keyed on the node and
+the identities of those values, keeps its value and its rise, the most its
+evaluation raised the live total above where it began (see ``_shared``).  A
+reuse raises the peak to the live total plus that rise and charges the
+value, as evaluating it again would, and one whose rise would pass the
+space cap evaluates it again, so the refusal comes from the code that
+defines it; a reused solve
+charges only its solution set, and candidates_tested counts real
+enumerations.  An equation side that mentions no bound variable is
+evaluated once per solve, not once per candidate.  A chain of selections on
+a product whose innermost test equates a column of the left operand with
+one of the right, optionally under a projection, runs as a hash join that
+never builds the product or the selections.  And a solve whose binders and
+every node of both sides have flat types evaluates its body bit-sliced,
+once per block of candidates, not once per candidate (see ``bitslice``),
+and decodes only a refused candidate.  The join charges every node at its
+exact size, at its own path, in the order literal evaluation would.  A
+bit-sliced block computes each candidate's live total at every such charge
+from per-candidate row counts, and replays its first refused candidate
+alone on the relation kernels, so ``peak_space_units`` and every budget
+refusal, down to its message, stay the same.
 """
 
 from __future__ import annotations
@@ -239,7 +247,7 @@ class _Ctx:
         "max_space",
         "max_solutions",
         "solve_stats",
-        "solve_cache",
+        "cache",
     )
 
     def __init__(self, db: Database, budget: EvalBudget) -> None:
@@ -250,7 +258,7 @@ class _Ctx:
         self.max_space = budget.max_space_units
         self.max_solutions = budget.max_solutions
         self.solve_stats: dict[str, SolveStats] = {}
-        self.solve_cache: dict = {}  # node id -> (input values, solution set)
+        self.cache: dict = {}  # shared node id -> (input values, value, rise)
 
     def stats_for(self, path: str) -> SolveStats:
         s = self.solve_stats.get(path)
@@ -377,19 +385,146 @@ def _metered(fs, kernel, need, path: str, node: ast.Expr):
     return run
 
 
-def _compile(e: ast.Expr, path: str, types: dict):
+_UNARY = frozenset((ast.Project, ast.Select, ast.Nest, ast.Unnest, ast.Powerset))
+_BINARY = frozenset((ast.Union, ast.Difference, ast.Product))
+_LEAVES = frozenset((ast.Name, ast.Domain))
+
+
+def _sharing(e: ast.Expr):
+    """``(free, shared)`` for the expression ``e``: ``free`` maps the id of
+    each distinct node to its free names, and ``shared`` maps the id of each
+    shared node to the sorted names its cache entries are keyed on.
+
+    A node is shared when it is a solve, or an operator met at two or more
+    places with no solve inside it.  One walk with an explicit stack visits
+    each distinct node once, its children before it, so it adds no Python
+    frame per level of the expression: a node is pushed again above its
+    children when first met and finished when met on top of them, and a
+    finished node met again is only marked shared.  No other path can reach
+    a node between those two meetings, since no node is inside itself.
+    """
+    free: dict = {}
+    shared: dict = {}
+    with_solve: set = set()  # ids of the nodes that are or contain a solve
+    opened: set = set()
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        k = id(node)
+        if k in free:
+            if k not in shared and k not in with_solve and type(node) not in _LEAVES:
+                shared[k] = tuple(sorted(free[k]))
+            continue
+        cls = type(node)
+        if k not in opened:
+            opened.add(k)
+            stack.append(node)
+            if cls in _UNARY:
+                stack.append(node.arg)
+            elif cls in _BINARY:
+                stack += (node.left, node.right)
+            elif cls is ast.Solve:
+                stack += (node.lhs, node.rhs)
+            continue
+        if cls in _UNARY:
+            a = id(node.arg)
+            free[k] = free[a]
+            if a in with_solve:
+                with_solve.add(k)
+        elif cls in _BINARY:
+            a, b = id(node.left), id(node.right)
+            free[k] = free[a] | free[b]
+            if a in with_solve or b in with_solve:
+                with_solve.add(k)
+        elif cls is ast.Solve:
+            names = (free[id(node.lhs)] | free[id(node.rhs)]).difference(node.var_names)
+            free[k] = names
+            shared[k] = tuple(sorted(names))
+            with_solve.add(k)
+        else:
+            free[k] = frozenset((node.name,)) if cls is ast.Name else frozenset()
+    return free, shared
+
+
+def _shared(e: ast.Expr, path: str, types: dict, plan, names: tuple):
+    """The occurrence at ``path`` of the shared node ``e``, whose cache
+    entry is keyed on the values of ``names``.
+
+    The entry ``ctx.cache[id(e)]`` holds the values the node last ran on,
+    its value and its rise: the most by which ``ctx.live`` went above its
+    value on entry while the node ran.  A hit, on the very same values, has
+    the live total and the peak that running again would give: the peak is
+    raised to the live total plus the rise, and the value is charged.  When
+    that peak is over the cap, the occurrence runs instead, so the refusal
+    comes from the code that defines it.  A solve keeps the contract of a
+    reused solve: a hit charges its solution set at its own path, however
+    much its enumeration rose.  A miss compiles the node at ``path``, once,
+    and runs it, so an occurrence that always hits is never compiled.
+    """
+    real: list = []  # the node compiled at this path, once it first runs
+
+    def run(
+        env, ctx, _key=id(e), _names=names, _real=real, _args=(e, path, types, plan),
+        _p=path, _solve=isinstance(e, ast.Solve), _s=value_size,
+    ):  # fmt: skip
+        entry = ctx.cache.get(_key)
+        if entry is not None:
+            inputs, res, rise = entry
+            for nm, v in zip(_names, inputs):
+                if env[nm] is not v:
+                    break
+            else:
+                if _solve:
+                    _grow(ctx, _s(res), _p)
+                    return res
+                live = ctx.live
+                top = live + rise
+                if top <= ctx.max_space:
+                    if top > ctx.peak:
+                        ctx.peak = top
+                    ctx.live = live + _s(res)
+                    return res
+        if not _real:
+            _real.append(_compile(*_args, cached=False))
+        inputs = tuple(map(env.__getitem__, _names))
+        if _solve:
+            res = _real[0](env, ctx)
+            ctx.cache[_key] = (inputs, res, None)
+            return res
+        # the peak is lowered to the entry total while the node runs, so the
+        # peak it leaves is the entry total plus the rise
+        live = ctx.live
+        peak = ctx.peak
+        ctx.peak = live
+        res = _real[0](env, ctx)
+        ctx.cache[_key] = (inputs, res, ctx.peak - live)
+        if peak > ctx.peak:
+            ctx.peak = peak
+        return res
+
+    return run
+
+
+def _compile(e: ast.Expr, path: str, types: dict, plan, cached: bool = True):
     """Compile an expression into ``fn(env, ctx) -> Rel``.
 
     ``types`` maps every node path to its type, as filled in by
-    ``infer_type``.  Contract: when ``fn`` returns, exactly the size of its
-    result has been added to ``ctx.live``; the caller releases it after
-    consuming it.  A name and the domain share one closure, a solve node
-    has its own (its body may run bit-sliced, see ``_solve_parts``), and a
-    select chain over a product becomes one hash join (see
-    ``_compile_join``).  Every other operator is its kernel (``_kernel``)
-    under the metering wrapper of its arity (``_metered``), over its
-    children compiled at their paths.
+    ``infer_type``, and ``plan`` is ``_sharing`` of the whole expression.
+    Contract: when ``fn`` returns, exactly the size of its result has been
+    added to ``ctx.live``; the caller releases it after consuming it.  An
+    occurrence of a shared node goes through the evaluation's cache (see
+    ``_shared``), unless ``cached`` is false, as when that occurrence
+    compiles the node itself.  A name and the domain share one closure, a
+    solve node has its own (its body may run bit-sliced, see
+    ``_solve_parts``), and a select chain over a product becomes one hash
+    join (see ``_compile_join``).  Every other operator is its kernel
+    (``_kernel``) under the metering wrapper of its arity (``_metered``),
+    over its children compiled at their paths.
     """
+    if cached:
+        names = plan[1].get(id(e))
+        if names is not None:
+            return _shared(e, path, types, plan, names)
     if isinstance(e, (ast.Name, ast.Domain)):
         nm = e.name if isinstance(e, ast.Name) else "D"
 
@@ -404,38 +539,24 @@ def _compile(e: ast.Expr, path: str, types: dict):
         return run
 
     if isinstance(e, ast.Solve):
-        parts = _solve_parts(e, path, types)
-        fnames = tuple(sorted(ast.free_names(e)))
-        key = id(e)
 
-        def run(env, ctx, _parts=parts, _rt=types[path], _p=path, _fn=fnames, _key=key):
-            # Re-occurrences of one solve node whose free inputs are the very
-            # same values reuse the previous solution set instead of
-            # re-enumerating; candidates_tested counts real enumerations.
-            cached = ctx.solve_cache.get(_key)
-            if cached is not None:
-                sig, rel = cached
-                if all(env[nm] is v for nm, v in zip(_fn, sig)):
-                    _grow(ctx, value_size(rel), _p)
-                    return rel
-            rel = SolutionSet(_rt, *_run_solve(_parts, env, ctx, _p, early_exit=False))
-            ctx.solve_cache[_key] = (tuple(env[nm] for nm in _fn), rel)
-            return rel
+        def run(env, ctx, _parts=_solve_parts(e, path, types, plan), _rt=types[path], _p=path):
+            return SolutionSet(_rt, *_run_solve(_parts, env, ctx, _p, early_exit=False))
 
         return run
 
     if isinstance(e, (ast.Project, ast.Select)):
-        join = _compile_join(e, path, types)
+        join = _compile_join(e, path, types, plan)
         if join is not None:
             return join
 
     kernel, need = _kernel(e, path, types)
-    fs = [_compile(getattr(e, label), ast.child_path(path, label), types)
+    fs = [_compile(getattr(e, label), ast.child_path(path, label), types, plan)
           for label in ast.child_labels(e)]  # fmt: skip
     return _metered(fs, kernel, need, path, e)
 
 
-def _compile_join(e: ast.Expr, path: str, types: dict):
+def _compile_join(e: ast.Expr, path: str, types: dict, plan):
     """The hash join for the shape ``ast.join_shape`` accepts; None for any
     other shape, which compiles operator by operator.
 
@@ -453,8 +574,8 @@ def _compile_join(e: ast.Expr, path: str, types: dict):
     top = path
     indices, e, path, lk, rk, levels = shape
     pick = None if indices is None else row_picker(indices)
-    fa = _compile(e.left, ast.child_path(path, "left"), types)
-    fb = _compile(e.right, ast.child_path(path, "right"), types)
+    fa = _compile(e.left, ast.child_path(path, "left"), types, plan)
+    fb = _compile(e.right, ast.child_path(path, "right"), types, plan)
     size = value_size
     grow = _grow
     width = types[path].flat_row_size  # units per joined row, None if nested
@@ -508,28 +629,33 @@ def _sliceable(e: ast.Solve, path: str, types: dict) -> bool:
     )
 
 
-def _solve_parts(e: ast.Solve, path: str, types: dict):
+def _solve_parts(e: ast.Solve, path: str, types: dict, plan=None):
     """The compiled sides of a solve node and what its candidate loop needs.
 
-    Both sides compile over relations.  When ``_sliceable`` holds, the last
-    part holds each side that mentions a bound variable compiled bit-sliced
-    as well (``bitslice.compile_sliced``, None for the other side) and the
-    free names its blocks read; the candidates then run a block at a time, and
-    the relation sides run once for a side that mentions no bound variable
-    and for the replay of a refused candidate.  Otherwise it is None.
+    ``plan`` is ``_sharing`` of an expression holding ``e``, by default of
+    ``e`` itself.  Both sides compile over relations.  When ``_sliceable``
+    holds, the last part holds each side that mentions a bound variable
+    compiled bit-sliced as well (``bitslice.compile_sliced``, None for the
+    other side) and the free names its blocks read; the candidates then run
+    a block at a time, and the relation sides run once for a side that
+    mentions no bound variable and for the replay of a refused candidate.
+    Otherwise it is None.
     """
+    if plan is None:
+        plan = _sharing(e)
+    free = plan[0]
     lp, rp = ast.child_path(path, "lhs"), ast.child_path(path, "rhs")
     bound = set(e.var_names)
-    l_inv = not (ast.free_names(e.lhs) & bound)
-    r_inv = not (ast.free_names(e.rhs) & bound)
-    fl = _compile(e.lhs, lp, types)
-    fr = _compile(e.rhs, rp, types)
+    l_inv = not (free[id(e.lhs)] & bound)
+    r_inv = not (free[id(e.rhs)] & bound)
+    fl = _compile(e.lhs, lp, types, plan)
+    fr = _compile(e.rhs, rp, types, plan)
     sliced = None
     if _sliceable(e, path, types):
         sliced = (
             None if l_inv else bitslice.compile_sliced(e.lhs, lp, types),
             None if r_inv else bitslice.compile_sliced(e.rhs, rp, types),
-            tuple(sorted(ast.free_names(e))) + ("D",),
+            tuple(sorted(free[id(e)])) + ("D",),
         )
     var_types = tuple(t for _, t in e.binders)
     return e.var_names, var_types, fl, fr, l_inv, r_inv, sliced
@@ -681,7 +807,7 @@ def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
     inferred type as a runtime soundness invariant.
     """
     types, ctx, env = _prepare(e, db, budget)
-    res = _compile(e, "", types)(env, ctx)
+    res = _compile(e, "", types, _sharing(e))(env, ctx)
     if res.rtype != types[""]:
         raise InternalCheckError(
             f"evaluator produced type {res.rtype}, typechecker said {types['']}"

@@ -46,10 +46,13 @@ class RelType:
     when it is first built: ``nested_columns``, the 0-based positions of
     the relation-valued columns; ``row_base_size``, the units of a row and
     its atom columns; and ``flat_row_size``, the latter when every component
-    is an atom (``is_flat``), None otherwise.  The atom type has none.
+    is an atom (``is_flat``), None otherwise.  The atom type has none.  Its
+    text, ``0`` for the atom type and ``(c1,...,ck)`` for a tuple type, is
+    built then too, from its components' text, so printing a type of any
+    depth is one slot read.
     """
 
-    __slots__ = ("components", "is_atom", "is_flat", "nested_columns", "row_base_size", "flat_row_size")
+    __slots__ = ("components", "is_atom", "is_flat", "nested_columns", "row_base_size", "flat_row_size", "text")
 
     def __new__(cls, components: tuple[RelType, ...] | None = None) -> RelType:
         try:
@@ -57,11 +60,12 @@ class RelType:
         except (KeyError, TypeError):  # not built yet, or not hashable
             pass
         if components is None:
-            layout = (None, True, False, None, None, None)
+            layout = (None, True, False, None, None, None, "0")
         elif type(components) is tuple and components and all(type(c) is RelType for c in components):
             nested = tuple(i for i, c in enumerate(components) if not c.is_atom)
             base = 1 + len(components) - len(nested)
-            layout = (components, False, not nested, nested, base, None if nested else base)
+            text = "(" + ",".join([c.text for c in components]) + ")"
+            layout = (components, False, not nested, nested, base, None if nested else base, text)
         else:
             raise ModelError(f"a tuple type needs a non-empty tuple of types, not {components!r}")
         self = object.__new__(cls)
@@ -88,9 +92,7 @@ class RelType:
         return f"RelType(components={self.components!r})"
 
     def __str__(self) -> str:
-        if self.components is None:
-            return "0"
-        return "(" + ",".join(str(c) for c in self.components) + ")"
+        return self.text
 
 
 ATOM = RelType()

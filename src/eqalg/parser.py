@@ -24,11 +24,12 @@ KEYWORDS = {
 MAX_DEPTH = 420
 
 # Deepest nesting of parentheses accepted in a type, ``(0)`` counting as one
-# level.  Printing a type takes about four units of the recursion limit per
-# level, and checking, rendering and comparing a value of the type two or
-# three per level of the value, on top of the expression passes above: a
-# type error on a binder at the deepest level of an expression, the worst
-# case, still fails cleanly up to about 35 levels.
+# level.  Printing a type reads the text it was built with, but parsing one
+# takes a few units of the recursion limit per level, and checking,
+# rendering and comparing a value of the type two or three per level of the
+# value, on top of the expression passes above: a type error on a binder at
+# the deepest level of an expression, the worst case, still fails cleanly up
+# to about 140 levels.
 MAX_TYPE_DEPTH = 24
 
 

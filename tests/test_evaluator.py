@@ -1,3 +1,4 @@
+import collections
 import gc
 import itertools
 import random
@@ -6,7 +7,12 @@ import tracemalloc
 import pytest
 
 from eqalg import ast, bitslice, evaluator
-from eqalg.constructions import build_powerset_eq, tc_sparse_via_harness
+from eqalg.constructions import (
+    build_powerset_eq,
+    build_run,
+    build_run_equation,
+    tc_sparse_via_harness,
+)
 from eqalg.ast import (
     Difference,
     Domain,
@@ -58,6 +64,7 @@ from oracles import (
     oracle_peak,
     plain_size,
     oracle_solution_set,
+    random_digraph,
     random_expr,
     random_flat_rel,
     random_type,
@@ -1284,6 +1291,195 @@ def test_random_expressions_with_solves_match_oracle_metering():
 
 
 # ---------------------------------------------------------------------------
+# shared subexpressions: one node object at several paths runs once per
+# evaluation, and is metered as if it ran at each path
+
+SHARE_KINDS = ("depths", "join_operand", "under_solve", "bound_variable", "over_solve")
+SHARE_SCHEMA = {"R": FLAT2, "S": FLAT1}
+
+
+def _same_column_pair(rng, t):
+    i = rng.randint(1, t.arity)
+    same = [j for j in range(1, t.arity + 1) if t.components[j - 1] == t.components[i - 1]]
+    return i, rng.choice(same)
+
+
+def _shared_operand(rng, schema, need_atom_column, mention=None):
+    """``(node, type, atom column)``: a random operator node over ``schema``
+    with no solve, mentioning ``mention`` if given; the atom column, drawn
+    at random, is None when it has none and none is needed."""
+    while True:
+        s = random_expr(rng, schema, steps=rng.randint(1, 4), allow_solve=False)
+        if not ast.child_labels(s) or (mention and mention not in ast.free_names(s)):
+            continue
+        t = infer_type(s, schema)
+        cols = [i for i, c in enumerate(t.components, start=1) if c.is_atom]
+        if cols or not need_atom_column:
+            return s, t, rng.choice(cols) if cols else None
+
+
+def _shared_expr(rng, kind):
+    """``(expression, shared node, schema)``: an expression in which the one
+    node object ``shared`` occurs at two or three paths, placed as ``kind``
+    says.  In the solve kinds a unary ``V`` is bound; in ``over_solve`` the
+    shared node contains a solve, so it is evaluated at each path while its
+    solve runs once."""
+    schema = dict(SHARE_SCHEMA)
+    if kind == "depths":
+        s, t, _ = _shared_operand(rng, schema, False)
+        i, j = _same_column_pair(rng, t)
+        deeper = Select(i, rng.choice(("=", "!=")), j, s)
+        if rng.random() < 0.5:
+            return Union(s, Difference(deeper, s)), s, schema
+        # an empty side over a product, evaluated first, so the shared node
+        # first runs well below the peak
+        cols = tuple(range(1, t.arity + 1))
+        empty = Project(cols, Select(i, "!=", i, Product(_unshared(s), Name("R"))))
+        return Union(empty, Difference(deeper, s)), s, schema
+    if kind == "join_operand":
+        s, t, _ = _shared_operand(rng, schema, False)
+        k = t.arity
+        i = rng.randint(1, k)
+        join = Project(tuple(range(1, k + 1)), Select(i, "=", k + i, Product(s, s)))
+        return Union(join, s), s, schema
+    if kind == "over_solve":
+        s, t, c = _shared_operand(rng, schema, True)
+        p = Project((c,), s)
+        inner = Solve((("W", FLAT1),), Union(Name("W"), p), p)
+        shared = Unnest(1, inner)  # rows (W, w) for each solution W and w in it
+        i, j = _same_column_pair(rng, RelType((FLAT1, ATOM)))
+        return Union(Project((2,), shared), Project((2,), Select(i, "=", j, shared))), shared, schema
+    inner_schema = {**schema, "V": FLAT1}
+    mention = "V" if kind == "bound_variable" else None
+    s, t, c = _shared_operand(rng, inner_schema if mention else schema, True, mention)
+    i, j = _same_column_pair(rng, t)
+    lhs = Union(Name("V"), Project((c,), s))
+    rhs = Project((c,), Select(i, rng.choice(("=", "!=")), j, s))
+    if rng.random() < 0.5:
+        lhs, rhs = rhs, lhs
+    return Solve((("V", FLAT1),), lhs, rhs), s, schema
+
+
+def _unshared(e, solves=None):
+    """A structurally equal copy of ``e`` that has no operator node at two
+    paths.  Each solve node is copied once, so it stays one node: a reused
+    solve charges only its solution set (see ``oracle_peak``)."""
+    if solves is None:
+        solves = {}
+    if isinstance(e, Solve):
+        copy = solves.get(id(e))
+        if copy is None:
+            copy = Solve(e.binders, _unshared(e.lhs, solves), _unshared(e.rhs, solves))
+            solves[id(e)] = copy
+        return copy
+    fields = [getattr(e, f) for f in e.__slots__]
+    return type(e)(*(_unshared(v, solves) if isinstance(v, ast.Expr) else v for v in fields))
+
+
+def _refusal(e, db, cap):
+    with pytest.raises(BudgetExceeded) as err:
+        evaluate(e, db, EvalBudget(max_space_units=cap))
+    return err.value.which, err.value.path, str(err.value)
+
+
+@pytest.mark.parametrize("kind", SHARE_KINDS)
+def test_shared_nodes_meter_as_if_evaluated_at_each_path(kind):
+    # value, peak and counts as the oracles give them, and every refusal up
+    # to 60 below the peak as on a copy that shares no operator node
+    rng = random.Random(9900 + SHARE_KINDS.index(kind))
+    tags: set = set()
+    for _ in range(12):
+        atoms = ("a", "b", "c")[: rng.randint(2, 3)]
+        e, shared, schema = _shared_expr(rng, kind)
+        rels = {nm: random_value(rng, t, atoms, max_rows=4) for nm, t in schema.items()}
+        db = Database(atoms, rels)
+        env = {nm: to_plain(r) for nm, r in rels.items()}
+        cached = id(shared) in evaluator._sharing(e)[1]
+        assert cached == (kind != "over_solve")
+        types: dict = {}
+        infer_type(e, schema, types)
+        for path, node in _solve_nodes(e):
+            tags.add("sliced" if _solve_parts(node, path, types)[-1] else "relations")
+
+        value, metrics = evaluate(e, db)
+        assert to_plain(value) == oracle_eval(e, env, atoms, schema)
+        peak, peak_path, solves = oracle_peak(e, env, atoms, schema)
+        assert {s.path: (s.candidates_tested, s.solutions_found) for s in metrics.solves} == solves
+        assert metrics.peak_space_units == peak
+        copy = _unshared(e)
+        assert copy == e and evaluate(copy, db) == (value, metrics)
+        if peak < 2:
+            continue
+        assert _refusal(e, db, peak - 1)[:2] == ("space", peak_path)
+        for cap in range(max(1, peak - 60), peak):
+            assert _refusal(e, db, cap) == _refusal(copy, db, cap)
+        tags.add("has_solutions" if value.rows else "empty")
+    if kind in ("under_solve", "bound_variable"):
+        assert {"sliced", "relations"} <= tags
+
+
+def _counting_kernels(monkeypatch) -> collections.Counter:
+    """Count the runs of each operator node's kernel, by the node's id."""
+    runs: collections.Counter = collections.Counter()
+    build = evaluator._kernel
+
+    def counted(e, path, types):
+        kernel, need = build(e, path, types)
+
+        def run(*operands, _kernel=kernel, _key=id(e)):
+            runs[_key] += 1
+            return _kernel(*operands)
+
+        return run, need
+
+    monkeypatch.setattr(evaluator, "_kernel", counted)
+    return runs
+
+
+def _tree_positions(e) -> collections.Counter:
+    """The number of paths each node object occurs at."""
+    out: collections.Counter = collections.Counter()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        out[id(node)] += 1
+        stack.extend(ast.children(node))
+    return out
+
+
+def test_stage_equation_runs_each_kernel_once_per_evaluation(monkeypatch):
+    runs = _counting_kernels(monkeypatch)
+    _, lhs, _ = build_run_equation()
+    positions = _tree_positions(lhs)
+    assert sum(positions.values()) == 202 and len(positions) == 102
+    shared = evaluator._sharing(lhs)[1]
+    r = random_digraph(random.Random(9950), 5, 0.35)
+    atoms = tuple(sorted({a for row in r.rows for a in row}))
+    db = Database(atoms, {"R": r, "X": build_run(r)})
+    for n in (1, 2):
+        evaluate(lhs, db)
+        assert set(runs.values()) == {n}  # every kernel, at every path
+    repeated = {k for k, m in positions.items() if m > 1 and k in runs}
+    assert shared.keys() & runs.keys() and repeated - shared.keys()  # some run inside a shared node
+
+
+def test_shared_node_on_the_bound_variable_runs_once_per_candidate(monkeypatch):
+    monkeypatch.setattr(evaluator, "_sliceable", _on_relations)
+    runs = _counting_kernels(monkeypatch)
+    s = Union(Name("V"), Name("S"))  # on the bound variable: one value per candidate
+    d = Difference(Domain(), Name("S"))  # free of it: one value per solve
+    node = Solve((("V", FLAT1),), Difference(s, d), Union(Difference(d, s), s))
+    db = db_of(("a", "b", "c"), S=rel(FLAT1, [("a",)]))
+    value, metrics = evaluate(node, db)
+    (stats,) = metrics.solves
+    assert stats.candidates_tested == 8
+    assert runs[id(s)] == 8 and runs[id(d)] == 1
+    env = {"S": to_plain(db.relations["S"])}
+    assert to_plain(value) == oracle_eval(node, env, db.atoms, db.schema)
+    assert metrics.peak_space_units == oracle_peak(node, env, db.atoms, db.schema)[0]
+
+
+# ---------------------------------------------------------------------------
 # evaluation builds no reference cycles: the command line pauses the cycle
 # collector while it evaluates, renders and verifies, and relies on this
 
@@ -1292,6 +1488,16 @@ ACYCLIC_DB = db_of(
     R=rel(FLAT2, [("a", "b"), ("b", "c")]),
     S=rel(FLAT1, [("a",), ("c",)]),
 )
+def _shared_subtree_case() -> ast.Expr:
+    """A solve whose body uses one node on its bound variable at two paths,
+    one a join operand, under a node used at three paths outside it too."""
+    keys = Project((2,), Name("R"))
+    per_candidate = Difference(Name("X"), keys)
+    body = Union(per_candidate, Project((1,), Select(1, "=", 2, Product(per_candidate, keys))))
+    solutions = Solve((("X", FLAT1),), body, Difference(keys, keys))
+    return Union(keys, Project((2,), Unnest(1, solutions)))
+
+
 ACYCLIC_CASES = {
     "mask_solve": ("solve{(X:(0)) | union(X,S) = S}", EvalBudget(), None),
     "nested_binder_solve": (
@@ -1309,6 +1515,7 @@ ACYCLIC_CASES = {
     "solutions_refusal": (
         "solve{(X:(0)) | union(X,S) = S}", EvalBudget(max_solutions=3), "solutions"
     ),
+    "shared_subtree": (_shared_subtree_case(), EvalBudget(), None),
 }
 
 
@@ -1322,7 +1529,8 @@ def test_evaluation_leaves_no_garbage_cycles(case):
             if text is None:
                 tc_sparse_via_harness(ACYCLIC_DB, budget)
             else:
-                evaluate(parse_expr(text), ACYCLIC_DB, budget)
+                e = text if isinstance(text, ast.Expr) else parse_expr(text)
+                evaluate(e, ACYCLIC_DB, budget)
         except BudgetExceeded as exc:
             assert exc.which == refusal
         else:

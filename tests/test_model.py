@@ -1,6 +1,8 @@
 import copy
+import inspect
 import pickle
 import random
+import sys
 from array import array
 
 import pytest
@@ -52,6 +54,21 @@ def test_type_rendering_and_flags():
     assert str(nested) == "((0))"
     assert FLAT2.is_flat and not nested.is_flat and not ATOM.is_flat
     assert FLAT2.arity == 2
+
+
+def test_type_200_levels_deep_prints_without_recursion():
+    t = ATOM
+    for _ in range(200):
+        t = RelType((t, ATOM))
+    # a few frames of headroom: printing may not recurse per level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+    try:
+        text = str(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "(" * 200 + "0" + ",0)" * 200
+    assert str(RelType((t,))) == "(" + text + ")"
 
 
 def test_equal_types_built_apart_hash_equal():
