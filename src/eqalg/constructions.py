@@ -152,7 +152,8 @@ def build_run_equation() -> tuple:
 
     # 1a: rebuild hat x chk per key and require every combination to be in X;
     # each nested column is dropped right after its unnest to keep rows small
-    j = Project((1, 2, 3, 6), Select(1, "=", 4, Select(2, "=", 5, Product(KH, KC))))
+    kh_kc = Product(KH, KC)
+    j = Project((1, 2, 3, 6), Select(1, "=", 4, Select(2, "=", 5, kh_kc)))
     u1 = Project((1, 2, 4, 5, 6), Unnest(3, j))  # (x,y,chk,a,b)
     u2 = Project((1, 2, 4, 5, 6, 7), Unnest(3, u1))  # (x,y,a,b,c,d)
     combos = Project((3, 4, 5, 6, 1, 2), u2)
@@ -182,7 +183,7 @@ def build_run_equation() -> tuple:
     rsq = Project((1, 4), Select(2, "=", 3, Product(R, R)))
     fresh2 = Difference(rsq, R)
     w2a = Difference(fresh2, keys)
-    keys_in2 = Difference(fresh2, Difference(fresh2, keys))
+    keys_in2 = Difference(fresh2, w2a)
     rnest = Project((3,), Nest((1, 2), R))  # the singleton {R}, or empty when R is
     t2 = Project((1, 2, 5), Select(1, "=", 3, Select(2, "=", 4, Product(keys_in2, KH))))
     w2bc = Project((1, 2), Select(3, "!=", 4, Product(t2, rnest)))
@@ -195,7 +196,7 @@ def build_run_equation() -> tuple:
 
     # 4: hat != R demands a predecessor stage
     not_r = Project((1, 2), Select(3, "!=", 4, Product(KH, rnest)))
-    has_pred = Project((1, 2), Select(3, "=", 6, Product(KH, KC)))
+    has_pred = Project((1, 2), Select(3, "=", 6, kh_kc))
     w4 = Difference(not_r, has_pred)
 
     witnesses = (w1a, w1b, w1c, w1d1, w1d2, w1e1, w1e2, w2a, w2bc, w3, w4)

@@ -9,14 +9,15 @@ sort per relation that fills both its row order and its sort key.  A flat
 row (all atoms) is its own sort key, so a flat relation sorts its rows with
 no key function and its sorted rows are its key.  A solve's solution set
 (``SolutionSet``) decodes its rows from its candidates' counter values only
-when they are read, and sorts by those values instead: the subset-lex rank
-of a mask over a canonically ordered universe is its position in canonical
-order.
+when they are read, not to print them, and sorts by those values instead:
+the subset-lex rank of a mask over a canonically ordered universe is its
+position in canonical order.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -384,18 +385,21 @@ def subset_ranks(masks, u: int) -> list:
     ``popcount + 2^u - rev - lowbit(rev)``.  The subsets before a nonempty
     one are the ``2^u - 1 - rev`` whose reversed mask is above its own,
     except the ``lowbit(rev) - 1`` that extend it past its last row, and
-    its ``popcount`` proper prefixes, the empty one included."""
-    nbytes = (u + 7) >> 3
-    drop = 8 * nbytes - u
+    its ``popcount`` proper prefixes, the empty one included.  The lowest
+    set bit of ``rev`` is the mask's highest row, ``2^(u - bit_length)``,
+    and that form gives 0 for the empty subset too.
+
+    The masks, a sequence (it is read twice) of ints of at most 64 bits,
+    are reversed in bulk: reversing the bits of every byte (``_REV8``) and
+    then the byte order of each 64-bit word reverses the word, whose top
+    ``u`` bits are then ``rev``."""
     top = 1 << u
-    out = []
-    for x in masks:
-        if x:
-            r = int.from_bytes(x.to_bytes(nbytes, "little").translate(_REV8), "big") >> drop
-            out.append(x.bit_count() + top - r - (r & -r))
-        else:
-            out.append(0)
-    return out
+    drop = 64 - u
+    revs = array("Q", array("Q", masks).tobytes().translate(_REV8))
+    revs.byteswap()
+    return [
+        x.bit_count() + top - (r >> drop) - (1 << u - x.bit_length()) for x, r in zip(masks, revs)
+    ]
 
 
 class Candidates:
@@ -447,24 +451,35 @@ class Candidates:
             columns.append(column)
         return list(zip(*columns))
 
+    def rank_keys(self, cands) -> list:
+        """The canonical sort key of each counter value in ``cands``.
+
+        It is the counter value with each binder's field replaced by its
+        subset-lex rank (``subset_ranks``), so the relations that the values
+        stand for sort as their keys do, by one int each.
+        """
+        keys = None
+        for _, u, shift, m, _ in reversed(self.binders):  # the last field is lowest
+            ranks = subset_ranks([c >> shift & m for c in cands], len(u))
+            keys = ranks if keys is None else [k | r << shift for k, r in zip(keys, ranks)]
+        return keys
+
     def order(self, rows: list, cands) -> tuple:
         """``(sorted rows, key)`` of the relation with ``rows``, decoded from
         the counter values ``cands``, as ``Rel._sort`` gives them.
 
-        A row's position follows its counter value with each binder's field
-        replaced by its subset-lex rank (``subset_ranks``), so the rows sort
-        by one int each and no row key is compared.  The flat relations of
-        the rows get their sorted rows, which are their keys, from ordered
-        subset tables; the rows' keys are then read off their relations.
+        The rows sort by their counter values' ``rank_keys``, so no row key
+        is compared.  The flat relations of the rows get their sorted rows,
+        which are their keys, from ordered subset tables; the rows' keys are
+        then read off their relations.
         """
-        keys = [0] * len(cands)
+        keys = self.rank_keys(cands)
         columns = []
         for i, (t, u, shift, m, _) in enumerate(self.binders):
-            masks = [c >> shift & m for c in cands]
-            keys = [k | r << shift for k, r in zip(keys, subset_ranks(masks, len(u)))]
             if t.is_flat:
                 first, *rest = subset_tables(u, ordered=True)
-                for row, x in zip(rows, masks):
+                for row, c in zip(rows, cands):
+                    x = c >> shift & m
                     s = first[x & 255]
                     for table in rest:
                         x >>= 8
@@ -484,9 +499,12 @@ class SolutionSet(Rel):
 
     It holds its solutions' counter values (an ``array('Q')``) and, until
     its first sort, the ``Candidates`` that decodes them and their rows in
-    counter order once decoded.  Length, truth and size need no decoding.
-    The first read of ``rows`` or the first sort decodes each solution
-    once; that sort is ``Candidates.order`` on ints, not a sort of row keys.
+    counter order once decoded.  Length, truth and size need no decoding,
+    and neither does rendering: until the first sort, ``in_order`` gives
+    the counter values in canonical order, from which
+    ``parser.render_relation`` prints the set.  The first read of ``rows``
+    or the first sort decodes each solution once; that sort is
+    ``Candidates.order`` on ints, not a sort of row keys.
     """
 
     __slots__ = ("_cands", "_plan")
@@ -509,6 +527,16 @@ class SolutionSet(Rel):
             rows = frozenset(self._decoded() if self._sorted is None else self._sorted)
             _rows.__set__(self, rows)
             return rows
+
+    def in_order(self):
+        """``(Candidates, the solutions' counter values in canonical order)``,
+        sorted by ``Candidates.rank_keys`` without decoding; None once the
+        set is sorted, as its rows in order are then cached."""
+        if self._plan is None:
+            return None
+        space, cands = self._plan[0], self._cands
+        keys = space.rank_keys(cands)
+        return space, list(map(cands.__getitem__, sorted(range(len(cands)), key=keys.__getitem__)))
 
     def _decoded(self) -> list:
         """The solution rows in counter order, decoded on the first call."""

@@ -8,8 +8,13 @@ databases alike.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import ast
-from .model import ATOM, ATOM_RE, Database, ModelError, NAME_RE, Rel, RelType, Value
+from .model import (
+    ATOM, ATOM_RE, Candidates, Database, ModelError, NAME_RE, Rel, RelType, SolutionSet, Value,
+    subset_tables,
+)
 
 KEYWORDS = {
     "union", "minus", "times", "project", "select", "nest", "unnest",
@@ -384,11 +389,17 @@ def parse_type(text: str) -> RelType:
 def render_relation(v: Value) -> str:
     """Deterministic text for a value, rows in canonical order; parses back.
 
-    A flat relation's sorted rows are all atoms, so they are joined directly
-    with no call per row or atom; relation-valued columns recurse.
+    A solution set not yet sorted is printed from its counter values
+    (``_render_counted``), so none of its solutions is decoded.  A flat
+    relation's sorted rows are all atoms, so they are joined directly with no
+    call per row or atom; relation-valued columns recurse.
     """
     if isinstance(v, str):
         return v
+    if type(v) is SolutionSet:
+        plan = v.in_order()
+        if plan is not None:
+            return _render_counted(*plan)
     rows = v.sorted_rows()
     if not rows:
         return "[]"
@@ -399,6 +410,36 @@ def render_relation(v: Value) -> str:
 
 def _render_row(row: tuple) -> str:
     return "[" + ",".join(map(render_relation, row)) + "]"
+
+
+def _render_counted(space: Candidates, cands: list) -> str:
+    """The text of the relation whose rows the counter values ``cands``, in
+    canonical order, stand for, with nothing decoded.
+
+    Each row of a binder's universe is rendered once, with a comma after
+    it.  Per 8-row chunk of the universe, a table holds the text of each
+    subset of the chunk's rows in universe order, indexed by bit pattern as
+    ``subset_tables`` is.  The first chunk's entries also open the binder's
+    relation, and the last chunk's close it; the first binder's also open
+    the solution's row, and the last binder's close it with a comma.  A
+    solution's text is then one entry per chunk of each binder, and the
+    set's text one join of them.
+    The only ``,]`` in it are the commas after each relation's last row and
+    after the last solution, since an atom holds no comma or bracket, so
+    one replace drops them.
+    """
+    last = len(space.binders) - 1
+    columns = []
+    for i, (_, universe, shift, m, _) in enumerate(space.binders):
+        texts = [_render_row(row) + "," for row in universe]
+        tables = [list(map("".join, table)) for table in subset_tables(texts, ordered=True)]
+        opener, closer = "[[" if i == 0 else "[", "]]," if i == last else "],"
+        tables[0] = [opener + s for s in tables[0]]
+        tables[-1] = [s + closer for s in tables[-1]]
+        for j, table in enumerate(tables):
+            low, bits = shift + 8 * j, m >> 8 * j & 255
+            columns.append([table[c >> low & bits] for c in cands])
+    return ("[" + "".join(chain.from_iterable(zip(*columns))) + "]").replace(",]", "]")
 
 
 def render_database(db: Database) -> str:

@@ -419,7 +419,9 @@ def test_check_without_db_assumes_flat_binary(capsys):
     assert "assumed flat binary" in err
 
 
-def test_stdout_identical_across_processes_and_hash_seeds(tmp_path):
+def _stdouts_under_hash_seeds(argv) -> set:
+    """The distinct stdouts of ``eqalg.cli`` runs of ``argv``, each in a fresh
+    process under its own hash seed; each run must exit 0."""
     import os
     import subprocess
     import sys
@@ -432,6 +434,24 @@ def test_stdout_identical_across_processes_and_hash_seeds(tmp_path):
     # imported, so the child runs the same code whether the package is
     # installed or found via PYTHONPATH=src.
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(eqalg.__file__)))
+    outs = set()
+    for seed in ("0", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-B", "-m", "eqalg.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONHASHSEED": seed,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": package_root,
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    return outs
+
+
+def test_stdout_identical_across_processes_and_hash_seeds(tmp_path):
     db = tmp_path / "r.edb"
     db.write_text("domain [a,b,c]\nR:(0,0) = [[a,b],[b,c]]\n")
     commands = [
@@ -442,21 +462,21 @@ def test_stdout_identical_across_processes_and_hash_seeds(tmp_path):
          "--gen", "flat:R:(0,0):0.5", "--seed", "7"],
     ]
     for argv in commands:
-        outs = set()
-        for seed in ("0", "12345"):
-            proc = subprocess.run(
-                [sys.executable, "-B", "-m", "eqalg.cli", *argv],
-                capture_output=True,
-                text=True,
-                env={
-                    "PYTHONHASHSEED": seed,
-                    "PATH": "/usr/bin:/bin",
-                    "PYTHONPATH": package_root,
-                },
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs.add(proc.stdout)
-        assert len(outs) == 1, argv
+        assert len(_stdouts_under_hash_seeds(argv)) == 1, argv
+
+
+def test_solution_sets_print_identically_across_hash_seeds(tmp_path):
+    # solution sets print from their counter values: two flat binders, and
+    # a nested binder whose universe rows are relations
+    db = tmp_path / "r.edb"
+    db.write_text("domain [a,b,c]\nR:(0,0) = [[a,b],[b,c]]\n")
+    for expr in (
+        "solve{(X:(0),Y:(0)) | union(X,Y) = project[2](R)}",
+        "solve{(X:((0))) | project[2](unnest[1](X)) = project[1](R)}",
+    ):
+        outs = _stdouts_under_hash_seeds(["solve", "--db", str(db), "--expr", expr])
+        assert len(outs) == 1, expr
+        assert outs.pop().count("],[") > 4, expr  # several solutions
 
 
 # an empty n-range, one starting below 1 and densities outside [0, 1]:

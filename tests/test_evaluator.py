@@ -1135,9 +1135,14 @@ def _assert_sorts_as_fresh(v, tags):
         assert (x._hash, value_size(x)) == (hash(fx), value_size(fx))
         if x.rtype.is_flat:
             assert (x._sorted, x._key) == (fx.sorted_rows(), value_sort_key(fx))
-    tags.add("empty" if not rows else "solutions")
+    _shape_tags(cands, space, tags)
     if list(rows) != list(v.sorted_rows()):
         tags.add("order_differs")
+
+
+def _shape_tags(cands, space, tags) -> None:
+    """Tag what the counter values ``cands`` over ``space`` cover."""
+    tags.add("empty" if not cands else "solutions")
     if len({c >> 2 for c in cands}) > 1:
         tags.add("several_blocks")
     if any(len(universe) > 8 for _, universe, *_ in space.binders):
@@ -1200,6 +1205,30 @@ def test_solution_sets_read_in_either_order_equal_fresh_relations(
         )
         assert v == fresh and fresh == v
         assert sum(decoded) == len(v)
+
+
+@pytest.mark.parametrize("then", ["rows", "sort"])
+def test_solution_sets_render_from_counter_values(representation, then, decoded, monkeypatch):
+    # a solution set not yet sorted renders with nothing decoded, as the same
+    # rows rebuilt through Rel do; reading its rows or sorting it afterwards
+    # gives those rows and that text again
+    monkeypatch.setattr(bitslice, "BLOCK_BITS", 2)
+    tags: set = set()
+    for node, db in _ordering_cases():
+        ref = evaluate(node, db)[0]
+        fresh = from_plain(to_plain(ref), ref.rtype)
+        v = evaluate(node, db)[0]
+        _shape_tags(v._cands, v._plan[0], tags)
+        decoded.clear()
+        text = render_relation(v)
+        assert sum(decoded) == 0 and v._sorted is None
+        assert text == render_relation(fresh)
+        if then == "rows":
+            assert v.rows == fresh.rows and v._sorted is None
+        else:
+            assert v.sorted_rows() == fresh.sorted_rows()
+        assert (render_relation(v), v.rows) == (text, fresh.rows) and v == fresh
+    assert {"empty", "solutions", "several_blocks", "two_chunks", "three_binders", "nested"} <= tags
 
 
 def test_wide_sparse_body_stays_small_in_memory():
@@ -1436,13 +1465,12 @@ def _counting_kernels(monkeypatch) -> collections.Counter:
     return runs
 
 
-def _tree_positions(e) -> collections.Counter:
-    """The number of paths each node object occurs at."""
-    out: collections.Counter = collections.Counter()
-    stack = [e]
+def _tree_nodes(e) -> list:
+    """Each node object of ``e``, once per path it occurs at."""
+    out, stack = [], [e]
     while stack:
         node = stack.pop()
-        out[id(node)] += 1
+        out.append(node)
         stack.extend(ast.children(node))
     return out
 
@@ -1450,8 +1478,11 @@ def _tree_positions(e) -> collections.Counter:
 def test_stage_equation_runs_each_kernel_once_per_evaluation(monkeypatch):
     runs = _counting_kernels(monkeypatch)
     _, lhs, _ = build_run_equation()
-    positions = _tree_positions(lhs)
-    assert sum(positions.values()) == 202 and len(positions) == 102
+    nodes = _tree_nodes(lhs)
+    positions = collections.Counter(map(id, nodes))
+    # 202 paths, and one node object per structurally distinct subtree
+    distinct = {id(node): node for node in nodes}.values()
+    assert len(nodes) == 202 and len(positions) == len(set(distinct)) == 100
     shared = evaluator._sharing(lhs)[1]
     r = random_digraph(random.Random(9950), 5, 0.35)
     atoms = tuple(sorted({a for row in r.rows for a in row}))
