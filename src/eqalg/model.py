@@ -408,8 +408,8 @@ class Candidates:
     Candidates are numbered by a binary counter over the binders' canonically
     ordered row universes, the last binder fastest: binder i's field of the
     counter value is the mask of its rows, bit j for row j.  ``decode`` is
-    the one mask decoder; ``order`` puts decoded rows in canonical order
-    from their counter values.
+    the one mask decoder and ``encode`` its inverse; ``order`` puts decoded
+    rows in canonical order from their counter values.
     """
 
     __slots__ = ("binders",)
@@ -450,6 +450,32 @@ class Candidates:
                 column.append(v)
             columns.append(column)
         return list(zip(*columns))
+
+    def encode(self, rows) -> list | None:
+        """The counter value of each row in ``rows``, the inverse of ``decode``.
+
+        A row is one relation per binder; its value is the OR of ``1 << (j +
+        shift)`` over each binder's field, for each row j of the binder's
+        universe that its relation holds.  None when some row is no counter
+        value's: not a tuple of one value per binder, a component that is not
+        a relation of its binder's type, or one holding a row outside the
+        binder's universe.
+        """
+        rows = list(rows)
+        p = len(self.binders)
+        if not all(isinstance(row, tuple) and len(row) == p for row in rows):
+            return None
+        out = [0] * len(rows)
+        for i, (t, u, shift, _, _) in enumerate(self.binders):
+            column = list(map(itemgetter(i), rows))
+            if not all(isinstance(v, Rel) and v.rtype is t for v in column):
+                return None
+            bit = {r: 1 << j + shift for j, r in enumerate(u)}.__getitem__
+            try:  # the bits of a relation's rows are distinct, so their sum is their OR
+                out = [c | sum(map(bit, v.rows)) for c, v in zip(out, column)]
+            except KeyError:  # a row outside the universe
+                return None
+        return out
 
     def rank_keys(self, cands) -> list:
         """The canonical sort key of each counter value in ``cands``.
@@ -504,7 +530,9 @@ class SolutionSet(Rel):
     the counter values in canonical order, from which
     ``parser.render_relation`` prints the set.  The first read of ``rows``
     or the first sort decodes each solution once; that sort is
-    ``Candidates.order`` on ints, not a sort of row keys.
+    ``Candidates.order`` on ints, not a sort of row keys.  Until then,
+    ``==`` against a plain relation of its type compares counter values,
+    the other's rows encoded by ``Candidates.encode``, and decodes nothing.
     """
 
     __slots__ = ("_cands", "_plan")
@@ -518,6 +546,19 @@ class SolutionSet(Rel):
 
     def __len__(self) -> int:
         return len(self._cands)
+
+    def __eq__(self, other: object) -> bool:
+        plan = self._plan
+        decoded = plan is None or plan[1] is not None
+        if decoded or type(other) is not Rel or other.rtype is not self.rtype:
+            return Rel.__eq__(self, other)
+        cands = self._cands
+        if len(other.rows) != len(cands):
+            return False
+        encoded = plan[0].encode(other.rows)
+        return encoded is not None and set(encoded) == set(cands)
+
+    __hash__ = Rel.__hash__  # a class that defines __eq__ gets no inherited hash
 
     @property
     def rows(self) -> frozenset:

@@ -9,7 +9,8 @@ import pytest
 from eqalg import cli, constructions
 from eqalg.cli import main
 from eqalg.evaluator import domain_relation, evaluate
-from eqalg.parser import MAX_TYPE_DEPTH, ParseError, parse_database, parse_type
+from eqalg.model import Rel, row_sort_key
+from eqalg.parser import MAX_TYPE_DEPTH, ParseError, parse_database, parse_type, render_relation
 
 PAIR = "domain [a,b]\nR:(0,0) = [[a,b]]\n"
 THREE = "domain [a,b,c]\n"
@@ -218,8 +219,9 @@ def test_construction_checks_its_relations_not_extra_ones(capsys, tmp_path, thre
 
 
 def test_solutions_are_decoded_only_when_read(capsys, tmp_path, decoded):
-    # profile only counts solutions; construction --verify renders and
-    # compares its solution set, which decodes each solution once
+    # profile only counts solutions; construction --verify renders its
+    # solution set from the counter values and compares it with the oracle's
+    # relation in counter space, so neither decodes a solution
     code, _, _ = run(capsys, ["profile", "--eq", "powerset", "--n-range", "1..10"])
     assert code == 0 and sum(decoded) == 0
     atoms = [f"a{i}" for i in range(10)]
@@ -227,7 +229,44 @@ def test_solutions_are_decoded_only_when_read(capsys, tmp_path, decoded):
     db.write_text(f"domain [{','.join(atoms)}]\nR:(0) = [{','.join(f'[{a}]' for a in atoms)}]\n")
     code, _, err = run(capsys, ["construction", "--name", "powerset", "--db", str(db), "--verify"])
     assert code == 0 and "VERIFY PASS" in err
-    assert sum(decoded) == 1 << 10
+    assert sum(decoded) == 0
+
+
+def _near_miss_powerset(how):
+    """The powerset oracle with one subset replaced by another inside the
+    domain, by one holding an atom outside it, or dropped."""
+    real = constructions._oracle_powerset
+
+    def oracle(db):
+        expected = real(db)
+        rows = sorted(expected.rows, key=row_sort_key)
+        (subset,) = rows.pop(1)  # {a}
+        if how == "inside":  # {a,d}: in the universe over the domain, not a subset of R
+            rows.append((Rel(subset.rtype, subset.rows | {("d",)}),))
+        elif how == "outside":  # {a,z}: z is not in the domain
+            rows.append((Rel(subset.rtype, subset.rows | {("z",)}),))
+        return Rel(expected.rtype, rows)
+
+    return oracle
+
+
+@pytest.mark.parametrize("how", ["inside", "outside", "dropped"])
+def test_verify_fails_on_a_near_miss_oracle(capsys, monkeypatch, tmp_path, decoded, how):
+    # the oracle's relation differs from the solution set in one row, and
+    # only in "dropped" does its length differ
+    db = tmp_path / "four.edb"
+    db.write_text("domain [a,b,c,d]\nR:(0) = [[a],[b],[c]]\n")
+    argv = ["construction", "--name", "powerset", "--db", str(db), "--verify"]
+    code, passed, _ = run(capsys, argv)
+    assert code == 0
+    oracle = _near_miss_powerset(how)
+    monkeypatch.setattr(constructions, "_oracle_powerset", oracle)
+    expected = oracle(parse_database(db.read_text())[0])
+    assert len(expected) == (7 if how == "dropped" else 8)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, passed)
+    assert err == f"VERIFY FAIL\nexpected {render_relation(expected)}\n"
+    assert sum(decoded) == 0
 
 
 def test_construction_powerset_prints_every_subset_in_order(capsys, tmp_path):

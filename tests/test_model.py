@@ -325,6 +325,137 @@ def test_candidates_decode_fields_last_binder_fastest():
             assert v == Rel(t, [r for i, r in enumerate(u) if m >> i & 1])
 
 
+# binder types of the counter-space tests, with the atoms of their domain:
+# one to three binders, flat and nested, some universes over one 8-row chunk
+ENCODED_BINDERS = (
+    ((FLAT1,), ("a", "b", "c")),
+    ((FLAT2,), ("a", "b", "c")),
+    ((FLAT1, FLAT2), ("a", "b")),
+    ((FLAT1, FLAT1, FLAT1), ("a", "b", "c")),
+    ((RelType((FLAT1,)),), ("a", "b")),
+    ((RelType((FLAT1,)), FLAT1), ("a", "b")),
+    ((FLAT1, RelType((FLAT1, ATOM)), FLAT1), ("a",)),
+)
+
+
+def _space(types, atoms):
+    return Candidates(types, [tuple_universe(t, atoms) for t in types])
+
+
+def _fresh(rel_value):
+    return from_plain(to_plain(rel_value), rel_value.rtype)
+
+
+def _outside(t):
+    """A row of type ``t`` holding the atom ``z``, outside every domain here."""
+    return tuple("z" if c.is_atom else Rel(c, [_outside(c)]) for c in t.components)
+
+
+def _malformed_rows(row, t_other):
+    """Rows of the shape of ``row`` that no counter value stands for: its
+    first relation holding a row outside the domain, that relation swapped
+    for an empty one of type ``t_other``, or for an atom, one column too
+    many, one too few, and a relation in place of the row."""
+    first = row[0]
+    yield (Rel(first.rtype, first.rows | {_outside(first.rtype)}),) + row[1:]
+    yield (Rel(t_other, []),) + row[1:]
+    yield ("a",) + row[1:]
+    yield row + row[:1]
+    yield row[:-1]
+    yield first
+
+
+@pytest.mark.parametrize("types,atoms", ENCODED_BINDERS, ids=lambda x: ",".join(map(str, x)))
+def test_candidates_encode_inverts_decode(types, atoms):
+    rng = random.Random(f"encode/{types}")
+    space = _space(types, atoms)
+    width = sum(len(u) for _, u, *_ in space.binders)
+    cands = [0, (1 << width) - 1] + [rng.randrange(1 << width) for _ in range(60)]
+    rows = space.decode(cands)
+    assert space.encode(rows) == cands and space.encode([]) == []
+    # relations rebuilt through Rel encode as the decoded ones do
+    rtype = RelType(types)
+    rebuilt = [_fresh(Rel(rtype, [row])).sorted_rows()[0] for row in rows]
+    assert space.encode(rebuilt) == cands
+    t_other = FLAT2 if types[0] is FLAT1 else FLAT1
+    for row in rows[:8]:
+        for bad in _malformed_rows(row, t_other):
+            assert space.encode([row, bad]) is None and space.encode([bad]) is None, bad
+
+
+def _near_misses(rows, spare, t_other):
+    """``(tag, rows)``: plain rows that differ from the solution rows ``rows``
+    by one row, with ``spare`` a row of a counter value not among them."""
+    if rows:
+        yield "swapped", rows[1:] + [spare]
+        yield "missing", rows[1:]
+        for i, bad in enumerate(_malformed_rows(rows[0], t_other)):
+            yield f"malformed{i}", rows[1:] + [bad]
+    yield "extra", rows + [spare]
+
+
+def _comparisons():
+    """``(tag, make, fresh, other)``: ``make()`` gives a new solution set not
+    yet decoded, ``fresh`` the same rows rebuilt through Rel, and ``other`` a
+    relation to compare it with."""
+    rng = random.Random(2000)
+    for types, atoms in ENCODED_BINDERS:
+        space = _space(types, atoms)
+        width = sum(len(u) for _, u, *_ in space.binders)
+        rtype = RelType(types)
+        t_other = FLAT2 if types[0] is FLAT1 else FLAT1
+        for _ in range(4):
+            k = rng.randint(0, min(12, (1 << width) - 1))
+            picked = set(rng.sample(range(1 << width), k))
+            if picked:  # one solution whose first relation is empty
+                picked.add(rng.randrange(1 << space.binders[0][2]))
+            cands = sorted(picked)
+            spare = rng.choice([c for c in range(1 << width) if c not in picked])
+            # rows in counter order: the first has an empty first relation
+            rows = [_fresh(Rel(rtype, [row])).sorted_rows()[0] for row in space.decode(cands)]
+            fresh = Rel(rtype, rows)
+            (spare_row,) = _fresh(Rel(rtype, space.decode([spare]))).rows
+
+            def make(cands=cands, space=space, rtype=rtype, size=value_size(fresh)):
+                return SolutionSet(rtype, array("Q", cands), space, size)
+
+            yield "equal", make, fresh, _fresh(fresh)
+            yield "other_type", make, fresh, Rel(RelType((t_other,) + types[1:]), [])
+            for tag, other_rows in _near_misses(rows, spare_row, t_other):
+                yield tag, make, fresh, Rel(rtype, other_rows)
+
+
+def test_counter_space_equality_agrees_with_rel_equality(decoded, monkeypatch):
+    encoded = []
+    encode = Candidates.encode
+    monkeypatch.setattr(
+        Candidates, "encode", lambda self, rows: encoded.append(len(rows)) or encode(self, rows)
+    )
+    seen: dict = {}
+    for tag, make, fresh, other in _comparisons():
+        expected = Rel.__eq__(fresh, other)
+        seen.setdefault(tag, set()).add(expected)
+        if not fresh:
+            seen.setdefault("empty", set()).add(expected)
+        decoded.clear()
+        encoded.clear()
+        assert (make() == other, other == make()) == (expected, expected), tag
+        assert (make() != other, other != make()) == (not expected, not expected), tag
+        if other.rtype is fresh.rtype:  # compared in counter space
+            assert sum(decoded) == 0, tag
+            # a set of another length is told apart without encoding a row
+            assert encoded == ([len(other)] * 4 if len(other) == len(fresh) else []), tag
+        if expected:
+            sol = make()
+            assert hash(sol) == hash(fresh) and sol in {fresh} and fresh in {make()}
+            assert make() in {other: 1} and sol == make() and make() == sol
+    assert seen.pop("equal") == {True} and seen.pop("empty") == {True, False}
+    assert set(seen) == {"other_type", "swapped", "missing", "extra"} | {
+        f"malformed{i}" for i in range(6)
+    }
+    assert all(answers == {False} for answers in seen.values()), seen
+
+
 def test_enumeration_is_lazy():
     stream = enumerate_relations(FLAT2, ("a", "b", "c", "d", "e"))
     first = next(stream)
