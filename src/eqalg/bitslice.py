@@ -30,9 +30,15 @@ from .model import row_picker
 # candidate's value.  The empty list is 0, and zero planes on top are
 # allowed.
 
-# The one block-size constant: a slice of 2^14 candidates is 2 KB, so a
-# block's working set stays well under 1 MB on the bench workloads.
-BLOCK_BITS = 14
+# The one block-size constant.  A block pays a fixed interpretive cost, a
+# closure and a few vertical-counter calls per node, so larger blocks pay it
+# less often: one tc_powerset query (2^16 candidates) took 25, 10, 5.5 and
+# 4.2 ms at blocks of 2^10, 2^12, 2^14 and 2^16 candidates (medians of 40
+# alternated passes in one process, 2-CPU x86 VM, Python 3.11).  At 2^16 a
+# slice is 8 KB, that query's largest value (64 join rows) about 0.5 MB, and
+# its traced allocations peak at 1.9 MB (0.6 MB at 2^14).  A block is also
+# the most candidates a space refusal evaluates again.
+BLOCK_BITS = 16
 
 
 def _vadd(a: list, b: list) -> list:
@@ -111,17 +117,32 @@ def _vconst(n: int, keep: int) -> list:
 
 
 def _vcount(slices) -> list:
-    """The vertical counter of how many of ``slices`` hold each candidate."""
+    """The vertical counter of how many of ``slices`` hold each candidate.
+
+    A carry-save reduction, as in the Harley-Seal population count (Mula,
+    Kurz and Lemire, Comput. J. 2018): at each weight, one full adder per
+    two slices adds them into the running sum plane and passes their carry,
+    when not 0, to the next weight.  So there is no zero plane on top.
+    """
     planes: list = []
-    for s in slices:
-        for i, p in enumerate(planes):
-            planes[i] = p ^ s
-            s &= p
-            if not s:
-                break
-        else:
-            planes.append(s)
-    return planes
+    level = slices
+    while True:
+        it = iter(level)
+        acc = next(it, 0)
+        carries = []
+        for b in it:
+            c = next(it, 0)
+            u = acc ^ b
+            carry = (acc & b) | (u & c)
+            acc = u ^ c
+            if carry:
+                carries.append(carry)
+        if not carries:
+            if acc:
+                planes.append(acc)
+            return planes
+        planes.append(acc)
+        level = carries
 
 
 def _vmax_in(a: list, mask: int) -> int:
@@ -187,13 +208,27 @@ def _vprefix(a: list, n: int) -> list:
 # the offsets of the set bits of each byte, lowest first, as bytes
 _BYTE_BITS = tuple(bytes(i for i in range(8) if b >> i & 1) for b in range(256))
 
+# Up to this many set bits, _bits clears them from the top one at a time:
+# at 2^16 bits, 64 of them took 26 us that way and 224 us by the bytes
+# (timeit, on the machine of the BLOCK_BITS figures).
+_FEW_BITS = 64
+
 
 def _bits(x: int, n: int) -> list:
     """The positions of the set bits of ``x < 2^n``, lowest first.
 
-    Only the nonzero bytes of ``x`` are visited, and each gives its bits
-    from ``_BYTE_BITS``, so a sparse ``x`` costs little more than its bytes.
+    With few set bits, each is cleared from the top in turn.  Otherwise only
+    the nonzero bytes of ``x`` are visited, and each gives its bits from
+    ``_BYTE_BITS``.
     """
+    if x.bit_count() <= _FEW_BITS:
+        out = []
+        while x:
+            top = x.bit_length() - 1
+            out.append(top)
+            x ^= 1 << top
+        out.reverse()
+        return out
     data = x.to_bytes((n + 7) >> 3, "little")
     nonzero = itertools.compress(itertools.count(0, 8), data)  # the bytes' first bits
     return [j + i for j in nonzero for i in _BYTE_BITS[data[j >> 3]]]
@@ -267,15 +302,16 @@ def compile_sliced(e: ast.Expr, path: str, types: dict):
     count, size, peak)`` over a block of candidates.
 
     ``env`` maps each name to its value over the block and the vertical
-    counter of its row count; ``keep`` has a bit for each candidate of the
-    block and ``room`` is the space the cap leaves above the live units at
-    the block's start.  ``count`` and ``size`` are the vertical counters of
-    the result's rows and units, and ``peak`` that of the most units live
-    at once while the node runs, from its start.  An operator node runs its
-    operands, then ``build`` on their values, then each level of ``levels``
-    (a kernel or None, and the width of its rows), and literal evaluation
-    charges each result while the one below it is live.  A product's count
-    is its operands' counts multiplied, known before any row is built, and a
+    counters of its row count and of its size, both computed once per
+    block; ``keep`` has a bit for each candidate of the block and ``room``
+    is the space the cap leaves above the live units at the block's start.
+    ``count`` and ``size`` are the vertical counters of the result's rows
+    and units, and ``peak`` that of the most units live at once while the
+    node runs, from its start.  An operator node runs its operands, then
+    ``build`` on their values, then each level of ``levels`` (a kernel or
+    None, and the width of its rows), and literal evaluation charges each
+    result while the one below it is live.  A product's count is its
+    operands' counts multiplied, known before any row is built, and a
     candidate that would exceed the cap there raises ``_Refused``.  A select
     chain over a product joins on its key column, as
     ``evaluator._compile_join`` does, and never builds the product.
@@ -283,9 +319,8 @@ def compile_sliced(e: ast.Expr, path: str, types: dict):
     w = types[path].row_base_size
     if isinstance(e, (ast.Name, ast.Domain)):
 
-        def leaf(env, keep, room, _nm=e.name if isinstance(e, ast.Name) else "D", _w=w):
-            v, c = env[_nm]
-            s = _vscale(c, _w)
+        def leaf(env, keep, room, _nm=e.name if isinstance(e, ast.Name) else "D"):
+            v, c, s = env[_nm]
             return v, c, s, s
 
         return leaf
@@ -350,22 +385,24 @@ class Blocks:
     def __init__(self, sliced, env, consts, names, space) -> None:
         *gs, free = sliced
         self.sides = [(g, None if c is None else c.rows) for g, c in zip(gs, consts)]
-        self.free = [(nm, env[nm].rows) for nm in free]
+        self.free = [(nm, env[nm].rows, env[nm].rtype.row_base_size) for nm in free]
         # each binder's universe and its first row's counter bit, from Candidates
         self.binders = [(nm, u, shift, t.row_base_size)
                         for nm, (t, u, shift, _, _) in zip(names, space.binders)]  # fmt: skip
         width = sum(len(u) for _, u, _, _ in self.binders)
         self.bits = bits = min(BLOCK_BITS, width)
-        # bit c of patterns[j] is bit j of c, then the bits fixed per block
-        self.patterns = []
-        for j in range(bits):
-            period = 2 << j
-            p = ((1 << (1 << j)) - 1) << (1 << j)
-            while period < 1 << bits:
-                p |= p << period
-                period <<= 1
-            self.patterns.append(p)
-        self.patterns += [None] * (width - bits)
+        # bit c of patterns[j] is bit j of c, then None for the bits fixed per
+        # block.  The top pattern is the block's upper half; below it,
+        # pattern j is pattern j + 1 XOR itself shifted down by 2^j, since
+        # bit j + 1 of c changes on adding 2^j exactly when bit j of c is set
+        self.patterns = [None] * width
+        if bits:
+            half = 1 << bits - 1
+            p = ((1 << half) - 1) << half
+            self.patterns[bits - 1] = p
+            for j in range(bits - 2, -1, -1):
+                p ^= p >> (1 << j)
+                self.patterns[j] = p
 
     def scan(self, k: int, live0: int, cap: int, quota: int, early_exit: bool):
         """``_scan`` of block ``k``.  Where a candidate would exceed the cap
@@ -388,8 +425,8 @@ class Blocks:
         the solutions, and the vertical counters of the units each solution
         keeps live and of the most units live at once while a candidate is
         tested, from before it is charged."""
-        env = {nm: ({r: keep for r in rows}, _vconst(len(rows), keep))
-               for nm, rows in self.free}  # fmt: skip
+        env = {nm: ({r: keep for r in rows}, _vconst(len(rows), keep), _vconst(len(rows) * w, keep))
+               for nm, rows, w in self.free}  # fmt: skip
         # the slice of each counter bit: a pattern, or all or none of keep
         slices = [
             keep & (p if p is not None else keep * (k >> j & 1))
@@ -399,8 +436,9 @@ class Blocks:
         for nm, universe, shift, w in self.binders:
             value = {row: s for row, s in zip(universe, slices[shift:]) if s}
             count = _vcount(value.values())
-            env[nm] = (value, count)
-            csize = _vadd(csize, _vscale(count, w))
+            size = _vscale(count, w)
+            env[nm] = (value, count, size)
+            csize = _vadd(csize, size)
         # a side that mentions no bound variable is charged once per solve
         (vl, _, sl, pl), (vr, _, _, pr) = [
             g(env, keep, room) if g else ({r: keep for r in rows}, [], [], [])

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import re
 from array import array
-from operator import attrgetter, itemgetter
+from itertools import repeat
+from operator import attrgetter, is_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Union
 
 
@@ -462,17 +463,22 @@ class Candidates:
         binder's universe.
         """
         rows = list(rows)
-        p = len(self.binders)
-        if not all(isinstance(row, tuple) and len(row) == p for row in rows):
+        if not all(map(isinstance, rows, repeat(tuple))):
+            return None
+        if set(map(len, rows)) - {len(self.binders)}:
             return None
         out = [0] * len(rows)
         for i, (t, u, shift, _, _) in enumerate(self.binders):
             column = list(map(itemgetter(i), rows))
-            if not all(isinstance(v, Rel) and v.rtype is t for v in column):
+            if not all(map(isinstance, column, repeat(Rel))):
+                return None
+            if not all(map(is_, map(attrgetter("rtype"), column), repeat(t))):
                 return None
             bit = {r: 1 << j + shift for j, r in enumerate(u)}.__getitem__
-            try:  # the bits of a relation's rows are distinct, so their sum is their OR
-                out = [c | sum(map(bit, v.rows)) for c, v in zip(out, column)]
+            # the bits of a relation's rows are distinct, so their sum is their OR
+            fields = map(sum, map(map, repeat(bit), map(attrgetter("rows"), column)))
+            try:
+                out = list(map(or_, out, fields))
             except KeyError:  # a row outside the universe
                 return None
         return out

@@ -69,10 +69,28 @@ def test_max_and_constants():
 
 
 def test_count_of_slices():
-    for rng, n, _, _ in cases():
-        slices = [rng.getrandbits(n) for _ in range(rng.randrange(40))]
-        expected = [sum(s >> c & 1 for s in slices) for c in range(n)]
-        assert values(bitslice._vcount(slices), n) == expected
+    # 0 to 70 slices, since a join level counts up to 64 rows, among them
+    # all-zero and repeated slices; a few at blocks of 2^16 candidates
+    rng = random.Random(SEED)
+    blocks = [(n, k) for n in (1, 5, 64) for k in range(71)]
+    blocks += [(1 << 16, k) for k in (1, 2, 3, 14, 64, 70)]
+    for n, k in blocks:
+        slices = []
+        for _ in range(k):
+            kind = rng.randrange(5)
+            if kind == 0:
+                slices.append(0)
+            elif kind == 1 and slices:
+                slices.append(rng.choice(slices))
+            else:
+                slices.append(rng.getrandbits(n))
+        a = bitslice._vcount(iter(slices))
+        assert not a or a[-1]  # no zero plane on top
+        if n > 64:
+            for c in rng.sample(range(n), 200) + [0, n - 1]:
+                assert bitslice._vat(a, c) == sum(s >> c & 1 for s in slices)
+        else:
+            assert values(a, n) == [sum(s >> c & 1 for s in slices) for c in range(n)]
 
 
 def test_max_and_threshold_over_a_mask():
@@ -109,12 +127,17 @@ def test_prefix_sum_of_zero_is_empty():
 
 def test_set_bits_match_a_plain_loop():
     # no bit, the first or the last bit alone, sparse, half and full density,
-    # for block sizes that are and are not whole bytes
+    # and just few enough and one too many set bits for clearing them one at
+    # a time, for block sizes that are and are not whole bytes
     rng = random.Random(SEED)
-    for n in (1, 3, 8, 9, 15, 64, 100, 1 << 14):
+    for n in (1, 3, 8, 9, 15, 64, 100, 1 << 14, 1 << 16):
         full = (1 << n) - 1
         xs = [0, 1, 1 << (n - 1), full]
         xs += [sum({1 << rng.randrange(n) for _ in range(5)}) for _ in range(3)]
         xs += [rng.getrandbits(n) for _ in range(3)]
+        for k in (bitslice._FEW_BITS, bitslice._FEW_BITS + 1):
+            if k <= n:
+                xs.append(sum(1 << c for c in rng.sample(range(n), k)))
         for x in xs:
-            assert bitslice._bits(x, n) == [c for c in range(n) if x >> c & 1]
+            digits = format(x, f"0{n}b")[::-1]  # bit c of x at digits[c]
+            assert bitslice._bits(x, n) == [c for c in range(n) if digits[c] == "1"]

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from eqalg import ast, constructions
+from eqalg import ast, bitslice, constructions
 from eqalg.ast import Name
 from eqalg.evaluator import EvalBudget, evaluate, solve, solve_nonempty
 from eqalg.model import Database, ModelError, Rel, RelType, flat_type
@@ -191,6 +191,25 @@ def test_tc_powerset_enumerates_closed_supersets_once(n):
     got, metrics = evaluate(build_tc_powerset_expr(), db_with_r(atoms, binrel(("a", "b"))), BUDGET)
     assert got == binrel(("a", "b"))
     assert [s.candidates_tested for s in metrics.solves] == [2 ** (n * n)]
+
+
+def test_tc_powerset_on_four_atoms_runs_as_one_block(monkeypatch):
+    # the 2^16 candidates of the closed-superset solve on four atoms are one
+    # bit-sliced block, so a change that splits it or that runs the body on
+    # the relation kernels fails here
+    scans = []
+    scan = bitslice.Blocks.scan
+
+    def counted(self, k, *args):
+        scans.append(k)
+        return scan(self, k, *args)
+
+    monkeypatch.setattr(bitslice.Blocks, "scan", counted)
+    r = binrel(("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"))
+    got, metrics = evaluate(build_tc_powerset_expr(), db_with_r(("a", "b", "c", "d"), r), BUDGET)
+    assert got == warshall_tc(r)
+    assert scans == [0]
+    assert [s.candidates_tested for s in metrics.solves] == [1 << 16]
 
 
 def test_tc_powerset_peak_space_on_three_atoms():

@@ -1016,8 +1016,10 @@ def test_small_blocks_agree_with_relations(monkeypatch):
 def test_full_block_of_solutions_agrees_with_relations(monkeypatch):
     # one block of 2^14 candidates, each of them a solution: the walk carries
     # thousands of solutions to the peak, to a space refusal and to a
-    # solution cap as the relation kernels do
-    atoms = tuple(f"a{i}" for i in range(bitslice.BLOCK_BITS))
+    # solution cap as the relation kernels do; 14 atoms, so the solve is one
+    # whole block at any block size from 2^14 up
+    bits = 14
+    atoms = tuple(f"a{i}" for i in range(bits))
     db = db_of(atoms, R=rel(FLAT1, [(a,) for a in atoms]))
     e = build_powerset_eq()
     sliceable = evaluator._sliceable
@@ -1025,14 +1027,14 @@ def test_full_block_of_solutions_agrees_with_relations(monkeypatch):
     for check in (sliceable, _on_relations):
         monkeypatch.setattr(evaluator, "_sliceable", check)
         value, metrics = evaluate(e, db)
-        assert metrics.solves[0].solutions_found == 1 << bitslice.BLOCK_BITS
+        assert metrics.solves[0].solutions_found == 1 << bits
         peak = metrics.peak_space_units
         budgets = [EvalBudget(max_space_units=cap) for cap in (peak - 1, peak // 2)]
         budgets.append(EvalBudget(max_solutions=5000))
         outcomes = [_outcome(e, db, budget) for budget in budgets]
         runs.append((value, metrics, outcomes))
     assert runs[0] == runs[1]
-    assert [solve[2] for _, solve in outcomes] == [(1 << bitslice.BLOCK_BITS) - 1, 8871, 5001]
+    assert [solve[2] for _, solve in outcomes] == [(1 << bits) - 1, 8871, 5001]
 
 
 def _nested_solve_cases(tags):
@@ -1153,7 +1155,9 @@ def _shape_tags(cands, space, tags) -> None:
         tags.add("nested")
 
 
-@pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 2])
+# the default block size, a 2^14 block (the size of the sliced walk before
+# blocks grew to 2^16) and 4-candidate blocks that split each solve
+@pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 14, 2])
 def test_solution_sets_sort_as_fresh_relations(representation, block_bits, monkeypatch):
     # the set a solve returns, the same set under a solution cap and a space
     # cap that it just fits, and the set of solve_nonempty's first solution
