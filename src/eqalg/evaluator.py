@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from . import ast, bitslice
 from .model import (
     ATOM,
+    SATURATED,
     Candidates,
     Database,
     ModelError,
@@ -60,6 +61,7 @@ from .model import (
     SolutionSet,
     row_picker,
     tuple_universe,
+    universe_size,
     value_size,
 )
 from .typecheck import infer_type
@@ -298,26 +300,12 @@ def _count(n: int) -> str:
     return str(n) if n.bit_length() <= 64 else f"~2^{n.bit_length() - 1}"
 
 
-# universe sizes are counted up to this; a larger one is not built
-_SATURATED = 1 << 64
-
-
-def _universe_size(t: RelType, n: int) -> int:
-    """Rows of type ``t`` over ``n`` atoms, or ``_SATURATED`` if there are at
-    least that many, so the count builds no int longer than 129 bits (a
-    relation-valued column ranges over 2^(rows of its type) values)."""
-    rows = 1
-    for c in t.components:
-        rows = min(rows * (n if c.is_atom else 1 << min(_universe_size(c, n), 64)), _SATURATED)
-    return rows
-
-
 def _space_count(bits: int) -> str:
     """``_count(2 ** bits)`` without building the power; a saturated
     ``bits`` is given as a lower bound."""
     if bits < 64:
         return str(1 << bits)
-    return f"~2^{bits}" if bits < _SATURATED else f">= 2^{bits}"
+    return f"~2^{bits}" if bits < SATURATED else f">= 2^{bits}"
 
 
 def _precharge(ctx, amount: int, path: str, node: ast.Expr, operands) -> None:
@@ -729,7 +717,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
     try:
         # the space is 2^bits candidates, refused on bits so it is never built
         n = len(ctx.atoms)
-        bits = min(sum(_universe_size(t, n) for t in types), _SATURATED)
+        bits = min(sum(universe_size(t, n) for t in types), SATURATED)
         if bits >= ctx.max_candidates.bit_length():
             raise BudgetExceeded(
                 "candidates",

@@ -8,10 +8,10 @@ determinism for rendering and enumeration) is materialized lazily, by one
 sort per relation that fills both its row order and its sort key.  A flat
 row (all atoms) is its own sort key, so a flat relation sorts its rows with
 no key function and its sorted rows are its key.  A solve's solution set
-(``SolutionSet``) decodes its rows from its candidates' counter values only
-when they are read, not to print them, and sorts by those values instead:
-the subset-lex rank of a mask over a canonically ordered universe is its
-position in canonical order.
+(``SolutionSet``) keeps its candidates' counter values and decodes its rows
+from them only when they are read.  It is printed from those values, put in
+canonical order by their subset-lex ranks: the rank of a mask over a
+canonically ordered universe is its position in canonical order.
 """
 
 from __future__ import annotations
@@ -152,6 +152,10 @@ class Rel:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def __reduce__(self):
+        # a copy is rebuilt through __init__, so no cache (a hash is per process) is kept
+        return Rel, (self.rtype, self.rows)
+
     def __repr__(self) -> str:
         from .parser import render_relation  # cycle-free at call time
 
@@ -165,10 +169,7 @@ class Rel:
         return s
 
     def _sort(self) -> tuple:
-        """Fill both order caches with one sort; return ``(rows, key)``.
-
-        ``SolutionSet`` overrides it with a sort on ints; both give the same
-        caches for the same rows."""
+        """Fill both order caches with one sort; return ``(rows, key)``."""
         if self.rtype.is_flat:
             s = k = tuple(sorted(self.rows))
         else:
@@ -292,16 +293,37 @@ def deep_equal(v1: Value, v2: Value) -> bool:
 # enumeration of all relations of a type over a domain
 
 
+# row counts are counted up to this; a larger one is not built
+SATURATED = 1 << 64
+
+# count_relations refuses a count of more than 2^(this) relations
+MAX_COUNT_BITS = 1 << 26
+
+
+def universe_size(t: RelType, n: int) -> int:
+    """Rows of type ``t`` over ``n`` atoms, or ``SATURATED`` if there are at
+    least that many, so the count builds no int longer than 129 bits (a
+    relation-valued column ranges over 2^(rows of its type) values)."""
+    rows = 1
+    for c in t.components:
+        rows = min(rows * (n if c.is_atom else 1 << min(universe_size(c, n), 64)), SATURATED)
+    return rows
+
+
 def count_relations(t: RelType, n: int) -> int:
-    """Number of relations of type ``t`` over a domain of ``n`` atoms (exact)."""
+    """Number of relations of type ``t`` over a domain of ``n`` atoms (exact).
+
+    It is 2^``universe_size``; a count over 2^``MAX_COUNT_BITS`` (an int of
+    8 MiB) is refused rather than built."""
     if t.is_atom:
         raise ModelError("count_relations needs a tuple type")
     if n < 1:
         raise ModelError("domain size must be >= 1")
-    tuples = 1
-    for c in t.components:
-        tuples *= n if c.is_atom else count_relations(c, n)
-    return 1 << tuples
+    rows = universe_size(t, n)
+    if rows > MAX_COUNT_BITS:
+        bound = f"2^{rows}" if rows < SATURATED else f"at least 2^{rows}"
+        raise ModelError(f"too many relations of type {t} over {n} atoms to count: {bound}")
+    return 1 << rows
 
 
 def tuple_universe(t: RelType, atoms: tuple[str, ...]) -> list:
@@ -409,8 +431,8 @@ class Candidates:
     Candidates are numbered by a binary counter over the binders' canonically
     ordered row universes, the last binder fastest: binder i's field of the
     counter value is the mask of its rows, bit j for row j.  ``decode`` is
-    the one mask decoder and ``encode`` its inverse; ``order`` puts decoded
-    rows in canonical order from their counter values.
+    the one mask decoder and ``encode`` its inverse; ``rank_keys`` orders
+    counter values as the relations they stand for, with nothing decoded.
     """
 
     __slots__ = ("binders",)
@@ -496,32 +518,6 @@ class Candidates:
             keys = ranks if keys is None else [k | r << shift for k, r in zip(keys, ranks)]
         return keys
 
-    def order(self, rows: list, cands) -> tuple:
-        """``(sorted rows, key)`` of the relation with ``rows``, decoded from
-        the counter values ``cands``, as ``Rel._sort`` gives them.
-
-        The rows sort by their counter values' ``rank_keys``, so no row key
-        is compared.  The flat relations of the rows get their sorted rows,
-        which are their keys, from ordered subset tables; the rows' keys are
-        then read off their relations.
-        """
-        keys = self.rank_keys(cands)
-        columns = []
-        for i, (t, u, shift, m, _) in enumerate(self.binders):
-            if t.is_flat:
-                first, *rest = subset_tables(u, ordered=True)
-                for row, c in zip(rows, cands):
-                    x = c >> shift & m
-                    s = first[x & 255]
-                    for table in rest:
-                        x >>= 8
-                        s += table[x & 255]
-                    v = row[i]
-                    v._sorted = v._key = s
-            columns.append(attrgetter("_key") if t.is_flat else value_sort_key)
-        s = tuple(map(rows.__getitem__, sorted(range(len(rows)), key=keys.__getitem__)))
-        return s, tuple(zip(*[map(key, map(itemgetter(i), s)) for i, key in enumerate(columns)]))
-
 
 _rows = Rel.rows  # Rel's slot for the rows, under SolutionSet's property
 
@@ -529,24 +525,24 @@ _rows = Rel.rows  # Rel's slot for the rows, under SolutionSet's property
 class SolutionSet(Rel):
     """A solve's solution set, whose rows are decoded only when read.
 
-    It holds its solutions' counter values (an ``array('Q')``) and, until
-    its first sort, the ``Candidates`` that decodes them and their rows in
-    counter order once decoded.  Length, truth and size need no decoding,
-    and neither does rendering: until the first sort, ``in_order`` gives
-    the counter values in canonical order, from which
-    ``parser.render_relation`` prints the set.  The first read of ``rows``
-    or the first sort decodes each solution once; that sort is
-    ``Candidates.order`` on ints, not a sort of row keys.  Until then,
-    ``==`` against a plain relation of its type compares counter values,
-    the other's rows encoded by ``Candidates.encode``, and decodes nothing.
+    It holds its solutions' counter values (an ``array('Q')``) and the
+    ``Candidates`` that decodes them.  It is in one of two states: not yet
+    decoded, or decoded into the ``rows`` slot by the first read of
+    ``rows``, which decodes each solution once.  Length, truth and size
+    need no decoding, and neither does rendering: in either state,
+    ``in_order`` gives the counter values in canonical order, from which
+    ``parser.render_relation`` prints the set.  Until it is decoded, ``==``
+    against a plain relation of its type compares counter values, the
+    other's rows encoded by ``Candidates.encode``.  It sorts as any nested
+    relation does, by ``Rel._sort`` on its decoded rows.
     """
 
-    __slots__ = ("_cands", "_plan")
+    __slots__ = ("_cands", "_space")
 
     def __init__(self, rtype: RelType, cands, space: Candidates, size: int) -> None:
         self.rtype = rtype  # no Rel.__init__: the rows slot stays empty
         self._cands = cands
-        self._plan = (space, None)
+        self._space = space
         self._size = size
         self._hash = self._key = self._sorted = None
 
@@ -554,15 +550,16 @@ class SolutionSet(Rel):
         return len(self._cands)
 
     def __eq__(self, other: object) -> bool:
-        plan = self._plan
-        decoded = plan is None or plan[1] is not None
-        if decoded or type(other) is not Rel or other.rtype is not self.rtype:
-            return Rel.__eq__(self, other)
-        cands = self._cands
-        if len(other.rows) != len(cands):
-            return False
-        encoded = plan[0].encode(other.rows)
-        return encoded is not None and set(encoded) == set(cands)
+        if type(other) is Rel and other.rtype is self.rtype:
+            try:
+                _rows.__get__(self)
+            except AttributeError:  # not decoded: compare counter values
+                cands = self._cands
+                if len(other.rows) != len(cands):
+                    return False
+                encoded = self._space.encode(other.rows)
+                return encoded is not None and set(encoded) == set(cands)
+        return Rel.__eq__(self, other)
 
     __hash__ = Rel.__hash__  # a class that defines __eq__ gets no inherited hash
 
@@ -571,34 +568,16 @@ class SolutionSet(Rel):
         try:
             return _rows.__get__(self)
         except AttributeError:  # not read yet
-            rows = frozenset(self._decoded() if self._sorted is None else self._sorted)
+            rows = frozenset(self._space.decode(self._cands))
             _rows.__set__(self, rows)
             return rows
 
-    def in_order(self):
+    def in_order(self) -> tuple:
         """``(Candidates, the solutions' counter values in canonical order)``,
-        sorted by ``Candidates.rank_keys`` without decoding; None once the
-        set is sorted, as its rows in order are then cached."""
-        if self._plan is None:
-            return None
-        space, cands = self._plan[0], self._cands
+        sorted by ``Candidates.rank_keys`` without decoding."""
+        space, cands = self._space, self._cands
         keys = space.rank_keys(cands)
         return space, list(map(cands.__getitem__, sorted(range(len(cands)), key=keys.__getitem__)))
-
-    def _decoded(self) -> list:
-        """The solution rows in counter order, decoded on the first call."""
-        space, rows = self._plan
-        if rows is None:
-            rows = space.decode(self._cands)
-            self._plan = (space, rows)
-        return rows
-
-    def _sort(self) -> tuple:
-        s, k = self._plan[0].order(self._decoded(), self._cands)
-        self._sorted = s
-        self._key = k
-        self._plan = None
-        return s, k
 
 
 # ---------------------------------------------------------------------------

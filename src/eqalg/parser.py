@@ -389,17 +389,16 @@ def parse_type(text: str) -> RelType:
 def render_relation(v: Value) -> str:
     """Deterministic text for a value, rows in canonical order; parses back.
 
-    A solution set not yet sorted is printed from its counter values
-    (``_render_counted``), so none of its solutions is decoded.  A flat
-    relation's sorted rows are all atoms, so they are joined directly with no
-    call per row or atom; relation-valued columns recurse.
+    A solution set is always printed from its counter values
+    (``_render_counted``), whether or not its rows were read or sorted, so
+    printing decodes none of its solutions.  A flat relation's sorted rows
+    are all atoms, so they are joined directly with no call per row or
+    atom; relation-valued columns recurse.
     """
     if isinstance(v, str):
         return v
     if type(v) is SolutionSet:
-        plan = v.in_order()
-        if plan is not None:
-            return _render_counted(*plan)
+        return _render_counted(*v.in_order())
     rows = v.sorted_rows()
     if not rows:
         return "[]"

@@ -9,6 +9,16 @@ from eqalg.model import Candidates
 sys.path.insert(0, os.path.dirname(__file__))
 
 
+def pytest_collection_modifyitems(items):
+    """Make any warning a test of this suite raises an error, so a new one
+    fails the suite.  It is set here, not in the pytest settings, since those
+    apply to ``perfbench/tests`` as well, whose tests leave files unclosed."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    for item in items:
+        if os.path.dirname(str(item.path)) == here:
+            item.add_marker(pytest.mark.filterwarnings("error"))
+
+
 @pytest.fixture(autouse=True)
 def _collector_left_enabled():
     """Fail a test that leaves the cycle collector disabled, so that one

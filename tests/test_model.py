@@ -2,6 +2,7 @@ import copy
 import inspect
 import pickle
 import random
+import re
 import sys
 from array import array
 
@@ -96,6 +97,86 @@ def test_empty_tuple_type_rejected():
 def test_types_copy_and_pickle_to_themselves(copier):
     for t in (ATOM, FLAT2, RelType((FLAT1, ATOM)), RelType((RelType((FLAT2,)),))):
         assert copier(t) is t
+
+
+# a flat, a nested and a solution-set value, built the same in any process
+VALUES_SOURCE = """
+from eqalg.evaluator import evaluate
+from eqalg.model import ATOM, Rel, RelType
+from eqalg.parser import parse_database, parse_expr
+
+def values():
+    db, _ = parse_database("domain [a,b]\\nR:(0,0) = [[a,b]]\\n")
+    flat = db.relations["R"]
+    inner = Rel(RelType((ATOM,)), [("a",)])
+    nested = Rel(RelType((RelType((ATOM,)), ATOM)), [(inner, "b"), (Rel(inner.rtype, []), "a")])
+    solutions = evaluate(parse_expr("solve{(X:(0,0)) | union(X,R) = R}"), db)[0]
+    return [flat, nested, solutions]
+"""
+
+
+def _values() -> list:
+    scope: dict = {}
+    exec(VALUES_SOURCE, scope)
+    return scope["values"]()
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_values_copy_and_pickle_to_equal_plain_relations(copier, read):
+    # a copy is rebuilt through Rel.__init__, so it keeps no cache, and a
+    # solution set's copy is a plain relation with its rows
+    values = _values()
+    assert type(values[-1]) is SolutionSet and len(values[-1]) == 2
+    for v in values:
+        text = render_relation(v)
+        if read:  # fill the hash and order caches
+            hash(v)
+            v.sorted_rows()
+        c = copier(v)
+        assert type(c) is Rel and c.rtype is v.rtype
+        assert (c._hash, c._size, c._key, c._sorted) == (None, None, None, None)
+        assert c == v and v == c and hash(c) == hash(v) and c in {v}
+        assert (render_relation(c), value_size(c)) == (text, value_size(v))
+
+
+def test_pickled_values_hash_afresh_under_another_hash_seed():
+    # pickled under one hash seed and loaded under another, each value is
+    # equal to, and found in a set of, the same value built fresh there
+    import os
+    import subprocess
+
+    import eqalg
+
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(eqalg.__file__)))
+    dump = VALUES_SOURCE + (
+        "import pickle, sys\n"
+        "v = values()\n"
+        "[hash(x) for x in v]  # fills each hash cache\n"
+        "sys.stdout.buffer.write(pickle.dumps(v))\n"
+    )
+    load = VALUES_SOURCE + (
+        "import pickle, sys\n"
+        "v = pickle.loads(sys.stdin.buffer.read())\n"
+        "for x, f in zip(v, values(), strict=True):\n"
+        "    assert x == f and x in {f} and x in {Rel(f.rtype, f.rows)}, (x, f)\n"
+        "print(len(v))\n"
+    )
+    data = b""
+    for seed, source in (("1", dump), ("2", load)):
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", source],
+            input=data,
+            capture_output=True,
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        data = proc.stdout
+    assert data == b"3\n"
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +314,20 @@ def test_count_relations(t, n, expected):
 def test_count_relations_rejects_atom_type():
     with pytest.raises(ModelError):
         count_relations(ATOM, 2)
+
+
+def test_count_relations_refuses_counts_it_would_not_build():
+    # ((0)) over 26 atoms has 2^26 rows, the most a count may have; over 27
+    # atoms, and (((0))) over 5 (2^32 rows) or 6 atoms (2^64), are refused
+    nested = RelType((FLAT1,))
+    assert count_relations(nested, 26).bit_length() == (1 << 26) + 1
+    for t, n, bound in (
+        (nested, 27, "2^134217728"),
+        (RelType((nested,)), 5, "2^4294967296"),
+        (RelType((nested,)), 6, "at least 2^18446744073709551616"),
+    ):
+        with pytest.raises(ModelError, match=re.escape(f"{t} over {n} atoms to count: {bound}")):
+            count_relations(t, n)
 
 
 def test_enumerate_unary_order():
