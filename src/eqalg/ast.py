@@ -21,13 +21,16 @@ class Expr:
     """Base class for all expression nodes.
 
     A node is immutable: its constructor checks and sets the fields its
-    class lists in ``__slots__``.  Nodes are equal when of one class with
-    equal fields, hash as the tuple of their fields and print as
+    class lists in ``__slots__``, its other fields first and then its
+    children, in the constructor's argument order.  ``labels`` names the
+    children; a name and the domain have none.  Nodes are equal when of one
+    class with equal fields, hash as the tuple of their fields and print as
     ``Class(field=value, ...)``, as frozen dataclasses would; these methods
     are shared, where a dataclass would generate its own at every import.
     """
 
     __slots__ = ()
+    labels: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -72,17 +75,17 @@ def _init_binary(self, left: Expr, right: Expr) -> None:
 
 
 class Union(Expr):
-    __slots__ = ("left", "right")
+    __slots__ = labels = ("left", "right")
     __init__ = _init_binary
 
 
 class Difference(Expr):
-    __slots__ = ("left", "right")
+    __slots__ = labels = ("left", "right")
     __init__ = _init_binary
 
 
 class Product(Expr):
-    __slots__ = ("left", "right")
+    __slots__ = labels = ("left", "right")
     __init__ = _init_binary
 
 
@@ -90,14 +93,16 @@ def _check_indices(indices) -> None:
     if not indices:
         raise AstError("index list must be non-empty")
     for i in indices:
-        if not isinstance(i, int) or i < 1:
+        if isinstance(i, bool) or not isinstance(i, int) or i < 1:
             raise AstError(f"column index {i!r} must be a positive integer")
 
 
 class Project(Expr):
     __slots__ = ("indices", "arg")
+    labels = ("arg",)
 
     def __init__(self, indices: tuple[int, ...], arg: Expr) -> None:
+        indices = tuple(indices)
         _check_indices(indices)
         _set(self, "indices", indices)
         _set(self, "arg", arg)
@@ -107,6 +112,7 @@ class Select(Expr):
     """Keep rows whose columns ``i`` and ``j`` are (un)equal as nested sets."""
 
     __slots__ = ("i", "op", "j", "arg")
+    labels = ("arg",)
 
     def __init__(self, i: int, op: str, j: int, arg: Expr) -> None:
         _check_indices((i, j))
@@ -120,8 +126,10 @@ class Select(Expr):
 
 class Nest(Expr):
     __slots__ = ("indices", "arg")
+    labels = ("arg",)
 
     def __init__(self, indices: tuple[int, ...], arg: Expr) -> None:
+        indices = tuple(indices)
         _check_indices(indices)
         _set(self, "indices", indices)
         _set(self, "arg", arg)
@@ -129,6 +137,7 @@ class Nest(Expr):
 
 class Unnest(Expr):
     __slots__ = ("index", "arg")
+    labels = ("arg",)
 
     def __init__(self, index: int, arg: Expr) -> None:
         _check_indices((index,))
@@ -137,7 +146,7 @@ class Unnest(Expr):
 
 
 class Powerset(Expr):
-    __slots__ = ("arg",)
+    __slots__ = labels = ("arg",)
 
     def __init__(self, arg: Expr) -> None:
         _set(self, "arg", arg)
@@ -147,8 +156,10 @@ class Solve(Expr):
     """All assignments to the bound variables making both sides evaluate equal."""
 
     __slots__ = ("binders", "lhs", "rhs")
+    labels = ("lhs", "rhs")
 
     def __init__(self, binders: tuple[tuple[str, RelType], ...], lhs: Expr, rhs: Expr) -> None:
+        binders = tuple(map(tuple, binders))
         if not binders:
             raise AstError("solve needs at least one variable")
         seen = set()
@@ -169,18 +180,8 @@ class Solve(Expr):
         return tuple(nm for nm, _ in self.binders)
 
 
-def child_labels(e: Expr) -> tuple[str, ...]:
-    if isinstance(e, (Union, Difference, Product)):
-        return ("left", "right")
-    if isinstance(e, (Project, Select, Nest, Unnest, Powerset)):
-        return ("arg",)
-    if isinstance(e, Solve):
-        return ("lhs", "rhs")
-    return ()
-
-
 def children(e: Expr) -> tuple[Expr, ...]:
-    return tuple(getattr(e, label) for label in child_labels(e))
+    return tuple(getattr(e, label) for label in e.labels)
 
 
 def child_path(path: str, label: str) -> str:
@@ -192,14 +193,8 @@ def free_names(e: Expr) -> frozenset[str]:
     """Relation names occurring free (solve variables are bound inside)."""
     if isinstance(e, Name):
         return frozenset((e.name,))
-    if isinstance(e, Domain):
-        return frozenset()
-    if isinstance(e, Solve):
-        return (free_names(e.lhs) | free_names(e.rhs)) - set(e.var_names)
-    out: frozenset[str] = frozenset()
-    for label in child_labels(e):
-        out |= free_names(getattr(e, label))
-    return out
+    out = frozenset().union(*map(free_names, children(e)))
+    return out.difference(e.var_names) if isinstance(e, Solve) else out
 
 
 def join_shape(e: Expr, path: str, types: dict):

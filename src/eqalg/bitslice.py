@@ -345,7 +345,7 @@ def compile_sliced(e: ast.Expr, path: str, types: dict):
     else:
         build = _sliced_union if isinstance(e, ast.Union) else _sliced_difference
     fs = [compile_sliced(getattr(e, label), ast.child_path(path, label), types)
-          for label in ast.child_labels(e)]  # fmt: skip
+          for label in e.labels]  # fmt: skip
 
     def run(env, keep, room, _fs=fs, _product=product, _build=build, _levels=levels):
         values, counts, live, peak = [], [], [], []

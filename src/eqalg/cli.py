@@ -184,6 +184,8 @@ def cmd_construction(args) -> int:
     budget = _budget_from(args)
     if entry.harness is not None:
         value = entry.harness(db, budget)
+        if args.metrics:
+            print(f"no metrics: {entry.name} runs a harness, which reports none", file=sys.stderr)
     else:
         value, metrics = evaluate(entry.expression, db, budget)
         if args.metrics:
@@ -223,6 +225,8 @@ def _parse_gen(text: str | None, default_schema: dict, seed: int) -> DbGenerator
         density: dict = {}
         for part in _split_outside_parens(text[len("flat:") :]):
             name, _, rest = part.partition(":")
+            if name in schema:
+                raise ParseError(f"relation {name!r} given twice in --gen", 1, 1)
             type_text, _, dens = rest.rpartition(":")
             schema[name] = parse_type(type_text)
             try:

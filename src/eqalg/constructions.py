@@ -410,54 +410,28 @@ class Construction:
     name: str
     schema: dict
     oracle: Callable[[Database], Rel]
-    description: str
     expression: ast.Expr
     harness: Callable | None = None
 
 
 def registry() -> dict[str, Construction]:
     return {
-        "parity": Construction(
-            "parity",
-            {},
-            _oracle_parity,
-            "matchings splitting the domain in half; solvable iff |domain| is even",
-            Solve(*build_parity_eq()),
-        ),
+        "parity": Construction("parity", {}, _oracle_parity, Solve(*build_parity_eq())),
         "singleton": Construction(
-            "singleton",
-            {},
-            _oracle_singleton,
-            "singleton subsets of the domain; linearly many solutions",
-            Solve(*build_singleton_eq()),
+            "singleton", {}, _oracle_singleton, Solve(*build_singleton_eq())
         ),
-        "powerset": Construction(
-            "powerset",
-            {"R": FLAT1},
-            _oracle_powerset,
-            "all subsets of R via X union R = R",
-            build_powerset_eq(),
-        ),
+        "powerset": Construction("powerset", {"R": FLAT1}, _oracle_powerset, build_powerset_eq()),
         "tc-powerset": Construction(
-            "tc-powerset",
-            {"R": FLAT2},
-            _oracle_tc,
-            "transitive closure as the minimal transitively closed superset",
-            build_tc_powerset_expr(),
+            "tc-powerset", {"R": FLAT2}, _oracle_tc, build_tc_powerset_expr()
         ),
         "tc-sparse": Construction(
             "tc-sparse",
             {"R": FLAT2},
             _oracle_tc,
-            "transitive closure through the stage-relation equation (harness-checked)",
             build_tc_sparse_expr(),
             harness=tc_sparse_via_harness,
         ),
         "nest-sparse": Construction(
-            "nest-sparse",
-            {"R": FLAT2},
-            _oracle_nest,
-            "second-column nesting of R without using the nest operator on R",
-            build_nest_sparse_expr(),
+            "nest-sparse", {"R": FLAT2}, _oracle_nest, build_nest_sparse_expr()
         ),
     }

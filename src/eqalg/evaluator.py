@@ -373,9 +373,10 @@ def _metered(fs, kernel, need, path: str, node: ast.Expr):
     return run
 
 
-_UNARY = frozenset((ast.Project, ast.Select, ast.Nest, ast.Unnest, ast.Powerset))
-_BINARY = frozenset((ast.Union, ast.Difference, ast.Product))
-_LEAVES = frozenset((ast.Name, ast.Domain))
+_NODES = ast.Expr.__subclasses__()
+_UNARY = frozenset(cls for cls in _NODES if cls.labels == ("arg",))
+_BINARY = frozenset(cls for cls in _NODES if cls.labels == ("left", "right"))
+_LEAVES = frozenset(cls for cls in _NODES if not cls.labels)
 
 
 def _sharing(e: ast.Expr):
@@ -540,7 +541,7 @@ def _compile(e: ast.Expr, path: str, types: dict, plan, cached: bool = True):
 
     kernel, need = _kernel(e, path, types)
     fs = [_compile(getattr(e, label), ast.child_path(path, label), types, plan)
-          for label in ast.child_labels(e)]  # fmt: skip
+          for label in e.labels]  # fmt: skip
     return _metered(fs, kernel, need, path, e)
 
 
@@ -805,13 +806,13 @@ def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
 
 def solve(binders, lhs: ast.Expr, rhs: ast.Expr, db: Database, budget: EvalBudget | None = None):
     """Solution set of the equation ``lhs = rhs`` in the given variables."""
-    return evaluate(ast.Solve(tuple(binders), lhs, rhs), db, budget)
+    return evaluate(ast.Solve(binders, lhs, rhs), db, budget)
 
 
 def solve_nonempty(
     binders, lhs: ast.Expr, rhs: ast.Expr, db: Database, budget: EvalBudget | None = None
 ) -> bool:
     """True iff the equation has at least one solution (stops at the first)."""
-    node = ast.Solve(tuple(binders), lhs, rhs)
+    node = ast.Solve(binders, lhs, rhs)
     types, ctx, env = _prepare(node, db, budget)
     return bool(_run_solve(_solve_parts(node, "", types), env, ctx, "", early_exit=True)[0])

@@ -16,10 +16,21 @@ from .model import (
     subset_tables,
 )
 
-KEYWORDS = {
-    "union", "minus", "times", "project", "select", "nest", "unnest",
-    "powerset", "solve", "empty", "domain", "D",
+# Each operator's keyword and the bracket form of its other fields: an
+# index list ``[i,...]``, a test ``[i op j]``, one index ``[i]`` or none.
+# Its operands follow in parentheses, in the order of its ``labels``.
+OPERATORS = {
+    ast.Union: ("union", None),
+    ast.Difference: ("minus", None),
+    ast.Product: ("times", None),
+    ast.Project: ("project", "indices"),
+    ast.Select: ("select", "test"),
+    ast.Nest: ("nest", "indices"),
+    ast.Unnest: ("unnest", "index"),
+    ast.Powerset: ("powerset", None),
 }
+_BY_KEYWORD = {kw: (cls, form) for cls, (kw, form) in OPERATORS.items()}
+KEYWORDS = {*_BY_KEYWORD, "solve", "empty", "domain", "D"}
 
 
 # Deepest nesting of sub-expressions accepted, a name or D counting as one
@@ -107,6 +118,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.type_depth = 0
+        self.nodes: dict = {}
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -168,14 +180,22 @@ class _Parser:
         self.expect(")")
         return RelType(tuple(comps))
 
-    def parse_index_list(self) -> tuple[int, ...]:
+    def parse_fields(self, form: str | None) -> tuple:
+        """An operator's fields before its operands, in bracket ``form``."""
+        if form is None:
+            return ()
         self.expect("[")
-        out = [self.parse_int()]
-        while self.peek().text == ",":
+        fields = [self.parse_int()]
+        if form == "test":
+            op_tok = self.next()
+            if op_tok.text not in ("=", "!="):
+                raise ParseError(f"expected '=' or '!=', found {op_tok.text!r}", op_tok.line, op_tok.col)
+            fields += (op_tok.text, self.parse_int())
+        while form == "indices" and self.peek().text == ",":
             self.next()
-            out.append(self.parse_int())
+            fields.append(self.parse_int())
         self.expect("]")
-        return tuple(out)
+        return (tuple(fields),) if form == "indices" else tuple(fields)
 
     # ---- expressions
 
@@ -200,51 +220,18 @@ class _Parser:
         kw = tok.text
         if kw == "D":
             self.next()
-            return ast.Domain()
-        if kw in ("union", "minus", "times"):
+            return self.node(ast.Domain())
+        if kw in _BY_KEYWORD:
             self.next()
+            cls, form = _BY_KEYWORD[kw]
+            fields = self.parse_fields(form)
             self.expect("(")
-            left = self.parse_expr()
-            self.expect(",")
-            right = self.parse_expr()
+            operands = [self.parse_expr()]
+            for _ in cls.labels[1:]:
+                self.expect(",")
+                operands.append(self.parse_expr())
             self.expect(")")
-            cls = {"union": ast.Union, "minus": ast.Difference, "times": ast.Product}[kw]
-            return cls(left, right)
-        if kw == "project" or kw == "nest":
-            self.next()
-            indices = self.parse_index_list()
-            self.expect("(")
-            arg = self.parse_expr()
-            self.expect(")")
-            return (ast.Project if kw == "project" else ast.Nest)(indices, arg)
-        if kw == "select":
-            self.next()
-            self.expect("[")
-            i = self.parse_int()
-            op_tok = self.next()
-            if op_tok.text not in ("=", "!="):
-                raise ParseError(f"expected '=' or '!=', found {op_tok.text!r}", op_tok.line, op_tok.col)
-            j = self.parse_int()
-            self.expect("]")
-            self.expect("(")
-            arg = self.parse_expr()
-            self.expect(")")
-            return ast.Select(i, op_tok.text, j, arg)
-        if kw == "unnest":
-            self.next()
-            self.expect("[")
-            i = self.parse_int()
-            self.expect("]")
-            self.expect("(")
-            arg = self.parse_expr()
-            self.expect(")")
-            return ast.Unnest(i, arg)
-        if kw == "powerset":
-            self.next()
-            self.expect("(")
-            arg = self.parse_expr()
-            self.expect(")")
-            return ast.Powerset(arg)
+            return self.node(cls(*fields, *operands))
         if kw == "solve":
             return self.parse_solve()
         if kw == "empty":
@@ -253,8 +240,30 @@ class _Parser:
             raise self.fail(f"keyword {kw!r} cannot start an expression here")
         if NAME_RE.match(kw):
             self.next()
-            return ast.Name(kw)
+            return self.node(ast.Name(kw))
         raise self.fail(f"expected an expression, found {kw!r}")
+
+    def node(self, e: ast.Expr) -> ast.Expr:
+        """``e``, or the node this parse already holds with the class, the
+        other fields and the very operand objects of ``e``, each operand of
+        ``e`` taken that way first.
+
+        So a subexpression repeated in the text is one node object, which
+        the evaluator computes once (see ``evaluator._sharing``).  The parse
+        holds each node it keeps, and each of those holds its operands, so
+        no id in a key is reused while the parse runs.
+        """
+        values = e._values()
+        k = len(values) - len(e.labels)
+        key = (type(e), *values[:k], *map(id, values[k:]))
+        found = self.nodes.get(key)
+        if found is not None:
+            return found
+        operands = tuple(map(self.node, values[k:]))
+        if any(a is not b for a, b in zip(operands, values[k:])):
+            return self.node(type(e)(*values[:k], *operands))
+        self.nodes[key] = e
+        return e
 
     def parse_solve(self) -> ast.Expr:
         start = self.expect("solve")
@@ -271,17 +280,17 @@ class _Parser:
         if op_tok.text == "=":
             if self.peek().kind == "word" and self.peek().text == "empty":
                 self.next()
-                rhs = ast.empty_like(lhs)
+                rhs = self.node(ast.empty_like(lhs))
             else:
                 rhs = self.parse_expr()
         elif op_tok.text == "!=":
             self.expect("empty")
-            lhs, rhs = ast.rewrite_diseq_to_eq(lhs)
+            lhs, rhs = map(self.node, ast.rewrite_diseq_to_eq(lhs))
         else:
             raise ParseError(f"expected '=' or '!=', found {op_tok.text!r}", op_tok.line, op_tok.col)
         self.expect("}")
         try:
-            return ast.Solve(tuple(binders), lhs, rhs)
+            return self.node(ast.Solve(binders, lhs, rhs))
         except ast.AstError as exc:
             raise ParseError(str(exc), start.line, start.col) from exc
 
@@ -454,23 +463,17 @@ def render_expr(e: ast.Expr) -> str:
         return e.name
     if isinstance(e, ast.Domain):
         return "D"
-    if isinstance(e, ast.Union):
-        return f"union({render_expr(e.left)},{render_expr(e.right)})"
-    if isinstance(e, ast.Difference):
-        return f"minus({render_expr(e.left)},{render_expr(e.right)})"
-    if isinstance(e, ast.Product):
-        return f"times({render_expr(e.left)},{render_expr(e.right)})"
-    if isinstance(e, ast.Project):
-        return f"project[{','.join(map(str, e.indices))}]({render_expr(e.arg)})"
-    if isinstance(e, ast.Select):
-        return f"select[{e.i}{e.op}{e.j}]({render_expr(e.arg)})"
-    if isinstance(e, ast.Nest):
-        return f"nest[{','.join(map(str, e.indices))}]({render_expr(e.arg)})"
-    if isinstance(e, ast.Unnest):
-        return f"unnest[{e.index}]({render_expr(e.arg)})"
-    if isinstance(e, ast.Powerset):
-        return f"powerset({render_expr(e.arg)})"
     if isinstance(e, ast.Solve):
         binders = ",".join(f"{nm}:{t}" for nm, t in e.binders)
         return f"solve{{({binders}) | {render_expr(e.lhs)} = {render_expr(e.rhs)}}}"
-    raise ModelError(f"cannot render {type(e).__name__}")
+    entry = OPERATORS.get(type(e))
+    if entry is None:
+        raise ModelError(f"cannot render {type(e).__name__}")
+    kw, form = entry
+    values = e._values()
+    k = len(values) - len(e.labels)
+    if form == "indices":
+        kw += f"[{','.join(map(str, values[0]))}]"
+    elif form is not None:
+        kw += f"[{''.join(map(str, values[:k]))}]"
+    return f"{kw}({','.join(map(render_expr, values[k:]))})"

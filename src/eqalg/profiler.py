@@ -189,7 +189,7 @@ def profile(eq, gen: DbGenerator, n_range, budget: EvalBudget | None = None) -> 
     """Run an equation per domain size and classify solution-count growth."""
     binders, lhs, rhs = eq
     return _sample(
-        ast.Solve(tuple(binders), lhs, rhs),
+        ast.Solve(binders, lhs, rhs),
         gen,
         n_range,
         budget,

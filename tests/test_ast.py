@@ -6,11 +6,13 @@ from eqalg.ast import (
     Difference,
     Domain,
     Name,
+    Nest,
     Product,
     Project,
     Select,
     Solve,
     Union,
+    Unnest,
     empty_like,
     free_names,
     rewrite_diseq_to_eq,
@@ -69,6 +71,26 @@ def test_solve_constructor_validation():
         Project((0,), Name("R"))
     with pytest.raises(AstError):
         Select(1, "<", 2, Name("R"))
+    # a bool is no column index, though it is an int
+    for bad in (
+        lambda: Project((True,), Name("R")),
+        lambda: Nest((1, False), Name("R")),
+        lambda: Select(True, "=", 2, Name("R")),
+        lambda: Select(1, "=", True, Name("R")),
+        lambda: Unnest(True, Name("R")),
+    ):
+        with pytest.raises(AstError):
+            bad()
+    # lists are stored as tuples, so the node hashes and equals the tuple-built one
+    for cls in (Project, Nest):
+        e = cls([2, 1], Name("R"))
+        assert e.indices == (2, 1) and e == cls((2, 1), Name("R"))
+        assert hash(e) == hash(cls((2, 1), Name("R")))
+    s = Solve([["X", FLAT1]], Name("X"), Name("X"))
+    assert s.binders == (("X", FLAT1),) and s == Solve((("X", FLAT1),), Name("X"), Name("X"))
+    assert hash(s) == hash(Solve((("X", FLAT1),), Name("X"), Name("X")))
+    indices = (1, 2)
+    assert Project(indices, Name("R")).indices is indices  # a tuple is kept as given
 
 
 def db_ab(r_rows):

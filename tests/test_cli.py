@@ -170,6 +170,25 @@ def test_construction_verify(capsys, three_db, pair_db):
     assert code == 1
 
 
+def test_construction_says_when_it_has_no_metrics(capsys, pair_db):
+    # tc-sparse runs through its harness, which returns only the closure
+    code, out, err = run(
+        capsys, ["construction", "--name", "tc-sparse", "--db", pair_db, "--metrics"]
+    )
+    assert (code, out) == (0, "[[a,b]]\n")
+    assert err == "no metrics: tc-sparse runs a harness, which reports none\n"
+    code, _, err = run(capsys, ["construction", "--name", "parity", "--db", pair_db, "--metrics"])
+    assert code == 0 and err.startswith("peak_space_units ")
+
+
+def test_profile_gen_rejects_a_repeated_name(capsys):
+    argv = ["profile", "--eq", "powerset", "--n-range", "1..2",
+            "--gen", "flat:R:(0):0.5,R:(0,0):0.5"]  # fmt: skip
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: relation 'R' given twice in --gen (line 1, column 1)\n"
+
+
 def test_every_registered_construction_verifies(capsys, tmp_path):
     db_file = tmp_path / "r.edb"
     db_file.write_text("domain [a,b,c]\nR:(0,0) = [[a,b],[b,c]]\n")
@@ -531,6 +550,7 @@ BAD_ARGV = [
     ["profile", "--eq", "powerset", "--n-range", "12"],
     ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0):abc"],
     ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0,0"],
+    ["profile", "--eq", "powerset", "--n-range", "1..2", "--gen", "flat:R:(0):0.5,R:(0,0):0.5"],
     ["profile", "--eq", "no-such-construction", "--n-range", "1..2"],
     ["eval", "--db", "{missing}", "--expr", "R"],
     ["eval", "--db", "{db}", "--expr", "times(R"],

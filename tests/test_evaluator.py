@@ -1299,7 +1299,7 @@ def _solve_nodes(e, path=""):
     """``(path, node)`` of every solve node in ``e``."""
     if isinstance(e, Solve):
         yield path, e
-    for label in ast.child_labels(e):
+    for label in e.labels:
         yield from _solve_nodes(getattr(e, label), ast.child_path(path, label))
 
 
@@ -1357,7 +1357,7 @@ def _shared_operand(rng, schema, need_atom_column, mention=None):
     at random, is None when it has none and none is needed."""
     while True:
         s = random_expr(rng, schema, steps=rng.randint(1, 4), allow_solve=False)
-        if not ast.child_labels(s) or (mention and mention not in ast.free_names(s)):
+        if not s.labels or (mention and mention not in ast.free_names(s)):
             continue
         t = infer_type(s, schema)
         cols = [i for i, c in enumerate(t.components, start=1) if c.is_atom]
@@ -1526,6 +1526,22 @@ def test_shared_node_on_the_bound_variable_runs_once_per_candidate(monkeypatch):
     env = {"S": to_plain(db.relations["S"])}
     assert to_plain(value) == oracle_eval(node, env, db.atoms, db.schema)
     assert metrics.peak_space_units == oracle_peak(node, env, db.atoms, db.schema)[0]
+
+
+def test_subexpression_repeated_in_text_runs_once(monkeypatch):
+    runs = _counting_kernels(monkeypatch)
+    e = parse_expr("union(project[1](R),project[1](R))")
+    db = db_of(("a", "b", "c"), R=rel(FLAT2, [("a", "b"), ("b", "c")]))
+    value, metrics = evaluate(e, db)
+    assert runs[id(e.left)] == 1 and sum(runs.values()) == 2  # the projection, the union
+    env = {"R": to_plain(db.relations["R"])}
+    assert to_plain(value) == oracle_eval(e, env, db.atoms, db.schema)
+    assert metrics.peak_space_units == oracle_peak(e, env, db.atoms, db.schema)[0]
+    # a repeated solve is enumerated once, and its reuse charges its solutions
+    e = parse_expr("union(solve{(X:(0,0)) | union(X,R) = R},solve{(X:(0,0)) | union(X,R) = R})")
+    value, metrics = evaluate(e, db)
+    assert [(s.path, s.candidates_tested) for s in metrics.solves] == [("left", 2**9)]
+    assert to_plain(value) == oracle_eval(e, env, db.atoms, db.schema)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,44 @@ def test_diseq_requires_empty_rhs():
         parse_expr("solve{(X:(0)) | X != R}")
 
 
+def test_keywords_and_operator_table_match_grammar_and_ast():
+    import os
+    import re
+
+    from eqalg.parser import KEYWORDS, OPERATORS
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "GRAMMAR.md"), encoding="utf-8") as f:
+        reserved = re.search(r"Reserved keywords: `([^`]*)`", f.read()).group(1).split()
+    assert KEYWORDS == set(reserved) and len(reserved) == len(KEYWORDS)
+    special = {ast.Name, ast.Domain, ast.Solve}
+    assert set(OPERATORS) == set(ast.Expr.__subclasses__()) - special
+    fields = {None: (), "indices": ((2, 1),), "index": (2,), "test": (1, "!=", 2)}
+    for cls, (keyword, form) in OPERATORS.items():
+        e = cls(*fields[form], *(ast.Name(f"R{i}") for i in range(len(cls.labels))))
+        text = render_expr(e)
+        assert text.startswith(keyword) and parse_expr(text) == e, text
+    binders = (("X", FLAT2), ("Y", RelType((FLAT1,))))
+    for e in (ast.Name("R"), ast.Domain(), ast.Solve(binders, ast.Name("X"), ast.Domain())):
+        assert parse_expr(render_expr(e)) == e
+
+
+def test_parse_builds_each_repeated_subexpression_once():
+    e = parse_expr("union(project[1](R),project[1](R))")
+    assert e.left is e.right and e.left.arg is e.right.arg
+    e = parse_expr("union(project[1](R),project[2](R))")
+    assert e.left is not e.right and e.left.arg is e.right.arg
+    e = parse_expr("times(select[1=2](R),select[1!=2](R))")
+    assert e.left is not e.right
+    # desugared sides are shared as written ones are
+    for side in ("X != empty", "minus(X,R) = empty"):
+        e = parse_expr(f"union(solve{{(X:(0)) | {side}}},solve{{(X:(0)) | {side}}})")
+        assert e.left is e.right
+    e = parse_expr("union(solve{(X:(0)) | X = R},solve{(X:(0,0)) | X = R})")
+    assert e.left is not e.right and e.left.rhs is e.right.rhs
+    assert parse_expr("R") is not parse_expr("R")  # nothing is kept between parses
+
+
 def test_parse_types():
     assert parse_type("0") == ATOM
     assert parse_type("((0),0)") == RelType((FLAT1, ATOM))
