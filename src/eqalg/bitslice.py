@@ -7,7 +7,7 @@ as in Biham's bit-sliced DES (FSE 1997), in place of once per candidate.
 ``Blocks.scan`` evaluates a block's sides, solutions and metering, then
 walks its candidates in order, all at once: one prefix sum on the bit planes
 gives each candidate's live total, and with it the peak, the solutions and
-the first refused candidate.  Metering stays exact: every node's row count
+the stop candidate.  Metering stays exact: every node's row count
 is a per-candidate counter, and the live total of each metering point of
 literal evaluation is composed from them.
 """
@@ -404,10 +404,12 @@ class Blocks:
                 p ^= p >> (1 << j)
                 self.patterns[j] = p
 
-    def scan(self, k: int, live0: int, cap: int, quota: int, early_exit: bool):
-        """``_scan`` of block ``k``.  Where a candidate would exceed the cap
-        at a product, the candidates before it are evaluated again without
-        it, so no product is built for a candidate that is refused."""
+    def scan(self, k: int, live0: int, cap: int, quota: int):
+        """``_scan`` of block ``k``, whose stop candidate the caller replays:
+        a refused candidate or, with a quota of 0, the first solution.  Where
+        a candidate would exceed the cap at a product, the candidates before
+        it are evaluated again without it, so no product is built for a
+        candidate that is refused."""
         keep = (1 << (1 << self.bits)) - 1
         refuse = None
         while keep:
@@ -417,7 +419,7 @@ class Blocks:
                 refuse = exc.args[0]
                 keep &= (1 << refuse) - 1
             else:
-                return _scan(*found, keep, live0, cap, quota, early_exit, refuse)
+                return _scan(*found, keep, live0, cap, quota, refuse)
         return [], 0, 0, refuse
 
     def _evaluate(self, k: int, keep: int, room: int):
@@ -455,27 +457,24 @@ class Blocks:
         return hit, gain, top
 
 
-def _scan(hit, gain, top, keep, live0, cap, quota, early_exit, refuse):
+def _scan(hit, gain, top, keep, live0, cap, quota, refuse):
     """Walk a block's candidates in order, as the candidate loop would.
 
     ``live0`` is the live total before the block; candidate c has
     ``live0 + S(c) + top(c)`` units live at its highest, where ``S(c)`` sums
     ``gain``, the units a solution keeps live, over the solutions before it.
-    The walk covers the candidates of ``keep`` (not 0), stopping at the first
-    solution with ``early_exit`` or at the solution past ``quota``, which is
-    refused.  ``refuse`` is None or a candidate after ``keep`` known to be
-    refused.  Returns ``(hits, gained, peak, refuse)``: the solutions before
-    the first refused candidate, the units they keep live, the highest live
-    total of the candidates walked, and the first refused candidate or None.
-    ``S`` is one prefix sum on the bit planes (``_vprefix``).
+    The walk covers the candidates of ``keep`` (not 0) up to the stop
+    candidate: the first refused one or the solution past ``quota``,
+    whichever comes first, so with a quota of 0 the first solution, as
+    ``solve_nonempty`` asks.  ``refuse`` is None or a candidate after
+    ``keep`` known to be refused.  Returns ``(hits, gained, peak, refuse)``:
+    the solutions before the stop candidate, the units they keep live, the
+    highest live total of the candidates walked, and the stop candidate or
+    None.  ``S`` is one prefix sum on the bit planes (``_vprefix``).
     """
     n = keep.bit_length()
     hits = _bits(hit, n) if hit else []
-    if early_exit and hits:
-        del hits[1:]
-        n = hits[0] + 1
-        refuse = None
-    elif len(hits) > quota:
+    if len(hits) > quota:
         refuse = hits[quota]
         del hits[quota:]
         n = refuse + 1

@@ -351,8 +351,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an equation (a solve{...} expression)")
     p.add_argument("--db", required=True)
     _add_expr_flags(p)
-    p.add_argument("--nonempty", action="store_true", help="only report solvability")
-    p.add_argument("--metrics", action="store_true")
+    # solve_nonempty returns a bool and no metrics, so --nonempty takes no --metrics
+    either = p.add_mutually_exclusive_group()
+    either.add_argument("--nonempty", action="store_true", help="only report solvability")
+    either.add_argument("--metrics", action="store_true")
     _add_budget_flags(p)
     p.set_defaults(fn=cmd_solve)
 

@@ -37,22 +37,11 @@ def _require_flat_binary(r: Rel, what: str) -> None:
         raise ModelError(f"{what} needs a flat binary relation, got type {r.rtype}")
 
 
-def compose(s: Rel, t: Rel) -> Rel:
-    """Relational composition of two flat binary relations."""
-    _require_flat_binary(s, "compose")
-    _require_flat_binary(t, "compose")
-    succ: dict = {}
-    for c, d in t.rows:
-        succ.setdefault(c, []).append(d)
-    rows = {(a, d) for a, b in s.rows for d in succ.get(b, ())}
-    return Rel(FLAT2, frozenset(rows))
-
-
 def warshall_tc(r: Rel) -> Rel:
     """Transitive closure by node-wise saturation; the independent oracle.
 
-    Deliberately shares no code with compose() or the expression pipelines it
-    is used to check.
+    Deliberately shares no code with build_run() or the expression pipelines
+    it is used to check.
     """
     _require_flat_binary(r, "warshall_tc")
     nodes = sorted({a for row in r.rows for a in row})
@@ -64,50 +53,37 @@ def warshall_tc(r: Rel) -> Rel:
     return Rel(FLAT2, frozenset((a, b) for a in nodes for b in edge[a]))
 
 
-@dataclass(frozen=True)
-class PowerTable:
-    """Iterated compositions of a binary relation, one entry per exponent.
+def _stages(r: Rel):
+    """Yield ``(upto[i], upto[i+1], fresh[i+1])`` as row sets for i = 1, 2, ...
 
-    ``power[i]`` is the i-fold composition, ``upto[i]`` the union of powers
-    1..i, and ``fresh[i] = power[i] - upto[i-1]`` the pairs first reached at
-    distance exactly i.  Entries run from 1 to ``len(base)+1``; ``upto`` at
-    index ``len(base)`` equals the transitive closure.
+    ``upto[i]`` holds the pairs joined by a path of at most i edges of R and
+    ``fresh[i]`` those whose shortest path has exactly i, so ``fresh[i+1]``
+    is ``fresh[i]`` composed with R, less ``upto[i]``.  The stages stop at
+    the first empty ``fresh[i+1]``: no later distance can add a pair, and
+    ``upto[i]`` is then the transitive closure.
     """
-
-    base: Rel
-    power: dict
-    upto: dict
-    fresh: dict
-
-
-def build_power_table(r: Rel) -> PowerTable:
-    _require_flat_binary(r, "build_power_table")
-    power = {1: r}
-    upto = {0: Rel(FLAT2, frozenset()), 1: r}
-    fresh = {1: r}
-    for i in range(2, len(r.rows) + 2):
-        power[i] = compose(power[i - 1], r)
-        upto[i] = Rel(FLAT2, upto[i - 1].rows | power[i].rows)
-        fresh[i] = Rel(FLAT2, power[i].rows - upto[i - 1].rows)
-    return PowerTable(base=r, power=power, upto=upto, fresh=fresh)
+    succ: dict = {}
+    for a, b in r.rows:
+        succ.setdefault(a, []).append(b)
+    upto = fresh = r.rows
+    while True:
+        fresh = {(a, d) for a, b in fresh for d in succ.get(b, ())} - upto
+        if not fresh:
+            return
+        nxt = upto | fresh
+        yield upto, nxt, fresh
+        upto = nxt
 
 
 def build_run(r: Rel) -> Rel:
-    """The 6-ary stage relation: union over i of upto[i] x upto[i+1] x fresh[i+1].
+    """The 6-ary stage relation: the union of upto[i] x upto[i+1] x fresh[i+1]
+    over the stages of ``_stages``.
 
     Records every stage of the closure computation; it is empty exactly when
     the input is already transitively closed.
     """
-    table = build_power_table(r)
-    rows: set = set()
-    for i in range(1, len(r.rows) + 1):
-        fresh = table.fresh[i + 1].rows
-        if not fresh:
-            continue
-        for u in table.upto[i].rows:
-            for v in table.upto[i + 1].rows:
-                for w in fresh:
-                    rows.add(u + v + w)
+    _require_flat_binary(r, "build_run")
+    rows = {u + v + w for upto, nxt, fresh in _stages(r) for u in upto for v in nxt for w in fresh}
     return Rel(FLAT6, frozenset(rows))
 
 

@@ -35,12 +35,13 @@ one of the right, optionally under a projection, runs as a hash join that
 never builds the product or the selections.  And a solve whose binders and
 every node of both sides have flat types evaluates its body bit-sliced,
 once per block of candidates, not once per candidate (see ``bitslice``),
-and decodes only a refused candidate.  The join charges every node at its
+and decodes only its stop candidate.  The join charges every node at its
 exact size, at its own path, in the order literal evaluation would.  A
 bit-sliced block computes each candidate's live total at every such charge
-from per-candidate row counts, and replays its first refused candidate
-alone on the relation kernels, so ``peak_space_units`` and every budget
-refusal, down to its message, stay the same.
+from per-candidate row counts, and replays its stop candidate, the first
+refused one or the first solution for ``solve_nonempty``, alone on the
+relation kernels, so ``peak_space_units`` and every budget refusal, down to
+its message, stay the same.
 """
 
 from __future__ import annotations
@@ -627,7 +628,7 @@ def _solve_parts(e: ast.Solve, path: str, types: dict, plan=None):
     compiled bit-sliced as well (``bitslice.compile_sliced``, None for the
     other side) and the free names its blocks read; the candidates then run
     a block at a time, and the relation sides run once for a side that
-    mentions no bound variable and for the replay of a refused candidate.
+    mentions no bound variable and for the replay of a block's stop candidate.
     Otherwise it is None.
     """
     if plan is None:
@@ -663,11 +664,13 @@ def _run_solve(parts, env, ctx, path, early_exit):
     turns counter values into rows of relations.  Without a bit-sliced body,
     each candidate in turn is decoded alone, bound, charged, tested on the
     relation sides and released, one live at a time.  With one,
-    ``bitslice.Blocks.scan`` gives each block's solutions before its first
-    refused candidate, the units they keep live, its peak and that
-    candidate; only a refused candidate is decoded, and it is replayed alone
-    on the relation sides, with the live total and counts it would have had,
-    so the refusal is raised by the code that defines it.  Every refusal,
+    ``bitslice.Blocks.scan`` gives each block's solutions before its stop
+    candidate, the units they keep live, its peak and that candidate: the
+    first refused candidate or, with early_exit, the first solution, if it
+    comes first.  Only the stop candidate is decoded, and it is replayed
+    alone on the relation sides, with the live total and counts it would
+    have had, so a refusal is raised by the code that defines it and the
+    first solution is charged as the candidate loop charges it.  Every refusal,
     including one of the candidate space or of a side that mentions no bound
     variable, names this solve and its counts so far.
     """
@@ -736,29 +739,30 @@ def _run_solve(parts, env, ctx, path, early_exit):
         else:
             blocks = bitslice.Blocks(sliced, env, (const_l, const_r), names, space)
             width = 1 << blocks.bits
+            # with early_exit the first solution is the stop candidate
+            quota = 0 if early_exit else max_solutions
             for k in range(total >> blocks.bits):
                 live0 = ctx.live
-                hits, gained, peak, refuse = blocks.scan(
-                    k, live0, ctx.max_space, max_solutions - found, early_exit
-                )
+                hits, gained, peak, stop = blocks.scan(k, live0, ctx.max_space, quota - found)
                 base = k * width
                 ctx.live = live0 + gained
                 units += gained
                 found += len(hits)
-                if refuse is not None:
-                    tested += refuse
-                    run((base + refuse,))
-                    raise InternalCheckError(
-                        f"candidate {base + refuse} of solve {path or '<expr>'} was not refused"
-                        " on replay"
-                    )
+                cands.extend(base + h for h in hits)
+                if stop is not None:
+                    # the replay runs before the block's peak is applied: the
+                    # cap is checked only where a new peak is reached
+                    tested += stop
+                    run((base + stop,))
+                    if not (early_exit and found):
+                        raise InternalCheckError(
+                            f"candidate {base + stop} of solve {path or '<expr>'} was not"
+                            " refused on replay"
+                        )
                 if peak > ctx.peak:
                     ctx.peak = peak
-                if hits:
-                    cands.extend(base + h for h in hits)
-                    if early_exit:
-                        tested += hits[0] + 1
-                        break
+                if stop is not None:
+                    break
                 tested += width
     except BudgetExceeded as exc:
         if exc.solve is None:

@@ -567,6 +567,7 @@ BAD_ARGV = [
     ["eval", "--db", "{deep_type_db}", "--expr", "R"],
     ["construction", "--name", "tc-sparse", "--db", "{three}"],
     ["construction", "--name", "nest-sparse", "--verify", "--db", "{ternary}"],
+    ["solve", "--db", "{db}", "--nonempty", "--metrics", "--expr", "solve{{(X:(0)) | X = D}}"],
     *OUT_OF_RANGE_ARGV,
 ]
 
@@ -585,7 +586,11 @@ TERNARY = "domain [a,b]\nR:(0,0,0) = [[a,b,a]]\n"
 
 @pytest.mark.parametrize(
     "argv",
-    [["eval", "--db", "pair.edb"], ["check", "--expr", "R", "--max-space", "5"]],
+    [
+        ["eval", "--db", "pair.edb"],
+        ["check", "--expr", "R", "--max-space", "5"],
+        ["solve", "--db", "pair.edb", "--nonempty", "--metrics", "--expr", "R"],
+    ],
     ids=" ".join,
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -593,6 +598,33 @@ def test_usage_errors_exit_1(capsys, argv):
     assert code == 1
     assert out == ""
     assert "usage: eqalg" in err
+
+
+def _readme_command_lines():
+    """The ``eqalg`` lines of the README's "Command line" block."""
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        text = f.read()
+    block = text.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return root, [line for line in block.splitlines() if line.startswith("eqalg ")]
+
+
+def test_readme_command_lines_run(capsys, monkeypatch):
+    # each line exits 0 from the repository root, the repl on empty stdin,
+    # and a line's comment names what its output says
+    import shlex
+
+    root, lines = _readme_command_lines()
+    assert lines
+    monkeypatch.chdir(root)
+    for line in lines:
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        code, out, err = run(capsys, shlex.split(line, comments=True)[1:])
+        assert code == 0, (line, err)
+        _, _, comment = line.partition("#")
+        assert comment.strip() in out, line
 
 
 def test_help_exits_0(capsys):

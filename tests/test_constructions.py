@@ -11,7 +11,6 @@ from eqalg.model import Database, ModelError, Rel, RelType, flat_type
 from eqalg.constructions import (
     build_nest_sparse_expr,
     build_parity_eq,
-    build_power_table,
     build_powerset_eq,
     build_powerset_of_powerset_eq,
     build_run,
@@ -20,7 +19,6 @@ from eqalg.constructions import (
     build_tc_powerset_expr,
     build_tc_sparse_expr,
     check_run_equation,
-    compose,
     registry,
     tc_sparse_via_harness,
     warshall_tc,
@@ -43,43 +41,6 @@ def db_with_r(atoms, r):
 
 
 # ---------------------------------------------------------------------------
-# composition and power tables
-
-
-def test_compose_examples():
-    assert compose(binrel(("a", "b")), binrel(("b", "c"))) == binrel(("a", "c"))
-    assert compose(binrel(("a", "b")), binrel()) == binrel()
-    got = compose(binrel(("a", "b"), ("b", "c")), binrel(("b", "c"), ("c", "a")))
-    assert got == binrel(("a", "c"), ("b", "a"))
-
-
-def test_compose_rejects_non_binary():
-    with pytest.raises(ModelError):
-        compose(Rel(FLAT1, frozenset()), binrel())
-
-
-def test_power_table_path():
-    r = binrel(("a", "b"), ("b", "c"))
-    table = build_power_table(r)
-    assert table.power[2] == binrel(("a", "c"))
-    assert table.upto[2] == binrel(("a", "b"), ("b", "c"), ("a", "c"))
-    assert table.fresh[2] == binrel(("a", "c"))
-    assert table.fresh[3] == binrel()
-    assert table.upto[len(r.rows)] == warshall_tc(r)
-
-
-def test_power_table_closed_relation_has_no_fresh_pairs():
-    r = binrel(("a", "b"), ("b", "c"), ("a", "c"))
-    table = build_power_table(r)
-    assert table.fresh[2] == binrel()
-
-
-def test_power_table_empty():
-    table = build_power_table(binrel())
-    assert table.power[1] == binrel()
-
-
-# ---------------------------------------------------------------------------
 # the stage relation
 
 
@@ -93,6 +54,35 @@ def test_run_path_has_expected_rows():
 
 def test_run_empty_for_closed():
     assert build_run(binrel(("a", "b"), ("b", "c"), ("a", "c"))).rows == frozenset()
+
+
+def test_run_rejects_non_binary():
+    with pytest.raises(ModelError):
+        build_run(Rel(FLAT1, frozenset()))
+
+
+def _chain(k):
+    return binrel(*((f"v{i}", f"v{i + 1}") for i in range(k)))
+
+
+def _cycle(k):
+    return binrel(*((f"v{i}", f"v{(i + 1) % k}") for i in range(k)))
+
+
+def test_stages_stop_at_the_first_distance_that_adds_no_pair():
+    # a chain of k edges gains pairs at distances 2..k; a closed or empty
+    # relation gains none
+    for k in range(1, 8):
+        stages = list(constructions._stages(_chain(k)))
+        assert len(stages) == k - 1
+        for i, (upto, nxt, fresh) in enumerate(stages, 1):
+            assert fresh == {(f"v{j}", f"v{j + i + 1}") for j in range(k - i)}
+            assert nxt == upto | fresh and not upto & fresh
+        if stages:
+            assert stages[-1][1] == warshall_tc(_chain(k)).rows
+    assert list(constructions._stages(binrel(("a", "b"), ("b", "c"), ("a", "c")))) == []
+    assert list(constructions._stages(binrel(("a", "a")))) == []
+    assert list(constructions._stages(binrel())) == []
 
 
 def _independent_run(r: Rel) -> frozenset:
@@ -118,7 +108,11 @@ def _independent_run(r: Rel) -> frozenset:
 def test_run_matches_independent_reimplementation():
     rng = random.Random(8)
     path4 = binrel(("a", "b"), ("b", "c"), ("c", "d"))
-    assert build_run(path4).rows == _independent_run(path4)
+    # a cycle of 6 edges reaches its last new pairs, the loops, at distance
+    # 6 = |R|
+    for r in (path4, _chain(10), _cycle(6)):
+        assert build_run(r).rows == _independent_run(r)
+    assert len(list(constructions._stages(_cycle(6)))) == 5
     for _ in range(15):
         n = rng.randint(2, 5)
         atoms = tuple(f"x{i}" for i in range(1, n + 1))

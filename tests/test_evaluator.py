@@ -1013,6 +1013,60 @@ def test_small_blocks_agree_with_relations(monkeypatch):
     } <= tags  # fmt: skip
 
 
+def _early_exit(node, db, budget):
+    """``_run_solve`` of ``node`` with early_exit, as ``solve_nonempty`` runs
+    it: the counter values, units, live and peak totals and metrics it
+    leaves, or the refusal's text and its solve's counts."""
+    types: dict = {}
+    infer_type(node, db.schema, types)
+    ctx = evaluator._Ctx(db, budget)
+    env = {**db.relations, "D": domain_relation(db.atoms)}
+    try:
+        cands, _, units = evaluator._run_solve(_solve_parts(node, "", types), env, ctx, "", True)
+    except BudgetExceeded as exc:
+        return str(exc), exc.solve
+    return list(cands), units, ctx.live, ctx.peak, ctx.metrics()
+
+
+@pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 2])
+def test_early_exit_meters_alike_on_both_paths(block_bits, monkeypatch):
+    # stopping at the first solution, a bit-sliced body leaves what the
+    # relation kernels leave: the solution, units, live and peak totals and
+    # solve stats, and the refusal under every space cap from 20 below the
+    # peak up to it
+    sliceable = evaluator._sliceable
+    monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
+    rng = random.Random(9760)
+    tags: set = set()
+    for binders, max_atoms in BLOCK_BINDERS:
+        for _ in range(8):
+            atoms = ("a", "b", "c")[:max_atoms]
+            node, free = _flat_solve(rng, binders, tags)
+            rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
+            db = Database(atoms, rels)
+            runs = []
+            for check in (sliceable, _on_relations):
+                monkeypatch.setattr(evaluator, "_sliceable", check)
+                done = _early_exit(node, db, EvalBudget())
+                peak = done[3]
+                caps = range(max(1, peak - 20), peak + 1)
+                runs.append([done] + [_early_exit(node, db, EvalBudget(max_space_units=c)) for c in caps])
+            assert runs[0] == runs[1]
+            first = _first_hit(node, db)
+            tags.add("no_solution" if first is None else "solution")
+            # past candidate 3 is past the first block at a block size of 4
+            for outcome in runs[0][1:-1]:
+                if first is not None and outcome[1][1] == first:
+                    tags.add("first_solution_refused")
+                if outcome[1][1] >= 4:
+                    tags.add("late_refusal")
+            if first is not None and first >= 4:
+                tags.add("late_first_hit")
+    assert {
+        "solution", "no_solution", "first_solution_refused", "late_refusal", "late_first_hit"
+    } <= tags  # fmt: skip
+
+
 def test_full_block_of_solutions_agrees_with_relations(monkeypatch):
     # one block of 2^14 candidates, each of them a solution: the walk carries
     # thousands of solutions to the peak, to a space refusal and to a
