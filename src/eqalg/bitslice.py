@@ -14,11 +14,8 @@ literal evaluation is composed from them.
 
 from __future__ import annotations
 
-import bisect
-import itertools
-
 from . import ast
-from .model import row_picker
+from .model import _bits, row_picker
 
 # A block is 2^b consecutive candidates of a solve, those whose counter
 # values agree above bit b; candidate c of a block is the one whose low b
@@ -146,7 +143,7 @@ def _vcount(slices) -> list:
 
 
 def _vmax_in(a: list, mask: int) -> int:
-    """The largest value of ``a`` over the candidates of ``mask`` (not 0)."""
+    """The largest value of ``a`` over the candidates of ``mask``, 0 for none."""
     out = 0
     for i in range(len(a) - 1, -1, -1):
         m = mask & a[i]
@@ -203,35 +200,6 @@ def _vprefix(a: list, n: int) -> list:
         d <<= 1
     after = (2 << n) - (4 << last)  # candidates last + 2 .. n
     return [p << (first + 1) | (after if p >> width & 1 else 0) for p in s]
-
-
-# the offsets of the set bits of each byte, lowest first, as bytes
-_BYTE_BITS = tuple(bytes(i for i in range(8) if b >> i & 1) for b in range(256))
-
-# Up to this many set bits, _bits clears them from the top one at a time:
-# at 2^16 bits, 64 of them took 26 us that way and 224 us by the bytes
-# (timeit, on the machine of the BLOCK_BITS figures).
-_FEW_BITS = 64
-
-
-def _bits(x: int, n: int) -> list:
-    """The positions of the set bits of ``x < 2^n``, lowest first.
-
-    With few set bits, each is cleared from the top in turn.  Otherwise only
-    the nonzero bytes of ``x`` are visited, and each gives its bits from
-    ``_BYTE_BITS``.
-    """
-    if x.bit_count() <= _FEW_BITS:
-        out = []
-        while x:
-            top = x.bit_length() - 1
-            out.append(top)
-            x ^= 1 << top
-        out.reverse()
-        return out
-    data = x.to_bytes((n + 7) >> 3, "little")
-    nonzero = itertools.compress(itertools.count(0, 8), data)  # the bytes' first bits
-    return [j + i for j in nonzero for i in _BYTE_BITS[data[j >> 3]]]
 
 
 class _Refused(Exception):
@@ -409,7 +377,8 @@ class Blocks:
         a refused candidate or, with a quota of 0, the first solution.  Where
         a candidate would exceed the cap at a product, the candidates before
         it are evaluated again without it, so no product is built for a
-        candidate that is refused."""
+        candidate that is refused.  The solutions come as a hit mask, bit c
+        for candidate c of the block."""
         keep = (1 << (1 << self.bits)) - 1
         refuse = None
         while keep:
@@ -420,7 +389,7 @@ class Blocks:
                 keep &= (1 << refuse) - 1
             else:
                 return _scan(*found, keep, live0, cap, quota, refuse)
-        return [], 0, 0, refuse
+        return 0, 0, live0, refuse
 
     def _evaluate(self, k: int, keep: int, room: int):
         """``(hit, gain, top)`` for the candidates ``keep`` of block ``k``:
@@ -467,24 +436,24 @@ def _scan(hit, gain, top, keep, live0, cap, quota, refuse):
     candidate: the first refused one or the solution past ``quota``,
     whichever comes first, so with a quota of 0 the first solution, as
     ``solve_nonempty`` asks.  ``refuse`` is None or a candidate after
-    ``keep`` known to be refused.  Returns ``(hits, gained, peak, refuse)``:
-    the solutions before the stop candidate, the units they keep live, the
-    highest live total of the candidates walked, and the stop candidate or
-    None.  ``S`` is one prefix sum on the bit planes (``_vprefix``).
+    ``keep`` known to be refused.  Returns ``(hit, gained, peak, refuse)``:
+    the hit mask of the solutions before the stop candidate, the units they
+    keep live, the highest live total of the candidates before the stop
+    candidate (the replay of the stop candidate adds its own), and the stop
+    candidate or None.  ``S`` is one prefix sum on the bit planes
+    (``_vprefix``).  Solutions are listed only to find the one past a
+    nonzero quota.
     """
     n = keep.bit_length()
-    hits = _bits(hit, n) if hit else []
-    if len(hits) > quota:
-        refuse = hits[quota]
-        del hits[quota:]
+    if hit.bit_count() > quota:
+        refuse = _bits(hit, n)[quota] if quota else (hit & -hit).bit_length() - 1
+        hit &= (1 << refuse) - 1
         n = refuse + 1
-    hit &= (2 << hits[-1]) - 1 if hits else 0
     s = _vprefix([p & hit for p in gain], n)
-    walked = (1 << n) - 1
     high = _vadd(s, top)
-    peak = live0 + _vmax_in(high, walked)
-    if peak > cap:
-        over = _vabove(high, cap - live0, walked)
+    over = _vabove(high, cap - live0, (1 << n) - 1)
+    if over:
         refuse = (over & -over).bit_length() - 1
-        del hits[bisect.bisect_left(hits, refuse) :]
-    return hits, _vat(s, n if refuse is None else refuse), peak, refuse
+        hit &= (1 << refuse) - 1
+    end = n if refuse is None else refuse
+    return hit, _vat(s, end), live0 + _vmax_in(high, (1 << end) - 1), refuse

@@ -355,15 +355,14 @@ def _oracle_singleton(db: Database) -> Rel:
 
 
 def _oracle_powerset(db: Database) -> Rel:
-    import itertools
-
+    """Every subset of R, by doubling: the subsets with a row are those
+    without it plus the row."""
     r = db.relations["R"]
-    rows = []
-    base = sorted(r.rows)
-    for k in range(len(base) + 1):
-        for combo in itertools.combinations(base, k):
-            rows.append((Rel(r.rtype, frozenset(combo)),))
-    return Rel(RelType((r.rtype,)), frozenset(rows))
+    subsets = [frozenset()]
+    for row in r.rows:
+        one = frozenset((row,))
+        subsets += [s | one for s in subsets]
+    return Rel(RelType((r.rtype,)), frozenset((Rel(r.rtype, s),) for s in subsets))
 
 
 def _oracle_tc(db: Database) -> Rel:

@@ -11,11 +11,12 @@ kernel runs, so an over-cap one is refused before any row is built; the
 other operators charge the result they built.  A solve node tests candidate
 assignments in the order of a binary counter over the canonically ordered
 row universe, last variable fastest, as if one at a time with one candidate
-live, and keeps its solutions' counter values: the solution set decodes its
-rows only when they are read (``model.SolutionSet``).  ``peak_space_units``
-tracks the maximum over time of the total size of live intermediate results,
-where the size of a value is its recursive atom-occurrence count plus tuple
-count; the input database itself is ambient and not counted.
+live, and keeps its solutions as hit masks over runs of counter values: the
+solution set lists and decodes them only when they are read
+(``model.SolutionSet``).  ``peak_space_units`` tracks the maximum over time
+of the total size of live intermediate results, where the size of a value
+is its recursive atom-occurrence count plus tuple count; the input database
+itself is ambient and not counted.
 
 Four shortcuts over literal re-evaluation, none observable in results or
 metrics.  A shared node, that is an operator node object met at two or more
@@ -46,7 +47,6 @@ its message, stay the same.
 
 from __future__ import annotations
 
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -652,27 +652,31 @@ def _solve_parts(e: ast.Solve, path: str, types: dict, plan=None):
 
 
 def _run_solve(parts, env, ctx, path, early_exit):
-    """Run a solve's candidates; return ``(cands, space, units)``: the
-    solutions' counter values in candidate order as an ``array('Q')`` (with
+    """Run a solve's candidates; return ``(runs, space, units)``: the
+    solutions as ``(base, mask)`` runs in candidate order, where bit h of
+    ``mask`` stands for the candidate with counter value ``base + h`` (with
     early_exit, none or the first), the ``model.Candidates`` that decodes
     them and their total size, the arguments of ``SolutionSet`` after its
-    type; the solution set decodes its rows when they are read.
+    type; the solution set lists and decodes its solutions when they are
+    read.
 
     On return, ctx.live has grown by exactly ``units`` (the caller owns the
     solution set).  Candidates follow a binary counter over the canonically
     ordered row universes, last variable fastest, and ``Candidates.decode``
     turns counter values into rows of relations.  Without a bit-sliced body,
     each candidate in turn is decoded alone, bound, charged, tested on the
-    relation sides and released, one live at a time.  With one,
-    ``bitslice.Blocks.scan`` gives each block's solutions before its stop
-    candidate, the units they keep live, its peak and that candidate: the
-    first refused candidate or, with early_exit, the first solution, if it
-    comes first.  Only the stop candidate is decoded, and it is replayed
-    alone on the relation sides, with the live total and counts it would
-    have had, so a refusal is raised by the code that defines it and the
-    first solution is charged as the candidate loop charges it.  Every refusal,
-    including one of the candidate space or of a side that mentions no bound
-    variable, names this solve and its counts so far.
+    relation sides and released, one live at a time, and a solution is the
+    run ``(counter value, 1)``.  With one, ``bitslice.Blocks.scan`` gives
+    each block's hit mask of the solutions before its stop candidate, the
+    units they keep live, the peak of the candidates before that one, and
+    that candidate: the first refused candidate or, with early_exit, the
+    first solution, if it comes first.  Only the stop candidate is decoded,
+    and it is replayed alone on the relation sides, with the live total,
+    peak and counts it would have had, so a refusal is raised by the code
+    that defines it and the first solution is charged as the candidate loop
+    charges it.  Every refusal, including one of the candidate space or of a
+    side that mentions no bound variable, names this solve and its counts so
+    far.
     """
     names, types, fl, fr, l_inv, r_inv, sliced = parts
     size = value_size
@@ -680,7 +684,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
     stats = ctx.stats_for(path)
     max_solutions = ctx.max_solutions
     const_l = const_r = None
-    cands = array("Q")
+    runs: list = []
     tested = 0
     found = 0
     units = 0
@@ -710,7 +714,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
                     raise BudgetExceeded(
                         "solutions", path, f"more than {max_solutions} solutions"
                     )
-                cands.append(ms)
+                runs.append((ms, 1))
                 units += 1 + csize
                 grow(ctx, 1 + csize, path)  # solution row stays live
                 if early_exit:
@@ -743,15 +747,18 @@ def _run_solve(parts, env, ctx, path, early_exit):
             quota = 0 if early_exit else max_solutions
             for k in range(total >> blocks.bits):
                 live0 = ctx.live
-                hits, gained, peak, stop = blocks.scan(k, live0, ctx.max_space, quota - found)
+                hit, gained, peak, stop = blocks.scan(k, live0, ctx.max_space, quota - found)
                 base = k * width
                 ctx.live = live0 + gained
                 units += gained
-                found += len(hits)
-                cands.extend(base + h for h in hits)
+                if hit:
+                    found += hit.bit_count()
+                    runs.append((base, hit))
+                # the replay charges the stop candidate from this peak, and
+                # refuses it where its own peak passes the cap
+                if peak > ctx.peak:
+                    ctx.peak = peak
                 if stop is not None:
-                    # the replay runs before the block's peak is applied: the
-                    # cap is checked only where a new peak is reached
                     tested += stop
                     run((base + stop,))
                     if not (early_exit and found):
@@ -759,9 +766,6 @@ def _run_solve(parts, env, ctx, path, early_exit):
                             f"candidate {base + stop} of solve {path or '<expr>'} was not"
                             " refused on replay"
                         )
-                if peak > ctx.peak:
-                    ctx.peak = peak
-                if stop is not None:
                     break
                 tested += width
     except BudgetExceeded as exc:
@@ -777,7 +781,7 @@ def _run_solve(parts, env, ctx, path, early_exit):
             ctx.live -= size(const_l)
         if const_r is not None:
             ctx.live -= size(const_r)
-    return cands, space, units
+    return runs, space, units
 
 
 # ---------------------------------------------------------------------------

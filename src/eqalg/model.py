@@ -8,8 +8,9 @@ determinism for rendering and enumeration) is materialized lazily, by one
 sort per relation that fills both its row order and its sort key.  A flat
 row (all atoms) is its own sort key, so a flat relation sorts its rows with
 no key function and its sorted rows are its key.  A solve's solution set
-(``SolutionSet``) keeps its candidates' counter values and decodes its rows
-from them only when they are read.  It is printed from those values, put in
+(``SolutionSet``) keeps its solutions as hit masks over runs of counter
+values, and lists the counter values and decodes its rows from them only
+when they are read.  It is printed from those values, put in
 canonical order by their subset-lex ranks: the rank of a mask over a
 canonically ordered universe is its position in canonical order.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import re
 from array import array
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import attrgetter, is_, itemgetter, or_
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -425,6 +426,35 @@ def subset_ranks(masks, u: int) -> list:
     ]
 
 
+# the offsets of the set bits of each byte, lowest first, as bytes
+_BYTE_BITS = tuple(bytes(i for i in range(8) if b >> i & 1) for b in range(256))
+
+# Up to this many set bits, _bits clears them from the top one at a time:
+# at 2^16 bits, 64 of them took 26 us that way and 224 us by the bytes
+# (timeit, on the machine of the bitslice.BLOCK_BITS figures).
+_FEW_BITS = 64
+
+
+def _bits(x: int, n: int) -> list:
+    """The positions of the set bits of ``x < 2^n``, lowest first.
+
+    With few set bits, each is cleared from the top in turn.  Otherwise only
+    the nonzero bytes of ``x`` are visited, and each gives its bits from
+    ``_BYTE_BITS``.
+    """
+    if x.bit_count() <= _FEW_BITS:
+        out = []
+        while x:
+            top = x.bit_length() - 1
+            out.append(top)
+            x ^= 1 << top
+        out.reverse()
+        return out
+    data = x.to_bytes((n + 7) >> 3, "little")
+    nonzero = compress(count(0, 8), data)  # the bytes' first bits
+    return [j + i for j in nonzero for i in _BYTE_BITS[data[j >> 3]]]
+
+
 class Candidates:
     """The candidate assignments of relations to a solve's binders.
 
@@ -523,42 +553,57 @@ _rows = Rel.rows  # Rel's slot for the rows, under SolutionSet's property
 
 
 class SolutionSet(Rel):
-    """A solve's solution set, whose rows are decoded only when read.
+    """A solve's solution set, whose solutions are listed and decoded only
+    when read.
 
-    It holds its solutions' counter values (an ``array('Q')``) and the
-    ``Candidates`` that decodes them.  It is in one of two states: not yet
-    decoded, or decoded into the ``rows`` slot by the first read of
-    ``rows``, which decodes each solution once.  Length, truth and size
-    need no decoding, and neither does rendering: in either state,
-    ``in_order`` gives the counter values in canonical order, from which
-    ``parser.render_relation`` prints the set.  Until it is decoded, ``==``
-    against a plain relation of its type compares counter values, the
-    other's rows encoded by ``Candidates.encode``.  It sorts as any nested
-    relation does, by ``Rel._sort`` on its decoded rows.
+    It holds its solutions as ``(base, mask)`` runs, bit h of ``mask`` for
+    the candidate with counter value ``base + h``, and the ``Candidates``
+    that decodes them.  It is in one of three states: runs only; runs and
+    their counter values in candidate order (an ``array('Q')``), listed by
+    ``_bits`` on the first ``==``, ``in_order`` or read of ``rows``; and
+    decoded into the ``rows`` slot by the first read of ``rows``, which
+    decodes each solution once.  Length, truth and size read only the runs,
+    and rendering no rows: in any state, ``in_order`` gives the counter
+    values in canonical order, from which ``parser.render_relation`` prints
+    the set.  Until it is decoded, ``==`` against a plain relation of its
+    type compares counter values, the other's rows encoded by
+    ``Candidates.encode``.  It sorts as any nested relation does, by
+    ``Rel._sort`` on its decoded rows.
     """
 
-    __slots__ = ("_cands", "_space")
+    __slots__ = ("_runs", "_cands", "_space")
 
-    def __init__(self, rtype: RelType, cands, space: Candidates, size: int) -> None:
+    def __init__(self, rtype: RelType, runs: list, space: Candidates, size: int) -> None:
         self.rtype = rtype  # no Rel.__init__: the rows slot stays empty
-        self._cands = cands
+        self._runs = runs
+        self._cands = None
         self._space = space
         self._size = size
         self._hash = self._key = self._sorted = None
 
     def __len__(self) -> int:
-        return len(self._cands)
+        return sum(mask.bit_count() for _, mask in self._runs)
+
+    def counters(self) -> array:
+        """The solutions' counter values in candidate order, listed from the
+        runs on the first call."""
+        cands = self._cands
+        if cands is None:
+            cands = self._cands = array("Q")
+            for base, mask in self._runs:
+                hits = _bits(mask, mask.bit_length())
+                cands.extend((base + h for h in hits) if base else hits)
+        return cands
 
     def __eq__(self, other: object) -> bool:
         if type(other) is Rel and other.rtype is self.rtype:
             try:
                 _rows.__get__(self)
             except AttributeError:  # not decoded: compare counter values
-                cands = self._cands
-                if len(other.rows) != len(cands):
+                if len(other.rows) != len(self):
                     return False
                 encoded = self._space.encode(other.rows)
-                return encoded is not None and set(encoded) == set(cands)
+                return encoded is not None and set(encoded) == set(self.counters())
         return Rel.__eq__(self, other)
 
     __hash__ = Rel.__hash__  # a class that defines __eq__ gets no inherited hash
@@ -568,14 +613,14 @@ class SolutionSet(Rel):
         try:
             return _rows.__get__(self)
         except AttributeError:  # not read yet
-            rows = frozenset(self._space.decode(self._cands))
+            rows = frozenset(self._space.decode(self.counters()))
             _rows.__set__(self, rows)
             return rows
 
     def in_order(self) -> tuple:
         """``(Candidates, the solutions' counter values in canonical order)``,
         sorted by ``Candidates.rank_keys`` without decoding."""
-        space, cands = self._space, self._cands
+        space, cands = self._space, self.counters()
         keys = space.rank_keys(cands)
         return space, list(map(cands.__getitem__, sorted(range(len(cands)), key=keys.__getitem__)))
 

@@ -6,7 +6,7 @@ plane i has bit c set when bit i of candidate c's value is set.
 
 import random
 
-from eqalg import bitslice
+from eqalg import bitslice, model
 
 SEED = 12_001
 
@@ -135,9 +135,9 @@ def test_set_bits_match_a_plain_loop():
         xs = [0, 1, 1 << (n - 1), full]
         xs += [sum({1 << rng.randrange(n) for _ in range(5)}) for _ in range(3)]
         xs += [rng.getrandbits(n) for _ in range(3)]
-        for k in (bitslice._FEW_BITS, bitslice._FEW_BITS + 1):
+        for k in (model._FEW_BITS, model._FEW_BITS + 1):
             if k <= n:
                 xs.append(sum(1 << c for c in rng.sample(range(n), k)))
         for x in xs:
             digits = format(x, f"0{n}b")[::-1]  # bit c of x at digits[c]
-            assert bitslice._bits(x, n) == [c for c in range(n) if digits[c] == "1"]
+            assert model._bits(x, n) == [c for c in range(n) if digits[c] == "1"]

@@ -412,3 +412,27 @@ def test_oracles_use_nothing_from_the_evaluator():
             assert module != "eqalg.evaluator", f"{fn.__name__} uses {name} from {module}"
             if inspect.isfunction(value):
                 todo.append(value)
+
+
+def test_powerset_oracle_is_every_combination():
+    for n in range(9):
+        atoms = tuple(f"a{i}" for i in range(n)) or ("a",)
+        r = Rel(FLAT1, frozenset((a,) for a in atoms[:n]))
+        subsets = [c for k in range(n + 1) for c in itertools.combinations(sorted(r.rows), k)]
+        expected = Rel(RelType((FLAT1,)), frozenset((Rel(FLAT1, frozenset(c)),) for c in subsets))
+        got = constructions._oracle_powerset(db_with_r(atoms, r))
+        assert got == expected and len(got) == 1 << n
+
+
+def test_oracles_name_no_solver_code():
+    # no oracle, nor any function or comprehension inside one, names the
+    # evaluator, the candidate decoder, its subset tables or the bit lister
+    banned = {"evaluate", "Candidates", "subset_tables", "_bits", "bitslice"}
+    oracles = [fn for name, fn in vars(constructions).items() if name.startswith("_oracle_")]
+    assert len(oracles) == 5
+    for fn in oracles:
+        codes = [fn.__code__]
+        while codes:
+            code = codes.pop()
+            assert not banned & set(code.co_names), fn.__name__
+            codes += [c for c in code.co_consts if inspect.iscode(c)]

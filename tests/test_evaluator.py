@@ -1,12 +1,14 @@
 import collections
+import copy
 import gc
 import itertools
+import pickle
 import random
 import tracemalloc
 
 import pytest
 
-from eqalg import ast, bitslice, evaluator
+from eqalg import ast, bitslice, cli, evaluator, model
 from eqalg.constructions import (
     build_powerset_eq,
     build_run,
@@ -1015,25 +1017,25 @@ def test_small_blocks_agree_with_relations(monkeypatch):
 
 def _early_exit(node, db, budget):
     """``_run_solve`` of ``node`` with early_exit, as ``solve_nonempty`` runs
-    it: the counter values, units, live and peak totals and metrics it
-    leaves, or the refusal's text and its solve's counts."""
+    it: the solution runs, units, live and peak totals and metrics it
+    leaves, or the refusal's text, its solve's counts and the peak total."""
     types: dict = {}
     infer_type(node, db.schema, types)
     ctx = evaluator._Ctx(db, budget)
     env = {**db.relations, "D": domain_relation(db.atoms)}
     try:
-        cands, _, units = evaluator._run_solve(_solve_parts(node, "", types), env, ctx, "", True)
+        runs, _, units = evaluator._run_solve(_solve_parts(node, "", types), env, ctx, "", True)
     except BudgetExceeded as exc:
-        return str(exc), exc.solve
-    return list(cands), units, ctx.live, ctx.peak, ctx.metrics()
+        return str(exc), exc.solve, ctx.peak
+    return runs, units, ctx.live, ctx.peak, ctx.metrics()
 
 
 @pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 2])
 def test_early_exit_meters_alike_on_both_paths(block_bits, monkeypatch):
     # stopping at the first solution, a bit-sliced body leaves what the
     # relation kernels leave: the solution, units, live and peak totals and
-    # solve stats, and the refusal under every space cap from 20 below the
-    # peak up to it
+    # solve stats, and the refusal and the peak it leaves under every space
+    # cap from 20 below the peak up to it
     sliceable = evaluator._sliceable
     monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
     rng = random.Random(9760)
@@ -1177,7 +1179,7 @@ def _assert_sorts_as_fresh(v, tags):
     through ``Rel`` do: its sorted rows, key, hash and size, and the order
     caches of its flat relations, are those of the fresh relation."""
     assert isinstance(v, SolutionSet)
-    cands = v._cands
+    cands = v.counters()
     assert list(cands) == sorted(set(cands)) and len(v.rows) == len(cands)
     decoded = [x for row in v.rows for x in row]
     assert all(x._sorted is None and x._key is None for x in decoded)
@@ -1275,7 +1277,7 @@ def test_solution_sets_render_from_counter_values(representation, then, decoded,
         ref = evaluate(node, db)[0]
         fresh = from_plain(to_plain(ref), ref.rtype)
         v = evaluate(node, db)[0]
-        _shape_tags(v._cands, v._space, tags)
+        _shape_tags(v.counters(), v._space, tags)
         decoded.clear()
         text = render_relation(v)
         assert sum(decoded) == 0 and v._sorted is None
@@ -1301,6 +1303,63 @@ def test_solution_sets_render_alike_before_and_after_a_sort(representation, deco
         assert v.sorted_rows() == fresh.sorted_rows() and decoded == [len(v)]
         assert render_relation(v) == text == render_relation(fresh)
         assert decoded == [len(v)]
+
+
+def _no_listing(x, n):
+    raise AssertionError("a solution was listed")
+
+
+# a dense solve, every candidate a solution, and one whose 2^7 solutions,
+# the subsets of R, are spread over its 2^10 candidates
+COUNTED = (
+    build_powerset_eq(),
+    Solve((("X", FLAT1),), Difference(Name("X"), Name("R")), Difference(Domain(), Domain())),
+)
+
+# what a solution set gives when read, to compare before and after it is listed
+READS = {
+    "eq": lambda v, fresh: (v == fresh, fresh == v, v != fresh),
+    "render": lambda v, fresh: render_relation(v),
+    "rows": lambda v, fresh: v.rows,
+    "sort": lambda v, fresh: (v.sorted_rows(), value_sort_key(v), hash(v)),
+    "copy": lambda v, fresh: (type(copy.copy(v)), copy.copy(v), copy.deepcopy(v)),
+    "pickle": lambda v, fresh: pickle.loads(pickle.dumps(v)),
+}
+
+
+@pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 14, 2])
+def test_counting_solutions_lists_none(block_bits, monkeypatch, capsys):
+    # a solution set's length, truth and size, a solve under a solution cap
+    # it just meets, solve_nonempty and the profile command read the hit
+    # masks alone; every read gives the same before and after the counter
+    # values are listed; a cap passed mid-block is refused as on relations
+    monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
+    atoms = tuple(f"a{i}" for i in range(10))
+    db = db_of(atoms, R=rel(FLAT1, [(a,) for a in atoms[3:]]))
+    argv = ["profile", "--eq", "powerset", "--n-range", "1..16" if block_bits > 2 else "1..12"]
+    assert cli.main(argv) == 0
+    table = capsys.readouterr().out
+    for e in COUNTED:
+        fresh = from_plain(to_plain(evaluate(e, db)[0]), RelType((FLAT1,)))
+        found = len(fresh)
+        for name, read in READS.items():
+            listed = evaluate(e, db)[0]
+            listed.counters()
+            assert read(evaluate(e, db)[0], fresh) == read(listed, fresh) == read(fresh, fresh), name
+        refusals = []
+        for check in (evaluator._sliceable, _on_relations):
+            with monkeypatch.context() as m:
+                m.setattr(evaluator, "_sliceable", check)
+                refusals.append(_outcome(e, db, EvalBudget(max_solutions=found - 3)))
+        assert refusals[0] == refusals[1] and refusals[0][1][2] == found - 2
+        with monkeypatch.context() as m:
+            m.setattr(model, "_bits", _no_listing)
+            m.setattr(bitslice, "_bits", _no_listing)
+            for budget in (EvalBudget(), EvalBudget(max_solutions=found)):
+                v = evaluate(e, db, budget)[0]
+                assert (len(v), bool(v), value_size(v)) == (found, True, value_size(fresh))
+            assert solve_nonempty(e.binders, e.lhs, e.rhs, db)
+            assert cli.main(argv) == 0 and capsys.readouterr().out == table
 
 
 def test_wide_sparse_body_stays_small_in_memory():

@@ -4,7 +4,6 @@ import pickle
 import random
 import re
 import sys
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -240,7 +239,7 @@ def test_deep_equal_is_set_equality():
     assert rel(FLAT1, [("a",)]) != "a" and "a" != rel(FLAT1, [("a",)])
     universe = tuple_universe(FLAT1, ("a", "b"))
     space = Candidates((FLAT1,), (universe,))
-    solutions = SolutionSet(RelType((FLAT1,)), array("Q", [0, 3]), space, 6)
+    solutions = SolutionSet(RelType((FLAT1,)), [(0, 0b1001)], space, 6)  # counter values 0 and 3
     fresh = Rel(RelType((FLAT1,)), [(rel(FLAT1, []),), (rel(FLAT1, [("a",), ("b",)]),)])
     assert not solutions != fresh and not fresh != solutions
     assert solutions != a and a != solutions
@@ -512,7 +511,7 @@ def _comparisons():
             (spare_row,) = _fresh(Rel(rtype, space.decode([spare]))).rows
 
             def make(cands=cands, space=space, rtype=rtype, size=value_size(fresh)):
-                return SolutionSet(rtype, array("Q", cands), space, size)
+                return SolutionSet(rtype, [(0, sum(1 << c for c in cands))], space, size)
 
             yield "equal", make, fresh, _fresh(fresh)
             yield "other_type", make, fresh, Rel(RelType((t_other,) + types[1:]), [])
