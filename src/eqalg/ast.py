@@ -197,36 +197,6 @@ def free_names(e: Expr) -> frozenset[str]:
     return out.difference(e.var_names) if isinstance(e, Solve) else out
 
 
-def join_shape(e: Expr, path: str, types: dict):
-    """The parts of ``[project] select ... select[i=j](times(a, b))`` with
-    column i in ``a`` and column j in ``b`` (or the reverse), or None for any
-    other shape.
-
-    The parts are ``(indices, product, product_path, lk, rk, levels)``:
-    the projection's indices or None, the product node and its path, the
-    0-based key columns of ``a`` and ``b``, and per select level, innermost
-    first, ``(i, equal, j, path)`` with the key level's test as None.
-    """
-    indices = None
-    if isinstance(e, Project):
-        indices = e.indices
-        e, path = e.arg, child_path(path, "arg")
-    filters = []
-    while isinstance(e, Select):
-        filters.append((e.i - 1, e.op == "=", e.j - 1, path))
-        e, path = e.arg, child_path(path, "arg")
-    if not filters or not isinstance(e, Product):
-        return None
-    i0, want_eq, j0, key_path = filters.pop()
-    lk, rk = min(i0, j0), max(i0, j0)
-    ka = types[child_path(path, "left")].arity
-    if not (want_eq and lk < ka <= rk):
-        return None
-    # innermost level first; its test is the join key, so it filters nothing
-    levels = [(None, True, None, key_path)] + filters[::-1]
-    return indices, e, path, lk, rk - ka, levels
-
-
 # ---------------------------------------------------------------------------
 # equation / disequation rewrites
 

@@ -1,15 +1,16 @@
 """Bit-sliced evaluation of flat solve bodies: a block of candidates at once.
 
 A solve whose binders and body nodes all have flat types (see
-``evaluator._sliceable``) evaluates its body once per block of candidates,
+``evaluator.Plan.solve``) evaluates its body once per block of candidates,
 as in Biham's bit-sliced DES (FSE 1997), in place of once per candidate.
-``compile_sliced`` compiles a side to closures over blocks, and
-``Blocks.scan`` evaluates a block's sides, solutions and metering, then
-walks its candidates in order, all at once: one prefix sum on the bit planes
-gives each candidate's live total, and with it the peak, the solutions and
-the stop candidate.  Metering stays exact: every node's row count
-is a per-candidate counter, and the live total of each metering point of
-literal evaluation is composed from them.
+``compile_sliced`` compiles a side to closures over blocks, at the row
+widths and with the joins of the evaluation's plan, and ``Blocks.scan``
+evaluates a block's sides, solutions and metering, then walks its candidates
+in order, all at once: one prefix sum on the bit planes gives each
+candidate's live total, and with it the peak, the solutions and the stop
+candidate.  Metering stays exact: every node's row count is a per-candidate
+counter, and the live total of each metering point of literal evaluation is
+composed from them.
 """
 
 from __future__ import annotations
@@ -265,7 +266,7 @@ def _sliced_selector(i: int, equal: bool, j: int):
     return lambda a: {r: s for r, s in a.items() if r[i] != r[j]}
 
 
-def compile_sliced(e: ast.Expr, path: str, types: dict):
+def compile_sliced(e: ast.Expr, path: str, plan):
     """Compile a flat expression into ``fn(env, keep, room) -> (value,
     count, size, peak)`` over a block of candidates.
 
@@ -280,25 +281,24 @@ def compile_sliced(e: ast.Expr, path: str, types: dict):
     None, and the width of its rows), and literal evaluation charges each
     result while the one below it is live.  A product's count is its
     operands' counts multiplied, known before any row is built, and a
-    candidate that would exceed the cap there raises ``_Refused``.  A select
-    chain over a product joins on its key column, as
-    ``evaluator._compile_join`` does, and never builds the product.
+    candidate that would exceed the cap there raises ``_Refused``.  Widths and
+    joins come from ``plan`` (``evaluator.Plan``): a join never builds the
+    product, as in ``evaluator._compile_join``.
     """
-    w = types[path].row_base_size
     if isinstance(e, (ast.Name, ast.Domain)):
 
-        def leaf(env, keep, room, _nm=e.name if isinstance(e, ast.Name) else "D"):
+        def leaf(env, keep, room, _nm=getattr(e, "name", "D")):
             v, c, s = env[_nm]
             return v, c, s, s
 
         return leaf
 
+    w = plan.width(path)
     product = 0  # the width of the product rows, for a product or a join
     levels = [(None, w)]
-    shape = ast.join_shape(e, path, types) if isinstance(e, (ast.Project, ast.Select)) else None
-    if shape is not None:
-        indices, e, path, lk, rk, selects = shape
-        product = types[path].row_base_size
+    join = plan.join(e, path)
+    if join is not None:
+        indices, e, path, lk, rk, selects, product = join
         build = _sliced_joiner(lk, rk)
         levels = [(None if i is None else _sliced_selector(i, eq, j), product)
                   for i, eq, j, _ in selects]  # fmt: skip
@@ -312,7 +312,7 @@ def compile_sliced(e: ast.Expr, path: str, types: dict):
         build = _sliced_selector(e.i - 1, e.op == "=", e.j - 1)
     else:
         build = _sliced_union if isinstance(e, ast.Union) else _sliced_difference
-    fs = [compile_sliced(getattr(e, label), ast.child_path(path, label), types)
+    fs = [compile_sliced(getattr(e, label), ast.child_path(path, label), plan)
           for label in e.labels]  # fmt: skip
 
     def run(env, keep, room, _fs=fs, _product=product, _build=build, _levels=levels):

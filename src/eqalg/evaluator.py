@@ -1,48 +1,51 @@
 """Expression evaluation: compositional, with budgets and space metering.
 
-Each operator is one kernel, a function from its operand values to its
-result, built once per node from the types the typechecker inferred (see
-``_kernel``).  The compiler (``_compile``) turns an expression into closures
-over relations, and one metering wrapper per operand arity (``_metered``)
-runs every operator node the same way: it evaluates the operands, charges
-the result's size and then releases the operands.  Product, unnest and
-powerset have an exact size computed from their operands, charged before the
-kernel runs, so an over-cap one is refused before any row is built; the
-other operators charge the result they built.  A solve node tests candidate
-assignments in the order of a binary counter over the canonically ordered
-row universe, last variable fastest, as if one at a time with one candidate
-live, and keeps its solutions as hit masks over runs of counter values: the
-solution set lists and decodes them only when they are read
-(``model.SolutionSet``).  ``peak_space_units`` tracks the maximum over time
-of the total size of live intermediate results, where the size of a value
-is its recursive atom-occurrence count plus tuple count; the input database
-itself is ambient and not counted.
+Each evaluation makes one ``Plan`` of its expression, read by both engines,
+the relation kernels and the bit-sliced blocks of ``bitslice``: each node
+path's type, from ``infer_type``, the one front-end check; the shared nodes;
+and per path, once compiled, its row width, join and solve records.  Each
+operator is one kernel, a function from its operand values to its result,
+built once per node from the plan (see ``_kernel``).  The compiler
+(``_compile``) turns an expression into closures over relations, and one
+metering wrapper per operand arity (``_metered``) runs every operator node
+the same way: it evaluates the operands, charges the result's size and then
+releases the operands.  Product, unnest and powerset have an exact size
+computed from their operands, charged before the kernel runs, so an over-cap
+one is refused before any row is built; the other operators charge the
+result they built.  A solve node tests candidate assignments in the order of
+a binary counter over the canonically ordered row universe, last variable
+fastest, as if one at a time with one candidate live, and keeps its
+solutions as hit masks over runs of counter values: the solution set lists
+and decodes them only when they are read (``model.SolutionSet``).
+``peak_space_units`` tracks the maximum over time of the total size of live
+intermediate results, where the size of a value is its recursive
+atom-occurrence count plus tuple count; the input database itself is ambient
+and not counted.
 
-Four shortcuts over literal re-evaluation, none observable in results or
-metrics.  A shared node, that is an operator node object met at two or more
-places with no solve inside it, or any solve node, is computed once for the
-values its free names hold: one cache per evaluation, keyed on the node and
-the identities of those values, keeps its value and its rise, the most its
-evaluation raised the live total above where it began (see ``_shared``).  A
-reuse raises the peak to the live total plus that rise and charges the
-value, as evaluating it again would, and one whose rise would pass the
-space cap evaluates it again, so the refusal comes from the code that
-defines it; a reused solve
-charges only its solution set, and candidates_tested counts real
-enumerations.  An equation side that mentions no bound variable is
-evaluated once per solve, not once per candidate.  A chain of selections on
-a product whose innermost test equates a column of the left operand with
-one of the right, optionally under a projection, runs as a hash join that
-never builds the product or the selections.  And a solve whose binders and
-every node of both sides have flat types evaluates its body bit-sliced,
-once per block of candidates, not once per candidate (see ``bitslice``),
-and decodes only its stop candidate.  The join charges every node at its
-exact size, at its own path, in the order literal evaluation would.  A
-bit-sliced block computes each candidate's live total at every such charge
-from per-candidate row counts, and replays its stop candidate, the first
-refused one or the first solution for ``solve_nonempty``, alone on the
-relation kernels, so ``peak_space_units`` and every budget refusal, down to
-its message, stay the same.
+The plan decides four shortcuts over literal re-evaluation, none observable
+in results or metrics.  A shared node, that is an operator node object met
+at two or more places with no solve inside it, or any solve node, is
+computed once for the values its free names hold: one cache per evaluation,
+keyed on the node and the identities of those values, keeps its value and
+its rise, the most its evaluation raised the live total above where it began
+(see ``_shared``).  A reuse raises the peak to the live total plus that rise
+and charges the value, as evaluating it again would, and one whose rise
+would pass the space cap evaluates it again, so the refusal comes from the
+code that defines it; a reused solve charges only its solution set, and
+candidates_tested counts real enumerations.  An equation side that mentions
+no bound variable is evaluated once per solve, not once per candidate.  A
+chain of selections on a product whose innermost test equates a column of
+the left operand with one of the right, optionally under a projection, runs
+as a hash join that never builds the product or the selections.  And a solve
+whose binders and every node of both sides have flat types evaluates its
+body bit-sliced, once per block of candidates, not once per candidate (see
+``bitslice``), and decodes only its stop candidate.  The join charges every
+node at its exact size, at its own path, in the order literal evaluation
+would.  A bit-sliced block computes each candidate's live total at every
+such charge from per-candidate row counts, and replays its stop candidate,
+the first refused one or the first solution for ``solve_nonempty``, alone on
+the relation kernels, so ``peak_space_units`` and every budget refusal, down
+to its message, stay the same.
 """
 
 from __future__ import annotations
@@ -106,8 +109,9 @@ class EvalBudget:
 
     def __post_init__(self):
         for name in ("max_candidates", "max_space_units", "max_solutions"):
-            if getattr(self, name) < 1:
-                raise ModelError(f"{name} must be positive")
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+                raise ModelError(f"{name} must be a positive integer, not {cap!r}")
 
 
 @dataclass
@@ -136,35 +140,23 @@ class EvalMetrics:
 # operator kernels
 
 
-def _row_sizer(rtype: RelType):
-    """Space units of one row of a type with relation-valued columns.
-
-    The tuple and its atom columns are a constant known from the type, so
-    only the relation-valued columns are sized, from their cached sizes.
-    """
-    pick = row_picker(tuple(i + 1 for i in rtype.nested_columns))
-    base = rtype.row_base_size
-    size = value_size
-    return lambda r: base + sum(map(size, pick(r)))
-
-
 def _product_size(na: int, sa: int, nb: int, sb: int) -> int:
     """Size of the product of relations with ``na``/``nb`` rows of total size
     ``sa``/``sb``: each row pair carries both rows' units, less one tuple."""
     return na * sb + nb * sa - na * nb
 
 
-def _kernel(e: ast.Expr, path: str, types: dict):
+def _kernel(e: ast.Expr, path: str, plan: Plan):
     """``(kernel, need)`` for the operator node ``e`` at ``path``.
 
     ``kernel`` maps the operand values to the result.  ``need`` is None, or
     maps the operands to the exact size of the result, computed before
-    anything is built.  The result type and the column positions come from
-    ``types``, which the typechecker filled after checking every index and
-    column type, so neither function validates or derives anything per call.
+    anything is built.  The result type and the row widths come from the
+    plan, typed after every index and column type was checked, so neither
+    function validates or derives anything per call.
     """
     # constants are defaults, not closure cells, as in _metered
-    rt = types[path]
+    rt = plan.types[path]
     if isinstance(e, ast.Union):
         return (lambda a, b, rt=rt: Rel(rt, a.rows | b.rows)), None
     if isinstance(e, ast.Difference):
@@ -210,7 +202,8 @@ def _kernel(e: ast.Expr, path: str, types: dict):
         def unnest(a, rt=rt, i=e.index - 1):
             return Rel(rt, frozenset({r + y for r in a.rows for y in r[i].rows}))
 
-        def need(a, i=e.index - 1, row_size=_row_sizer(types[ast.child_path(path, "arg")])):
+        # the operand has a relation-valued column, so its width sizes a row
+        def need(a, i=e.index - 1, row_size=plan.width(ast.child_path(path, "arg"))):
             # each row paired with the rows of its nested set: a one-row product
             total = 0
             for r in a.rows:
@@ -262,12 +255,6 @@ class _Ctx:
         self.max_solutions = budget.max_solutions
         self.solve_stats: dict[str, SolveStats] = {}
         self.cache: dict = {}  # shared node id -> (input values, value, rise)
-
-    def stats_for(self, path: str) -> SolveStats:
-        s = self.solve_stats.get(path)
-        if s is None:
-            s = self.solve_stats[path] = SolveStats(path)
-        return s
 
     def metrics(self) -> EvalMetrics:
         return EvalMetrics(
@@ -374,69 +361,137 @@ def _metered(fs, kernel, need, path: str, node: ast.Expr):
     return run
 
 
+# ---------------------------------------------------------------------------
+# the plan: what an evaluation decides about its expression, once
+
 _NODES = ast.Expr.__subclasses__()
 _UNARY = frozenset(cls for cls in _NODES if cls.labels == ("arg",))
 _BINARY = frozenset(cls for cls in _NODES if cls.labels == ("left", "right"))
-_LEAVES = frozenset(cls for cls in _NODES if not cls.labels)
 
 
-def _sharing(e: ast.Expr):
-    """``(free, shared)`` for the expression ``e``: ``free`` maps the id of
-    each distinct node to its free names, and ``shared`` maps the id of each
-    shared node to the sorted names its cache entries are keyed on.
+class Plan:
+    """What both engines read about one evaluation's expression.
 
-    A node is shared when it is a solve, or an operator met at two or more
-    places with no solve inside it.  One walk with an explicit stack visits
-    each distinct node once, its children before it, so it adds no Python
-    frame per level of the expression: a node is pushed again above its
-    children when first met and finished when met on top of them, and a
-    finished node met again is only marked shared.  No other path can reach
-    a node between those two meetings, since no node is inside itself.
+    ``types`` maps each node path to its type.  ``free`` maps the id of each
+    distinct node to its free names, and ``shared`` the id of each shared
+    node to the sorted names that key its cache entries (see ``_shared``).
+    A path's ``width``, ``join`` and ``solve`` are decided when an engine
+    compiles it, so a path never compiled costs nothing, and ``joins`` keeps
+    each join for the other engine.  All are keyed by path, since one node
+    can have other types under other binders.
     """
-    free: dict = {}
-    shared: dict = {}
-    with_solve: set = set()  # ids of the nodes that are or contain a solve
-    opened: set = set()
-    stack: list = [e]
-    while stack:
-        node = stack.pop()
-        k = id(node)
-        if k in free:
-            if k not in shared and k not in with_solve and type(node) not in _LEAVES:
-                shared[k] = tuple(sorted(free[k]))
-            continue
-        cls = type(node)
-        if k not in opened:
-            opened.add(k)
-            stack.append(node)
+
+    __slots__ = ("types", "free", "shared", "joins")
+
+    def __init__(self, e: ast.Expr, schema: dict) -> None:
+        # One walk with an explicit stack visits each distinct node once, its
+        # children first, and adds no Python frame per level: a node is pushed
+        # again above its children when first met and finished when met on
+        # top of them; met again after that, it is only marked shared.
+        self.types: dict = {}
+        infer_type(e, schema, self.types)
+        self.joins: dict = {}
+        self.free = free = {}
+        self.shared = shared = {}
+        with_solve: set = set()  # ids of the nodes that are or contain a solve
+        stack: list = [e]
+        while stack:
+            node = stack.pop()
+            k = id(node)
+            cls = type(node)
+            if k not in free:  # opened: free names None until finished
+                free[k] = None
+                stack.append(node)
+                if cls in _UNARY:
+                    stack.append(node.arg)
+                elif cls in _BINARY:
+                    stack += (node.left, node.right)
+                elif cls is ast.Solve:
+                    stack += (node.lhs, node.rhs)
+                continue
+            if free[k] is not None:
+                if k not in shared and k not in with_solve and node.labels:
+                    shared[k] = tuple(sorted(free[k]))
+                continue
             if cls in _UNARY:
-                stack.append(node.arg)
+                a = id(node.arg)
+                free[k] = free[a]
+                if a in with_solve:
+                    with_solve.add(k)
             elif cls in _BINARY:
-                stack += (node.left, node.right)
+                a, b = id(node.left), id(node.right)
+                free[k] = free[a] | free[b]
+                if a in with_solve or b in with_solve:
+                    with_solve.add(k)
             elif cls is ast.Solve:
-                stack += (node.lhs, node.rhs)
-            continue
-        if cls in _UNARY:
-            a = id(node.arg)
-            free[k] = free[a]
-            if a in with_solve:
+                names = (free[id(node.lhs)] | free[id(node.rhs)]).difference(node.var_names)
+                free[k] = names
+                shared[k] = tuple(sorted(names))
                 with_solve.add(k)
-        elif cls in _BINARY:
-            a, b = id(node.left), id(node.right)
-            free[k] = free[a] | free[b]
-            if a in with_solve or b in with_solve:
-                with_solve.add(k)
-        elif cls is ast.Solve:
-            names = (free[id(node.lhs)] | free[id(node.rhs)]).difference(node.var_names)
-            free[k] = names
-            shared[k] = tuple(sorted(names))
-            with_solve.add(k)
-        else:
-            free[k] = frozenset((node.name,)) if cls is ast.Name else frozenset()
-    return free, shared
+            else:
+                free[k] = frozenset((node.name,)) if cls is ast.Name else frozenset()
+
+    def width(self, path: str):
+        """The units of a row at ``path``: an int for a flat type, else a
+        function of the row, which sizes its relation-valued columns."""
+        t = self.types[path]
+        if t.is_flat:
+            return t.flat_row_size
+        pick = row_picker(tuple(i + 1 for i in t.nested_columns))
+        base = t.row_base_size
+        size = value_size
+        return lambda r: base + sum(map(size, pick(r)))
+
+    def join(self, e: ast.Expr, path: str):
+        """``_join_shape`` of the node ``e`` at ``path``, decided once."""
+        if path not in self.joins:
+            self.joins[path] = _join_shape(e, path, self)
+        return self.joins[path]
+
+    def solve(self, e: ast.Solve, path: str):
+        """``(l_inv, r_inv, reads)`` of the solve ``e`` at ``path``: whether
+        each side mentions no bound variable, and the free names and ``D``
+        that its blocks read, or None unless its binders and every node of
+        both sides have flat types, so that its body runs bit-sliced."""
+        free, bound = self.free, e.var_names
+        below = path + "." if path else ""
+        flat = all(t.is_flat for _, t in e.binders) and all(
+            t.is_flat for p, t in self.types.items() if p.startswith(below) and p != path
+        )
+        reads = tuple(sorted(free[id(e)])) + ("D",) if flat else None
+        return free[id(e.lhs)].isdisjoint(bound), free[id(e.rhs)].isdisjoint(bound), reads
 
 
-def _shared(e: ast.Expr, path: str, types: dict, plan, names: tuple):
+def _join_shape(e: ast.Expr, path: str, plan: Plan):
+    """The join record of ``[project] select ... select[i=j](times(a, b))``
+    with column i in ``a`` and column j in ``b`` (or the reverse), or None:
+    ``(indices, product, product_path, lk, rk, levels, width)``, the
+    projection's indices or None, the product node and its path, the 0-based
+    key columns of ``a`` and ``b``, per select level, innermost first, ``(i,
+    equal, j, path)`` with the key level's test None, and ``Plan.width`` of
+    the product rows, which every select level keeps.
+    """
+    indices = None
+    if isinstance(e, ast.Project):
+        indices = e.indices
+        e, path = e.arg, ast.child_path(path, "arg")
+    filters = []
+    while isinstance(e, ast.Select):
+        filters.append((e.i - 1, e.op == "=", e.j - 1, path))
+        e, path = e.arg, ast.child_path(path, "arg")
+    if not filters or not isinstance(e, ast.Product):
+        return None
+    i0, want_eq, j0, key_path = filters.pop()
+    lk, rk = min(i0, j0), max(i0, j0)
+    ka = plan.types[ast.child_path(path, "left")].arity
+    if not (want_eq and lk < ka <= rk):
+        return None
+    # innermost level first; its test is the join key, so it filters nothing
+    levels = [(None, True, None, key_path)] + filters[::-1]
+    return indices, e, path, lk, rk - ka, levels, plan.width(path)
+
+
+def _shared(e: ast.Expr, path: str, plan: Plan, names: tuple):
     """The occurrence at ``path`` of the shared node ``e``, whose cache
     entry is keyed on the values of ``names``.
 
@@ -454,7 +509,7 @@ def _shared(e: ast.Expr, path: str, types: dict, plan, names: tuple):
     real: list = []  # the node compiled at this path, once it first runs
 
     def run(
-        env, ctx, _key=id(e), _names=names, _real=real, _args=(e, path, types, plan),
+        env, ctx, _key=id(e), _names=names, _real=real, _args=(e, path, plan),
         _p=path, _solve=isinstance(e, ast.Solve), _s=value_size,
     ):  # fmt: skip
         entry = ctx.cache.get(_key)
@@ -495,30 +550,27 @@ def _shared(e: ast.Expr, path: str, types: dict, plan, names: tuple):
     return run
 
 
-def _compile(e: ast.Expr, path: str, types: dict, plan, cached: bool = True):
+def _compile(e: ast.Expr, path: str, plan: Plan, cached: bool = True):
     """Compile an expression into ``fn(env, ctx) -> Rel``.
 
-    ``types`` maps every node path to its type, as filled in by
-    ``infer_type``, and ``plan`` is ``_sharing`` of the whole expression.
-    Contract: when ``fn`` returns, exactly the size of its result has been
-    added to ``ctx.live``; the caller releases it after consuming it.  An
-    occurrence of a shared node goes through the evaluation's cache (see
-    ``_shared``), unless ``cached`` is false, as when that occurrence
-    compiles the node itself.  A name and the domain share one closure, a
-    solve node has its own (its body may run bit-sliced, see
-    ``_solve_parts``), and a select chain over a product becomes one hash
-    join (see ``_compile_join``).  Every other operator is its kernel
-    (``_kernel``) under the metering wrapper of its arity (``_metered``),
-    over its children compiled at their paths.
+    ``plan`` is the ``Plan`` of the whole expression.  Contract: when ``fn``
+    returns, exactly the size of its result has been added to ``ctx.live``;
+    the caller releases it after consuming it.  An occurrence of a shared
+    node goes through the evaluation's cache (see ``_shared``), unless
+    ``cached`` is false, as when that occurrence compiles the node itself.
+    A name and the domain share one closure, a solve node has its own (its
+    body may run bit-sliced, see ``_solve_parts``), and a select chain over
+    a product becomes one hash join (see ``_compile_join``).  Every other
+    operator is its kernel (``_kernel``) under the metering wrapper of its
+    arity (``_metered``), over its children compiled at their paths.
     """
     if cached:
-        names = plan[1].get(id(e))
+        names = plan.shared.get(id(e))
         if names is not None:
-            return _shared(e, path, types, plan, names)
+            return _shared(e, path, plan, names)
     if isinstance(e, (ast.Name, ast.Domain)):
-        nm = e.name if isinstance(e, ast.Name) else "D"
 
-        def run(env, ctx, _nm=nm, _p=path, _s=value_size):
+        def run(env, ctx, _nm=getattr(e, "name", "D"), _p=path, _s=value_size):
             v = env[_nm]
             live = ctx.live + _s(v)
             ctx.live = live
@@ -530,25 +582,23 @@ def _compile(e: ast.Expr, path: str, types: dict, plan, cached: bool = True):
 
     if isinstance(e, ast.Solve):
 
-        def run(env, ctx, _parts=_solve_parts(e, path, types, plan), _rt=types[path], _p=path):
+        def run(env, ctx, _parts=_solve_parts(e, path, plan), _rt=plan.types[path], _p=path):
             return SolutionSet(_rt, *_run_solve(_parts, env, ctx, _p, early_exit=False))
 
         return run
 
-    if isinstance(e, (ast.Project, ast.Select)):
-        join = _compile_join(e, path, types, plan)
-        if join is not None:
-            return join
-
-    kernel, need = _kernel(e, path, types)
-    fs = [_compile(getattr(e, label), ast.child_path(path, label), types, plan)
+    join = plan.join(e, path)
+    if join is not None:
+        return _compile_join(join, path, plan)
+    kernel, need = _kernel(e, path, plan)
+    fs = [_compile(getattr(e, label), ast.child_path(path, label), plan)
           for label in e.labels]  # fmt: skip
     return _metered(fs, kernel, need, path, e)
 
 
-def _compile_join(e: ast.Expr, path: str, types: dict, plan):
-    """The hash join for the shape ``ast.join_shape`` accepts; None for any
-    other shape, which compiles operator by operator.
+def _compile_join(join, top: str, plan: Plan):
+    """The hash join of the node at ``top`` whose ``Plan.join`` record is
+    ``join``.
 
     The right rows are indexed by their key column and each left row meets
     only its matches.  The outer selects filter the joined rows and a
@@ -558,20 +608,15 @@ def _compile_join(e: ast.Expr, path: str, types: dict, plan):
     size and the level below it released, in the same order, so the peak and
     every budget refusal are unchanged.
     """
-    shape = ast.join_shape(e, path, types)
-    if shape is None:
-        return None
-    top = path
-    indices, e, path, lk, rk, levels = shape
+    indices, e, path, lk, rk, levels, width = join
     pick = None if indices is None else row_picker(indices)
-    fa = _compile(e.left, ast.child_path(path, "left"), types, plan)
-    fb = _compile(e.right, ast.child_path(path, "right"), types, plan)
+    fa = _compile(e.left, ast.child_path(path, "left"), plan)
+    fb = _compile(e.right, ast.child_path(path, "right"), plan)
     size = value_size
     grow = _grow
-    width = types[path].flat_row_size  # units per joined row, None if nested
-    row_size = None if width else _row_sizer(types[path])
+    flat = isinstance(width, int)  # else width sizes one joined row
 
-    def run(env, ctx, _p=path, _rt=types[top], _node=e):
+    def run(env, ctx, _p=path, _rt=plan.types[top], _node=e):
         a = fa(env, ctx)
         b = fb(env, ctx)
         sa = size(a)
@@ -595,7 +640,7 @@ def _compile_join(e: ast.Expr, path: str, types: dict, plan):
                 else:
                     rows = [r for r in rows if r[i] != r[j]]
             # product rows are distinct, so each level's rows are its result
-            s = len(rows) * width if width else sum(map(row_size, rows))
+            s = len(rows) * width if flat else sum(map(width, rows))
             grow(ctx, s, level_path)
             ctx.live -= live
             live = s
@@ -609,46 +654,29 @@ def _compile_join(e: ast.Expr, path: str, types: dict, plan):
     return run
 
 
-def _sliceable(e: ast.Solve, path: str, types: dict) -> bool:
-    """True when a solve's binders and every node of both sides have flat
-    types, so its body can run bit-sliced."""
-    sides = (ast.child_path(path, "lhs"), ast.child_path(path, "rhs"))
-    inside = tuple(p + "." for p in sides)
-    return all(t.is_flat for _, t in e.binders) and all(
-        t.is_flat for p, t in types.items() if p in sides or p.startswith(inside)
-    )
-
-
-def _solve_parts(e: ast.Solve, path: str, types: dict, plan=None):
+def _solve_parts(e: ast.Solve, path: str, plan: Plan):
     """The compiled sides of a solve node and what its candidate loop needs.
 
-    ``plan`` is ``_sharing`` of an expression holding ``e``, by default of
-    ``e`` itself.  Both sides compile over relations.  When ``_sliceable``
-    holds, the last part holds each side that mentions a bound variable
-    compiled bit-sliced as well (``bitslice.compile_sliced``, None for the
-    other side) and the free names its blocks read; the candidates then run
-    a block at a time, and the relation sides run once for a side that
-    mentions no bound variable and for the replay of a block's stop candidate.
-    Otherwise it is None.
+    Both sides compile over relations.  When the ``Plan.solve`` record says
+    the body runs bit-sliced, the last part holds each side that mentions a
+    bound variable compiled bit-sliced as well (``bitslice.compile_sliced``,
+    None for the other side) and the free names its blocks read; the
+    candidates then run a block at a time, and the relation sides run once
+    for a side that mentions no bound variable and for the replay of a
+    block's stop candidate.  Otherwise it is None.
     """
-    if plan is None:
-        plan = _sharing(e)
-    free = plan[0]
+    l_inv, r_inv, reads = plan.solve(e, path)
     lp, rp = ast.child_path(path, "lhs"), ast.child_path(path, "rhs")
-    bound = set(e.var_names)
-    l_inv = not (free[id(e.lhs)] & bound)
-    r_inv = not (free[id(e.rhs)] & bound)
-    fl = _compile(e.lhs, lp, types, plan)
-    fr = _compile(e.rhs, rp, types, plan)
+    fl = _compile(e.lhs, lp, plan)
+    fr = _compile(e.rhs, rp, plan)
     sliced = None
-    if _sliceable(e, path, types):
+    if reads is not None:
         sliced = (
-            None if l_inv else bitslice.compile_sliced(e.lhs, lp, types),
-            None if r_inv else bitslice.compile_sliced(e.rhs, rp, types),
-            tuple(sorted(free[id(e)])) + ("D",),
+            None if l_inv else bitslice.compile_sliced(e.lhs, lp, plan),
+            None if r_inv else bitslice.compile_sliced(e.rhs, rp, plan),
+            reads,
         )
-    var_types = tuple(t for _, t in e.binders)
-    return e.var_names, var_types, fl, fr, l_inv, r_inv, sliced
+    return e.var_names, tuple(t for _, t in e.binders), fl, fr, l_inv, r_inv, sliced
 
 
 def _run_solve(parts, env, ctx, path, early_exit):
@@ -665,8 +693,9 @@ def _run_solve(parts, env, ctx, path, early_exit):
     ordered row universes, last variable fastest, and ``Candidates.decode``
     turns counter values into rows of relations.  Without a bit-sliced body,
     each candidate in turn is decoded alone, bound, charged, tested on the
-    relation sides and released, one live at a time, and a solution is the
-    run ``(counter value, 1)``.  With one, ``bitslice.Blocks.scan`` gives
+    relation sides and released, one live at a time, and each solution is
+    ORed into the run of its block of ``bitslice.BLOCK_BITS`` counter bits,
+    as a bit-sliced body keeps it.  With one, ``bitslice.Blocks.scan`` gives
     each block's hit mask of the solutions before its stop candidate, the
     units they keep live, the peak of the candidates before that one, and
     that candidate: the first refused candidate or, with early_exit, the
@@ -681,10 +710,11 @@ def _run_solve(parts, env, ctx, path, early_exit):
     names, types, fl, fr, l_inv, r_inv, sliced = parts
     size = value_size
     grow = _grow
-    stats = ctx.stats_for(path)
+    stats = ctx.solve_stats.setdefault(path, SolveStats(path))
     max_solutions = ctx.max_solutions
     const_l = const_r = None
     runs: list = []
+    block = bitslice.BLOCK_BITS
     tested = 0
     found = 0
     units = 0
@@ -714,7 +744,9 @@ def _run_solve(parts, env, ctx, path, early_exit):
                     raise BudgetExceeded(
                         "solutions", path, f"more than {max_solutions} solutions"
                     )
-                runs.append((ms, 1))
+                base = ms >> block << block
+                mask = runs.pop()[1] if runs and runs[-1][0] == base else 0
+                runs.append((base, mask | 1 << ms - base))
                 units += 1 + csize
                 grow(ctx, 1 + csize, path)  # solution row stays live
                 if early_exit:
@@ -777,10 +809,9 @@ def _run_solve(parts, env, ctx, path, early_exit):
         stats.solutions_found += found
         for nm in names:
             env.pop(nm, None)
-        if const_l is not None:
-            ctx.live -= size(const_l)
-        if const_r is not None:
-            ctx.live -= size(const_r)
+        for const in (const_l, const_r):
+            if const is not None:
+                ctx.live -= size(const)
     return runs, space, units
 
 
@@ -789,12 +820,10 @@ def _run_solve(parts, env, ctx, path, early_exit):
 
 
 def _prepare(e: ast.Expr, db: Database, budget: EvalBudget | None):
-    """Type ``e`` on ``db``; return the type of every node path, a fresh
-    context and the environment of the database's relations and ``D``."""
-    types: dict = {}
-    infer_type(e, db.schema, types)
+    """Type ``e`` on ``db``; return its ``Plan``, a fresh context and the
+    environment of the database's relations and ``D``."""
     env = {**db.relations, "D": domain_relation(db.atoms)}  # no relation is named D
-    return types, _Ctx(db, budget or EvalBudget()), env
+    return Plan(e, db.schema), _Ctx(db, budget or EvalBudget()), env
 
 
 def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
@@ -803,11 +832,11 @@ def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
     Returns ``(value, metrics)``; the output type is checked against the
     inferred type as a runtime soundness invariant.
     """
-    types, ctx, env = _prepare(e, db, budget)
-    res = _compile(e, "", types, _sharing(e))(env, ctx)
-    if res.rtype != types[""]:
+    plan, ctx, env = _prepare(e, db, budget)
+    res = _compile(e, "", plan)(env, ctx)
+    if res.rtype != plan.types[""]:
         raise InternalCheckError(
-            f"evaluator produced type {res.rtype}, typechecker said {types['']}"
+            f"evaluator produced type {res.rtype}, typechecker said {plan.types['']}"
         )
     return res, ctx.metrics()
 
@@ -822,5 +851,5 @@ def solve_nonempty(
 ) -> bool:
     """True iff the equation has at least one solution (stops at the first)."""
     node = ast.Solve(binders, lhs, rhs)
-    types, ctx, env = _prepare(node, db, budget)
-    return bool(_run_solve(_solve_parts(node, "", types), env, ctx, "", early_exit=True)[0])
+    plan, ctx, env = _prepare(node, db, budget)
+    return bool(_run_solve(_solve_parts(node, "", plan), env, ctx, "", early_exit=True)[0])

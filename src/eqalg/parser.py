@@ -249,7 +249,7 @@ class _Parser:
         ``e`` taken that way first.
 
         So a subexpression repeated in the text is one node object, which
-        the evaluator computes once (see ``evaluator._sharing``).  The parse
+        the evaluator computes once (see ``evaluator.Plan``).  The parse
         holds each node it keeps, and each of those holds its operands, so
         no id in a key is reused while the parse runs.
         """

@@ -13,6 +13,7 @@ from eqalg.constructions import (
     build_powerset_eq,
     build_run,
     build_run_equation,
+    build_tc_powerset_expr,
     tc_sparse_via_harness,
 )
 from eqalg.ast import (
@@ -32,7 +33,6 @@ from eqalg.evaluator import (
     BudgetExceeded,
     EvalBudget,
     _solve_parts,
-    domain_relation,
     evaluate,
     solve,
     solve_nonempty,
@@ -257,6 +257,17 @@ def test_solution_budget():
     with pytest.raises(BudgetExceeded) as err:
         solve((("X", FLAT1),), Name("X"), Name("X"), db_of(("a", "b")), budget)
     assert err.value.which == "solutions"
+
+
+@pytest.mark.parametrize("cap", [2.5, True, False, "10", None, 0, -3])
+@pytest.mark.parametrize("name", ["max_candidates", "max_space_units", "max_solutions"])
+def test_budget_caps_must_be_positive_integers(name, cap):
+    # a cap that is not an int, a bool included, is refused when the budget
+    # is built, not at evaluation (a float has no bit_length) or in a
+    # refusal's message (a bool prints as "cap True")
+    with pytest.raises(model.ModelError, match=f"{name} must be a positive integer"):
+        EvalBudget(**{name: cap})
+    assert getattr(EvalBudget(**{name: 10**30}), name) == 10**30
 
 
 def test_nested_solve_budget_error_carries_one_suffix():
@@ -880,17 +891,40 @@ def _flat_cases(tags):
             yield e, node, Database(atoms, rels), schema
 
 
-def _on_relations(*args):
-    """In place of ``evaluator._sliceable``: every solve body keeps the
-    relation kernels."""
-    return False
+def _on_relations(monkeypatch):
+    """Keep every solve body on the relation kernels: the one seam that does
+    it is the plan's per-solve record, whose last part then says that no
+    body runs bit-sliced."""
+    record = evaluator.Plan.solve
+
+    def on_relations(plan, e, path):
+        return (*record(plan, e, path)[:2], None)
+
+    monkeypatch.setattr(evaluator.Plan, "solve", on_relations)
+
+
+def _representations(monkeypatch):
+    """Yield ``"sliced"``, then ``"relations"`` with every solve body kept on
+    the relation kernels (``_on_relations``) until the loop resumes."""
+    record = evaluator.Plan.solve
+    yield "sliced"
+    _on_relations(monkeypatch)
+    yield "relations"
+    monkeypatch.setattr(evaluator.Plan, "solve", record)
+
+
+def _sliced(e, db) -> dict:
+    """Whether each solve of ``e`` runs bit-sliced on ``db``, by path, as the
+    plan's per-solve record says."""
+    plan = evaluator._prepare(e, db, None)[0]
+    return {path: plan.solve(node, path)[-1] is not None for path, node in _solve_nodes(e)}
 
 
 @pytest.fixture(params=["sliced", "relations"])
 def representation(request, monkeypatch):
     """The values flat solve bodies run on: bit-sliced blocks, or relations."""
     if request.param == "relations":
-        monkeypatch.setattr(evaluator, "_sliceable", _on_relations)
+        _on_relations(monkeypatch)
     return request.param
 
 
@@ -898,10 +932,7 @@ def test_flat_solve_bodies_match_oracles(representation):
     tags: set = set()
     for e, node, db, schema in _flat_cases(tags):
         atoms = db.atoms
-        types: dict = {}
-        infer_type(node, schema, types)
-        sliced = _solve_parts(node, "", types)[-1] is not None
-        assert sliced == (representation == "sliced")
+        assert _sliced(node, db) == {"": representation == "sliced"}
         env = {nm: to_plain(r) for nm, r in db.relations.items()}
 
         value, metrics = evaluate(e, db)
@@ -928,11 +959,9 @@ def test_flat_solve_bodies_match_oracles(representation):
 def test_flat_solve_bodies_agree_across_representations(monkeypatch):
     # bit-sliced blocks and relations give the same value and metrics, and a
     # refusal under any cap up to 60 below the peak reads the same on both
-    sliceable = evaluator._sliceable
     for e, _, db, _ in _flat_cases(set()):
         runs = []
-        for check in (sliceable, _on_relations):
-            monkeypatch.setattr(evaluator, "_sliceable", check)
+        for _ in _representations(monkeypatch):
             value, metrics = evaluate(e, db)
             refusals = []
             for cap in range(max(1, metrics.peak_space_units - 60), metrics.peak_space_units):
@@ -976,7 +1005,6 @@ def test_small_blocks_agree_with_relations(monkeypatch):
     # give: value and metrics, the refusal under every cap up to 60 below
     # the peak and every solution cap below the solution count, and
     # solve_nonempty
-    sliceable = evaluator._sliceable
     monkeypatch.setattr(bitslice, "BLOCK_BITS", 2)
     rng = random.Random(9750)
     tags: set = set()
@@ -987,8 +1015,7 @@ def test_small_blocks_agree_with_relations(monkeypatch):
             rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
             db = Database(atoms, rels)
             runs = []
-            for check in (sliceable, _on_relations):
-                monkeypatch.setattr(evaluator, "_sliceable", check)
+            for _ in _representations(monkeypatch):
                 value, metrics = evaluate(node, db)
                 peak = metrics.peak_space_units
                 found = metrics.solves[0].solutions_found
@@ -1019,12 +1046,9 @@ def _early_exit(node, db, budget):
     """``_run_solve`` of ``node`` with early_exit, as ``solve_nonempty`` runs
     it: the solution runs, units, live and peak totals and metrics it
     leaves, or the refusal's text, its solve's counts and the peak total."""
-    types: dict = {}
-    infer_type(node, db.schema, types)
-    ctx = evaluator._Ctx(db, budget)
-    env = {**db.relations, "D": domain_relation(db.atoms)}
+    plan, ctx, env = evaluator._prepare(node, db, budget)
     try:
-        runs, _, units = evaluator._run_solve(_solve_parts(node, "", types), env, ctx, "", True)
+        runs, _, units = evaluator._run_solve(_solve_parts(node, "", plan), env, ctx, "", True)
     except BudgetExceeded as exc:
         return str(exc), exc.solve, ctx.peak
     return runs, units, ctx.live, ctx.peak, ctx.metrics()
@@ -1036,7 +1060,6 @@ def test_early_exit_meters_alike_on_both_paths(block_bits, monkeypatch):
     # relation kernels leave: the solution, units, live and peak totals and
     # solve stats, and the refusal and the peak it leaves under every space
     # cap from 20 below the peak up to it
-    sliceable = evaluator._sliceable
     monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
     rng = random.Random(9760)
     tags: set = set()
@@ -1047,8 +1070,7 @@ def test_early_exit_meters_alike_on_both_paths(block_bits, monkeypatch):
             rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
             db = Database(atoms, rels)
             runs = []
-            for check in (sliceable, _on_relations):
-                monkeypatch.setattr(evaluator, "_sliceable", check)
+            for _ in _representations(monkeypatch):
                 done = _early_exit(node, db, EvalBudget())
                 peak = done[3]
                 caps = range(max(1, peak - 20), peak + 1)
@@ -1078,10 +1100,8 @@ def test_full_block_of_solutions_agrees_with_relations(monkeypatch):
     atoms = tuple(f"a{i}" for i in range(bits))
     db = db_of(atoms, R=rel(FLAT1, [(a,) for a in atoms]))
     e = build_powerset_eq()
-    sliceable = evaluator._sliceable
     runs = []
-    for check in (sliceable, _on_relations):
-        monkeypatch.setattr(evaluator, "_sliceable", check)
+    for _ in _representations(monkeypatch):
         value, metrics = evaluate(e, db)
         assert metrics.solves[0].solutions_found == 1 << bits
         peak = metrics.peak_space_units
@@ -1120,11 +1140,7 @@ def test_solves_under_solves_match_oracles(representation):
     tags: set = set()
     for e, db in _nested_solve_cases(tags):
         atoms, schema = db.atoms, db.schema
-        types: dict = {}
-        infer_type(e, schema, types)
-        sliced = {path: _solve_parts(node, path, types)[-1] is not None
-                  for path, node in _solve_nodes(e)}  # fmt: skip
-        assert sliced == {"": False, "lhs.arg.arg": representation == "sliced"}
+        assert _sliced(e, db) == {"": False, "lhs.arg.arg": representation == "sliced"}
         env = {nm: to_plain(r) for nm, r in db.relations.items()}
 
         value, metrics = evaluate(e, db)
@@ -1227,12 +1243,9 @@ def test_solution_sets_sort_as_fresh_relations(representation, block_bits, monke
             EvalBudget(max_space_units=metrics.peak_space_units),
         ):
             values.append(evaluate(node, db, budget)[0])
-        types: dict = {}
-        infer_type(node, db.schema, types)
-        ctx = evaluator._Ctx(db, EvalBudget())
-        env = {**db.relations, "D": domain_relation(db.atoms)}
-        first = evaluator._run_solve(_solve_parts(node, "", types), env, ctx, "", True)
-        early = SolutionSet(types[""], *first)
+        plan, ctx, env = evaluator._prepare(node, db, EvalBudget())
+        first = evaluator._run_solve(_solve_parts(node, "", plan), env, ctx, "", True)
+        early = SolutionSet(plan.types[""], *first)
         assert values == [value] * 3 and len(early.rows) == min(1, found)
         assert early.rows <= value.rows
         for v in values + [early]:
@@ -1347,10 +1360,8 @@ def test_counting_solutions_lists_none(block_bits, monkeypatch, capsys):
             listed.counters()
             assert read(evaluate(e, db)[0], fresh) == read(listed, fresh) == read(fresh, fresh), name
         refusals = []
-        for check in (evaluator._sliceable, _on_relations):
-            with monkeypatch.context() as m:
-                m.setattr(evaluator, "_sliceable", check)
-                refusals.append(_outcome(e, db, EvalBudget(max_solutions=found - 3)))
+        for _ in _representations(monkeypatch):
+            refusals.append(_outcome(e, db, EvalBudget(max_solutions=found - 3)))
         assert refusals[0] == refusals[1] and refusals[0][1][2] == found - 2
         with monkeypatch.context() as m:
             m.setattr(model, "_bits", _no_listing)
@@ -1360,6 +1371,37 @@ def test_counting_solutions_lists_none(block_bits, monkeypatch, capsys):
                 assert (len(v), bool(v), value_size(v)) == (found, True, value_size(fresh))
             assert solve_nonempty(e.binders, e.lhs, e.rhs, db)
             assert cli.main(argv) == 0 and capsys.readouterr().out == table
+
+
+def _aligned_runs(counters, bits: int) -> list:
+    """The counter values ``counters`` as ``(base, mask)`` runs, one per
+    block of ``bits`` counter bits that holds any of them."""
+    runs: dict = {}
+    for c in counters:
+        base = c >> bits << bits
+        runs[base] = runs.get(base, 0) | 1 << c - base
+    return sorted(runs.items())
+
+
+@pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 2])
+def test_both_paths_keep_one_run_per_block(representation, block_bits, monkeypatch):
+    # on relations as in bit-sliced blocks, a solve keeps its solutions as
+    # one (base, mask) run per block of BLOCK_BITS counter bits: at the
+    # default block size the 1,024 subsets of a 10-row R are one run, and so
+    # are the 128 subsets of a 7-row R, spread over 1,024 candidates
+    monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
+    atoms = tuple(f"a{i}" for i in range(10))
+    for rows in (atoms, atoms[3:]):
+        db = db_of(atoms, R=rel(FLAT1, [(a,) for a in rows]))
+        for e in COUNTED:
+            v = evaluate(e, db)[0]
+            fresh = from_plain(oracle_solution_set(e.binders, e.lhs, e.rhs, db), v.rtype)
+            counters = sorted(v._space.encode(fresh.rows))
+            assert len(counters) == 1 << len(rows)
+            assert list(v.counters()) == counters
+            assert v._runs == _aligned_runs(counters, block_bits)
+            if rows == atoms and block_bits > 10:
+                assert v._runs == [(0, (1 << 1024) - 1)]
 
 
 def test_wide_sparse_body_stays_small_in_memory():
@@ -1377,7 +1419,7 @@ def test_wide_sparse_body_stays_small_in_memory():
     types: dict = {}
     infer_type(node, db.schema, types)
     assert types["lhs.arg.arg.arg"].arity == 8
-    assert _solve_parts(node, "", types)[-1] is not None  # the body runs bit-sliced
+    assert _sliced(node, db) == {"": True}  # the body runs bit-sliced
 
     tracemalloc.start()
     try:
@@ -1400,9 +1442,7 @@ def test_wide_sparse_body_stays_small_in_memory():
     # one more column makes a universe of 4^9 rows, with no select to join
     # on: the body still runs bit-sliced, with the same results
     wider = Solve(node.binders, Project((1, 7), Product(wide, Domain())), node.rhs)
-    types = {}
-    infer_type(wider, db.schema, types)
-    assert _solve_parts(wider, "", types)[-1] is not None
+    assert _sliced(wider, db) == {"": True}
     value, metrics = evaluate(wider, db)
     assert to_plain(value) == oracle_eval(wider, env, atoms, db.schema)
     assert metrics.peak_space_units == oracle_peak(wider, env, atoms, db.schema)[0]
@@ -1429,14 +1469,10 @@ def test_random_expressions_with_solves_match_oracle_metering():
         rels = {"R": random_flat_rel(rng, 2, atoms, 0.4), "S": random_flat_rel(rng, 1, atoms, 0.5)}
         db = Database(atoms, rels)
         e = random_expr(rng, schema, steps=6, solve_var_types=var_types)
-        types: dict = {}
-        infer_type(e, schema, types)
-        solves = list(_solve_nodes(e))
-        if not solves:
+        sliced = _sliced(e, db)
+        if not sliced:
             continue
-        for path, node in solves:
-            sliced = _solve_parts(node, path, types)[-1] is not None
-            bodies.add("sliced" if sliced else "relations")
+        bodies.update("sliced" if s else "relations" for s in sliced.values())
         env = {nm: to_plain(r) for nm, r in rels.items()}
 
         value, metrics = evaluate(e, db, budget)
@@ -1554,12 +1590,9 @@ def test_shared_nodes_meter_as_if_evaluated_at_each_path(kind):
         rels = {nm: random_value(rng, t, atoms, max_rows=4) for nm, t in schema.items()}
         db = Database(atoms, rels)
         env = {nm: to_plain(r) for nm, r in rels.items()}
-        cached = id(shared) in evaluator._sharing(e)[1]
+        cached = id(shared) in evaluator._prepare(e, db, None)[0].shared
         assert cached == (kind != "over_solve")
-        types: dict = {}
-        infer_type(e, schema, types)
-        for path, node in _solve_nodes(e):
-            tags.add("sliced" if _solve_parts(node, path, types)[-1] else "relations")
+        tags.update("sliced" if s else "relations" for s in _sliced(e, db).values())
 
         value, metrics = evaluate(e, db)
         assert to_plain(value) == oracle_eval(e, env, atoms, schema)
@@ -1583,8 +1616,8 @@ def _counting_kernels(monkeypatch) -> collections.Counter:
     runs: collections.Counter = collections.Counter()
     build = evaluator._kernel
 
-    def counted(e, path, types):
-        kernel, need = build(e, path, types)
+    def counted(e, path, plan):
+        kernel, need = build(e, path, plan)
 
         def run(*operands, _kernel=kernel, _key=id(e)):
             runs[_key] += 1
@@ -1614,10 +1647,10 @@ def test_stage_equation_runs_each_kernel_once_per_evaluation(monkeypatch):
     # 202 paths, and one node object per structurally distinct subtree
     distinct = {id(node): node for node in nodes}.values()
     assert len(nodes) == 202 and len(positions) == len(set(distinct)) == 100
-    shared = evaluator._sharing(lhs)[1]
     r = random_digraph(random.Random(9950), 5, 0.35)
     atoms = tuple(sorted({a for row in r.rows for a in row}))
     db = Database(atoms, {"R": r, "X": build_run(r)})
+    shared = evaluator._prepare(lhs, db, None)[0].shared
     for n in (1, 2):
         evaluate(lhs, db)
         assert set(runs.values()) == {n}  # every kernel, at every path
@@ -1625,8 +1658,33 @@ def test_stage_equation_runs_each_kernel_once_per_evaluation(monkeypatch):
     assert shared.keys() & runs.keys() and repeated - shared.keys()  # some run inside a shared node
 
 
+def test_each_join_path_is_shaped_once_per_evaluation(monkeypatch):
+    # tc_powerset's solve body compiles on both engines, bit-sliced for its
+    # blocks and on relations for the replay of a stop candidate; the plan
+    # shapes its join once for both, and every other path once too
+    decided: collections.Counter = collections.Counter()
+    joins = set()
+    shape = evaluator._join_shape
+
+    def counted(e, path, plan):
+        decided[path] += 1
+        record = shape(e, path, plan)
+        if record is not None:
+            joins.add(path)
+        return record
+
+    monkeypatch.setattr(evaluator, "_join_shape", counted)
+    e = build_tc_powerset_expr()
+    db = db_of(("a", "b", "c"), R=rel(FLAT2, [("a", "b"), ("b", "c")]))
+    value, _ = evaluate(e, db)
+    assert value.rows == {("a", "b"), ("b", "c"), ("a", "c")}
+    assert _sliced(e, db) == {"right.arg.left.left": True, "right.arg.right.arg": True}
+    assert "right.arg.left.left.lhs.left.left" in joins
+    assert set(decided.values()) == {1}
+
+
 def test_shared_node_on_the_bound_variable_runs_once_per_candidate(monkeypatch):
-    monkeypatch.setattr(evaluator, "_sliceable", _on_relations)
+    _on_relations(monkeypatch)
     runs = _counting_kernels(monkeypatch)
     s = Union(Name("V"), Name("S"))  # on the bound variable: one value per candidate
     d = Difference(Domain(), Name("S"))  # free of it: one value per solve

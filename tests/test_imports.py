@@ -1,7 +1,10 @@
-"""Every module-level import in ``src/eqalg`` is used by its module."""
+"""Every module-level import in ``src/eqalg`` is used by its module, and
+every ``module.name`` reference in its docstrings and comments resolves."""
 
 import ast
+import importlib
 import pathlib
+import re
 
 import eqalg
 
@@ -38,3 +41,34 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_an_unused_import_is_found():
     source = "import bisect\nfrom array import array\nfrom os import path as p\n\nx = p\n"
     assert unused_imports(source) == {"bisect", "array"}
+
+
+# a double-backquoted dotted name, such as ``evaluator.Plan.solve``
+REFERENCE = re.compile(r"``([A-Za-z_]\w*)\.([A-Za-z_][\w.]*)``")
+
+
+def module_references(source: str, modules: set) -> list:
+    """``(module, dotted name)`` for each double-backquoted reference in
+    ``source`` whose first part names one of ``modules``."""
+    return [m.groups() for m in REFERENCE.finditer(source) if m.group(1) in modules]
+
+
+def test_docstring_references_resolve():
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    refs = [(p.name, *ref) for p in sorted(PACKAGE.glob("*.py"))
+            for ref in module_references(p.read_text(), modules)]  # fmt: skip
+    unresolved = []
+    for where, module, dotted in refs:
+        obj = importlib.import_module(f"eqalg.{module}")
+        for part in dotted.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            unresolved.append(f"{where}: {module}.{dotted}")
+    assert len(refs) >= 9 and unresolved == []
+
+
+def test_a_stale_reference_is_found():
+    source = "see ``evaluator._compile`` and ``ctx.live``, not ``evaluator.Plan``"
+    assert module_references(source, {"evaluator"}) == [
+        ("evaluator", "_compile"), ("evaluator", "Plan")
+    ]
