@@ -6,17 +6,19 @@ as in Biham's bit-sliced DES (FSE 1997), in place of once per candidate.
 ``compile_sliced`` compiles a side to closures over blocks, at the row
 widths and with the joins of the evaluation's plan, and ``Blocks.scan``
 evaluates a block's sides, solutions and metering, then walks its candidates
-in order, all at once: one prefix sum on the bit planes gives each
-candidate's live total, and with it the peak, the solutions and the stop
-candidate.  Metering stays exact: every node's row count is a per-candidate
-counter, and the live total of each metering point of literal evaluation is
-composed from them.
+in order, a stretch at a time: the units kept live by the solutions so far
+change only at a solution, so a block with few solutions goes from one to
+the next, and one with more takes a prefix sum on the bit planes.  Either
+gives each candidate's live total, and with it the peak, the solutions and
+the stop candidate.  Metering stays exact: every node's row count is a
+per-candidate counter, and the live total of each metering point of literal
+evaluation that can be the highest is composed from them.
 """
 
 from __future__ import annotations
 
 from . import ast
-from .model import _bits, row_picker
+from .model import _FEW_BITS, _bits, row_picker
 
 # A block is 2^b consecutive candidates of a solve, those whose counter
 # values agree above bit b; candidate c of a block is the one whose low b
@@ -86,24 +88,29 @@ def _vmul(a: list, b: list) -> list:
 
 def _vmax(a: list, b: list, keep: int) -> list:
     """The vertical counter of ``max(a, b)``; ``keep`` has a bit for every
-    candidate of the block."""
+    candidate of the block.  An operand at least the other for every
+    candidate of ``keep`` is returned as it is."""
     if not a:
         return b
     if not b:
         return a
     k = max(len(a), len(b))
-    a = a + [0] * (k - len(a))
-    b = b + [0] * (k - len(b))
+    xs = a + [0] * (k - len(a))
+    ys = b + [0] * (k - len(b))
     gt = 0  # candidates with a > b in the planes seen so far
     tie = keep  # candidates with a = b in the planes seen so far
-    for x, y in zip(reversed(a), reversed(b)):
+    for x, y in zip(reversed(xs), reversed(ys)):
         d = (x ^ y) & tie
         if d:
             gt |= d & x
             tie ^= d
             if not tie:
                 break
-    out = [y ^ ((x ^ y) & gt) for x, y in zip(a, b)]
+    if not gt:
+        return b
+    if gt | tie == keep:
+        return a
+    out = [y ^ ((x ^ y) & gt) for x, y in zip(xs, ys)]
     while out and not out[-1]:
         out.pop()
     return out
@@ -155,7 +162,10 @@ def _vmax_in(a: list, mask: int) -> int:
 
 
 def _vabove(a: list, t: int, mask: int) -> int:
-    """The candidates of ``mask`` whose value of ``a`` exceeds ``t >= 0``."""
+    """The candidates of ``mask`` whose value of ``a`` exceeds ``t``: all of
+    them for ``t < 0``, since no value is negative."""
+    if t < 0:
+        return mask
     if t >> len(a):
         return 0
     gt = 0
@@ -312,14 +322,18 @@ def compile_sliced(e: ast.Expr, path: str, plan):
         build = _sliced_selector(e.i - 1, e.op == "=", e.j - 1)
     else:
         build = _sliced_union if isinstance(e, ast.Union) else _sliced_difference
-    fs = [compile_sliced(getattr(e, label), ast.child_path(path, label), plan)
-          for label in e.labels]  # fmt: skip
+    # each operand's closure, and whether it is a leaf, whose peak is its
+    # size: its metering point is then below the product point or the first
+    # level, which adds every operand's size, so it is not taken
+    children = [(getattr(e, label), ast.child_path(path, label)) for label in e.labels]
+    fs = [(compile_sliced(x, p, plan), isinstance(x, (ast.Name, ast.Domain))) for x, p in children]
 
     def run(env, keep, room, _fs=fs, _product=product, _build=build, _levels=levels):
         values, counts, live, peak = [], [], [], []
-        for f in _fs:
+        for f, leaf in _fs:
             v, c, s, p = f(env, keep, room)
-            peak = _vmax(peak, _vadd(live, p), keep)
+            if not leaf:
+                peak = _vmax(peak, _vadd(live, p), keep)
             live = _vadd(live, s)
             values.append(v)
             counts.append(c)
@@ -392,10 +406,9 @@ class Blocks:
         return 0, 0, live0, refuse
 
     def _evaluate(self, k: int, keep: int, room: int):
-        """``(hit, gain, top)`` for the candidates ``keep`` of block ``k``:
-        the solutions, and the vertical counters of the units each solution
-        keeps live and of the most units live at once while a candidate is
-        tested, from before it is charged."""
+        """``(hit, csize, body)`` for the candidates ``keep`` of block ``k``:
+        the solutions, and the vertical counters of a candidate's size and
+        of the most units live at once while its sides run, above its own."""
         env = {nm: ({r: keep for r in rows}, _vconst(len(rows), keep), _vconst(len(rows) * w, keep))
                for nm, rows, w in self.free}  # fmt: skip
         # the slice of each counter bit: a pattern, or all or none of keep
@@ -418,42 +431,78 @@ class Blocks:
         differ = 0
         for r in vl.keys() | vr.keys():
             differ |= vl.get(r, 0) ^ vr.get(r, 0)
-        hit = keep ^ differ
-        # a hit keeps its solution row of 1 + csize units live, then the
-        # candidate is released
-        gain = [p & hit for p in _vadd(csize, [keep])]
-        top = _vadd(csize, _vmax(_vmax(pl, _vadd(sl, pr), keep), gain, keep))
-        return hit, gain, top
+        # a side's peak is never below its size, so with no right side run
+        # the left side's peak is the body's
+        body = _vmax(pl, _vadd(sl, pr), keep) if pr else pl
+        return keep ^ differ, csize, body
 
 
-def _scan(hit, gain, top, keep, live0, cap, quota, refuse):
+def _scan(hit, csize, body, keep, live0, cap, quota, refuse):
     """Walk a block's candidates in order, as the candidate loop would.
 
-    ``live0`` is the live total before the block; candidate c has
-    ``live0 + S(c) + top(c)`` units live at its highest, where ``S(c)`` sums
-    ``gain``, the units a solution keeps live, over the solutions before it.
-    The walk covers the candidates of ``keep`` (not 0) up to the stop
-    candidate: the first refused one or the solution past ``quota``,
-    whichever comes first, so with a quota of 0 the first solution, as
-    ``solve_nonempty`` asks.  ``refuse`` is None or a candidate after
-    ``keep`` known to be refused.  Returns ``(hit, gained, peak, refuse)``:
-    the hit mask of the solutions before the stop candidate, the units they
-    keep live, the highest live total of the candidates before the stop
-    candidate (the replay of the stop candidate adds its own), and the stop
-    candidate or None.  ``S`` is one prefix sum on the bit planes
-    (``_vprefix``).  Solutions are listed only to find the one past a
-    nonzero quota.
+    ``live0`` is the live total before the block.  Candidate c is charged
+    ``csize(c)`` units, its sides then keep up to ``body(c)`` more live at
+    once, and a solution keeps its row of ``1 + csize(c)`` units live while
+    the candidate is, and after it.  So candidate c has ``live0 + S(c) +
+    top(c)`` units live at its highest, where ``S(c)`` sums the units kept
+    live by the solutions before it, and ``top(c)`` is ``csize(c) +
+    body(c)``, or ``2·csize(c) + 1`` for a solution if that is more.  The
+    walk covers the candidates of ``keep`` (not 0) up to the stop candidate:
+    the first refused one or the solution past ``quota``, whichever comes
+    first, so with a quota of 0 the first solution, as ``solve_nonempty``
+    asks.  ``refuse`` is None or a candidate after ``keep`` known to be
+    refused.  Returns ``(hit, gained, peak, refuse)``: the hit mask of the
+    solutions before the stop candidate, the units they keep live, the
+    highest live total of the candidates before the stop candidate (the
+    replay of the stop candidate adds its own), and the stop candidate or
+    None.
+
+    ``S`` is a step function with one step per solution.  With at most
+    ``model._FEW_BITS`` solutions within the quota, the walk goes from one
+    solution to the next: in each segment ``S`` is a constant, so one
+    threshold and one maximum over the segment's candidates find its first
+    refusal and its peak, and a solution's own charge is a scalar.  With
+    more, ``S`` is one prefix sum on the bit planes (``_vprefix``).
+    Solutions are listed only to find the one past a nonzero quota.
     """
-    n = keep.bit_length()
+    end = keep.bit_length()  # the candidates walked are those before end
     if hit.bit_count() > quota:
-        refuse = _bits(hit, n)[quota] if quota else (hit & -hit).bit_length() - 1
+        refuse = _bits(hit, end)[quota] if quota else (hit & -hit).bit_length() - 1
         hit &= (1 << refuse) - 1
-        n = refuse + 1
-    s = _vprefix([p & hit for p in gain], n)
-    high = _vadd(s, top)
-    over = _vabove(high, cap - live0, (1 << n) - 1)
-    if over:
-        refuse = (over & -over).bit_length() - 1
-        hit &= (1 << refuse) - 1
-    end = n if refuse is None else refuse
-    return hit, _vat(s, end), live0 + _vmax_in(high, (1 << end) - 1), refuse
+        end = refuse
+    room = cap - live0
+    if hit.bit_count() > _FEW_BITS:
+        gain = [p & hit for p in _vadd(csize, [hit])]
+        s = _vprefix(gain, end)
+        high = _vadd(s, _vadd(csize, _vmax(body, gain, keep)))
+        over = _vabove(high, room, (1 << end) - 1)
+        if over:
+            refuse = end = (over & -over).bit_length() - 1
+            hit &= (1 << refuse) - 1
+        return hit, _vat(s, end), live0 + _vmax_in(high, (1 << end) - 1), refuse
+    top = _vadd(csize, body)
+    high = gained = lo = 0
+    rest = hit  # the solutions not yet walked
+    while True:
+        # the segment: the candidates from lo up to the next solution h, or
+        # up to end past the last one
+        h = (rest & -rest).bit_length() - 1
+        seg = (1 << (h + 1 if rest else end)) - (1 << lo)
+        over = _vabove(top, room - gained, seg)
+        own = 0
+        if rest:
+            c = _vat(csize, h)
+            own = gained + 2 * c + 1
+            if own > room:
+                over |= 1 << h
+        if over:
+            refuse = (over & -over).bit_length() - 1
+            hit &= (1 << refuse) - 1
+            seg &= (1 << refuse) - 1
+            own = 0
+        high = max(high, own, gained + _vmax_in(top, seg))
+        if over or not rest:
+            return hit, gained, live0 + high, refuse
+        gained += c + 1
+        lo = h + 1
+        rest ^= 1 << h

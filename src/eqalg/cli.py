@@ -274,15 +274,17 @@ def cmd_profile(args) -> int:
         raise ParseError("profile needs a solve{...} expression (or --meter)", 1, 1)
     gen = _parse_gen(args.gen, default_schema, args.seed)
     n_range = _parse_n_range(args.n_range)
-    if args.meter:
-        report = meter_expression(expression, gen, n_range, budget)
-    else:
-        report = profile((expression.binders, expression.lhs, expression.rhs), gen, n_range, budget)
-    print(report.format_table())
-    for p in report.points:
-        print(f"n={p.n} wall_ms={p.wall_ms:.1f}", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # an --out that cannot be written is refused before any profiling
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
+        if args.meter:
+            report = meter_expression(expression, gen, n_range, budget)
+        else:
+            solve = (expression.binders, expression.lhs, expression.rhs)
+            report = profile(solve, gen, n_range, budget)
+        print(report.format_table())
+        for p in report.points:
+            print(f"n={p.n} wall_ms={p.wall_ms:.1f}", file=sys.stderr)
+        if args.out:
             fh.write(report.format_file())
     return EXIT_BUDGET if report.truncated else EXIT_OK
 

@@ -42,10 +42,10 @@ body bit-sliced, once per block of candidates, not once per candidate (see
 ``bitslice``), and decodes only its stop candidate.  The join charges every
 node at its exact size, at its own path, in the order literal evaluation
 would.  A bit-sliced block computes each candidate's live total at every
-such charge from per-candidate row counts, and replays its stop candidate,
-the first refused one or the first solution for ``solve_nonempty``, alone on
-the relation kernels, so ``peak_space_units`` and every budget refusal, down
-to its message, stay the same.
+such charge that can be its highest from per-candidate row counts, and
+replays its stop candidate, the first refused one or the first solution for
+``solve_nonempty``, alone on the relation kernels, so ``peak_space_units``
+and every budget refusal, down to its message, stay the same.
 """
 
 from __future__ import annotations
@@ -693,9 +693,10 @@ def _run_solve(parts, env, ctx, path, early_exit):
     ordered row universes, last variable fastest, and ``Candidates.decode``
     turns counter values into rows of relations.  Without a bit-sliced body,
     each candidate in turn is decoded alone, bound, charged, tested on the
-    relation sides and released, one live at a time, and each solution is
-    ORed into the run of its block of ``bitslice.BLOCK_BITS`` counter bits,
-    as a bit-sliced body keeps it.  With one, ``bitslice.Blocks.scan`` gives
+    relation sides and released, one live at a time, and the solutions of
+    each block of ``bitslice.BLOCK_BITS`` counter bits are gathered into
+    that block's one run when the block ends, as a bit-sliced body keeps
+    them.  With one, ``bitslice.Blocks.scan`` gives
     each block's hit mask of the solutions before its stop candidate, the
     units they keep live, the peak of the candidates before that one, and
     that candidate: the first refused candidate or, with early_exit, the
@@ -714,10 +715,21 @@ def _run_solve(parts, env, ctx, path, early_exit):
     max_solutions = ctx.max_solutions
     const_l = const_r = None
     runs: list = []
+    hits: list = []  # the counter values of the solutions of run's current block
     block = bitslice.BLOCK_BITS
     tested = 0
     found = 0
     units = 0
+
+    def close_block() -> None:
+        """Append the run of ``hits``, the solutions of one block, once."""
+        base = hits[0] >> block << block
+        mask = bytearray((hits[-1] - base >> 3) + 1)
+        for h in hits:
+            h -= base
+            mask[h >> 3] |= 1 << (h & 7)
+        runs.append((base, int.from_bytes(mask, "little")))
+        hits.clear()
 
     def run(candidates) -> None:
         """Test ``candidates`` one at a time, up to the first hit with
@@ -744,9 +756,9 @@ def _run_solve(parts, env, ctx, path, early_exit):
                     raise BudgetExceeded(
                         "solutions", path, f"more than {max_solutions} solutions"
                     )
-                base = ms >> block << block
-                mask = runs.pop()[1] if runs and runs[-1][0] == base else 0
-                runs.append((base, mask | 1 << ms - base))
+                if hits and hits[0] >> block != ms >> block:
+                    close_block()
+                hits.append(ms)
                 units += 1 + csize
                 grow(ctx, 1 + csize, path)  # solution row stays live
                 if early_exit:
@@ -800,6 +812,8 @@ def _run_solve(parts, env, ctx, path, early_exit):
                         )
                     break
                 tested += width
+        if hits:
+            close_block()
     except BudgetExceeded as exc:
         if exc.solve is None:
             exc.solve = (path, tested, found)

@@ -99,10 +99,12 @@ def test_max_and_threshold_over_a_mask():
         mask = rng.getrandbits(n) or 1 << rng.randrange(n)
         inside = [c for c in range(n) if mask >> c & 1]
         assert bitslice._vmax_in(a, mask) == max(xs[c] for c in inside)
-        for t in (0, ys[0], xs[inside[0]], xs[inside[-1]] - 1, 1 << 80):
-            t = max(t, 0)
+        for t in (0, ys[0], xs[inside[0]], xs[inside[-1]] - 1, 1 << 80, -1, -(1 << 80)):
             above = sum(1 << c for c in inside if xs[c] > t)
             assert bitslice._vabove(a, t, mask) == above
+    # every value exceeds a negative threshold, 0 and the empty counter too
+    assert bitslice._vabove(bitslice._vconst(3, 0b1111), -1, 0b1111) == 0b1111
+    assert bitslice._vabove([], -1, 0b101) == 0b101
 
 
 def test_exclusive_prefix_sum():
@@ -141,3 +143,68 @@ def test_set_bits_match_a_plain_loop():
         for x in xs:
             digits = format(x, f"0{n}b")[::-1]  # bit c of x at digits[c]
             assert model._bits(x, n) == [c for c in range(n) if digits[c] == "1"]
+
+
+def test_max_returns_a_dominating_operand():
+    # with one operand at least the other for every candidate of keep, that
+    # operand itself is the maximum, the second one where they are equal
+    for rng, n, xs, ys in cases():
+        keep = (1 << n) - 1
+        lows = [min(x, y) for x, y in zip(xs, ys)]
+        a, b = planes(xs, rng), planes(lows, rng)
+        if a and b:
+            assert bitslice._vmax(a, b, keep) is (b if xs == lows else a)
+            assert bitslice._vmax(b, a, keep) is a
+
+
+def scan_oracle(hit, cs, bd, n, live0, cap, quota, refuse):
+    """``_scan`` of a block with n candidates in keep, one candidate at a
+    time on plain ints: ``cs`` and ``bd`` are the values of ``csize`` and
+    ``body``.  Also says whether the stop candidate is a solution refused on
+    its own charge alone."""
+    kept = gained = found = 0
+    peak = live0
+    for c in range(n):
+        solution = hit >> c & 1
+        if solution and found == quota:
+            return (kept, gained, peak, c), False
+        top = max(cs[c] + bd[c], 2 * cs[c] + 1 if solution else 0)
+        if live0 + gained + top > cap:
+            return (kept, gained, peak, c), live0 + gained + cs[c] + bd[c] <= cap
+        peak = max(peak, live0 + gained + top)
+        if solution:
+            kept |= 1 << c
+            gained += cs[c] + 1
+            found += 1
+    return (kept, gained, peak, refuse), False
+
+
+def test_scan_walk_and_prefix_sum_agree(monkeypatch):
+    # blocks with 0, 1, 63, 64, 65 and thousands of solutions: the walk from
+    # one solution to the next and the prefix sum give what the candidate
+    # loop gives, under every cap from the peak down past the solutions' own
+    # charges (a sample of them with thousands) and under quotas of 0, 1 and
+    # more, with a refused candidate known past keep or not
+    rng = random.Random(SEED)
+    own_charge_refusals = 0
+    for n, count in [(256, 0), (256, 1), (512, 63), (512, 64), (512, 65), (2048, 1500)]:
+        hit = sum(1 << c for c in rng.sample(range(n), count))
+        cs = [rng.randrange(4) for _ in range(n)]
+        bd = [rng.randrange(8) for _ in range(n)]
+        csize, body = planes(cs), planes(bd)
+        live0 = rng.randrange(50)
+        for size, refuse in ((n, None), (n - 9, n - 9)):
+            keep = (1 << size) - 1
+            peak = scan_oracle(hit & keep, cs, bd, size, live0, 1 << 40, 1 << 30, refuse)[0][2]
+            caps = range(peak, live0 - 2, -1)
+            if count > 100:
+                caps = [*range(peak, peak - 10, -1), *range(peak - 10, live0 - 2, -97)]
+            for cap in caps:
+                for quota in (0, 1, count // 2, 1 << 30):
+                    expected, own = scan_oracle(hit & keep, cs, bd, size, live0, cap, quota, refuse)
+                    own_charge_refusals += own
+                    args = (hit & keep, csize, body, keep, live0, cap, quota, refuse)
+                    for few in (1 << 30, -1):  # the walk, then the prefix sum
+                        monkeypatch.setattr(bitslice, "_FEW_BITS", few)
+                        assert bitslice._scan(*args) == expected, (n, count, cap, quota, few)
+    assert own_charge_refusals

@@ -359,6 +359,18 @@ def test_profile_table_and_out_file(capsys, tmp_path):
     assert out2 == out
 
 
+def test_profile_refuses_an_unwritable_out_before_profiling(capsys, tmp_path):
+    # a directory that does not exist: exit 1 with no row of the table
+    # printed and no point timed
+    out_file = tmp_path / "missing" / "report.json"
+    argv = ["profile", "--eq", "powerset", "--n-range", "1..3", "--out", str(out_file)]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "wall_ms" not in err
+    assert not out_file.parent.exists()
+
+
 def test_profile_meter_powerset(capsys):
     import textwrap, tempfile, os
 

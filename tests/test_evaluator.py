@@ -956,10 +956,38 @@ def test_flat_solve_bodies_match_oracles(representation):
     } <= tags  # fmt: skip
 
 
+def _fixed_flat_cases(atoms):
+    """``(solve node, database)`` for flat solve bodies that the random
+    corpus may miss, on ``atoms``: operators whose operands are all names or
+    D, a left or a right side that mentions no bound variable, and, on three
+    atoms, more than 64 solutions in one block."""
+    X, P, Q, D = Name("X"), Name("P"), Name("Q"), Domain()
+    x1, x2 = (("X", FLAT1),), (("X", FLAT2),)
+    bodies = [
+        # operands that are all leaves
+        (x1, Union(X, P), Difference(D, X)),
+        (x1, Product(X, D), Product(P, X)),
+        (x2, Project((1,), Select(2, "=", 3, Product(X, Q))), Project((2,), Select(1, "!=", 2, X))),
+        # a side that mentions no bound variable, on the left, then the right
+        (x2, Product(P, P), Union(X, Select(1, "!=", 2, Product(P, P)))),
+        (x2, Difference(Union(X, Q), Product(P, D)), Q),
+        (x1, Project((1,), Product(X, X)), Union(P, Project((2,), Q))),
+        # with all but one pair in Q, more than 64 solutions in one block on
+        # three atoms, here and in the body on X x Q above
+        (x2, Difference(X, Q), ast.empty_like(Q)),
+    ]
+    pairs = list(itertools.product(atoms, repeat=2))
+    db = db_of(atoms, P=rel(FLAT1, [(atoms[0],), (atoms[-1],)]), Q=rel(FLAT2, pairs[:-1]))
+    for binders, lhs, rhs in bodies:
+        yield Solve(binders, lhs, rhs), db
+
+
 def test_flat_solve_bodies_agree_across_representations(monkeypatch):
     # bit-sliced blocks and relations give the same value and metrics, and a
     # refusal under any cap up to 60 below the peak reads the same on both
-    for e, _, db, _ in _flat_cases(set()):
+    fixed = [(node, node, db, None) for node, db in _fixed_flat_cases(("a", "b", "c"))]
+    assert max(len(evaluate(node, db)[0]) for node, _, db, _ in fixed) > 64
+    for e, _, db, _ in itertools.chain(_flat_cases(set()), fixed):
         runs = []
         for _ in _representations(monkeypatch):
             value, metrics = evaluate(e, db)
@@ -1008,34 +1036,39 @@ def test_small_blocks_agree_with_relations(monkeypatch):
     monkeypatch.setattr(bitslice, "BLOCK_BITS", 2)
     rng = random.Random(9750)
     tags: set = set()
-    for binders, max_atoms in BLOCK_BINDERS:
-        for _ in range(8):
-            atoms = ("a", "b", "c")[:max_atoms]
-            node, free = _flat_solve(rng, binders, tags)
-            rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
-            db = Database(atoms, rels)
-            runs = []
-            for _ in _representations(monkeypatch):
-                value, metrics = evaluate(node, db)
-                peak = metrics.peak_space_units
-                found = metrics.solves[0].solutions_found
-                low = max(1, peak - 60)
-                caps = [EvalBudget(max_space_units=cap) for cap in range(low, peak)]
-                caps += [EvalBudget(max_solutions=m) for m in range(1, found)]
-                outcomes = [_outcome(node, db, budget) for budget in caps]
-                nonempty = solve_nonempty(node.binders, node.lhs, node.rhs, db)
-                runs.append((value, metrics, outcomes, nonempty))
-            assert runs[0] == runs[1]
-            if len(binders) > 1:
-                tags.add("several_binders")
-            if found > 1:
-                tags.add("solution_cap")
-            first = _first_hit(node, db)
-            if first is not None and first >= 4:
-                tags.add("first_hit_in_later_block")
-            space_refusals = outcomes[: peak - low]
-            if any(solve and solve[1] >= 4 for _, solve in space_refusals):
-                tags.add("space_refusal_in_later_block")
+
+    def corpus():
+        for binders, max_atoms in BLOCK_BINDERS:
+            for _ in range(8):
+                atoms = ("a", "b", "c")[:max_atoms]
+                node, free = _flat_solve(rng, binders, tags)
+                rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
+                yield node, Database(atoms, rels)
+        yield from _fixed_flat_cases(("a", "b"))
+
+    for node, db in corpus():
+        runs = []
+        for _ in _representations(monkeypatch):
+            value, metrics = evaluate(node, db)
+            peak = metrics.peak_space_units
+            found = metrics.solves[0].solutions_found
+            low = max(1, peak - 60)
+            caps = [EvalBudget(max_space_units=cap) for cap in range(low, peak)]
+            caps += [EvalBudget(max_solutions=m) for m in range(1, found)]
+            outcomes = [_outcome(node, db, budget) for budget in caps]
+            nonempty = solve_nonempty(node.binders, node.lhs, node.rhs, db)
+            runs.append((value, metrics, outcomes, nonempty))
+        assert runs[0] == runs[1]
+        if len(node.binders) > 1:
+            tags.add("several_binders")
+        if found > 1:
+            tags.add("solution_cap")
+        first = _first_hit(node, db)
+        if first is not None and first >= 4:
+            tags.add("first_hit_in_later_block")
+        space_refusals = outcomes[: peak - low]
+        if any(solve and solve[1] >= 4 for _, solve in space_refusals):
+            tags.add("space_refusal_in_later_block")
     assert {
         "several_binders", "solution_cap", "first_hit_in_later_block",
         "space_refusal_in_later_block",
@@ -1089,6 +1122,38 @@ def test_early_exit_meters_alike_on_both_paths(block_bits, monkeypatch):
     assert {
         "solution", "no_solution", "first_solution_refused", "late_refusal", "late_first_hit"
     } <= tags  # fmt: skip
+
+
+def _space_refusal(node, db, cap):
+    """The refusal of ``_run_solve`` of ``node`` under a space cap: its node
+    path and text, its solve's counts and the peak total it leaves."""
+    plan, ctx, env = evaluator._prepare(node, db, EvalBudget(max_space_units=cap))
+    with pytest.raises(BudgetExceeded) as err:
+        evaluator._run_solve(_solve_parts(node, "", plan), env, ctx, "", False)
+    return err.value.path, str(err.value), err.value.solve, ctx.peak
+
+
+@pytest.mark.parametrize("few_bits", [model._FEW_BITS, -1])
+def test_refusal_on_a_solutions_own_charge_agrees_with_relations(few_bits, monkeypatch):
+    # in X = P, a candidate's sides keep no more live than X, so a
+    # solution's row of 1 + |X| + |Y| units, charged at the solve node while
+    # X and Y are live, is the most its candidate has live: under every cap
+    # below the peak, some of them on that charge, the refusal's text, counts
+    # and peak total are those of the relation kernels, whether the block
+    # walks from solution to solution or takes the prefix sum
+    monkeypatch.setattr(bitslice, "_FEW_BITS", few_bits)
+    db = db_of(("a", "b", "c"), P=rel(FLAT1, [("a",), ("c",)]))
+    node = Solve((("X", FLAT1), ("Y", FLAT1)), Name("X"), Name("P"))
+    refusals = []  # (node path, candidates tested) by increasing cap
+    for cap in range(1, evaluate(node, db)[1].peak_space_units):
+        runs = [_space_refusal(node, db, cap) for _ in _representations(monkeypatch)]
+        assert runs[0] == runs[1]
+        refusals.append((runs[0][0], runs[0][2][1]))
+    # a candidate refused at the solve node once its lhs has passed, so on
+    # its solution row: all solutions but the last, whose row stays below
+    # the peaks of the candidates after it
+    own = {n for (p, n), (q, m) in zip(refusals, refusals[1:]) if (p, q) == ("lhs", "") and n == m}
+    assert len(own) == 7
 
 
 def test_full_block_of_solutions_agrees_with_relations(monkeypatch):
