@@ -37,7 +37,8 @@ from .model import _FEW_BITS, _bits, row_picker
 # alternated passes in one process, 2-CPU x86 VM, Python 3.11).  At 2^16 a
 # slice is 8 KB, that query's largest value (64 join rows) about 0.5 MB, and
 # its traced allocations peak at 1.9 MB (0.6 MB at 2^14).  A block is also
-# the most candidates a space refusal evaluates again.
+# the most candidates a space refusal evaluates again.  Both engines walk a
+# solve in blocks of this many counter bits (``evaluator._compile_solve``).
 BLOCK_BITS = 16
 
 
@@ -360,11 +361,12 @@ def compile_sliced(e: ast.Expr, path: str, plan):
 
 
 class Blocks:
-    """The candidates of one run of a flat solve, a block at a time."""
+    """One run of a flat solve over the blocks of ``2^bits`` candidates that
+    the solve loop walks, ``bits`` being at most the counter's width."""
 
     __slots__ = ("sides", "free", "binders", "bits", "patterns")
 
-    def __init__(self, sliced, env, consts, names, space) -> None:
+    def __init__(self, sliced, env, consts, names, space, bits: int) -> None:
         *gs, free = sliced
         self.sides = [(g, None if c is None else c.rows) for g, c in zip(gs, consts)]
         self.free = [(nm, env[nm].rows, env[nm].rtype.row_base_size) for nm in free]
@@ -372,7 +374,7 @@ class Blocks:
         self.binders = [(nm, u, shift, t.row_base_size)
                         for nm, (t, u, shift, _, _) in zip(names, space.binders)]  # fmt: skip
         width = sum(len(u) for _, u, _, _ in self.binders)
-        self.bits = bits = min(BLOCK_BITS, width)
+        self.bits = bits
         # bit c of patterns[j] is bit j of c, then None for the bits fixed per
         # block.  The top pattern is the block's upper half; below it,
         # pattern j is pattern j + 1 XOR itself shifted down by 2^j, since
@@ -387,8 +389,8 @@ class Blocks:
                 self.patterns[j] = p
 
     def scan(self, k: int, live0: int, cap: int, quota: int):
-        """``_scan`` of block ``k``, whose stop candidate the caller replays:
-        a refused candidate or, with a quota of 0, the first solution.  Where
+        """``_scan`` of block ``k``, whose stop candidate the caller tests:
+        a refused candidate or the solution past ``quota``.  Where
         a candidate would exceed the cap at a product, the candidates before
         it are evaluated again without it, so no product is built for a
         candidate that is refused.  The solutions come as a hit mask, bit c
@@ -454,7 +456,7 @@ def _scan(hit, csize, body, keep, live0, cap, quota, refuse):
     refused.  Returns ``(hit, gained, peak, refuse)``: the hit mask of the
     solutions before the stop candidate, the units they keep live, the
     highest live total of the candidates before the stop candidate (the
-    replay of the stop candidate adds its own), and the stop candidate or
+    test of the stop candidate adds its own), and the stop candidate or
     None.
 
     ``S`` is a step function with one step per solution.  With at most

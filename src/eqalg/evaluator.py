@@ -39,12 +39,14 @@ the left operand with one of the right, optionally under a projection, runs
 as a hash join that never builds the product or the selections.  And a solve
 whose binders and every node of both sides have flat types evaluates its
 body bit-sliced, once per block of candidates, not once per candidate (see
-``bitslice``), and decodes only its stop candidate.  The join charges every
-node at its exact size, at its own path, in the order literal evaluation
-would.  A bit-sliced block computes each candidate's live total at every
-such charge that can be its highest from per-candidate row counts, and
-replays its stop candidate, the first refused one or the first solution for
-``solve_nonempty``, alone on the relation kernels, so ``peak_space_units``
+``bitslice``).  The join charges every node at its exact size, at its own
+path, in the order literal evaluation would.  Both engines walk a solve's
+candidates in the same blocks and stop at the same candidate: the first
+refused one, or the solution past the solve's quota (its solution cap, or
+0 for ``solve_nonempty``).  A bit-sliced block computes each candidate's
+live total at every charge that can be its highest from per-candidate row
+counts, and decodes only its stop candidate, which it tests on the relation
+kernels as the other engine tests every candidate, so ``peak_space_units``
 and every budget refusal, down to its message, stay the same.
 """
 
@@ -558,11 +560,12 @@ def _compile(e: ast.Expr, path: str, plan: Plan, cached: bool = True):
     the caller releases it after consuming it.  An occurrence of a shared
     node goes through the evaluation's cache (see ``_shared``), unless
     ``cached`` is false, as when that occurrence compiles the node itself.
-    A name and the domain share one closure, a solve node has its own (its
-    body may run bit-sliced, see ``_solve_parts``), and a select chain over
-    a product becomes one hash join (see ``_compile_join``).  Every other
-    operator is its kernel (``_kernel``) under the metering wrapper of its
-    arity (``_metered``), over its children compiled at their paths.
+    A name and the domain share one closure, a solve node runs its solve
+    loop with the solution cap as its quota (see ``_compile_solve``), and a
+    select chain over a product becomes one hash join (see
+    ``_compile_join``).  Every other operator is its kernel (``_kernel``)
+    under the metering wrapper of its arity (``_metered``), over its
+    children compiled at their paths.
     """
     if cached:
         names = plan.shared.get(id(e))
@@ -582,8 +585,8 @@ def _compile(e: ast.Expr, path: str, plan: Plan, cached: bool = True):
 
     if isinstance(e, ast.Solve):
 
-        def run(env, ctx, _parts=_solve_parts(e, path, plan), _rt=plan.types[path], _p=path):
-            return SolutionSet(_rt, *_run_solve(_parts, env, ctx, _p, early_exit=False))
+        def run(env, ctx, _solve=_compile_solve(e, path, plan), _rt=plan.types[path]):
+            return SolutionSet(_rt, *_run_solve(_solve, env, ctx, ctx.max_solutions))
 
         return run
 
@@ -654,16 +657,32 @@ def _compile_join(join, top: str, plan: Plan):
     return run
 
 
-def _solve_parts(e: ast.Solve, path: str, plan: Plan):
-    """The compiled sides of a solve node and what its candidate loop needs.
+def _compile_solve(e: ast.Solve, path: str, plan: Plan):
+    """The solve loop of the solve node ``e`` at ``path``, ``solve(env, ctx,
+    quota) -> (runs, space, units)``.
 
-    Both sides compile over relations.  When the ``Plan.solve`` record says
-    the body runs bit-sliced, the last part holds each side that mentions a
-    bound variable compiled bit-sliced as well (``bitslice.compile_sliced``,
-    None for the other side) and the free names its blocks read; the
-    candidates then run a block at a time, and the relation sides run once
-    for a side that mentions no bound variable and for the replay of a
-    block's stop candidate.  Otherwise it is None.
+    It returns the solutions as ``(base, mask)`` runs in candidate order,
+    bit h of ``mask`` for the candidate with counter value ``base + h``, the
+    ``model.Candidates`` that decodes them and their total size, read as the
+    growth of ``ctx.live`` over the solve (the caller owns the solution set):
+    the arguments of ``SolutionSet`` after its type.  Candidates follow a
+    binary counter over the canonically ordered row universes, last variable
+    fastest.  Both sides compile over relations and, when ``Plan.solve``
+    says the body runs bit-sliced, a side that mentions a bound variable
+    also over blocks (``bitslice.compile_sliced``); a side that mentions
+    none runs once per solve.  Both engines walk the same blocks, of
+    ``bitslice.BLOCK_BITS`` counter bits or of all of them if fewer, and a
+    block with solutions adds one run.  ``test`` decodes one candidate,
+    binds, charges and tests it on the relation sides and releases it, the
+    row of a solution staying live.  Without a bit-sliced body it tests each
+    candidate in turn.  With one, ``bitslice.Blocks.scan`` gives a block's
+    hit mask of the solutions before its stop candidate, the units they
+    keep live, the peak of the candidates before that one, and that
+    candidate, which ``test`` then runs from that peak, so its refusal is
+    raised by the code that defines it.  One stop rule serves both: the
+    solve ends at the solution past ``quota``, which joins its block's run
+    unless ``test`` refuses it as past the solution cap.  Every refusal
+    names this solve and its counts so far.
     """
     l_inv, r_inv, reads = plan.solve(e, path)
     lp, rp = ast.child_path(path, "lhs"), ast.child_path(path, "rhs")
@@ -676,72 +695,26 @@ def _solve_parts(e: ast.Solve, path: str, plan: Plan):
             None if r_inv else bitslice.compile_sliced(e.rhs, rp, plan),
             reads,
         )
-    return e.var_names, tuple(t for _, t in e.binders), fl, fr, l_inv, r_inv, sliced
-
-
-def _run_solve(parts, env, ctx, path, early_exit):
-    """Run a solve's candidates; return ``(runs, space, units)``: the
-    solutions as ``(base, mask)`` runs in candidate order, where bit h of
-    ``mask`` stands for the candidate with counter value ``base + h`` (with
-    early_exit, none or the first), the ``model.Candidates`` that decodes
-    them and their total size, the arguments of ``SolutionSet`` after its
-    type; the solution set lists and decodes its solutions when they are
-    read.
-
-    On return, ctx.live has grown by exactly ``units`` (the caller owns the
-    solution set).  Candidates follow a binary counter over the canonically
-    ordered row universes, last variable fastest, and ``Candidates.decode``
-    turns counter values into rows of relations.  Without a bit-sliced body,
-    each candidate in turn is decoded alone, bound, charged, tested on the
-    relation sides and released, one live at a time, and the solutions of
-    each block of ``bitslice.BLOCK_BITS`` counter bits are gathered into
-    that block's one run when the block ends, as a bit-sliced body keeps
-    them.  With one, ``bitslice.Blocks.scan`` gives
-    each block's hit mask of the solutions before its stop candidate, the
-    units they keep live, the peak of the candidates before that one, and
-    that candidate: the first refused candidate or, with early_exit, the
-    first solution, if it comes first.  Only the stop candidate is decoded,
-    and it is replayed alone on the relation sides, with the live total,
-    peak and counts it would have had, so a refusal is raised by the code
-    that defines it and the first solution is charged as the candidate loop
-    charges it.  Every refusal, including one of the candidate space or of a
-    side that mentions no bound variable, names this solve and its counts so
-    far.
-    """
-    names, types, fl, fr, l_inv, r_inv, sliced = parts
+    names = e.var_names
+    types = tuple(t for _, t in e.binders)
     size = value_size
-    grow = _grow
-    stats = ctx.solve_stats.setdefault(path, SolveStats(path))
-    max_solutions = ctx.max_solutions
-    const_l = const_r = None
-    runs: list = []
-    hits: list = []  # the counter values of the solutions of run's current block
-    block = bitslice.BLOCK_BITS
-    tested = 0
-    found = 0
-    units = 0
 
-    def close_block() -> None:
-        """Append the run of ``hits``, the solutions of one block, once."""
-        base = hits[0] >> block << block
-        mask = bytearray((hits[-1] - base >> 3) + 1)
-        for h in hits:
-            h -= base
-            mask[h >> 3] |= 1 << (h & 7)
-        runs.append((base, int.from_bytes(mask, "little")))
-        hits.clear()
+    def solve(env, ctx, quota):
+        stats = ctx.solve_stats.setdefault(path, SolveStats(path))
+        start = ctx.live
+        const_l = const_r = None
+        runs: list = []
+        tested = found = 0
 
-    def run(candidates) -> None:
-        """Test ``candidates`` one at a time, up to the first hit with
-        early_exit."""
-        nonlocal tested, found, units
-        for ms in candidates:
+        def test(ms: int) -> bool:
+            """Whether the candidate with counter value ``ms`` is a solution."""
+            nonlocal tested, found
             (cand,) = space.decode((ms,))
             csize = 0
             for nm, v in zip(names, cand):
                 env[nm] = v
                 csize += size(v)
-            grow(ctx, csize, path)
+            _grow(ctx, csize, path)
             tested += 1
             va = const_l if l_inv else fl(env, ctx)
             vb = const_r if r_inv else fr(env, ctx)
@@ -752,81 +725,86 @@ def _run_solve(parts, env, ctx, path, early_exit):
                 ctx.live -= size(vb)
             if hit:
                 found += 1
-                if found > max_solutions:
+                if found > ctx.max_solutions:
                     raise BudgetExceeded(
-                        "solutions", path, f"more than {max_solutions} solutions"
+                        "solutions", path, f"more than {ctx.max_solutions} solutions"
                     )
-                if hits and hits[0] >> block != ms >> block:
-                    close_block()
-                hits.append(ms)
-                units += 1 + csize
-                grow(ctx, 1 + csize, path)  # solution row stays live
-                if early_exit:
-                    ctx.live -= csize
-                    return
+                _grow(ctx, 1 + csize, path)  # solution row stays live
             ctx.live -= csize
+            return hit
 
-    try:
-        # the space is 2^bits candidates, refused on bits so it is never built
-        n = len(ctx.atoms)
-        bits = min(sum(universe_size(t, n) for t in types), SATURATED)
-        if bits >= ctx.max_candidates.bit_length():
-            raise BudgetExceeded(
-                "candidates",
-                path,
-                f"candidate space {_space_count(bits)} exceeds cap {ctx.max_candidates}",
-            )
-        total = 1 << bits
-        space = Candidates(types, [tuple_universe(t, ctx.atoms) for t in types])
-        if l_inv:
-            const_l = fl(env, ctx)
-        if r_inv:
-            const_r = fr(env, ctx)
-        if sliced is None:
-            run(range(total))
-        else:
-            blocks = bitslice.Blocks(sliced, env, (const_l, const_r), names, space)
-            width = 1 << blocks.bits
-            # with early_exit the first solution is the stop candidate
-            quota = 0 if early_exit else max_solutions
-            for k in range(total >> blocks.bits):
-                live0 = ctx.live
-                hit, gained, peak, stop = blocks.scan(k, live0, ctx.max_space, quota - found)
-                base = k * width
-                ctx.live = live0 + gained
-                units += gained
-                if hit:
-                    found += hit.bit_count()
-                    runs.append((base, hit))
-                # the replay charges the stop candidate from this peak, and
-                # refuses it where its own peak passes the cap
-                if peak > ctx.peak:
-                    ctx.peak = peak
-                if stop is not None:
-                    tested += stop
-                    run((base + stop,))
-                    if not (early_exit and found):
-                        raise InternalCheckError(
-                            f"candidate {base + stop} of solve {path or '<expr>'} was not"
-                            " refused on replay"
-                        )
+        try:
+            # the space is 2^bits candidates, refused on bits so it is never built
+            n = len(ctx.atoms)
+            bits = min(sum(universe_size(t, n) for t in types), SATURATED)
+            if bits >= ctx.max_candidates.bit_length():
+                raise BudgetExceeded(
+                    "candidates",
+                    path,
+                    f"candidate space {_space_count(bits)} exceeds cap {ctx.max_candidates}",
+                )
+            space = Candidates(types, [tuple_universe(t, ctx.atoms) for t in types])
+            if l_inv:
+                const_l = fl(env, ctx)
+            if r_inv:
+                const_r = fr(env, ctx)
+            block = min(bitslice.BLOCK_BITS, bits)
+            width = 1 << block
+            if sliced is not None:
+                blocks = bitslice.Blocks(sliced, env, (const_l, const_r), names, space, block)
+            for k in range(1 << bits - block):
+                base = k << block
+                if sliced is None:
+                    marks = bytearray(width + 7 >> 3)
+                    for c in range(width):
+                        if test(base + c):
+                            marks[c >> 3] |= 1 << (c & 7)
+                            if found > quota:
+                                break
+                    mask = int.from_bytes(marks, "little")
+                else:
+                    mask, gained, peak, stop = blocks.scan(k, ctx.live, ctx.max_space, quota - found)
+                    ctx.live += gained
+                    found += mask.bit_count()
+                    # the stop candidate is charged from this peak, and
+                    # refused where its own peak passes the cap
+                    if peak > ctx.peak:
+                        ctx.peak = peak
+                    if stop is None:
+                        tested += width
+                    else:
+                        tested += stop
+                        if not test(base + stop) or found <= quota:
+                            raise InternalCheckError(
+                                f"candidate {base + stop} of solve {path or '<expr>'} is"
+                                " neither refused nor the solution past the quota"
+                            )
+                        mask |= 1 << stop
+                if mask:
+                    runs.append((base, mask))
+                if found > quota:
                     break
-                tested += width
-        if hits:
-            close_block()
-    except BudgetExceeded as exc:
-        if exc.solve is None:
-            exc.solve = (path, tested, found)
-        raise
-    finally:
-        stats.candidates_tested += tested
-        stats.solutions_found += found
-        for nm in names:
-            env.pop(nm, None)
-        for const in (const_l, const_r):
-            if const is not None:
-                ctx.live -= size(const)
-    return runs, space, units
+        except BudgetExceeded as exc:
+            if exc.solve is None:
+                exc.solve = (path, tested, found)
+            raise
+        finally:
+            stats.candidates_tested += tested
+            stats.solutions_found += found
+            for nm in names:
+                env.pop(nm, None)
+            for const in (const_l, const_r):
+                if const is not None:
+                    ctx.live -= size(const)
+        return runs, space, ctx.live - start
+
+    return solve
+
+
+def _run_solve(solve, env, ctx, quota: int):
+    """Run the solve loop ``solve`` of ``_compile_solve`` up to ``quota``:
+    the one call every solve goes through, which ``perfbench`` times."""
+    return solve(env, ctx, quota)
 
 
 # ---------------------------------------------------------------------------
@@ -866,4 +844,4 @@ def solve_nonempty(
     """True iff the equation has at least one solution (stops at the first)."""
     node = ast.Solve(binders, lhs, rhs)
     plan, ctx, env = _prepare(node, db, budget)
-    return bool(_run_solve(_solve_parts(node, "", plan), env, ctx, "", early_exit=True)[0])
+    return bool(_run_solve(_compile_solve(node, "", plan), env, ctx, 0)[0])

@@ -32,7 +32,6 @@ from eqalg.ast import (
 from eqalg.evaluator import (
     BudgetExceeded,
     EvalBudget,
-    _solve_parts,
     evaluate,
     solve,
     solve_nonempty,
@@ -1010,15 +1009,12 @@ BLOCK_BINDERS = (
 )
 
 
-def _first_hit(node, db):
-    """The position of the first solution in candidate order, or None."""
+def _hits(node, db) -> list:
+    """The positions of the solutions in candidate order."""
     env = {nm: to_plain(r) for nm, r in db.relations.items()}
     solutions = oracle_eval(node, env, db.atoms, db.schema)
     orders = [candidate_order(t, db.atoms) for _, t in node.binders]
-    for i, assignment in enumerate(itertools.product(*orders)):
-        if assignment in solutions:
-            return i
-    return None
+    return [i for i, assignment in enumerate(itertools.product(*orders)) if assignment in solutions]
 
 
 def _outcome(e, db, budget):
@@ -1063,8 +1059,8 @@ def test_small_blocks_agree_with_relations(monkeypatch):
             tags.add("several_binders")
         if found > 1:
             tags.add("solution_cap")
-        first = _first_hit(node, db)
-        if first is not None and first >= 4:
+        hits = _hits(node, db)
+        if hits and hits[0] >= 4:
             tags.add("first_hit_in_later_block")
         space_refusals = outcomes[: peak - low]
         if any(solve and solve[1] >= 4 for _, solve in space_refusals):
@@ -1075,24 +1071,26 @@ def test_small_blocks_agree_with_relations(monkeypatch):
     } <= tags  # fmt: skip
 
 
-def _early_exit(node, db, budget):
-    """``_run_solve`` of ``node`` with early_exit, as ``solve_nonempty`` runs
-    it: the solution runs, units, live and peak totals and metrics it
-    leaves, or the refusal's text, its solve's counts and the peak total."""
+def _stop(node, db, budget, quota):
+    """The solve loop of ``node`` run up to ``quota``, as ``solve_nonempty``
+    runs it with a quota of 0: the solution runs, units, live and peak
+    totals and metrics it leaves, or the refusal's text, its solve's counts
+    and the peak total."""
     plan, ctx, env = evaluator._prepare(node, db, budget)
     try:
-        runs, _, units = evaluator._run_solve(_solve_parts(node, "", plan), env, ctx, "", True)
+        runs, _, units = evaluator._compile_solve(node, "", plan)(env, ctx, quota)
     except BudgetExceeded as exc:
         return str(exc), exc.solve, ctx.peak
     return runs, units, ctx.live, ctx.peak, ctx.metrics()
 
 
+@pytest.mark.parametrize("quota", [0, 1, 2, 3])
 @pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 2])
-def test_early_exit_meters_alike_on_both_paths(block_bits, monkeypatch):
-    # stopping at the first solution, a bit-sliced body leaves what the
-    # relation kernels leave: the solution, units, live and peak totals and
-    # solve stats, and the refusal and the peak it leaves under every space
-    # cap from 20 below the peak up to it
+def test_stop_rule_meters_alike_on_both_paths(block_bits, quota, monkeypatch):
+    # stopping at the solution past the quota, a bit-sliced body leaves what
+    # the relation kernels leave: the solution runs, units, live and peak
+    # totals and solve stats, and the refusal and the peak it leaves under
+    # every space cap from 20 below the peak up to it
     monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
     rng = random.Random(9760)
     tags: set = set()
@@ -1104,32 +1102,68 @@ def test_early_exit_meters_alike_on_both_paths(block_bits, monkeypatch):
             db = Database(atoms, rels)
             runs = []
             for _ in _representations(monkeypatch):
-                done = _early_exit(node, db, EvalBudget())
+                done = _stop(node, db, EvalBudget(), quota)
                 peak = done[3]
                 caps = range(max(1, peak - 20), peak + 1)
-                runs.append([done] + [_early_exit(node, db, EvalBudget(max_space_units=c)) for c in caps])
+                runs.append([done] + [_stop(node, db, EvalBudget(max_space_units=c), quota) for c in caps])
             assert runs[0] == runs[1]
-            first = _first_hit(node, db)
-            tags.add("no_solution" if first is None else "solution")
+            hits = _hits(node, db)
+            stop = hits[quota] if len(hits) > quota else None
+            tags.add("no_stop_solution" if stop is None else "stop_solution")
             # past candidate 3 is past the first block at a block size of 4
             for outcome in runs[0][1:-1]:
-                if first is not None and outcome[1][1] == first:
-                    tags.add("first_solution_refused")
+                if stop is not None and outcome[1][1] == stop:
+                    tags.add("stop_solution_refused")
                 if outcome[1][1] >= 4:
                     tags.add("late_refusal")
-            if first is not None and first >= 4:
-                tags.add("late_first_hit")
-    assert {
-        "solution", "no_solution", "first_solution_refused", "late_refusal", "late_first_hit"
-    } <= tags  # fmt: skip
+            if stop is None:
+                continue
+            if stop >= 4:
+                tags.add("stop_solution_in_later_block")
+            # the stop solution joins the run of its block, one run a block
+            found = runs[0][0][0]
+            assert len({base for base, _ in found}) == len(found)
+            base, mask = found[-1]
+            assert base <= stop and mask >> stop - base & 1
+            if quota and hits[quota - 1] >> 2 == stop >> 2:
+                assert mask >> hits[quota - 1] - base & 1
+                tags.add("stop_solution_after_hits_in_its_block")
+    expected = {
+        "stop_solution", "no_stop_solution", "stop_solution_refused", "late_refusal",
+        "stop_solution_in_later_block",
+    }  # fmt: skip
+    if quota:
+        expected.add("stop_solution_after_hits_in_its_block")
+    assert expected <= tags
+
+
+def test_a_stop_candidate_that_does_not_stop_is_an_internal_error(monkeypatch, capsys, tmp_path):
+    # a block's scan that reports a stop candidate which is neither refused
+    # nor a solution breaks the solve loop's one invariant: evaluate raises
+    # InternalCheckError, naming the candidate and the solve, and the CLI
+    # maps it to exit 3 with no traceback
+    def scan(self, k, live0, cap, quota):
+        return 0, 0, live0, 1  # candidate 1, {(a)}, is not a solution
+
+    monkeypatch.setattr(bitslice.Blocks, "scan", scan)
+    text = "solve{(X:(0)) | X = R}"
+    db = db_of(("a", "b"), R=rel(FLAT1, [("b",)]))
+    with pytest.raises(evaluator.InternalCheckError, match="candidate 1 of solve <expr> is"):
+        evaluate(parse_expr(text), db)
+    path = tmp_path / "r.edb"
+    path.write_text("domain [a,b]\nR:(0) = [[b]]\n")
+    assert cli.main(["solve", "--db", str(path), "--expr", text]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: candidate 1 of solve")
+    assert "Traceback" not in err
 
 
 def _space_refusal(node, db, cap):
-    """The refusal of ``_run_solve`` of ``node`` under a space cap: its node
+    """The refusal of the solve loop of ``node`` under a space cap: its node
     path and text, its solve's counts and the peak total it leaves."""
     plan, ctx, env = evaluator._prepare(node, db, EvalBudget(max_space_units=cap))
     with pytest.raises(BudgetExceeded) as err:
-        evaluator._run_solve(_solve_parts(node, "", plan), env, ctx, "", False)
+        evaluator._compile_solve(node, "", plan)(env, ctx, ctx.max_solutions)
     return err.value.path, str(err.value), err.value.solve, ctx.peak
 
 
@@ -1309,7 +1343,7 @@ def test_solution_sets_sort_as_fresh_relations(representation, block_bits, monke
         ):
             values.append(evaluate(node, db, budget)[0])
         plan, ctx, env = evaluator._prepare(node, db, EvalBudget())
-        first = evaluator._run_solve(_solve_parts(node, "", plan), env, ctx, "", True)
+        first = evaluator._compile_solve(node, "", plan)(env, ctx, 0)
         early = SolutionSet(plan.types[""], *first)
         assert values == [value] * 3 and len(early.rows) == min(1, found)
         assert early.rows <= value.rows
