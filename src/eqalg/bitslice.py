@@ -10,9 +10,14 @@ in order, a stretch at a time: the units kept live by the solutions so far
 change only at a solution, so a block with few solutions goes from one to
 the next, and one with more takes a prefix sum on the bit planes.  Either
 gives each candidate's live total, and with it the peak, the solutions and
-the stop candidate.  Metering stays exact: every node's row count is a
-per-candidate counter, and the live total of each metering point of literal
-evaluation that can be the highest is composed from them.
+the stop candidate.  Metering stays exact without counting every point.
+Each metering point of literal evaluation has a scalar bound, the sum of
+the bounds of the values live there, known once the block's values are
+built (``_Size``).  Its live total per candidate, composed from
+per-candidate row counters, is built only where that bound, plus what the
+solutions and a candidate's own charge can keep live, could pass the
+highest total already counted, or where a bound could pass the space cap
+(``_body``).
 """
 
 from __future__ import annotations
@@ -32,13 +37,14 @@ from .model import _FEW_BITS, _bits, row_picker
 
 # The one block-size constant.  A block pays a fixed interpretive cost, a
 # closure and a few vertical-counter calls per node, so larger blocks pay it
-# less often: one tc_powerset query (2^16 candidates) took 25, 10, 5.5 and
-# 4.2 ms at blocks of 2^10, 2^12, 2^14 and 2^16 candidates (medians of 40
-# alternated passes in one process, 2-CPU x86 VM, Python 3.11).  At 2^16 a
-# slice is 8 KB, that query's largest value (64 join rows) about 0.5 MB, and
-# its traced allocations peak at 1.9 MB (0.6 MB at 2^14).  A block is also
-# the most candidates a space refusal evaluates again.  Both engines walk a
-# solve in blocks of this many counter bits (``evaluator._compile_solve``).
+# less often: one tc_powerset query (2^16 candidates) took 13-16, 4.9-6.2,
+# 2.0-3.3 and 2.0-3.2 ms at blocks of 2^10, 2^12, 2^14 and 2^16 candidates
+# (medians of 40 alternated passes in one process, three processes, 2-CPU
+# x86 VM, Python 3.11).  At 2^16 a slice is 8 KB, that query's largest
+# value (64 join rows) about 0.5 MB, and its traced allocations peak at
+# 2.2 MB (0.7 MB at 2^14).  A block is also the most candidates a space
+# refusal evaluates again.  Both engines walk a solve in blocks of this
+# many counter bits (``evaluator._compile_solve``).
 BLOCK_BITS = 16
 
 
@@ -277,30 +283,79 @@ def _sliced_selector(i: int, equal: bool, j: int):
     return lambda a: {r: s for r, s in a.items() if r[i] != r[j]}
 
 
-def compile_sliced(e: ast.Expr, path: str, plan):
-    """Compile a flat expression into ``fn(env, keep, room) -> (value,
-    count, size, peak)`` over a block of candidates.
+class _Size:
+    """The units one value of a side holds over a block: at most ``bound``
+    for any candidate, a scalar known as soon as the value is, and the
+    vertical counter ``size()``, built on first use.
 
-    ``env`` maps each name to its value over the block and the vertical
-    counters of its row count and of its size, both computed once per
-    block; ``keep`` has a bit for each candidate of the block and ``room``
-    is the space the cap leaves above the live units at the block's start.
-    ``count`` and ``size`` are the vertical counters of the result's rows
-    and units, and ``peak`` that of the most units live at once while the
-    node runs, from its start.  An operator node runs its operands, then
-    ``build`` on their values, then each level of ``levels`` (a kernel or
-    None, and the width of its rows), and literal evaluation charges each
-    result while the one below it is live.  A product's count is its
-    operands' counts multiplied, known before any row is built, and a
-    candidate that would exceed the cap there raises ``_Refused``.  Widths and
-    joins come from ``plan`` (``evaluator.Plan``): a join never builds the
-    product, as in ``evaluator._compile_join``.
+    ``rows`` bounds the value's row count: the number of rows in its slices
+    (a dict), or for a product, whose rows are not built when it is charged,
+    the product of its two operands' bounds (a pair of ``_Size``).  A free
+    name's row counter, the same for every candidate, is given up front.
+    """
+
+    __slots__ = ("rows", "width", "_of", "_count", "_size")
+
+    def __init__(self, rows: int, width: int, of, count: list | None = None) -> None:
+        self.rows = rows
+        self.width = width
+        self._of = of
+        self._count = count
+        self._size = None
+
+    @property
+    def bound(self) -> int:
+        return self.rows * self.width
+
+    def count(self) -> list:
+        """The vertical counter of the value's rows."""
+        if self._count is None:
+            of = self._of
+            if isinstance(of, tuple):
+                self._count = _vmul(of[0].count(), of[1].count())
+            else:
+                self._count = _vcount(of.values())
+        return self._count
+
+    def size(self) -> list:
+        if self._size is None:
+            self._size = _vscale(self.count(), self.width)
+        return self._size
+
+
+def _total(sizes) -> list:
+    """The vertical counter of the units of ``sizes`` (``_Size``) together."""
+    out: list = []
+    for s in sizes:
+        out = _vadd(out, s.size())
+    return out
+
+
+def compile_sliced(e: ast.Expr, path: str, plan):
+    """Compile a flat expression into ``fn(env, keep, room) -> (value, size,
+    points)`` over a block of candidates.
+
+    ``env`` maps each name to its value over the block and its ``_Size``;
+    ``keep`` has a bit for each candidate of the block and ``room`` is the
+    space the cap leaves above the live units at the block's start.
+    ``size`` is the result's ``_Size``, and ``points`` lists the metering
+    points at which the node can be at its highest, from its start: each is
+    the tuple of the ``_Size`` of the values live there.  An operator node
+    runs its operands, then ``build`` on their values, then each level of
+    ``levels`` (a kernel or None, and the width of its rows), and literal
+    evaluation charges each result while the one below it is live.  A
+    product's count is its operands' counts multiplied, known before any row
+    is built; where the bounds of the values live there could pass ``room``,
+    a candidate that would exceed the cap raises ``_Refused``.  No point
+    builds a vertical counter here: ``_body`` picks the points to count.
+    Widths and joins come from ``plan`` (``evaluator.Plan``): a join never
+    builds the product, as in ``evaluator._compile_join``.
     """
     if isinstance(e, (ast.Name, ast.Domain)):
 
         def leaf(env, keep, room, _nm=getattr(e, "name", "D")):
-            v, c, s = env[_nm]
-            return v, c, s, s
+            v, s = env[_nm]
+            return v, s, [(s,)]
 
         return leaf
 
@@ -323,41 +378,73 @@ def compile_sliced(e: ast.Expr, path: str, plan):
         build = _sliced_selector(e.i - 1, e.op == "=", e.j - 1)
     else:
         build = _sliced_union if isinstance(e, ast.Union) else _sliced_difference
-    # each operand's closure, and whether it is a leaf, whose peak is its
-    # size: its metering point is then below the product point or the first
-    # level, which adds every operand's size, so it is not taken
+    # each operand's closure, and whether it is a leaf, whose one point is
+    # its size: that point is below the product point or the first level,
+    # which adds every operand's size, so it is not taken
     children = [(getattr(e, label), ast.child_path(path, label)) for label in e.labels]
     fs = [(compile_sliced(x, p, plan), isinstance(x, (ast.Name, ast.Domain))) for x, p in children]
 
     def run(env, keep, room, _fs=fs, _product=product, _build=build, _levels=levels):
-        values, counts, live, peak = [], [], [], []
+        values, live, points = [], [], []
         for f, leaf in _fs:
-            v, c, s, p = f(env, keep, room)
+            v, s, ps = f(env, keep, room)
             if not leaf:
-                peak = _vmax(peak, _vadd(live, p), keep)
-            live = _vadd(live, s)
+                points += [(*live, *p) for p in ps]
+            live.append(s)
             values.append(v)
-            counts.append(c)
         if _product:
-            c = _vmul(*counts)
-            s = _vscale(c, _product)
-            live = _vadd(live, s)
-            over = _vabove(live, room, keep)
-            if over:
-                raise _Refused((over & -over).bit_length() - 1)
-            peak = _vmax(peak, live, keep)
-            live = s
+            a, b = live
+            s = _Size(a.rows * b.rows, _product, (a, b))
+            live.append(s)
+            if sum(x.bound for x in live) > room:
+                over = _vabove(_total(live), room, keep)
+                if over:
+                    raise _Refused((over & -over).bit_length() - 1)
+            points.append(tuple(live))
+            live = [s]
         v = _build(*values)
         for kernel, w in _levels:
             if kernel is not None:
                 v = kernel(v)
-            c = _vcount(v.values())
-            s = _vscale(c, w)
-            peak = _vmax(peak, _vadd(live, s), keep)
-            live = s
-        return v, c, s, peak
+            s = _Size(len(v), w, v)
+            points.append((*live, s))
+            live = [s]
+        return v, s, points
 
     return run
+
+
+def _body(points, charge, hit, keep, room, quota) -> list:
+    """The vertical counter of the most units a block's sides keep live at
+    once, above each candidate's own, exact wherever it can decide the
+    block's peak or a refusal.
+
+    ``points`` are the block's metering points and ``charge`` the
+    ``_Size`` of its binders.  A candidate is charged at most ``C``, the
+    sum of their bounds, and the solutions before the stop candidate, at
+    most ``min(solutions, quota)`` of them, keep at most ``S``, ``1 + C``
+    units each, live beside it.  So a point whose bound is ``B`` has at most
+    ``S + C + B`` units live with it.  Points are counted highest bound
+    first, and once ``S + C + B`` is at most the exact maximum of the points
+    counted so far over the candidates the walk reaches, the others cannot
+    raise the peak.  Where a point or a solution's own row could pass
+    ``room``, every point is counted, since a refusal may depend on any.
+    """
+    c = sum(s.bound for s in charge)
+    reach = min(hit.bit_count(), quota) * (1 + c) + c  # S + C
+    ranked = sorted(((sum(s.bound for s in p), p) for p in points), key=lambda bp: -bp[0])
+    top = ranked[0][0] if ranked else 0
+    skip = reach + max(top, c + 1) <= room
+    stop = _past_quota(hit, keep.bit_length(), quota)
+    reached = keep if stop is None else keep & ((1 << stop) - 1)
+    body: list = []
+    for bound, p in ranked:
+        # body's maximum is at most top: a point that top does not cover
+        # is counted without reading it
+        if skip and body and reach + bound <= top and reach + bound <= _vmax_in(body, reached):
+            break
+        body = _vmax(body, _total(p), keep)
+    return body
 
 
 class Blocks:
@@ -397,46 +484,54 @@ class Blocks:
         for candidate c of the block."""
         keep = (1 << (1 << self.bits)) - 1
         refuse = None
+        room = cap - live0
         while keep:
             try:
-                found = self._evaluate(k, keep, cap - live0)
+                hit, charge, points = self._evaluate(k, keep, room)
             except _Refused as exc:
                 refuse = exc.args[0]
                 keep &= (1 << refuse) - 1
             else:
-                return _scan(*found, keep, live0, cap, quota, refuse)
+                body = _body(points, charge, hit, keep, room, quota)
+                return _scan(hit, _total(charge), body, keep, live0, cap, quota, refuse)
         return 0, 0, live0, refuse
 
     def _evaluate(self, k: int, keep: int, room: int):
-        """``(hit, csize, body)`` for the candidates ``keep`` of block ``k``:
-        the solutions, and the vertical counters of a candidate's size and
-        of the most units live at once while its sides run, above its own."""
-        env = {nm: ({r: keep for r in rows}, _vconst(len(rows), keep), _vconst(len(rows) * w, keep))
+        """``(hit, charge, points)`` for the candidates ``keep`` of block
+        ``k``: the solutions, the ``_Size`` of each binder, whose sum is a
+        candidate's own charge, and the metering points of its sides, from
+        above that charge (see ``compile_sliced``)."""
+        env = {nm: ({r: keep for r in rows}, _Size(len(rows), w, None, _vconst(len(rows), keep)))
                for nm, rows, w in self.free}  # fmt: skip
         # the slice of each counter bit: a pattern, or all or none of keep
         slices = [
             keep & (p if p is not None else keep * (k >> j & 1))
             for j, p in enumerate(self.patterns, -self.bits)
         ]
-        csize: list = []
+        charge = []
         for nm, universe, shift, w in self.binders:
             value = {row: s for row, s in zip(universe, slices[shift:]) if s}
-            count = _vcount(value.values())
-            size = _vscale(count, w)
-            env[nm] = (value, count, size)
-            csize = _vadd(csize, size)
+            env[nm] = (value, _Size(len(value), w, value))
+            charge.append(env[nm][1])
         # a side that mentions no bound variable is charged once per solve
-        (vl, _, sl, pl), (vr, _, _, pr) = [
-            g(env, keep, room) if g else ({r: keep for r in rows}, [], [], [])
+        (vl, sl, pl), (vr, _, pr) = [
+            g(env, keep, room) if g else ({r: keep for r in rows}, None, [])
             for g, rows in self.sides
         ]
         differ = 0
         for r in vl.keys() | vr.keys():
             differ |= vl.get(r, 0) ^ vr.get(r, 0)
-        # a side's peak is never below its size, so with no right side run
-        # the left side's peak is the body's
-        body = _vmax(pl, _vadd(sl, pr), keep) if pr else pl
-        return keep ^ differ, csize, body
+        # the right side runs with the left side's value live
+        if sl is not None:
+            pr = [(sl, *p) for p in pr]
+        return keep ^ differ, charge, pl + pr
+
+
+def _past_quota(hit: int, end: int, quota: int):
+    """The solution past ``quota`` among those of ``hit < 2^end``, or None."""
+    if hit.bit_count() <= quota:
+        return None
+    return _bits(hit, end)[quota] if quota else (hit & -hit).bit_length() - 1
 
 
 def _scan(hit, csize, body, keep, live0, cap, quota, refuse):
@@ -457,7 +552,8 @@ def _scan(hit, csize, body, keep, live0, cap, quota, refuse):
     solutions before the stop candidate, the units they keep live, the
     highest live total of the candidates before the stop candidate (the
     test of the stop candidate adds its own), and the stop candidate or
-    None.
+    None.  ``body`` need only be exact where it decides that peak or a
+    refusal (``_body``): elsewhere it may be lower.
 
     ``S`` is a step function with one step per solution.  With at most
     ``model._FEW_BITS`` solutions within the quota, the walk goes from one
@@ -468,10 +564,10 @@ def _scan(hit, csize, body, keep, live0, cap, quota, refuse):
     Solutions are listed only to find the one past a nonzero quota.
     """
     end = keep.bit_length()  # the candidates walked are those before end
-    if hit.bit_count() > quota:
-        refuse = _bits(hit, end)[quota] if quota else (hit & -hit).bit_length() - 1
-        hit &= (1 << refuse) - 1
-        end = refuse
+    stop = _past_quota(hit, end, quota)
+    if stop is not None:
+        refuse = end = stop
+        hit &= (1 << stop) - 1
     room = cap - live0
     if hit.bit_count() > _FEW_BITS:
         gain = [p & hit for p in _vadd(csize, [hit])]

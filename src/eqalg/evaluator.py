@@ -43,11 +43,13 @@ body bit-sliced, once per block of candidates, not once per candidate (see
 path, in the order literal evaluation would.  Both engines walk a solve's
 candidates in the same blocks and stop at the same candidate: the first
 refused one, or the solution past the solve's quota (its solution cap, or
-0 for ``solve_nonempty``).  A bit-sliced block computes each candidate's
-live total at every charge that can be its highest from per-candidate row
-counts, and decodes only its stop candidate, which it tests on the relation
-kernels as the other engine tests every candidate, so ``peak_space_units``
-and every budget refusal, down to its message, stay the same.
+0 for ``solve_nonempty``).  A bit-sliced block bounds each charge by a
+scalar and computes each candidate's live total from per-candidate row
+counts only at the charges whose bound can reach the block's peak or the
+space cap, and decodes only its stop candidate, which it tests on the
+relation kernels as the other engine tests every candidate, so
+``peak_space_units`` and every budget refusal, down to its message, stay
+the same.
 """
 
 from __future__ import annotations

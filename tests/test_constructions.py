@@ -6,7 +6,7 @@ import pytest
 
 from eqalg import ast, bitslice, constructions
 from eqalg.ast import Name
-from eqalg.evaluator import EvalBudget, evaluate, solve, solve_nonempty
+from eqalg.evaluator import BudgetExceeded, EvalBudget, evaluate, solve, solve_nonempty
 from eqalg.model import Database, ModelError, Rel, RelType, flat_type
 from eqalg.constructions import (
     build_nest_sparse_expr,
@@ -204,6 +204,44 @@ def test_tc_powerset_on_four_atoms_runs_as_one_block(monkeypatch):
     assert got == warshall_tc(r)
     assert scans == [0]
     assert [s.candidates_tested for s in metrics.solves] == [1 << 16]
+
+
+def test_tc_powerset_counts_only_the_select_level(monkeypatch):
+    # with 3 closed supersets of R on four atoms, the solutions keep at most
+    # 3 x 49 units live and a candidate holds at most 48, so every metering
+    # point of the body but the join's select level, 1,600 units at its
+    # highest, falls below it: a block builds the row counters of the
+    # binder T and of that level alone, not those of the projection, the
+    # differences or the union.  Counting every point, as under a cap near
+    # the peak, leaves the same peak.
+    counted = []
+    vcount = bitslice._vcount
+
+    def recorded(slices):
+        counted.append({len(row) for row in slices.mapping})
+        return vcount(slices)
+
+    monkeypatch.setattr(bitslice, "_vcount", recorded)
+    r = binrel(("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"))
+    db = db_with_r(("a", "b", "c", "d"), r)
+    e = build_tc_powerset_expr()
+    assert evaluate(e, db, BUDGET)[0] == warshall_tc(r)
+    assert counted == [{2}, {4}]  # one query
+    counted.clear()
+    # the closed-superset solve alone, whose peak is its block's
+    closed = e.right.arg.left.left
+    assert isinstance(closed, ast.Solve)
+    got, metrics = evaluate(closed, db, BUDGET)
+    closures = [t.rows for (t,) in got.rows]
+    tc = warshall_tc(r).rows
+    assert len(closures) == 3 and tc in closures and all(tc <= rows for rows in closures)
+    assert counted == [{2}, {4}]
+    peak = metrics.peak_space_units
+    counted.clear()
+    capped = evaluate(closed, db, EvalBudget(max_space_units=peak))
+    assert capped == (got, metrics) and len(counted) == 6
+    with pytest.raises(BudgetExceeded):
+        evaluate(closed, db, EvalBudget(max_space_units=peak - 1))
 
 
 def test_tc_powerset_peak_space_on_three_atoms():

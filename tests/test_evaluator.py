@@ -958,10 +958,12 @@ def test_flat_solve_bodies_match_oracles(representation):
 def _fixed_flat_cases(atoms):
     """``(solve node, database)`` for flat solve bodies that the random
     corpus may miss, on ``atoms``: operators whose operands are all names or
-    D, a left or a right side that mentions no bound variable, and, on three
-    atoms, more than 64 solutions in one block."""
+    D, a left or a right side that mentions no bound variable, on three
+    atoms more than 64 solutions in one block, and metering points that
+    peak at different candidates."""
     X, P, Q, D = Name("X"), Name("P"), Name("Q"), Domain()
     x1, x2 = (("X", FLAT1),), (("X", FLAT2),)
+    xq, dq = Product(X, Q), Product(Difference(D, X), Q)
     bodies = [
         # operands that are all leaves
         (x1, Union(X, P), Difference(D, X)),
@@ -974,6 +976,17 @@ def _fixed_flat_cases(atoms):
         # with all but one pair in Q, more than 64 solutions in one block on
         # three atoms, here and in the body on X x Q above
         (x2, Difference(X, Q), ast.empty_like(Q)),
+        # every candidate a solution: the product of D - X peaks at X = {},
+        # the first candidate, and has the higher bound, but the product by
+        # Q, at X = D, the last, is the highest with the solutions before it
+        (x1, Union(Project((1,), Product(Difference(D, X), Product(D, D))), Project((1,), xq)), D),
+        # X x X holds a pair of distinct atoms only for X = D, so the first
+        # product by Q peaks at X = D, the last candidate, and the second at
+        # X = {}, the first: under a cap that refuses the last candidate, the
+        # peak it leaves comes from the second, which no block counts
+        # without a cap
+        (x1, Union(Project((1,), Product(Select(1, "!=", 2, Product(X, X)), Q)), Project((1,), dq)),
+         Project((1,), Product(Difference(D, X), X))),
     ]
     pairs = list(itertools.product(atoms, repeat=2))
     db = db_of(atoms, P=rel(FLAT1, [(atoms[0],), (atoms[-1],)]), Q=rel(FLAT2, pairs[:-1]))
@@ -981,22 +994,90 @@ def _fixed_flat_cases(atoms):
         yield Solve(binders, lhs, rhs), db
 
 
+def _metered(e, db, budget):
+    """What evaluating ``e`` under ``budget`` leaves: its value and metrics,
+    or the refusal's kind, path, text and solve counts and the peak total
+    it leaves."""
+    plan, ctx, env = evaluator._prepare(e, db, budget)
+    try:
+        value = evaluator._compile(e, "", plan)(env, ctx)
+    except BudgetExceeded as exc:
+        return exc.which, exc.path, str(exc), exc.solve, ctx.peak
+    return value, ctx.metrics()
+
+
+def _above_block_bounds(e, db, monkeypatch) -> int:
+    """A space cap under which no bit-sliced block of ``e`` on ``db`` counts
+    every metering point: above the live total before each block plus the
+    scalar bound of what its candidates keep live, the solutions before its
+    stop candidate, its candidate's own charge and the larger of its highest
+    point and a solution's own row (see ``bitslice._body``)."""
+    body = bitslice._body
+    cap = EvalBudget().max_space_units
+    needed = [1]
+
+    def recorded(points, charge, hit, keep, room, quota):
+        c = sum(s.bound for s in charge)
+        top = max((sum(s.bound for s in p) for p in points), default=0)
+        reach = min(hit.bit_count(), quota) * (1 + c) + c
+        needed.append(cap - room + reach + max(top, c + 1))
+        return body(points, charge, hit, keep, room, quota)
+
+    with monkeypatch.context() as m:
+        m.setattr(bitslice, "_body", recorded)
+        evaluate(e, db)
+    return max(needed) + 1
+
+
 def test_flat_solve_bodies_agree_across_representations(monkeypatch):
-    # bit-sliced blocks and relations give the same value and metrics, and a
-    # refusal under any cap up to 60 below the peak reads the same on both
+    # bit-sliced blocks and relations give the same value and metrics, and
+    # the same outcome under every cap from 60 below the peak to 60 above
+    # it, where blocks count every metering point, and under one cap above
+    # the blocks' scalar bounds, where they count only those that can peak:
+    # the refusal's kind, path and text and the peak it leaves
     fixed = [(node, node, db, None) for node, db in _fixed_flat_cases(("a", "b", "c"))]
     assert max(len(evaluate(node, db)[0]) for node, _, db, _ in fixed) > 64
     for e, _, db, _ in itertools.chain(_flat_cases(set()), fixed):
+        above = _above_block_bounds(e, db, monkeypatch)
         runs = []
         for _ in _representations(monkeypatch):
             value, metrics = evaluate(e, db)
-            refusals = []
-            for cap in range(max(1, metrics.peak_space_units - 60), metrics.peak_space_units):
-                with pytest.raises(BudgetExceeded) as err:
-                    evaluate(e, db, EvalBudget(max_space_units=cap))
-                refusals.append(str(err.value))
-            runs.append((value, metrics, refusals))
+            peak = metrics.peak_space_units
+            low = max(1, peak - 60)
+            caps = [*range(low, peak + 61), max(above, peak + 61)]
+            outcomes = [_metered(e, db, EvalBudget(max_space_units=cap)) for cap in caps]
+            # a refusal below the peak, the value and metrics from it on
+            assert [len(outcome) for outcome in outcomes] == [5] * (peak - low) + [2] * 62
+            runs.append((value, metrics, outcomes))
         assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 2])
+def test_metering_point_bounds_hold_per_candidate(block_bits, monkeypatch):
+    # on the flat corpora, each metering point's scalar bound is at least
+    # the largest value of its per-candidate counter, and so is each live
+    # value's, products and levels alike, and the binders' bounds hold a
+    # candidate's own charge
+    monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
+    evaluate_block = bitslice.Blocks._evaluate
+    seen = collections.Counter()
+
+    def checked(self, k, keep, room):
+        hit, charge, points = evaluate_block(self, k, keep, room)
+        assert sum(s.bound for s in charge) >= bitslice._vmax_in(bitslice._total(charge), keep)
+        for p in points:
+            assert sum(s.bound for s in p) >= bitslice._vmax_in(bitslice._total(p), keep)
+            for s in p:
+                assert s.bound >= bitslice._vmax_in(s.size(), keep)
+                seen["product" if isinstance(s._of, tuple) else "value"] += 1
+            seen["point"] += 1
+        return hit, charge, points
+
+    monkeypatch.setattr(bitslice.Blocks, "_evaluate", checked)
+    fixed = list(_fixed_flat_cases(("a", "b", "c")))
+    for e, db in itertools.chain(((e, db) for e, _, db, _ in _flat_cases(set())), fixed):
+        evaluate(e, db)
+    assert min(seen["product"], seen["value"], seen["point"]) > 0
 
 
 # binders of 3 to 6 counter bits, so that with two-bit blocks every solve
@@ -1026,9 +1107,10 @@ def _outcome(e, db, budget):
 
 def test_small_blocks_agree_with_relations(monkeypatch):
     # with blocks of 4 candidates, a solve gives what the relation kernels
-    # give: value and metrics, the refusal under every cap up to 60 below
-    # the peak and every solution cap below the solution count, and
-    # solve_nonempty
+    # give: value and metrics, the outcome under every cap from 60 below the
+    # peak to 60 above it, under one cap above the blocks' scalar bounds and
+    # under every solution cap below the solution count (the refusal's kind,
+    # path and text and the peak it leaves), and solve_nonempty
     monkeypatch.setattr(bitslice, "BLOCK_BITS", 2)
     rng = random.Random(9750)
     tags: set = set()
@@ -1043,15 +1125,17 @@ def test_small_blocks_agree_with_relations(monkeypatch):
         yield from _fixed_flat_cases(("a", "b"))
 
     for node, db in corpus():
+        above = _above_block_bounds(node, db, monkeypatch)
         runs = []
         for _ in _representations(monkeypatch):
             value, metrics = evaluate(node, db)
             peak = metrics.peak_space_units
             found = metrics.solves[0].solutions_found
             low = max(1, peak - 60)
-            caps = [EvalBudget(max_space_units=cap) for cap in range(low, peak)]
+            spaces = (*range(low, peak + 61), max(above, peak + 61))
+            caps = [EvalBudget(max_space_units=cap) for cap in spaces]
             caps += [EvalBudget(max_solutions=m) for m in range(1, found)]
-            outcomes = [_outcome(node, db, budget) for budget in caps]
+            outcomes = [_metered(node, db, budget) for budget in caps]
             nonempty = solve_nonempty(node.binders, node.lhs, node.rhs, db)
             runs.append((value, metrics, outcomes, nonempty))
         assert runs[0] == runs[1]
@@ -1063,7 +1147,7 @@ def test_small_blocks_agree_with_relations(monkeypatch):
         if hits and hits[0] >= 4:
             tags.add("first_hit_in_later_block")
         space_refusals = outcomes[: peak - low]
-        if any(solve and solve[1] >= 4 for _, solve in space_refusals):
+        if any(solve and solve[1] >= 4 for _, _, _, solve, _ in space_refusals):
             tags.add("space_refusal_in_later_block")
     assert {
         "several_binders", "solution_cap", "first_hit_in_later_block",
@@ -1135,6 +1219,28 @@ def test_stop_rule_meters_alike_on_both_paths(block_bits, quota, monkeypatch):
     if quota:
         expected.add("stop_solution_after_hits_in_its_block")
     assert expected <= tags
+
+
+@pytest.mark.parametrize("quota", [0, 1])
+def test_points_skipped_only_by_the_candidates_before_the_stop(quota, monkeypatch):
+    # on two atoms, X x X holds a pair of distinct atoms only for X = D, the
+    # last candidate, so the product by Q peaks there at 58 units; the
+    # product of D - X by P peaks at 48 units for X = {}, the first.  Only
+    # the singletons are solutions, so with a quota of 0 the walk stops at
+    # the first of them: the first candidate's peak must come from the
+    # second product, which only the highest value of the first over the
+    # candidates before the stop, and not over the block, leaves counted;
+    # with a quota of 1 it stops at the second
+    X, D, P, Q = Name("X"), Domain(), Name("P"), Name("Q")
+    pairs = list(itertools.product(("a", "b"), repeat=2))
+    db = db_of(("a", "b"), P=rel(FLAT2, pairs), Q=rel(FLAT2, pairs))
+    wide = Product(Select(1, "!=", 2, Product(X, X)), Q)
+    lhs = Union(Project((1,), wide), Project((1,), Product(Difference(D, X), P)))
+    node = Solve((("X", FLAT1),), lhs, Project((1,), Product(Difference(D, X), X)))
+    assert _hits(node, db) == [1, 2]
+    runs = [_stop(node, db, EvalBudget(), quota) for _ in _representations(monkeypatch)]
+    assert runs[0] == runs[1]
+    assert runs[0][3] == 48
 
 
 def test_a_stop_candidate_that_does_not_stop_is_an_internal_error(monkeypatch, capsys, tmp_path):
