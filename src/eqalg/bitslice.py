@@ -17,7 +17,10 @@ built (``_Size``).  Its live total per candidate, composed from
 per-candidate row counters, is built only where that bound, plus what the
 solutions and a candidate's own charge can keep live, could pass the
 highest total already counted, or where a bound could pass the space cap
-(``_body``).
+(``_body``).  And none is built for a block that no candidate can refuse,
+whose walk reaches its top candidate, and whose points that could pass
+that candidate's live total hold only values that grow with the binders:
+its peak is that candidate's, read off the slices as scalars (``_at_top``).
 """
 
 from __future__ import annotations
@@ -36,15 +39,16 @@ from .model import _FEW_BITS, _bits, row_picker
 # allowed.
 
 # The one block-size constant.  A block pays a fixed interpretive cost, a
-# closure and a few vertical-counter calls per node, so larger blocks pay it
-# less often: one tc_powerset query (2^16 candidates) took 13-16, 4.9-6.2,
-# 2.0-3.3 and 2.0-3.2 ms at blocks of 2^10, 2^12, 2^14 and 2^16 candidates
-# (medians of 40 alternated passes in one process, three processes, 2-CPU
-# x86 VM, Python 3.11).  At 2^16 a slice is 8 KB, that query's largest
-# value (64 join rows) about 0.5 MB, and its traced allocations peak at
-# 2.2 MB (0.7 MB at 2^14).  A block is also the most candidates a space
-# refusal evaluates again.  Both engines walk a solve in blocks of this
-# many counter bits (``evaluator._compile_solve``).
+# closure per node and the reads of its top candidate or its vertical
+# counters, so larger blocks pay it less often: one tc_powerset query (2^16
+# candidates) took 6.1-6.5, 2.1-2.2, 1.03-1.06 and 1.02-1.03 ms at blocks
+# of 2^10, 2^12, 2^14 and 2^16 candidates, 2^16 being the fastest in each
+# of three processes (medians of 40 alternated passes in one process, the
+# collector paused, 2-CPU x86 VM, Python 3.11).  At 2^16 a slice is 8 KB,
+# that query's largest value (64 join rows) about 0.5 MB, and its traced
+# allocations peak at 1.5 MB (0.5 MB at 2^14).  A block is also the most
+# candidates a space refusal evaluates again.  Both engines walk a solve in
+# blocks of this many counter bits (``evaluator._compile_solve``).
 BLOCK_BITS = 16
 
 
@@ -292,20 +296,39 @@ class _Size:
     (a dict), or for a product, whose rows are not built when it is charged,
     the product of its two operands' bounds (a pair of ``_Size``).  A free
     name's row counter, the same for every candidate, is given up front.
+    ``grows`` says that the value only gains rows as the binders do (see
+    ``compile_sliced``), so that no candidate of a whole block has more
+    than its top candidate.
     """
 
-    __slots__ = ("rows", "width", "_of", "_count", "_size")
+    __slots__ = ("rows", "width", "grows", "_of", "_count", "_size", "_top")
 
-    def __init__(self, rows: int, width: int, of, count: list | None = None) -> None:
+    def __init__(self, rows: int, width: int, of, grows=True, count: list | None = None) -> None:
         self.rows = rows
         self.width = width
+        self.grows = grows
         self._of = of
         self._count = count
         self._size = None
+        self._top = None
 
     @property
     def bound(self) -> int:
         return self.rows * self.width
+
+    def top_rows(self, top: int) -> int:
+        """The value's row count for candidate ``top``, whose bit is the
+        highest that a slice can hold, read on first use: a slice holds it
+        when its bit length passes ``top``."""
+        if self._top is None:
+            of = self._of
+            if isinstance(of, tuple):
+                self._top = of[0].top_rows(top) * of[1].top_rows(top)
+            elif of is None:
+                self._top = self.rows
+            else:
+                self._top = sum(s.bit_length() > top for s in of.values())
+        return self._top
 
     def count(self) -> list:
         """The vertical counter of the value's rows."""
@@ -331,9 +354,9 @@ def _total(sizes) -> list:
     return out
 
 
-def compile_sliced(e: ast.Expr, path: str, plan):
-    """Compile a flat expression into ``fn(env, keep, room) -> (value, size,
-    points)`` over a block of candidates.
+def compile_sliced(e: ast.Expr, path: str, plan, bound):
+    """Compile a flat expression into ``(fn, grows)``, with ``fn(env, keep,
+    room) -> (value, size, points)`` over a block of candidates.
 
     ``env`` maps each name to its value over the block and its ``_Size``;
     ``keep`` has a bit for each candidate of the block and ``room`` is the
@@ -350,6 +373,14 @@ def compile_sliced(e: ast.Expr, path: str, plan):
     builds a vertical counter here: ``_body`` picks the points to count.
     Widths and joins come from ``plan`` (``evaluator.Plan``): a join never
     builds the product, as in ``evaluator._compile_join``.
+
+    ``grows`` says that the expression's value, and each value it builds,
+    only gains rows as the binders, the names of ``bound``, gain rows: a
+    name or ``D`` does, and union, product, select and project do when
+    their operands do (Abiteboul, Hull and Vianu, Foundations of Databases,
+    1995), and a difference when its left operand does and its right one
+    mentions no bound variable (``evaluator.Plan.free``).  It is decided
+    once per path, and each value's ``_Size`` carries it.
     """
     if isinstance(e, (ast.Name, ast.Domain)):
 
@@ -357,7 +388,7 @@ def compile_sliced(e: ast.Expr, path: str, plan):
             v, s = env[_nm]
             return v, s, [(s,)]
 
-        return leaf
+        return leaf, True
 
     w = plan.width(path)
     product = 0  # the width of the product rows, for a product or a join
@@ -382,9 +413,15 @@ def compile_sliced(e: ast.Expr, path: str, plan):
     # its size: that point is below the product point or the first level,
     # which adds every operand's size, so it is not taken
     children = [(getattr(e, label), ast.child_path(path, label)) for label in e.labels]
-    fs = [(compile_sliced(x, p, plan), isinstance(x, (ast.Name, ast.Domain))) for x, p in children]
+    fs, grows = [], True
+    for x, p in children:
+        f, g = compile_sliced(x, p, plan, bound)
+        fs.append((f, isinstance(x, (ast.Name, ast.Domain))))
+        grows = grows and g
+    if isinstance(e, ast.Difference) and not plan.free[id(e.right)].isdisjoint(bound):
+        grows = False
 
-    def run(env, keep, room, _fs=fs, _product=product, _build=build, _levels=levels):
+    def run(env, keep, room, _fs=fs, _product=product, _build=build, _levels=levels, _grows=grows):
         values, live, points = [], [], []
         for f, leaf in _fs:
             v, s, ps = f(env, keep, room)
@@ -394,7 +431,7 @@ def compile_sliced(e: ast.Expr, path: str, plan):
             values.append(v)
         if _product:
             a, b = live
-            s = _Size(a.rows * b.rows, _product, (a, b))
+            s = _Size(a.rows * b.rows, _product, (a, b), _grows)
             live.append(s)
             if sum(x.bound for x in live) > room:
                 over = _vabove(_total(live), room, keep)
@@ -406,12 +443,12 @@ def compile_sliced(e: ast.Expr, path: str, plan):
         for kernel, w in _levels:
             if kernel is not None:
                 v = kernel(v)
-            s = _Size(len(v), w, v)
+            s = _Size(len(v), w, v, _grows)
             points.append((*live, s))
             live = [s]
         return v, s, points
 
-    return run
+    return run, grows
 
 
 def _body(points, charge, hit, keep, room, quota) -> list:
@@ -429,6 +466,7 @@ def _body(points, charge, hit, keep, room, quota) -> list:
     counted so far over the candidates the walk reaches, the others cannot
     raise the peak.  Where a point or a solution's own row could pass
     ``room``, every point is counted, since a refusal may depend on any.
+    A block whose top candidate ``_at_top`` reads is not counted at all.
     """
     c = sum(s.bound for s in charge)
     reach = min(hit.bit_count(), quota) * (1 + c) + c  # S + C
@@ -445,6 +483,47 @@ def _body(points, charge, hit, keep, room, quota) -> list:
             break
         body = _vmax(body, _total(p), keep)
     return body
+
+
+def _at_top(points, charge, hit, keep, room, quota):
+    """``(gained, high)`` of a whole block (``keep``) read at its top
+    candidate c⊤, with no vertical counter, or None where it cannot be.
+
+    c⊤, the highest bit of ``keep``, holds every binder row that any
+    candidate of the block holds, so each value that grows with the binders
+    (``_Size.grows``) is at its highest there.  Where no candidate can be
+    refused (``_body``'s rule) and no solution is past ``quota``, the walk
+    of ``_scan`` reaches c⊤, and the solutions keep ``gained`` units:
+    their count plus, per binder row, its width times the solutions that
+    hold it.  ``S(c⊤)`` is ``gained`` less c⊤'s own if it is a solution, and
+    c⊤'s live total above the block's start, ``high``, is ``S(c⊤)`` plus
+    ``csize(c⊤) + body(c⊤)``, or ``2·csize(c⊤) + 1`` for a solution if that
+    is more, each value read off its slices' bit lengths.  No earlier
+    candidate c has more: ``S(c) <= S(c⊤)``, ``csize(c) <= csize(c⊤)``, a
+    point whose values all grow is at most its value at c⊤, a solution's
+    own row is within what c⊤'s total counts after it, and any other point
+    is at most ``S + C`` plus its bound, which must not pass ``high``.
+    """
+    hits = hit.bit_count()
+    if hits > quota:
+        return None
+    c = sum(s.bound for s in charge)
+    reach = hits * (1 + c) + c  # S + C
+    bounds = [sum(s.bound for s in p) for p in points]
+    if reach + max(max(bounds, default=0), c + 1) > room:
+        return None
+    top = keep.bit_length() - 1
+    own = sum(s.top_rows(top) * s.width for s in charge)
+    gained = hits
+    for s in charge:  # a binder's units summed over the solutions
+        gained += s.width * sum((t & hit).bit_count() for t in s._of.values())
+    last = hit >> top  # 1 when c⊤ is a solution
+    body = max((sum(s.top_rows(top) * s.width for s in p) for p in points), default=0)
+    high = gained - last * (own + 1) + max(own + body, last * (2 * own + 1))
+    for p, bound in zip(points, bounds):
+        if reach + bound > high and not all(s.grows for s in p):
+            return None
+    return gained, high
 
 
 class Blocks:
@@ -481,7 +560,9 @@ class Blocks:
         a candidate would exceed the cap at a product, the candidates before
         it are evaluated again without it, so no product is built for a
         candidate that is refused.  The solutions come as a hit mask, bit c
-        for candidate c of the block."""
+        for candidate c of the block.  A whole block whose peak ``_at_top``
+        reads at its top candidate builds no vertical counter; any other
+        takes ``_body`` and ``_scan``."""
         keep = (1 << (1 << self.bits)) - 1
         refuse = None
         room = cap - live0
@@ -492,6 +573,10 @@ class Blocks:
                 refuse = exc.args[0]
                 keep &= (1 << refuse) - 1
             else:
+                if refuse is None:
+                    top = _at_top(points, charge, hit, keep, room, quota)
+                    if top is not None:
+                        return hit, top[0], live0 + top[1], None
                 body = _body(points, charge, hit, keep, room, quota)
                 return _scan(hit, _total(charge), body, keep, live0, cap, quota, refuse)
         return 0, 0, live0, refuse
@@ -501,7 +586,8 @@ class Blocks:
         ``k``: the solutions, the ``_Size`` of each binder, whose sum is a
         candidate's own charge, and the metering points of its sides, from
         above that charge (see ``compile_sliced``)."""
-        env = {nm: ({r: keep for r in rows}, _Size(len(rows), w, None, _vconst(len(rows), keep)))
+        env = {nm: ({r: keep for r in rows},
+                    _Size(len(rows), w, None, count=_vconst(len(rows), keep)))
                for nm, rows, w in self.free}  # fmt: skip
         # the slice of each counter bit: a pattern, or all or none of keep
         slices = [
@@ -553,7 +639,8 @@ def _scan(hit, csize, body, keep, live0, cap, quota, refuse):
     highest live total of the candidates before the stop candidate (the
     test of the stop candidate adds its own), and the stop candidate or
     None.  ``body`` need only be exact where it decides that peak or a
-    refusal (``_body``): elsewhere it may be lower.
+    refusal (``_body``): elsewhere it may be lower.  A block that
+    ``_at_top`` reads gives the same four without this walk.
 
     ``S`` is a step function with one step per solution.  With at most
     ``model._FEW_BITS`` solutions within the quota, the walk goes from one

@@ -274,8 +274,9 @@ def cmd_profile(args) -> int:
         raise ParseError("profile needs a solve{...} expression (or --meter)", 1, 1)
     gen = _parse_gen(args.gen, default_schema, args.seed)
     n_range = _parse_n_range(args.n_range)
-    # an --out that cannot be written is refused before any profiling
-    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
+    # an --out that cannot be written is refused before any profiling; it is
+    # opened to append, so a run that fails leaves an existing file as it was
+    with open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
         if args.meter:
             report = meter_expression(expression, gen, n_range, budget)
         else:
@@ -285,6 +286,7 @@ def cmd_profile(args) -> int:
         for p in report.points:
             print(f"n={p.n} wall_ms={p.wall_ms:.1f}", file=sys.stderr)
         if args.out:
+            fh.truncate(0)
             fh.write(report.format_file())
     return EXIT_BUDGET if report.truncated else EXIT_OK
 

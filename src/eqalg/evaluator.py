@@ -46,10 +46,12 @@ refused one, or the solution past the solve's quota (its solution cap, or
 0 for ``solve_nonempty``).  A bit-sliced block bounds each charge by a
 scalar and computes each candidate's live total from per-candidate row
 counts only at the charges whose bound can reach the block's peak or the
-space cap, and decodes only its stop candidate, which it tests on the
-relation kernels as the other engine tests every candidate, so
-``peak_space_units`` and every budget refusal, down to its message, stay
-the same.
+space cap; where no candidate can be refused and the charges that could
+pass its top candidate's total only grow with the binders, it reads that
+candidate's total, the block's peak, as scalars and counts none.  It
+decodes only its stop candidate, which it tests on the relation kernels as
+the other engine tests every candidate, so ``peak_space_units`` and every
+budget refusal, down to its message, stay the same.
 """
 
 from __future__ import annotations
@@ -690,14 +692,14 @@ def _compile_solve(e: ast.Solve, path: str, plan: Plan):
     lp, rp = ast.child_path(path, "lhs"), ast.child_path(path, "rhs")
     fl = _compile(e.lhs, lp, plan)
     fr = _compile(e.rhs, rp, plan)
+    names = e.var_names
     sliced = None
     if reads is not None:
         sliced = (
-            None if l_inv else bitslice.compile_sliced(e.lhs, lp, plan),
-            None if r_inv else bitslice.compile_sliced(e.rhs, rp, plan),
+            None if l_inv else bitslice.compile_sliced(e.lhs, lp, plan, names)[0],
+            None if r_inv else bitslice.compile_sliced(e.rhs, rp, plan, names)[0],
             reads,
         )
-    names = e.var_names
     types = tuple(t for _, t in e.binders)
     size = value_size
 

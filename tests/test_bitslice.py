@@ -6,7 +6,15 @@ plane i has bit c set when bit i of candidate c's value is set.
 
 import random
 
-from eqalg import bitslice, model
+import pytest
+
+from eqalg import ast, bitslice, evaluator, model
+from eqalg.ast import Difference, Domain, Name, Product, Solve
+from eqalg.evaluator import EvalBudget
+from eqalg.model import Database, Rel, flat_type
+from test_evaluator import _fixed_flat_cases, _flat_cases
+
+FLAT1 = flat_type(1)
 
 SEED = 12_001
 
@@ -208,3 +216,97 @@ def test_scan_walk_and_prefix_sum_agree(monkeypatch):
                         monkeypatch.setattr(bitslice, "_FEW_BITS", few)
                         assert bitslice._scan(*args) == expected, (n, count, cap, quota, few)
     assert own_charge_refusals
+
+
+def _declining_cases():
+    """``(solve node, database)`` for flat bodies with a difference whose
+    right operand names a binder and whose bound no candidate's value
+    reaches, so that a block's top candidate is never read: there X holds
+    every row it holds in the block, so D - X is at its smallest, while its
+    bound counts every row of D that some candidate keeps; one binder and
+    two."""
+    X, Y, D, P = Name("X"), Name("Y"), Domain(), Name("P")
+    x1, xy = (("X", FLAT1),), (("X", FLAT1), ("Y", FLAT1))
+    bodies = [
+        (x1, Difference(D, X), ast.empty_like(D)),
+        (x1, Difference(Product(D, D), Product(X, D)), Product(P, P)),
+        (xy, Difference(D, X), Difference(D, Y)),
+    ]
+    db = Database(("a", "b", "c"), {"P": Rel(FLAT1, [("a",), ("c",)])})
+    for binders, lhs, rhs in bodies:
+        yield Solve(binders, lhs, rhs), db
+
+
+def _solve_loop(node, db, budget, quota):
+    """Each block's ``Blocks.scan`` (hit mask, units gained, peak and stop
+    candidate) as the solve loop of ``node`` runs up to ``quota``, and what
+    the loop leaves: its runs, units, live and peak totals and metrics, or
+    the refusal's kind, path, text and solve counts and the peak total."""
+    scans = []
+    scan = bitslice.Blocks.scan
+
+    def recorded(self, *args):
+        scans.append(scan(self, *args))
+        return scans[-1]
+
+    plan, ctx, env = evaluator._prepare(node, db, budget)
+    bitslice.Blocks.scan = recorded
+    try:
+        runs, _, units = evaluator._compile_solve(node, "", plan)(env, ctx, quota)
+    except evaluator.BudgetExceeded as exc:
+        return scans, (exc.which, exc.path, str(exc), exc.solve, ctx.peak)
+    finally:
+        bitslice.Blocks.scan = scan
+    return scans, (runs, units, ctx.live, ctx.peak, ctx.metrics())
+
+
+@pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 2])
+def test_top_candidate_and_counters_agree(block_bits, monkeypatch):
+    # reading a whole block's peak at its top candidate gives each block's
+    # hit mask, units gained, peak and stop candidate, and the solve's
+    # outcome, that the vertical counters give: under quotas of 0, 1, half
+    # the solutions and none, and with no quota under every space cap from
+    # 60 below the peak to 60 above it, the refusal's kind, path, text,
+    # counts and peak.  A run in which no block read its top candidate ran
+    # the counters' code alone, so only the others run again on them.  On
+    # the bodies of _declining_cases no block reads its top candidate.
+    monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
+    at_top = bitslice._at_top
+    taken = []
+
+    def recorded(*args):
+        top = at_top(*args)
+        taken.append(top is not None)
+        return top
+
+    def agree(node, db, budget, quota):
+        monkeypatch.setattr(bitslice, "_at_top", recorded)
+        taken.clear()
+        done = _solve_loop(node, db, budget, quota)
+        read = any(taken)
+        if read:
+            monkeypatch.setattr(bitslice, "_at_top", lambda *args: None)
+            assert _solve_loop(node, db, budget, quota) == done, (node, budget, quota)
+        return done, read
+
+    # blocks of 4 candidates take the solves of at most 2^6 candidates
+    small = block_bits == 2
+    flat = [(node, db) for _, node, db, _ in _flat_cases(set())
+            if not small or sum(len(db.atoms) ** t.arity for _, t in node.binders) <= 6]  # fmt: skip
+    fixed = list(_fixed_flat_cases(("a", "b") if small else ("a", "b", "c")))
+    declining = list(_declining_cases())
+    tags = set()
+    for node, db in flat + fixed + declining:
+        found = evaluator.evaluate(node, db)[1].solves[0].solutions_found
+        for quota in (0, 1, found // 2):
+            agree(node, db, EvalBudget(), quota)
+        done, read = agree(node, db, EvalBudget(), 1 << 30)
+        peak = done[1][3]
+        for cap in range(max(1, peak - 60), peak + 61):
+            agree(node, db, EvalBudget(max_space_units=cap), 1 << 30)
+        if read:
+            tags.add(len(node.binders))
+        if (node, db) in declining:
+            assert taken and not read
+            tags.add("declined")
+    assert {1, 2, "declined"} <= tags

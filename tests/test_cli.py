@@ -371,6 +371,24 @@ def test_profile_refuses_an_unwritable_out_before_profiling(capsys, tmp_path):
     assert not out_file.parent.exists()
 
 
+def test_profile_that_fails_leaves_an_existing_out_as_it_was(capsys, tmp_path):
+    # a run that exits 1 after opening --out keeps the file's bytes; one
+    # that succeeds replaces a longer file with its report alone
+    eq_file = tmp_path / "s.expr"
+    eq_file.write_text("solve{(X:(0)) | union(X,S) = S}")
+    out_file = tmp_path / "report.edb"
+    before = b"an earlier report\n" * 500
+    out_file.write_bytes(before)
+    argv = ["profile", "--eq", str(eq_file), "--n-range", "1..2", "--out", str(out_file)]
+    code, out, err = run(capsys, [*argv, "--gen", "flat:R:(0):0.5"])
+    assert code == 1
+    assert out == "" and err.startswith("error: unknown relation name 'S'")
+    assert out_file.read_bytes() == before
+    assert run(capsys, [*argv, "--gen", "flat:S:(0):0.5"])[0] == 0
+    db, schema = parse_database(out_file.read_text())
+    assert "points" in schema
+
+
 def test_profile_meter_powerset(capsys):
     import textwrap, tempfile, os
 

@@ -206,28 +206,31 @@ def test_tc_powerset_on_four_atoms_runs_as_one_block(monkeypatch):
     assert [s.candidates_tested for s in metrics.solves] == [1 << 16]
 
 
-def test_tc_powerset_counts_only_the_select_level(monkeypatch):
-    # with 3 closed supersets of R on four atoms, the solutions keep at most
-    # 3 x 49 units live and a candidate holds at most 48, so every metering
-    # point of the body but the join's select level, 1,600 units at its
-    # highest, falls below it: a block builds the row counters of the
-    # binder T and of that level alone, not those of the projection, the
-    # differences or the union.  Counting every point, as under a cap near
-    # the peak, leaves the same peak.
-    counted = []
-    vcount = bitslice._vcount
+def test_tc_powerset_builds_no_counter_below_the_cap(monkeypatch):
+    # every metering point of the body that grows with T, the product and
+    # the join's levels, peaks at T = D x D, the block's top candidate; the
+    # others, the differences by T and their union, have bounds that cannot
+    # reach that peak, so a block reads its peak there and builds no
+    # vertical counter.  Under a cap at the peak no candidate is safe from
+    # refusal, so the block counts all six points, the binder T, the
+    # product by _vmul and the five level values by _vcount, and leaves the
+    # same peak; one unit less refuses.
+    calls = []
 
-    def recorded(slices):
-        counted.append({len(row) for row in slices.mapping})
-        return vcount(slices)
+    def recorded(name, kernel):
+        def counter(*args):
+            calls.append(name)
+            return kernel(*args)
 
-    monkeypatch.setattr(bitslice, "_vcount", recorded)
+        return counter
+
+    for name in ("_vcount", "_vmul", "_vadd"):
+        monkeypatch.setattr(bitslice, name, recorded(name, getattr(bitslice, name)))
     r = binrel(("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"))
     db = db_with_r(("a", "b", "c", "d"), r)
     e = build_tc_powerset_expr()
     assert evaluate(e, db, BUDGET)[0] == warshall_tc(r)
-    assert counted == [{2}, {4}]  # one query
-    counted.clear()
+    assert calls == []  # one query
     # the closed-superset solve alone, whose peak is its block's
     closed = e.right.arg.left.left
     assert isinstance(closed, ast.Solve)
@@ -235,11 +238,11 @@ def test_tc_powerset_counts_only_the_select_level(monkeypatch):
     closures = [t.rows for (t,) in got.rows]
     tc = warshall_tc(r).rows
     assert len(closures) == 3 and tc in closures and all(tc <= rows for rows in closures)
-    assert counted == [{2}, {4}]
+    assert calls == []
     peak = metrics.peak_space_units
-    counted.clear()
     capped = evaluate(closed, db, EvalBudget(max_space_units=peak))
-    assert capped == (got, metrics) and len(counted) == 6
+    assert capped == (got, metrics)
+    assert (calls.count("_vcount"), calls.count("_vmul")) == (6, 1) and "_vadd" in calls
     with pytest.raises(BudgetExceeded):
         evaluate(closed, db, EvalBudget(max_space_units=peak - 1))
 

@@ -1011,20 +1011,24 @@ def _above_block_bounds(e, db, monkeypatch) -> int:
     every metering point: above the live total before each block plus the
     scalar bound of what its candidates keep live, the solutions before its
     stop candidate, its candidate's own charge and the larger of its highest
-    point and a solution's own row (see ``bitslice._body``)."""
-    body = bitslice._body
+    point and a solution's own row (see ``bitslice._body``), whether the
+    block then reads its top candidate (``bitslice._at_top``) or counts."""
     cap = EvalBudget().max_space_units
     needed = [1]
 
-    def recorded(points, charge, hit, keep, room, quota):
-        c = sum(s.bound for s in charge)
-        top = max((sum(s.bound for s in p) for p in points), default=0)
-        reach = min(hit.bit_count(), quota) * (1 + c) + c
-        needed.append(cap - room + reach + max(top, c + 1))
-        return body(points, charge, hit, keep, room, quota)
+    def recorded(f):
+        def bounded(points, charge, hit, keep, room, quota):
+            c = sum(s.bound for s in charge)
+            top = max((sum(s.bound for s in p) for p in points), default=0)
+            reach = min(hit.bit_count(), quota) * (1 + c) + c
+            needed.append(cap - room + reach + max(top, c + 1))
+            return f(points, charge, hit, keep, room, quota)
+
+        return bounded
 
     with monkeypatch.context() as m:
-        m.setattr(bitslice, "_body", recorded)
+        for name in ("_body", "_at_top"):
+            m.setattr(bitslice, name, recorded(getattr(bitslice, name)))
         evaluate(e, db)
     return max(needed) + 1
 
@@ -1057,19 +1061,28 @@ def test_metering_point_bounds_hold_per_candidate(block_bits, monkeypatch):
     # on the flat corpora, each metering point's scalar bound is at least
     # the largest value of its per-candidate counter, and so is each live
     # value's, products and levels alike, and the binders' bounds hold a
-    # candidate's own charge
+    # candidate's own charge; over a whole block, each value's units read
+    # at the top candidate are its counter's value there, and a value that
+    # grows with the binders has no candidate above it
     monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
     evaluate_block = bitslice.Blocks._evaluate
     seen = collections.Counter()
 
     def checked(self, k, keep, room):
         hit, charge, points = evaluate_block(self, k, keep, room)
-        assert sum(s.bound for s in charge) >= bitslice._vmax_in(bitslice._total(charge), keep)
-        for p in points:
+        top = keep.bit_length() - 1
+        whole = top == (1 << self.bits) - 1
+        for p in [*points, charge]:
             assert sum(s.bound for s in p) >= bitslice._vmax_in(bitslice._total(p), keep)
             for s in p:
-                assert s.bound >= bitslice._vmax_in(s.size(), keep)
+                highest = bitslice._vmax_in(s.size(), keep)
+                assert s.bound >= highest
                 seen["product" if isinstance(s._of, tuple) else "value"] += 1
+                if whole:
+                    assert bitslice._vat(s.size(), top) == s.top_rows(top) * s.width
+                    if s.grows:
+                        assert highest == s.top_rows(top) * s.width
+                    seen["grows" if s.grows else "shrinks"] += 1
             seen["point"] += 1
         return hit, charge, points
 
@@ -1077,7 +1090,7 @@ def test_metering_point_bounds_hold_per_candidate(block_bits, monkeypatch):
     fixed = list(_fixed_flat_cases(("a", "b", "c")))
     for e, db in itertools.chain(((e, db) for e, _, db, _ in _flat_cases(set())), fixed):
         evaluate(e, db)
-    assert min(seen["product"], seen["value"], seen["point"]) > 0
+    assert min(seen["product"], seen["value"], seen["point"], seen["grows"], seen["shrinks"]) > 0
 
 
 # binders of 3 to 6 counter bits, so that with two-bit blocks every solve

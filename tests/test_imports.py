@@ -104,3 +104,13 @@ def test_a_stale_reference_is_found():
     model = importlib.import_module("eqalg.model")
     assert [defines(evaluator, n) for n in private_names(source)] == [True, True, False, False]
     assert defines(model, "_key") and defines(model, "_sorted") and not defines(model, "_nope")
+
+
+def test_bitslice_keeps_no_module_level_container():
+    # a module-level list, dict or set in ``bitslice`` would be a cache
+    # shared by every evaluation in the process and rebuilt on each
+    # re-import, such as one of a block's bit patterns
+    bitslice = importlib.import_module("eqalg.bitslice")
+    held = [name for name, value in vars(bitslice).items()
+            if not name.startswith("__") and isinstance(value, (list, dict, set))]  # fmt: skip
+    assert held == []
