@@ -27,13 +27,26 @@ class Expr:
     class with equal fields, hash as the tuple of their fields and print as
     ``Class(field=value, ...)``, as frozen dataclasses would; these methods
     are shared, where a dataclass would generate its own at every import.
+
+    One more slot, ``_program``, is not a field: ``evaluator.evaluate``
+    keeps there the program it compiled for the node as a root, for one
+    schema (see ``evaluator._program``).  It takes no part in equality,
+    hashing or printing, and a copy or an unpickled node has none.
     """
 
-    __slots__ = ()
+    __slots__ = ("_program",)
     labels: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
+        """The node's fields, in ``__slots__`` order: its constructor's
+        arguments, so ``type(e)(*e._values())`` is a one-node copy of ``e``
+        that shares its children."""
         return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild the node through its
+        # constructor, not by setting slots past the guard below
+        return type(self), self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an expression node")

@@ -526,13 +526,35 @@ def _at_top(points, charge, hit, keep, room, quota):
     return gained, high
 
 
+def counter_patterns(bits: int) -> list:
+    """The slices of the low ``bits`` counter bits over a block of
+    ``2^bits`` candidates: bit c of pattern j is bit j of c.
+
+    The top pattern is the block's upper half; below it, pattern j is
+    pattern j + 1 XOR itself shifted down by 2^j, since bit j + 1 of c
+    changes on adding 2^j exactly when bit j of c is set.  They depend on
+    ``bits`` alone, so a solve's program keeps them per block size
+    (``evaluator._compile_solve``).
+    """
+    patterns = [0] * bits
+    if bits:
+        half = 1 << bits - 1
+        p = ((1 << half) - 1) << half
+        patterns[bits - 1] = p
+        for j in range(bits - 2, -1, -1):
+            p ^= p >> (1 << j)
+            patterns[j] = p
+    return patterns
+
+
 class Blocks:
     """One run of a flat solve over the blocks of ``2^bits`` candidates that
-    the solve loop walks, ``bits`` being at most the counter's width."""
+    the solve loop walks, ``bits`` being at most the counter's width and
+    ``patterns`` the ``counter_patterns`` of ``bits``."""
 
     __slots__ = ("sides", "free", "binders", "bits", "patterns")
 
-    def __init__(self, sliced, env, consts, names, space, bits: int) -> None:
+    def __init__(self, sliced, env, consts, names, space, patterns: list) -> None:
         *gs, free = sliced
         self.sides = [(g, None if c is None else c.rows) for g, c in zip(gs, consts)]
         self.free = [(nm, env[nm].rows, env[nm].rtype.row_base_size) for nm in free]
@@ -540,19 +562,10 @@ class Blocks:
         self.binders = [(nm, u, shift, t.row_base_size)
                         for nm, (t, u, shift, _, _) in zip(names, space.binders)]  # fmt: skip
         width = sum(len(u) for _, u, _, _ in self.binders)
-        self.bits = bits
-        # bit c of patterns[j] is bit j of c, then None for the bits fixed per
-        # block.  The top pattern is the block's upper half; below it,
-        # pattern j is pattern j + 1 XOR itself shifted down by 2^j, since
-        # bit j + 1 of c changes on adding 2^j exactly when bit j of c is set
-        self.patterns = [None] * width
-        if bits:
-            half = 1 << bits - 1
-            p = ((1 << half) - 1) << half
-            self.patterns[bits - 1] = p
-            for j in range(bits - 2, -1, -1):
-                p ^= p >> (1 << j)
-                self.patterns[j] = p
+        self.bits = len(patterns)
+        # a pattern per counter bit of a block, then None for the bits fixed
+        # per block
+        self.patterns = patterns + [None] * (width - self.bits)
 
     def scan(self, k: int, live0: int, cap: int, quota: int):
         """``_scan`` of block ``k``, whose stop candidate the caller tests:

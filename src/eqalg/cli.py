@@ -275,19 +275,27 @@ def cmd_profile(args) -> int:
     gen = _parse_gen(args.gen, default_schema, args.seed)
     n_range = _parse_n_range(args.n_range)
     # an --out that cannot be written is refused before any profiling; it is
-    # opened to append, so a run that fails leaves an existing file as it was
-    with open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
-        if args.meter:
-            report = meter_expression(expression, gen, n_range, budget)
-        else:
-            solve = (expression.binders, expression.lhs, expression.rhs)
-            report = profile(solve, gen, n_range, budget)
-        print(report.format_table())
-        for p in report.points:
-            print(f"n={p.n} wall_ms={p.wall_ms:.1f}", file=sys.stderr)
-        if args.out:
-            fh.truncate(0)
-            fh.write(report.format_file())
+    # opened to append, so a run that fails leaves an existing file as it
+    # was, and one that this run created is removed
+    created = bool(args.out) and not os.path.lexists(args.out)
+    try:
+        with open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext() as fh:
+            if args.meter:
+                report = meter_expression(expression, gen, n_range, budget)
+            else:
+                solve = (expression.binders, expression.lhs, expression.rhs)
+                report = profile(solve, gen, n_range, budget)
+            print(report.format_table())
+            for p in report.points:
+                print(f"n={p.n} wall_ms={p.wall_ms:.1f}", file=sys.stderr)
+            if args.out:
+                fh.truncate(0)
+                fh.write(report.format_file())
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(args.out)
+        raise
     return EXIT_BUDGET if report.truncated else EXIT_OK
 
 

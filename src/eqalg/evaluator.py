@@ -1,15 +1,18 @@
 """Expression evaluation: compositional, with budgets and space metering.
 
-Each evaluation makes one ``Plan`` of its expression, read by both engines,
-the relation kernels and the bit-sliced blocks of ``bitslice``: each node
-path's type, from ``infer_type``, the one front-end check; the shared nodes;
-and per path, once compiled, its row width, join and solve records.  Each
-operator is one kernel, a function from its operand values to its result,
-built once per node from the plan (see ``_kernel``).  The compiler
-(``_compile``) turns an expression into closures over relations, and one
-metering wrapper per operand arity (``_metered``) runs every operator node
-the same way: it evaluates the operands, charges the result's size and then
-releases the operands.  Product, unnest and powerset have an exact size
+An expression is compiled once per root node and schema, into one ``Plan``
+read by both engines, the relation kernels and the bit-sliced blocks of
+``bitslice``: each node path's type, from ``infer_type``, the one front-end
+check; the shared nodes; and per path, once compiled, its row width, join
+and solve records.  The plan and the compiled closures are kept in the root
+node's ``_program`` slot (see ``_program``), and each evaluation runs them
+with a fresh context and environment.  Each operator is one kernel, a
+function from its operand values to its result, built once per node from
+the plan (see ``_kernel``).  The compiler (``_compile``) turns an
+expression into closures over relations, and one metering wrapper per
+operand arity (``_metered``) runs every operator node the same way: it
+evaluates the operands, charges the result's size and then releases the
+operands.  Product, unnest and powerset have an exact size
 computed from their operands, charged before the kernel runs, so an over-cap
 one is refused before any row is built; the other operators charge the
 result they built.  A solve node tests candidate assignments in the order of
@@ -370,13 +373,13 @@ def _metered(fs, kernel, need, path: str, node: ast.Expr):
 # ---------------------------------------------------------------------------
 # the plan: what an evaluation decides about its expression, once
 
-_NODES = ast.Expr.__subclasses__()
+_NODES = tuple(ast.Expr.__subclasses__())
 _UNARY = frozenset(cls for cls in _NODES if cls.labels == ("arg",))
 _BINARY = frozenset(cls for cls in _NODES if cls.labels == ("left", "right"))
 
 
 class Plan:
-    """What both engines read about one evaluation's expression.
+    """What both engines read about one compiled expression.
 
     ``types`` maps each node path to its type.  ``free`` maps the id of each
     distinct node to its free names, and ``shared`` the id of each shared
@@ -702,6 +705,7 @@ def _compile_solve(e: ast.Solve, path: str, plan: Plan):
         )
     types = tuple(t for _, t in e.binders)
     size = value_size
+    patterns: dict = {}  # block bits -> bitslice.counter_patterns, kept with the program
 
     def solve(env, ctx, quota):
         stats = ctx.solve_stats.setdefault(path, SolveStats(path))
@@ -755,7 +759,10 @@ def _compile_solve(e: ast.Solve, path: str, plan: Plan):
             block = min(bitslice.BLOCK_BITS, bits)
             width = 1 << block
             if sliced is not None:
-                blocks = bitslice.Blocks(sliced, env, (const_l, const_r), names, space, block)
+                low = patterns.get(block)
+                if low is None:
+                    low = patterns[block] = bitslice.counter_patterns(block)
+                blocks = bitslice.Blocks(sliced, env, (const_l, const_r), names, space, low)
             for k in range(1 << bits - block):
                 base = k << block
                 if sliced is None:
@@ -815,25 +822,71 @@ def _run_solve(solve, env, ctx, quota: int):
 # public entry points
 
 
+def _context(db: Database, budget: EvalBudget | None):
+    """A fresh context and the environment of the database's relations and
+    ``D``: what one run of a compiled expression reads and changes."""
+    env = {**db.relations, "D": domain_relation(db.atoms)}  # no relation is named D
+    return _Ctx(db, budget or EvalBudget()), env
+
+
 def _prepare(e: ast.Expr, db: Database, budget: EvalBudget | None):
     """Type ``e`` on ``db``; return its ``Plan``, a fresh context and the
     environment of the database's relations and ``D``."""
-    env = {**db.relations, "D": domain_relation(db.atoms)}  # no relation is named D
-    return Plan(e, db.schema), _Ctx(db, budget or EvalBudget()), env
+    return (Plan(e, db.schema), *_context(db, budget))
+
+
+class _Program:
+    """A root node's compiled program: the schema it was typed on, as a
+    frozenset of name → type pairs, its ``Plan`` and its root closure."""
+
+    __slots__ = ("schema", "plan", "run")
+
+    def __init__(self, schema: frozenset, plan: Plan, run) -> None:
+        self.schema = schema
+        self.plan = plan
+        self.run = run
+
+
+def _program(e: ast.Expr, db: Database) -> _Program:
+    """The program of the root ``e`` on ``db``'s schema.
+
+    The program is kept in the node's ``_program`` slot, so evaluating the
+    same node object again on a database of the same schema types, plans
+    and compiles nothing: the plan, its joins and solve records, the lazy
+    compiles of ``_shared``, the blocks' closures and their bit patterns
+    are all reused.  Nothing in a program depends on the atoms, the
+    relations or the budget, which each run reads from its ``_Ctx`` and
+    environment.  Another schema replaces the program; one on which ``e``
+    is ill-typed raises and leaves it.  The program is compiled from a
+    one-node copy of ``e`` that shares its children (``ast.Expr._values``),
+    and no node refers to an ancestor, so no closure refers to ``e``: the
+    slot is the only edge between them, and reference counting frees the
+    program with the node, with no table, bound or eviction.
+    """
+    schema = frozenset(db.schema.items())
+    program = getattr(e, "_program", None)
+    if program is None or program.schema != schema:
+        root = type(e)(*e._values())
+        plan = Plan(root, db.schema)
+        program = _Program(schema, plan, _compile(root, "", plan))
+        object.__setattr__(e, "_program", program)  # past the guard of ast.Expr
+    return program
 
 
 def evaluate(e: ast.Expr, db: Database, budget: EvalBudget | None = None):
     """Evaluate a well-typed expression on a database.
 
     Returns ``(value, metrics)``; the output type is checked against the
-    inferred type as a runtime soundness invariant.
+    inferred type as a runtime soundness invariant.  The node's compiled
+    program is kept in its ``_program`` slot for its schema (see
+    ``_program``), and each call runs it with a fresh context.
     """
-    plan, ctx, env = _prepare(e, db, budget)
-    res = _compile(e, "", plan)(env, ctx)
-    if res.rtype != plan.types[""]:
-        raise InternalCheckError(
-            f"evaluator produced type {res.rtype}, typechecker said {plan.types['']}"
-        )
+    program = _program(e, db)
+    ctx, env = _context(db, budget)
+    res = program.run(env, ctx)
+    rt = program.plan.types[""]
+    if res.rtype != rt:
+        raise InternalCheckError(f"evaluator produced type {res.rtype}, typechecker said {rt}")
     return res, ctx.metrics()
 
 

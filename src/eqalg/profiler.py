@@ -124,6 +124,10 @@ class DbGenerator:
 
 @dataclass(frozen=True)
 class ProfilePoint:
+    """One domain size's run.  ``wall_ms`` is the time of its ``evaluate``
+    call; the first point's includes compiling the expression, which the
+    later points reuse (see ``_sample``)."""
+
     n: int
     candidates: int
     solutions: int
@@ -222,7 +226,11 @@ def meter_expression(
 def _sample(e, gen, n_range, budget, solutions, verdict, growth_source) -> ProfileReport:
     """Evaluate ``e`` on the generated database of each domain size until a
     budget refuses, and classify the growth of the ``growth_source`` column;
-    ``solutions(result, metrics)`` gives the solutions column."""
+    ``solutions(result, metrics)`` gives the solutions column.  Every size
+    evaluates the one node ``e`` on one schema, so ``e`` is typed and
+    compiled at the first size only and its kept program reused after (see
+    ``evaluator.evaluate``): only the first point's ``wall_ms`` includes
+    compile time."""
     points = []
     note = ""
     for n in n_range:

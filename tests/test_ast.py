@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from eqalg import ast
@@ -7,6 +10,7 @@ from eqalg.ast import (
     Domain,
     Name,
     Nest,
+    Powerset,
     Product,
     Project,
     Select,
@@ -188,3 +192,39 @@ def _walk(e):
     yield e
     for c in ast.children(e):
         yield from _walk(c)
+
+
+def _every_node_class():
+    """One node of each class; some are children of the later ones."""
+    R, S = Name("R"), Name("S")
+    pair = Product(R, Domain())
+    nodes = [
+        R, Domain(), Union(R, S), Difference(R, S), pair, Project((2, 1, 2), pair),
+        Select(1, "!=", 2, pair), Nest((2,), pair), Unnest(3, Nest((2,), pair)),
+        Powerset(S), Solve((("X", FLAT1),), Union(Name("X"), S), S),
+    ]  # fmt: skip
+    assert {type(e) for e in nodes} == set(ast.Expr.__subclasses__())
+    return nodes
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_every_node_round_trips_without_its_program(how):
+    # copy, deepcopy and pickle rebuild a node through its constructor: an
+    # equal node of the same class that carries no kept program
+    db = Database(("a", "b"), {"R": Rel(FLAT1, frozenset({("a",)})), "S": Rel(FLAT1, frozenset())})
+    round_trip = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda e: pickle.loads(pickle.dumps(e)),
+    }[how]
+    for e in _every_node_class():
+        value = evaluate(e, db)
+        assert e._program is not None
+        back = round_trip(e)
+        assert back == e and type(back) is type(e) and back is not e
+        assert repr(back) == repr(e) and hash(back) == hash(e)
+        assert not hasattr(back, "_program")
+        assert evaluate(back, db) == value
+    # the shallow copy shares its children, the deep one copies them
+    e = _every_node_class()[2]
+    assert copy.copy(e).left is e.left and copy.deepcopy(e).left is not e.left

@@ -389,6 +389,22 @@ def test_profile_that_fails_leaves_an_existing_out_as_it_was(capsys, tmp_path):
     assert "points" in schema
 
 
+def test_profile_that_fails_removes_an_out_it_created(capsys, tmp_path):
+    # a run that exits 1 after creating --out leaves no file behind; one
+    # that succeeds on the same path writes its report there
+    eq_file = tmp_path / "s.expr"
+    eq_file.write_text("solve{(X:(0)) | union(X,S) = S}")
+    out_file = tmp_path / "new.edb"
+    argv = ["profile", "--eq", str(eq_file), "--n-range", "1..2", "--out", str(out_file)]
+    code, out, err = run(capsys, [*argv, "--gen", "flat:R:(0):0.5"])
+    assert code == 1
+    assert out == "" and err.startswith("error: unknown relation name 'S'")
+    assert not out_file.exists() and sorted(p.name for p in tmp_path.iterdir()) == ["s.expr"]
+    assert run(capsys, [*argv, "--gen", "flat:S:(0):0.5"])[0] == 0
+    db, schema = parse_database(out_file.read_text())
+    assert "points" in schema
+
+
 def test_profile_meter_powerset(capsys):
     import textwrap, tempfile, os
 

@@ -5,6 +5,7 @@ import itertools
 import pickle
 import random
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -893,23 +894,42 @@ def _flat_cases(tags):
 def _on_relations(monkeypatch):
     """Keep every solve body on the relation kernels: the one seam that does
     it is the plan's per-solve record, whose last part then says that no
-    body runs bit-sliced."""
+    body runs bit-sliced.  The seam acts when a node is compiled, and a node
+    evaluated before keeps its program, so a test evaluates fresh nodes or
+    fresh copies under it; ``bitslice.Blocks.scan`` fails under it, so a
+    program compiled to run bit-sliced cannot pass for the relation path."""
     record = evaluator.Plan.solve
 
     def on_relations(plan, e, path):
         return (*record(plan, e, path)[:2], None)
 
+    def scan(*args):
+        raise AssertionError("a block was scanned with every body on relations")
+
     monkeypatch.setattr(evaluator.Plan, "solve", on_relations)
+    monkeypatch.setattr(bitslice.Blocks, "scan", scan)
 
 
-def _representations(monkeypatch):
-    """Yield ``"sliced"``, then ``"relations"`` with every solve body kept on
-    the relation kernels (``_on_relations``) until the loop resumes."""
-    record = evaluator.Plan.solve
-    yield "sliced"
-    _on_relations(monkeypatch)
-    yield "relations"
-    monkeypatch.setattr(evaluator.Plan, "solve", record)
+def _representations(monkeypatch, e, db):
+    """Yield a fresh copy of ``e`` per representation: first on bit-sliced
+    blocks, which scan at least one block where ``_sliced`` says a body of
+    ``e`` slices on ``db``, then with every solve body kept on the relation
+    kernels (``_on_relations``), which scan none, until the loop resumes.
+    Each copy carries no program, so it is compiled under its own seam."""
+    scans = []
+    scan = bitslice.Blocks.scan
+
+    def counted(self, *args):
+        scans.append(args)
+        return scan(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(bitslice.Blocks, "scan", counted)
+        slices = any(_sliced(e, db).values())
+        yield copy.copy(e)
+        assert bool(scans) == slices
+        _on_relations(m)
+        yield copy.copy(e)
 
 
 def _sliced(e, db) -> dict:
@@ -995,12 +1015,13 @@ def _fixed_flat_cases(atoms):
 
 
 def _metered(e, db, budget):
-    """What evaluating ``e`` under ``budget`` leaves: its value and metrics,
-    or the refusal's kind, path, text and solve counts and the peak total
-    it leaves."""
-    plan, ctx, env = evaluator._prepare(e, db, budget)
+    """What evaluating ``e`` under ``budget`` leaves, through the program
+    kept on ``e``: its value and metrics, or the refusal's kind, path, text
+    and solve counts and the peak total it leaves."""
+    run = evaluator._program(e, db).run
+    ctx, env = evaluator._context(db, budget)
     try:
-        value = evaluator._compile(e, "", plan)(env, ctx)
+        value = run(env, ctx)
     except BudgetExceeded as exc:
         return exc.which, exc.path, str(exc), exc.solve, ctx.peak
     return value, ctx.metrics()
@@ -1044,12 +1065,12 @@ def test_flat_solve_bodies_agree_across_representations(monkeypatch):
     for e, _, db, _ in itertools.chain(_flat_cases(set()), fixed):
         above = _above_block_bounds(e, db, monkeypatch)
         runs = []
-        for _ in _representations(monkeypatch):
-            value, metrics = evaluate(e, db)
+        for copied in _representations(monkeypatch, e, db):
+            value, metrics = evaluate(copied, db)
             peak = metrics.peak_space_units
             low = max(1, peak - 60)
             caps = [*range(low, peak + 61), max(above, peak + 61)]
-            outcomes = [_metered(e, db, EvalBudget(max_space_units=cap)) for cap in caps]
+            outcomes = [_metered(copied, db, EvalBudget(max_space_units=cap)) for cap in caps]
             # a refusal below the peak, the value and metrics from it on
             assert [len(outcome) for outcome in outcomes] == [5] * (peak - low) + [2] * 62
             runs.append((value, metrics, outcomes))
@@ -1140,15 +1161,15 @@ def test_small_blocks_agree_with_relations(monkeypatch):
     for node, db in corpus():
         above = _above_block_bounds(node, db, monkeypatch)
         runs = []
-        for _ in _representations(monkeypatch):
-            value, metrics = evaluate(node, db)
+        for copied in _representations(monkeypatch, node, db):
+            value, metrics = evaluate(copied, db)
             peak = metrics.peak_space_units
             found = metrics.solves[0].solutions_found
             low = max(1, peak - 60)
             spaces = (*range(low, peak + 61), max(above, peak + 61))
             caps = [EvalBudget(max_space_units=cap) for cap in spaces]
             caps += [EvalBudget(max_solutions=m) for m in range(1, found)]
-            outcomes = [_metered(node, db, budget) for budget in caps]
+            outcomes = [_metered(copied, db, budget) for budget in caps]
             nonempty = solve_nonempty(node.binders, node.lhs, node.rhs, db)
             runs.append((value, metrics, outcomes, nonempty))
         assert runs[0] == runs[1]
@@ -1198,11 +1219,11 @@ def test_stop_rule_meters_alike_on_both_paths(block_bits, quota, monkeypatch):
             rels = {nm: random_flat_rel(rng, k, atoms, 0.5) for nm, k in free.items()}
             db = Database(atoms, rels)
             runs = []
-            for _ in _representations(monkeypatch):
-                done = _stop(node, db, EvalBudget(), quota)
+            for copied in _representations(monkeypatch, node, db):
+                done = _stop(copied, db, EvalBudget(), quota)
                 peak = done[3]
                 caps = range(max(1, peak - 20), peak + 1)
-                runs.append([done] + [_stop(node, db, EvalBudget(max_space_units=c), quota) for c in caps])
+                runs.append([done] + [_stop(copied, db, EvalBudget(max_space_units=c), quota) for c in caps])
             assert runs[0] == runs[1]
             hits = _hits(node, db)
             stop = hits[quota] if len(hits) > quota else None
@@ -1251,7 +1272,8 @@ def test_points_skipped_only_by_the_candidates_before_the_stop(quota, monkeypatc
     lhs = Union(Project((1,), wide), Project((1,), Product(Difference(D, X), P)))
     node = Solve((("X", FLAT1),), lhs, Project((1,), Product(Difference(D, X), X)))
     assert _hits(node, db) == [1, 2]
-    runs = [_stop(node, db, EvalBudget(), quota) for _ in _representations(monkeypatch)]
+    runs = [_stop(copied, db, EvalBudget(), quota)
+            for copied in _representations(monkeypatch, node, db)]  # fmt: skip
     assert runs[0] == runs[1]
     assert runs[0][3] == 48
 
@@ -1297,11 +1319,12 @@ def test_refusal_on_a_solutions_own_charge_agrees_with_relations(few_bits, monke
     monkeypatch.setattr(bitslice, "_FEW_BITS", few_bits)
     db = db_of(("a", "b", "c"), P=rel(FLAT1, [("a",), ("c",)]))
     node = Solve((("X", FLAT1), ("Y", FLAT1)), Name("X"), Name("P"))
-    refusals = []  # (node path, candidates tested) by increasing cap
-    for cap in range(1, evaluate(node, db)[1].peak_space_units):
-        runs = [_space_refusal(node, db, cap) for _ in _representations(monkeypatch)]
-        assert runs[0] == runs[1]
-        refusals.append((runs[0][0], runs[0][2][1]))
+    caps = range(1, evaluate(node, db)[1].peak_space_units)
+    runs = [[_space_refusal(copied, db, cap) for cap in caps]
+            for copied in _representations(monkeypatch, node, db)]  # fmt: skip
+    assert runs[0] == runs[1]
+    # (node path, candidates tested) by increasing cap
+    refusals = [(path, solve[1]) for path, _, solve, _ in runs[0]]
     # a candidate refused at the solve node once its lhs has passed, so on
     # its solution row: all solutions but the last, whose row stays below
     # the peaks of the candidates after it
@@ -1319,13 +1342,13 @@ def test_full_block_of_solutions_agrees_with_relations(monkeypatch):
     db = db_of(atoms, R=rel(FLAT1, [(a,) for a in atoms]))
     e = build_powerset_eq()
     runs = []
-    for _ in _representations(monkeypatch):
-        value, metrics = evaluate(e, db)
+    for copied in _representations(monkeypatch, e, db):
+        value, metrics = evaluate(copied, db)
         assert metrics.solves[0].solutions_found == 1 << bits
         peak = metrics.peak_space_units
         budgets = [EvalBudget(max_space_units=cap) for cap in (peak - 1, peak // 2)]
         budgets.append(EvalBudget(max_solutions=5000))
-        outcomes = [_outcome(e, db, budget) for budget in budgets]
+        outcomes = [_outcome(copied, db, budget) for budget in budgets]
         runs.append((value, metrics, outcomes))
     assert runs[0] == runs[1]
     assert [solve[2] for _, solve in outcomes] == [(1 << bits) - 1, 8871, 5001]
@@ -1578,8 +1601,8 @@ def test_counting_solutions_lists_none(block_bits, monkeypatch, capsys):
             listed.counters()
             assert read(evaluate(e, db)[0], fresh) == read(listed, fresh) == read(fresh, fresh), name
         refusals = []
-        for _ in _representations(monkeypatch):
-            refusals.append(_outcome(e, db, EvalBudget(max_solutions=found - 3)))
+        for copied in _representations(monkeypatch, e, db):
+            refusals.append(_outcome(copied, db, EvalBudget(max_solutions=found - 3)))
         assert refusals[0] == refusals[1] and refusals[0][1][2] == found - 2
         with monkeypatch.context() as m:
             m.setattr(model, "_bits", _no_listing)
@@ -1612,7 +1635,7 @@ def test_both_paths_keep_one_run_per_block(representation, block_bits, monkeypat
     for rows in (atoms, atoms[3:]):
         db = db_of(atoms, R=rel(FLAT1, [(a,) for a in rows]))
         for e in COUNTED:
-            v = evaluate(e, db)[0]
+            v = evaluate(copy.copy(e), db)[0]  # compiled under this representation
             fresh = from_plain(oracle_solution_set(e.binders, e.lhs, e.rhs, db), v.rtype)
             counters = sorted(v._space.encode(fresh.rows))
             assert len(counters) == 1 << len(rows)
@@ -1830,7 +1853,9 @@ def test_shared_nodes_meter_as_if_evaluated_at_each_path(kind):
 
 
 def _counting_kernels(monkeypatch) -> collections.Counter:
-    """Count the runs of each operator node's kernel, by the node's id."""
+    """Count the runs of each operator node's kernel, by the node's id.
+    Kernels are built when a node is compiled, so a test evaluates fresh
+    nodes or fresh copies, which carry no program, under the count."""
     runs: collections.Counter = collections.Counter()
     build = evaluator._kernel
 
@@ -1869,6 +1894,7 @@ def test_stage_equation_runs_each_kernel_once_per_evaluation(monkeypatch):
     atoms = tuple(sorted({a for row in r.rows for a in row}))
     db = Database(atoms, {"R": r, "X": build_run(r)})
     shared = evaluator._prepare(lhs, db, None)[0].shared
+    lhs = copy.copy(lhs)
     for n in (1, 2):
         evaluate(lhs, db)
         assert set(runs.values()) == {n}  # every kernel, at every path
@@ -1894,7 +1920,7 @@ def test_each_join_path_is_shaped_once_per_evaluation(monkeypatch):
     monkeypatch.setattr(evaluator, "_join_shape", counted)
     e = build_tc_powerset_expr()
     db = db_of(("a", "b", "c"), R=rel(FLAT2, [("a", "b"), ("b", "c")]))
-    value, _ = evaluate(e, db)
+    value, _ = evaluate(copy.copy(e), db)
     assert value.rows == {("a", "b"), ("b", "c"), ("a", "c")}
     assert _sliced(e, db) == {"right.arg.left.left": True, "right.arg.right.arg": True}
     assert "right.arg.left.left.lhs.left.left" in joins
@@ -1908,7 +1934,7 @@ def test_shared_node_on_the_bound_variable_runs_once_per_candidate(monkeypatch):
     d = Difference(Domain(), Name("S"))  # free of it: one value per solve
     node = Solve((("V", FLAT1),), Difference(s, d), Union(Difference(d, s), s))
     db = db_of(("a", "b", "c"), S=rel(FLAT1, [("a",)]))
-    value, metrics = evaluate(node, db)
+    value, metrics = evaluate(copy.copy(node), db)
     (stats,) = metrics.solves
     assert stats.candidates_tested == 8
     assert runs[id(s)] == 8 and runs[id(d)] == 1
@@ -1921,7 +1947,7 @@ def test_subexpression_repeated_in_text_runs_once(monkeypatch):
     runs = _counting_kernels(monkeypatch)
     e = parse_expr("union(project[1](R),project[1](R))")
     db = db_of(("a", "b", "c"), R=rel(FLAT2, [("a", "b"), ("b", "c")]))
-    value, metrics = evaluate(e, db)
+    value, metrics = evaluate(copy.copy(e), db)
     assert runs[id(e.left)] == 1 and sum(runs.values()) == 2  # the projection, the union
     env = {"R": to_plain(db.relations["R"])}
     assert to_plain(value) == oracle_eval(e, env, db.atoms, db.schema)
@@ -1931,6 +1957,97 @@ def test_subexpression_repeated_in_text_runs_once(monkeypatch):
     value, metrics = evaluate(e, db)
     assert [(s.path, s.candidates_tested) for s in metrics.solves] == [("left", 2**9)]
     assert to_plain(value) == oracle_eval(e, env, db.atoms, db.schema)
+
+
+# ---------------------------------------------------------------------------
+# a node evaluated again runs the program kept on it for its schema
+
+
+def _kept_program_cases():
+    """``(expression, db1, db2)``: ``tc_powerset``'s expression and every
+    fourth of the random flat solve bodies, each on two databases of one
+    schema."""
+    e = build_tc_powerset_expr()
+    yield (
+        e,
+        db_of(("a", "b", "c"), R=rel(FLAT2, [("a", "b"), ("b", "c")])),
+        db_of(("x", "y", "z"), R=rel(FLAT2, [("x", "x"), ("z", "y"), ("y", "x")])),
+    )
+    rng = random.Random(9970)
+    for e, _, db, schema in itertools.islice(_flat_cases(set()), 0, None, 4):
+        atoms = ("a", "b", "c")[: rng.randint(1, 3)]
+        rels = {nm: random_flat_rel(rng, t.arity, atoms, 0.5) for nm, t in schema.items()}
+        yield e, db, Database(atoms, rels)
+
+
+def test_a_node_evaluated_again_compiles_once_per_schema(monkeypatch):
+    # on db1, db2 and db1 again, all of one schema, a node is typed and
+    # planned once and each kernel built once; another schema compiles it
+    # again, and one on which it is ill-typed raises and keeps the program
+    plans, kernels = [], []
+    init, kernel = evaluator.Plan.__init__, evaluator._kernel
+
+    def planned(self, e, schema):
+        plans.append(schema)
+        init(self, e, schema)
+
+    def built(e, path, plan):
+        kernels.append(path)
+        return kernel(e, path, plan)
+
+    monkeypatch.setattr(evaluator.Plan, "__init__", planned)
+    monkeypatch.setattr(evaluator, "_kernel", built)
+    e, db1, db2 = next(_kept_program_cases())
+    values = [evaluate(e, db)[0] for db in (db1, db2, db1)]
+    assert values[0] == values[2] != values[1]
+    assert len(plans) == 1 and len(kernels) == len(set(kernels)) > 0
+    program = e._program
+    wider = Database(db1.atoms, {**db1.relations, "S": rel(FLAT1, [])})
+    assert evaluate(e, wider)[0] == values[0]
+    assert len(plans) == 2 and e._program is not program
+    program = e._program
+    with pytest.raises(TypecheckError):
+        evaluate(e, db_of(db1.atoms, R=rel(FLAT1, [])))
+    assert e._program is program
+    assert evaluate(e, wider)[0] == values[0] and len(plans) == 3
+
+
+def test_kept_programs_meter_as_fresh_copies():
+    # the program kept on a node, compiled on db1 and run on db2 and db1
+    # again, gives what a fresh copy compiled for each run gives, under
+    # every space cap from 60 below the peak to 60 above it: the value and
+    # metrics, or the refusal's kind, path, text, counts and peak total
+    outcomes = collections.Counter()
+    for e, db1, db2 in _kept_program_cases():
+        program = None
+        for db in (db1, db2, db1):
+            peak = evaluate(copy.copy(e), db)[1].peak_space_units
+            for cap in range(max(1, peak - 60), peak + 61):
+                budget = EvalBudget(max_space_units=cap)
+                kept = _metered(e, db, budget)
+                assert kept == _metered(copy.copy(e), db, budget)
+                outcomes[len(kept)] += 1
+            program = program or e._program
+            assert e._program is program
+    assert outcomes[5] and outcomes[2]  # refusals and values
+
+
+def test_a_kept_program_is_freed_with_its_node():
+    # no closure of a program refers to its node, so with the cycle
+    # collector off, dropping the node frees the program
+    db = db_of(("a", "b", "c"), R=rel(FLAT2, [("a", "b"), ("b", "c")]))
+    builds = (build_tc_powerset_expr, lambda: parse_expr("project[1,4](select[2=3](times(R,R)))"))
+    gc.collect()
+    gc.disable()
+    try:
+        for build in builds:
+            e = build()
+            evaluate(e, db)
+            run = weakref.ref(e._program.run)
+            del e
+            assert run() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -106,11 +106,21 @@ def test_a_stale_reference_is_found():
     assert defines(model, "_key") and defines(model, "_sorted") and not defines(model, "_nope")
 
 
+def module_containers(name: str) -> list:
+    """The module-level lists, dicts and sets of ``eqalg.<name>``."""
+    module = importlib.import_module(f"eqalg.{name}")
+    return [key for key, value in vars(module).items()
+            if not key.startswith("__") and isinstance(value, (list, dict, set))]  # fmt: skip
+
+
 def test_bitslice_keeps_no_module_level_container():
     # a module-level list, dict or set in ``bitslice`` would be a cache
     # shared by every evaluation in the process and rebuilt on each
     # re-import, such as one of a block's bit patterns
-    bitslice = importlib.import_module("eqalg.bitslice")
-    held = [name for name, value in vars(bitslice).items()
-            if not name.startswith("__") and isinstance(value, (list, dict, set))]  # fmt: skip
-    assert held == []
+    assert module_containers("bitslice") == []
+
+
+def test_evaluator_keeps_no_module_level_container():
+    # nor in ``evaluator``, such as a table of compiled programs: a program
+    # is kept on its root node, and freed with it
+    assert module_containers("evaluator") == []
