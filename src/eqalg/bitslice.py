@@ -5,28 +5,24 @@ A solve whose binders and body nodes all have flat types (see
 as in Biham's bit-sliced DES (FSE 1997), in place of once per candidate.
 ``compile_sliced`` compiles a side to closures over blocks, at the row
 widths and with the joins of the evaluation's plan, and ``Blocks.scan``
-evaluates a block's sides, solutions and metering, then walks its candidates
-in order, a stretch at a time: the units kept live by the solutions so far
-change only at a solution, so a block with few solutions goes from one to
-the next, and one with more takes a prefix sum on the bit planes.  Either
-gives each candidate's live total, and with it the peak, the solutions and
-the stop candidate.  Metering stays exact without counting every point.
-Each metering point of literal evaluation has a scalar bound, the sum of
-the bounds of the values live there, known once the block's values are
-built (``_Size``).  Its live total per candidate, composed from
-per-candidate row counters, is built only where that bound, plus what the
-solutions and a candidate's own charge can keep live, could pass the
-highest total already counted, or where a bound could pass the space cap
-(``_body``).  And none is built for a block that no candidate can refuse,
-whose walk reaches its top candidate, and whose points that could pass
-that candidate's live total hold only values that grow with the binders:
-its peak is that candidate's, read off the slices as scalars (``_at_top``).
+evaluates a block's sides and solutions, then meters the candidates it
+walks, those before its stop candidate, one of two ways.  Each metering
+point of literal evaluation has a scalar bound, the sum of the bounds of
+the values live there, known once the block's values are built
+(``_Size``).  Where no bound could pass the space cap, and every point
+that could pass the peak holds only values that grow with the binders, the
+walked candidates split into aligned tiles, and each tile's top candidate
+has the highest live total of its tile: the peak is read at those tops as
+scalars, off the slices, and no vertical counter is built (``_tile_read``).
+Any other block counts every point per candidate, and one prefix sum on
+the bit planes gives each candidate's live total, and with it the peak
+and the first refused candidate (``_scan``).
 """
 
 from __future__ import annotations
 
 from . import ast
-from .model import _FEW_BITS, _bits, row_picker
+from .model import _bits, row_picker
 
 # A block is 2^b consecutive candidates of a solve, those whose counter
 # values agree above bit b; candidate c of a block is the one whose low b
@@ -39,7 +35,7 @@ from .model import _FEW_BITS, _bits, row_picker
 # allowed.
 
 # The one block-size constant.  A block pays a fixed interpretive cost, a
-# closure per node and the reads of its top candidate or its vertical
+# closure per node and the reads of its tile tops or its vertical
 # counters, so larger blocks pay it less often: one tc_powerset query (2^16
 # candidates) took 6.1-6.5, 2.1-2.2, 1.03-1.06 and 1.02-1.03 ms at blocks
 # of 2^10, 2^12, 2^14 and 2^16 candidates, 2^16 being the fastest in each
@@ -297,11 +293,11 @@ class _Size:
     the product of its two operands' bounds (a pair of ``_Size``).  A free
     name's row counter, the same for every candidate, is given up front.
     ``grows`` says that the value only gains rows as the binders do (see
-    ``compile_sliced``), so that no candidate of a whole block has more
-    than its top candidate.
+    ``compile_sliced``), so that no candidate of a tile has more than the
+    tile's top candidate (``_tile_read``).
     """
 
-    __slots__ = ("rows", "width", "grows", "_of", "_count", "_size", "_top")
+    __slots__ = ("rows", "width", "grows", "_of", "_count", "_size", "_t", "_at")
 
     def __init__(self, rows: int, width: int, of, grows=True, count: list | None = None) -> None:
         self.rows = rows
@@ -310,25 +306,30 @@ class _Size:
         self._of = of
         self._count = count
         self._size = None
-        self._top = None
+        self._t = -1  # the candidate whose row count _at holds
+        self._at = 0
 
     @property
     def bound(self) -> int:
         return self.rows * self.width
 
-    def top_rows(self, top: int) -> int:
-        """The value's row count for candidate ``top``, whose bit is the
-        highest that a slice can hold, read on first use: a slice holds it
-        when its bit length passes ``top``."""
-        if self._top is None:
+    def rows_at(self, t: int, bit: int) -> int:
+        """The value's row count for candidate ``t``, read on first use per
+        ``t``: the slices that hold bit ``t``.  ``bit`` is ``1 << t`` or 0:
+        ``s & bit`` reads up to bit ``t`` of a slice and ``s >> t`` from it
+        up, so the caller passes it for a ``t`` low in the block."""
+        if self._t != t:
             of = self._of
             if isinstance(of, tuple):
-                self._top = of[0].top_rows(top) * of[1].top_rows(top)
+                n = of[0].rows_at(t, bit) * of[1].rows_at(t, bit)
             elif of is None:
-                self._top = self.rows
+                n = self.rows
+            elif bit:
+                n = sum(1 for s in of.values() if s & bit)
             else:
-                self._top = sum(s.bit_length() > top for s in of.values())
-        return self._top
+                n = sum(s >> t & 1 for s in of.values())
+            self._t, self._at = t, n
+        return self._at
 
     def count(self) -> list:
         """The vertical counter of the value's rows."""
@@ -370,7 +371,8 @@ def compile_sliced(e: ast.Expr, path: str, plan, bound):
     product's count is its operands' counts multiplied, known before any row
     is built; where the bounds of the values live there could pass ``room``,
     a candidate that would exceed the cap raises ``_Refused``.  No point
-    builds a vertical counter here: ``_body`` picks the points to count.
+    builds a vertical counter here: ``Blocks.scan`` reads the points at tile
+    tops or counts them all.
     Widths and joins come from ``plan`` (``evaluator.Plan``): a join never
     builds the product, as in ``evaluator._compile_join``.
 
@@ -451,75 +453,61 @@ def compile_sliced(e: ast.Expr, path: str, plan, bound):
     return run, grows
 
 
-def _body(points, charge, hit, keep, room, quota) -> list:
-    """The vertical counter of the most units a block's sides keep live at
-    once, above each candidate's own, exact wherever it can decide the
-    block's peak or a refusal.
+def _kept(charge, h: int) -> int:
+    """The units that the solutions of hit mask ``h`` keep live, ``charge``
+    being the ``_Size`` of the binders: their count plus, per binder row,
+    its width times the solutions that hold it."""
+    if not h:
+        return 0
+    out = h.bit_count()
+    for s in charge:
+        out += s.width * sum((x & h).bit_count() for x in s._of.values())
+    return out
 
-    ``points`` are the block's metering points and ``charge`` the
-    ``_Size`` of its binders.  A candidate is charged at most ``C``, the
-    sum of their bounds, and the solutions before the stop candidate, at
-    most ``min(solutions, quota)`` of them, keep at most ``S``, ``1 + C``
-    units each, live beside it.  So a point whose bound is ``B`` has at most
-    ``S + C + B`` units live with it.  Points are counted highest bound
-    first, and once ``S + C + B`` is at most the exact maximum of the points
-    counted so far over the candidates the walk reaches, the others cannot
-    raise the peak.  Where a point or a solution's own row could pass
-    ``room``, every point is counted, since a refusal may depend on any.
-    A block whose top candidate ``_at_top`` reads is not counted at all.
+
+def _tile_read(points, charge, hit, keep, end, room):
+    """``(gained, high)`` of the candidates before ``end``, read at tile
+    tops with no vertical counter, or None where that is not exact.
+
+    ``points`` and ``charge`` are those of the candidates ``keep``
+    (``Blocks._evaluate``), and ``hit`` the solutions before ``end``.  The
+    candidates split into aligned tiles, one per set bit of ``end``, each of
+    candidates that agree above that bit.  A tile's top candidate t holds
+    every binder row that any candidate of the tile holds, so each value
+    that grows with the binders (``_Size.grows``) is at its highest there,
+    and ``S(c)``, the units the solutions before candidate c keep live
+    (``_kept``), never falls in counter order.  t's live total above the
+    block's start is ``S(t)`` plus ``csize(t) + body(t)``, or ``2·csize(t)
+    + 1`` for a solution if that is more, each value read off its slices at
+    bit t.  No candidate c of the tile has more: ``S(c) <= S(t)``,
+    ``csize(c) <= csize(t)``, a point whose values all grow is at most its
+    value at t, and a solution c before t keeps ``1 + csize(c)`` of
+    ``S(t)``, which covers its own row.  ``high`` is the highest of the
+    tops' totals and ``gained`` is ``S(end)``.  The read declines where a
+    point or a solution's own row could pass ``room``, since a refusal may
+    then depend on any candidate, or where a point that holds a value that
+    can shrink could pass ``high``: a candidate has at most ``S + C`` units
+    live beside it, ``C`` being the binders' bounds and ``S`` at most ``1 +
+    C`` per solution.
     """
     c = sum(s.bound for s in charge)
-    reach = min(hit.bit_count(), quota) * (1 + c) + c  # S + C
-    ranked = sorted(((sum(s.bound for s in p), p) for p in points), key=lambda bp: -bp[0])
-    top = ranked[0][0] if ranked else 0
-    skip = reach + max(top, c + 1) <= room
-    stop = _past_quota(hit, keep.bit_length(), quota)
-    reached = keep if stop is None else keep & ((1 << stop) - 1)
-    body: list = []
-    for bound, p in ranked:
-        # body's maximum is at most top: a point that top does not cover
-        # is counted without reading it
-        if skip and body and reach + bound <= top and reach + bound <= _vmax_in(body, reached):
-            break
-        body = _vmax(body, _total(p), keep)
-    return body
-
-
-def _at_top(points, charge, hit, keep, room, quota):
-    """``(gained, high)`` of a whole block (``keep``) read at its top
-    candidate c⊤, with no vertical counter, or None where it cannot be.
-
-    c⊤, the highest bit of ``keep``, holds every binder row that any
-    candidate of the block holds, so each value that grows with the binders
-    (``_Size.grows``) is at its highest there.  Where no candidate can be
-    refused (``_body``'s rule) and no solution is past ``quota``, the walk
-    of ``_scan`` reaches c⊤, and the solutions keep ``gained`` units:
-    their count plus, per binder row, its width times the solutions that
-    hold it.  ``S(c⊤)`` is ``gained`` less c⊤'s own if it is a solution, and
-    c⊤'s live total above the block's start, ``high``, is ``S(c⊤)`` plus
-    ``csize(c⊤) + body(c⊤)``, or ``2·csize(c⊤) + 1`` for a solution if that
-    is more, each value read off its slices' bit lengths.  No earlier
-    candidate c has more: ``S(c) <= S(c⊤)``, ``csize(c) <= csize(c⊤)``, a
-    point whose values all grow is at most its value at c⊤, a solution's
-    own row is within what c⊤'s total counts after it, and any other point
-    is at most ``S + C`` plus its bound, which must not pass ``high``.
-    """
-    hits = hit.bit_count()
-    if hits > quota:
-        return None
-    c = sum(s.bound for s in charge)
-    reach = hits * (1 + c) + c  # S + C
+    reach = hit.bit_count() * (1 + c) + c  # S + C
     bounds = [sum(s.bound for s in p) for p in points]
     if reach + max(max(bounds, default=0), c + 1) > room:
         return None
-    top = keep.bit_length() - 1
-    own = sum(s.top_rows(top) * s.width for s in charge)
-    gained = hits
-    for s in charge:  # a binder's units summed over the solutions
-        gained += s.width * sum((t & hit).bit_count() for t in s._of.values())
-    last = hit >> top  # 1 when c⊤ is a solution
-    body = max((sum(s.top_rows(top) * s.width for s in p) for p in points), default=0)
-    high = gained - last * (own + 1) + max(own + body, last * (2 * own + 1))
+    half = keep.bit_length() >> 1
+    gained = kept = _kept(charge, hit)
+    high = 0
+    e = end
+    while e:  # the tile before e, whose top is e - 1 and whose S(e) is kept
+        t = e - 1
+        bit = 1 << t if t < half else 0
+        own = sum(s.rows_at(t, bit) * s.width for s in charge)
+        body = max((sum(s.rows_at(t, bit) * s.width for s in p) for p in points), default=0)
+        last = hit >> t & 1  # 1 when t is a solution
+        high = max(high, kept - last * (own + 1) + max(own + body, last * (2 * own + 1)))
+        e &= e - 1
+        kept = _kept(charge, hit & ((1 << e) - 1))
     for p, bound in zip(points, bounds):
         if reach + bound > high and not all(s.grows for s in p):
             return None
@@ -568,14 +556,19 @@ class Blocks:
         self.patterns = patterns + [None] * (width - self.bits)
 
     def scan(self, k: int, live0: int, cap: int, quota: int):
-        """``_scan`` of block ``k``, whose stop candidate the caller tests:
-        a refused candidate or the solution past ``quota``.  Where
-        a candidate would exceed the cap at a product, the candidates before
-        it are evaluated again without it, so no product is built for a
-        candidate that is refused.  The solutions come as a hit mask, bit c
-        for candidate c of the block.  A whole block whose peak ``_at_top``
-        reads at its top candidate builds no vertical counter; any other
-        takes ``_body`` and ``_scan``."""
+        """``(hit, gained, peak, stop)`` of block ``k``: the hit mask of the
+        solutions before its stop candidate, bit c for candidate c of the
+        block, the units they keep live, the highest live total of the
+        candidates before the stop (the test of the stop candidate adds its
+        own), and the stop candidate, which the caller tests, or None: the
+        first refused candidate or the solution past ``quota``, whichever
+        comes first, so with a quota of 0 the first solution, as
+        ``solve_nonempty`` asks.  Where a candidate would exceed the cap at
+        a product, the candidates before it are evaluated again without it,
+        so no product is built for a candidate that is refused.  The
+        candidates before the first stop known are metered at tile tops
+        (``_tile_read``) or, where that is not exact, by vertical counters
+        (``_scan``)."""
         keep = (1 << (1 << self.bits)) - 1
         refuse = None
         room = cap - live0
@@ -586,12 +579,14 @@ class Blocks:
                 refuse = exc.args[0]
                 keep &= (1 << refuse) - 1
             else:
-                if refuse is None:
-                    top = _at_top(points, charge, hit, keep, room, quota)
-                    if top is not None:
-                        return hit, top[0], live0 + top[1], None
-                body = _body(points, charge, hit, keep, room, quota)
-                return _scan(hit, _total(charge), body, keep, live0, cap, quota, refuse)
+                hit, end, stop = _walked(hit, keep, quota, refuse)
+                read = _tile_read(points, charge, hit, keep, end, room)
+                if read is not None:
+                    return hit, read[0], live0 + read[1], stop
+                body: list = []
+                for p in points:
+                    body = _vmax(body, _total(p), keep)
+                return _scan(hit, _total(charge), body, end, live0, cap, stop)
         return 0, 0, live0, refuse
 
     def _evaluate(self, k: int, keep: int, room: int):
@@ -626,81 +621,41 @@ class Blocks:
         return keep ^ differ, charge, pl + pr
 
 
-def _past_quota(hit: int, end: int, quota: int):
-    """The solution past ``quota`` among those of ``hit < 2^end``, or None."""
+def _walked(hit: int, keep: int, quota: int, refuse):
+    """``(hit, end, stop)`` of a block whose candidates ``keep`` are
+    evaluated: the walk covers the candidates before ``end`` and stops at
+    ``stop``, the solution past ``quota`` or else ``refuse``, None or a
+    refused candidate after ``keep``, and ``hit`` keeps the solutions before
+    it.  Solutions are listed only to find the one past a nonzero quota."""
+    end = keep.bit_length()
     if hit.bit_count() <= quota:
-        return None
-    return _bits(hit, end)[quota] if quota else (hit & -hit).bit_length() - 1
+        return hit, end, refuse
+    stop = _bits(hit, end)[quota] if quota else (hit & -hit).bit_length() - 1
+    return hit & ((1 << stop) - 1), stop, stop
 
 
-def _scan(hit, csize, body, keep, live0, cap, quota, refuse):
-    """Walk a block's candidates in order, as the candidate loop would.
+def _scan(hit, csize, body, end, live0, cap, stop):
+    """``Blocks.scan``'s four for the candidates before ``end``, walked in
+    order on vertical counters, as the candidate loop would walk them.
 
-    ``live0`` is the live total before the block.  Candidate c is charged
-    ``csize(c)`` units, its sides then keep up to ``body(c)`` more live at
-    once, and a solution keeps its row of ``1 + csize(c)`` units live while
-    the candidate is, and after it.  So candidate c has ``live0 + S(c) +
-    top(c)`` units live at its highest, where ``S(c)`` sums the units kept
-    live by the solutions before it, and ``top(c)`` is ``csize(c) +
-    body(c)``, or ``2·csize(c) + 1`` for a solution if that is more.  The
-    walk covers the candidates of ``keep`` (not 0) up to the stop candidate:
-    the first refused one or the solution past ``quota``, whichever comes
-    first, so with a quota of 0 the first solution, as ``solve_nonempty``
-    asks.  ``refuse`` is None or a candidate after ``keep`` known to be
-    refused.  Returns ``(hit, gained, peak, refuse)``: the hit mask of the
-    solutions before the stop candidate, the units they keep live, the
-    highest live total of the candidates before the stop candidate (the
-    test of the stop candidate adds its own), and the stop candidate or
-    None.  ``body`` need only be exact where it decides that peak or a
-    refusal (``_body``): elsewhere it may be lower.  A block that
-    ``_at_top`` reads gives the same four without this walk.
-
-    ``S`` is a step function with one step per solution.  With at most
-    ``model._FEW_BITS`` solutions within the quota, the walk goes from one
-    solution to the next: in each segment ``S`` is a constant, so one
-    threshold and one maximum over the segment's candidates find its first
-    refusal and its peak, and a solution's own charge is a scalar.  With
-    more, ``S`` is one prefix sum on the bit planes (``_vprefix``).
-    Solutions are listed only to find the one past a nonzero quota.
+    ``live0`` is the live total before the block and ``hit`` the solutions
+    before ``end``.  Candidate c is charged ``csize(c)`` units, its sides
+    then keep up to ``body(c)`` more live at once, and a solution keeps its
+    row of ``1 + csize(c)`` units live while the candidate is, and after it.
+    So candidate c has ``live0 + S(c) + top(c)`` units live at its highest,
+    where ``S(c)``, one prefix sum on the bit planes (``_vprefix``), sums
+    the units kept live by the solutions before it, and ``top(c)`` is
+    ``csize(c) + body(c)``, or ``2·csize(c) + 1`` for a solution if that is
+    more.  The first candidate whose total passes ``cap`` is the stop
+    candidate; with none, ``stop`` is.
     """
-    end = keep.bit_length()  # the candidates walked are those before end
-    stop = _past_quota(hit, end, quota)
-    if stop is not None:
-        refuse = end = stop
-        hit &= (1 << stop) - 1
-    room = cap - live0
-    if hit.bit_count() > _FEW_BITS:
-        gain = [p & hit for p in _vadd(csize, [hit])]
-        s = _vprefix(gain, end)
-        high = _vadd(s, _vadd(csize, _vmax(body, gain, keep)))
-        over = _vabove(high, room, (1 << end) - 1)
-        if over:
-            refuse = end = (over & -over).bit_length() - 1
-            hit &= (1 << refuse) - 1
-        return hit, _vat(s, end), live0 + _vmax_in(high, (1 << end) - 1), refuse
-    top = _vadd(csize, body)
-    high = gained = lo = 0
-    rest = hit  # the solutions not yet walked
-    while True:
-        # the segment: the candidates from lo up to the next solution h, or
-        # up to end past the last one
-        h = (rest & -rest).bit_length() - 1
-        seg = (1 << (h + 1 if rest else end)) - (1 << lo)
-        over = _vabove(top, room - gained, seg)
-        own = 0
-        if rest:
-            c = _vat(csize, h)
-            own = gained + 2 * c + 1
-            if own > room:
-                over |= 1 << h
-        if over:
-            refuse = (over & -over).bit_length() - 1
-            hit &= (1 << refuse) - 1
-            seg &= (1 << refuse) - 1
-            own = 0
-        high = max(high, own, gained + _vmax_in(top, seg))
-        if over or not rest:
-            return hit, gained, live0 + high, refuse
-        gained += c + 1
-        lo = h + 1
-        rest ^= 1 << h
+    walked = (1 << end) - 1
+    gain = [p & hit for p in _vadd(csize, [hit])]
+    s = _vprefix(gain, end)
+    high = _vadd(s, _vadd(csize, _vmax(body, gain, walked)))
+    over = _vabove(high, cap - live0, walked)
+    if over:
+        stop = end = (over & -over).bit_length() - 1
+        walked = (1 << end) - 1
+        hit &= walked
+    return hit, _vat(s, end), live0 + _vmax_in(high, walked), stop

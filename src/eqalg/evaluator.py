@@ -47,14 +47,14 @@ path, in the order literal evaluation would.  Both engines walk a solve's
 candidates in the same blocks and stop at the same candidate: the first
 refused one, or the solution past the solve's quota (its solution cap, or
 0 for ``solve_nonempty``).  A bit-sliced block bounds each charge by a
-scalar and computes each candidate's live total from per-candidate row
-counts only at the charges whose bound can reach the block's peak or the
-space cap; where no candidate can be refused and the charges that could
-pass its top candidate's total only grow with the binders, it reads that
-candidate's total, the block's peak, as scalars and counts none.  It
-decodes only its stop candidate, which it tests on the relation kernels as
-the other engine tests every candidate, so ``peak_space_units`` and every
-budget refusal, down to its message, stay the same.
+scalar.  Where no candidate can be refused and the charges that could pass
+the peak only grow with the binders, it reads the peak as scalars at the
+top candidates of aligned tiles of the candidates before its stop, and
+counts nothing per candidate; otherwise it computes each candidate's live
+total from per-candidate row counts at every charge.  It decodes only its
+stop candidate, which it tests on the relation kernels as the other engine
+tests every candidate, so ``peak_space_units`` and every budget refusal,
+down to its message, stay the same.
 """
 
 from __future__ import annotations
@@ -684,12 +684,13 @@ def _compile_solve(e: ast.Solve, path: str, plan: Plan):
     row of a solution staying live.  Without a bit-sliced body it tests each
     candidate in turn.  With one, ``bitslice.Blocks.scan`` gives a block's
     hit mask of the solutions before its stop candidate, the units they
-    keep live, the peak of the candidates before that one, and that
-    candidate, which ``test`` then runs from that peak, so its refusal is
-    raised by the code that defines it.  One stop rule serves both: the
-    solve ends at the solution past ``quota``, which joins its block's run
-    unless ``test`` refuses it as past the solution cap.  Every refusal
-    names this solve and its counts so far.
+    keep live, the peak of the candidates before that one, read at the tops
+    of aligned tiles of them where that is exact and on vertical counters
+    elsewhere, and that candidate, which ``test`` then runs from that peak,
+    so its refusal is raised by the code that defines it.  One stop rule
+    serves both: the solve ends at the solution past ``quota``, which joins
+    its block's run unless ``test`` refuses it as past the solution cap.
+    Every refusal names this solve and its counts so far.
     """
     l_inv, r_inv, reads = plan.solve(e, path)
     lp, rp = ast.child_path(path, "lhs"), ast.child_path(path, "rhs")

@@ -187,12 +187,12 @@ def scan_oracle(hit, cs, bd, n, live0, cap, quota, refuse):
     return (kept, gained, peak, refuse), False
 
 
-def test_scan_walk_and_prefix_sum_agree(monkeypatch):
-    # blocks with 0, 1, 63, 64, 65 and thousands of solutions: the walk from
-    # one solution to the next and the prefix sum give what the candidate
-    # loop gives, under every cap from the peak down past the solutions' own
-    # charges (a sample of them with thousands) and under quotas of 0, 1 and
-    # more, with a refused candidate known past keep or not
+def test_scan_matches_the_candidate_loop():
+    # blocks with 0, 1, 63, 64, 65 and thousands of solutions: the prefix
+    # sum gives what the candidate loop gives, under every cap from the peak
+    # down past the solutions' own charges (a sample of them with thousands)
+    # and under quotas of 0, 1 and more, with a refused candidate known past
+    # keep or not
     rng = random.Random(SEED)
     own_charge_refusals = 0
     for n, count in [(256, 0), (256, 1), (512, 63), (512, 64), (512, 65), (2048, 1500)]:
@@ -211,10 +211,9 @@ def test_scan_walk_and_prefix_sum_agree(monkeypatch):
                 for quota in (0, 1, count // 2, 1 << 30):
                     expected, own = scan_oracle(hit & keep, cs, bd, size, live0, cap, quota, refuse)
                     own_charge_refusals += own
-                    args = (hit & keep, csize, body, keep, live0, cap, quota, refuse)
-                    for few in (1 << 30, -1):  # the walk, then the prefix sum
-                        monkeypatch.setattr(bitslice, "_FEW_BITS", few)
-                        assert bitslice._scan(*args) == expected, (n, count, cap, quota, few)
+                    walked, end, stop = bitslice._walked(hit & keep, keep, quota, refuse)
+                    got = bitslice._scan(walked, csize, body, end, live0, cap, stop)
+                    assert got == expected, (n, count, cap, quota)
     assert own_charge_refusals
 
 
@@ -262,30 +261,30 @@ def _solve_loop(node, db, budget, quota):
 
 @pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 2])
 def test_top_candidate_and_counters_agree(block_bits, monkeypatch):
-    # reading a whole block's peak at its top candidate gives each block's
-    # hit mask, units gained, peak and stop candidate, and the solve's
-    # outcome, that the vertical counters give: under quotas of 0, 1, half
-    # the solutions and none, and with no quota under every space cap from
-    # 60 below the peak to 60 above it, the refusal's kind, path, text,
-    # counts and peak.  A run in which no block read its top candidate ran
-    # the counters' code alone, so only the others run again on them.  On
-    # the bodies of _declining_cases no block reads its top candidate.
+    # reading the peak at tile tops gives each block's hit mask, units
+    # gained, peak and stop candidate, and the solve's outcome, that the
+    # vertical counters give: under quotas of 0, 1, half the solutions and
+    # all but one, and with no quota under every space cap from 60 below the
+    # peak to 60 above it, the refusal's kind, path, text, counts and peak.
+    # A run in which no block was read at its tile tops ran the counters'
+    # code alone, so only the others run again on them.  On the bodies of
+    # _declining_cases no block is read at its tile tops.
     monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
-    at_top = bitslice._at_top
+    tile_read = bitslice._tile_read
     taken = []
 
     def recorded(*args):
-        top = at_top(*args)
-        taken.append(top is not None)
-        return top
+        read = tile_read(*args)
+        taken.append(read is not None)
+        return read
 
     def agree(node, db, budget, quota):
-        monkeypatch.setattr(bitslice, "_at_top", recorded)
+        monkeypatch.setattr(bitslice, "_tile_read", recorded)
         taken.clear()
         done = _solve_loop(node, db, budget, quota)
         read = any(taken)
         if read:
-            monkeypatch.setattr(bitslice, "_at_top", lambda *args: None)
+            monkeypatch.setattr(bitslice, "_tile_read", lambda *args: None)
             assert _solve_loop(node, db, budget, quota) == done, (node, budget, quota)
         return done, read
 
@@ -298,8 +297,9 @@ def test_top_candidate_and_counters_agree(block_bits, monkeypatch):
     tags = set()
     for node, db in flat + fixed + declining:
         found = evaluator.evaluate(node, db)[1].solves[0].solutions_found
-        for quota in (0, 1, found // 2):
-            agree(node, db, EvalBudget(), quota)
+        for quota in sorted({0, 1, found // 2, max(found - 1, 0)}):
+            if agree(node, db, EvalBudget(), quota)[1] and quota < found:
+                tags.add("quota stop")
         done, read = agree(node, db, EvalBudget(), 1 << 30)
         peak = done[1][3]
         for cap in range(max(1, peak - 60), peak + 61):
@@ -309,4 +309,4 @@ def test_top_candidate_and_counters_agree(block_bits, monkeypatch):
         if (node, db) in declining:
             assert taken and not read
             tags.add("declined")
-    assert {1, 2, "declined"} <= tags
+    assert {1, 2, "declined", "quota stop"} <= tags

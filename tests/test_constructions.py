@@ -26,6 +26,7 @@ from eqalg.constructions import (
 )
 
 from oracles import o_nest, random_flat_rel, to_plain
+from test_evaluator import _representations
 
 FLAT1 = flat_type(1)
 FLAT2 = flat_type(2)
@@ -245,6 +246,41 @@ def test_tc_powerset_builds_no_counter_below_the_cap(monkeypatch):
     assert (calls.count("_vcount"), calls.count("_vmul")) == (6, 1) and "_vadd" in calls
     with pytest.raises(BudgetExceeded):
         evaluate(closed, db, EvalBudget(max_space_units=peak - 1))
+
+
+def test_quota_stops_build_no_counter(monkeypatch):
+    # solve_nonempty stops each of these solves at its first solution, in
+    # its first block: parity on four atoms, the powerset of 14 atoms, and
+    # the closed supersets of the digraph above.  At the default cap no
+    # bound can reach the cap, and the points whose bounds could pass the
+    # peak hold only values that grow with the binders, so each block is
+    # read at the tops of the tiles before its stop and builds no vertical
+    # counter; each answer is the relation kernels' answer
+    calls = []
+
+    def recorded(name, kernel):
+        def counter(*args):
+            calls.append(name)
+            return kernel(*args)
+
+        return counter
+
+    for name in ("_vcount", "_vmul", "_vadd", "_vprefix"):
+        monkeypatch.setattr(bitslice, name, recorded(name, getattr(bitslice, name)))
+    four = ("a", "b", "c", "d")
+    fourteen = tuple(f"a{i}" for i in range(14))
+    r = binrel(("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"))
+    cases = [
+        (ast.Solve(*build_parity_eq()), Database(four, {})),
+        (build_powerset_eq(), db_with_r(fourteen, Rel(FLAT1, [(a,) for a in fourteen]))),
+        (build_tc_powerset_expr().right.arg.left.left, db_with_r(four, r)),
+    ]
+    for node, db in cases:
+        assert isinstance(node, ast.Solve)
+        answers = [solve_nonempty(copied.binders, copied.lhs, copied.rhs, db)
+                   for copied in _representations(monkeypatch, node, db)]  # fmt: skip
+        assert answers == [True, True]
+    assert calls == []
 
 
 def test_tc_powerset_peak_space_on_three_atoms():

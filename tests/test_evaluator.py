@@ -1028,28 +1028,26 @@ def _metered(e, db, budget):
 
 
 def _above_block_bounds(e, db, monkeypatch) -> int:
-    """A space cap under which no bit-sliced block of ``e`` on ``db`` counts
-    every metering point: above the live total before each block plus the
+    """A space cap under which no candidate of a bit-sliced block of ``e`` on
+    ``db`` can be refused: above the live total before each block plus the
     scalar bound of what its candidates keep live, the solutions before its
     stop candidate, its candidate's own charge and the larger of its highest
-    point and a solution's own row (see ``bitslice._body``), whether the
-    block then reads its top candidate (``bitslice._at_top``) or counts."""
+    point and a solution's own row (see ``bitslice._tile_read``), whether
+    the block is then read at tile tops or counted.  Every block whose
+    sides are evaluated goes through the tile read first."""
     cap = EvalBudget().max_space_units
     needed = [1]
+    read = bitslice._tile_read
 
-    def recorded(f):
-        def bounded(points, charge, hit, keep, room, quota):
-            c = sum(s.bound for s in charge)
-            top = max((sum(s.bound for s in p) for p in points), default=0)
-            reach = min(hit.bit_count(), quota) * (1 + c) + c
-            needed.append(cap - room + reach + max(top, c + 1))
-            return f(points, charge, hit, keep, room, quota)
-
-        return bounded
+    def bounded(points, charge, hit, keep, end, room):
+        c = sum(s.bound for s in charge)
+        top = max((sum(s.bound for s in p) for p in points), default=0)
+        reach = hit.bit_count() * (1 + c) + c
+        needed.append(cap - room + reach + max(top, c + 1))
+        return read(points, charge, hit, keep, end, room)
 
     with monkeypatch.context() as m:
-        for name in ("_body", "_at_top"):
-            m.setattr(bitslice, name, recorded(getattr(bitslice, name)))
+        m.setattr(bitslice, "_tile_read", bounded)
         evaluate(e, db)
     return max(needed) + 1
 
@@ -1057,9 +1055,9 @@ def _above_block_bounds(e, db, monkeypatch) -> int:
 def test_flat_solve_bodies_agree_across_representations(monkeypatch):
     # bit-sliced blocks and relations give the same value and metrics, and
     # the same outcome under every cap from 60 below the peak to 60 above
-    # it, where blocks count every metering point, and under one cap above
-    # the blocks' scalar bounds, where they count only those that can peak:
-    # the refusal's kind, path and text and the peak it leaves
+    # it, where blocks take the vertical counters, and under one cap above
+    # the blocks' scalar bounds, where a block whose values grow is read at
+    # its tile tops: the refusal's kind, path and text and the peak it leaves
     fixed = [(node, node, db, None) for node, db in _fixed_flat_cases(("a", "b", "c"))]
     assert max(len(evaluate(node, db)[0]) for node, _, db, _ in fixed) > 64
     for e, _, db, _ in itertools.chain(_flat_cases(set()), fixed):
@@ -1082,28 +1080,38 @@ def test_metering_point_bounds_hold_per_candidate(block_bits, monkeypatch):
     # on the flat corpora, each metering point's scalar bound is at least
     # the largest value of its per-candidate counter, and so is each live
     # value's, products and levels alike, and the binders' bounds hold a
-    # candidate's own charge; over a whole block, each value's units read
-    # at the top candidate are its counter's value there, and a value that
-    # grows with the binders has no candidate above it
+    # candidate's own charge; at the top t of each tile of the candidates
+    # before each solution of a block and before its end, each value's units
+    # read at t, with and without its bit mask, are its counter's value
+    # there, and a value that grows with the binders has no candidate of the
+    # tile above it
     monkeypatch.setattr(bitslice, "BLOCK_BITS", block_bits)
     evaluate_block = bitslice.Blocks._evaluate
     seen = collections.Counter()
 
     def checked(self, k, keep, room):
         hit, charge, points = evaluate_block(self, k, keep, room)
-        top = keep.bit_length() - 1
-        whole = top == (1 << self.bits) - 1
+        tiles = set()  # (top, first candidate, end) of each tile of each prefix
+        for e in (*bitslice._bits(hit, keep.bit_length()), keep.bit_length()):
+            while e:
+                lo = e & e - 1
+                tiles.add((e - 1, lo, e))
+                e = lo
         for p in [*points, charge]:
             assert sum(s.bound for s in p) >= bitslice._vmax_in(bitslice._total(p), keep)
             for s in p:
                 highest = bitslice._vmax_in(s.size(), keep)
                 assert s.bound >= highest
                 seen["product" if isinstance(s._of, tuple) else "value"] += 1
-                if whole:
-                    assert bitslice._vat(s.size(), top) == s.top_rows(top) * s.width
+                for t, lo, e in sorted(tiles):
+                    units = bitslice._vat(s.size(), t)
+                    assert s.rows_at(t, 0) * s.width == units
+                    s._t = -1  # read again, through the bit mask
+                    assert s.rows_at(t, 1 << t) * s.width == units
                     if s.grows:
-                        assert highest == s.top_rows(top) * s.width
+                        assert bitslice._vmax_in(s.size(), (1 << e) - (1 << lo)) == units
                     seen["grows" if s.grows else "shrinks"] += 1
+                    seen["later tile" if lo else "first tile"] += 1
             seen["point"] += 1
         return hit, charge, points
 
@@ -1111,7 +1119,8 @@ def test_metering_point_bounds_hold_per_candidate(block_bits, monkeypatch):
     fixed = list(_fixed_flat_cases(("a", "b", "c")))
     for e, db in itertools.chain(((e, db) for e, _, db, _ in _flat_cases(set())), fixed):
         evaluate(e, db)
-    assert min(seen["product"], seen["value"], seen["point"], seen["grows"], seen["shrinks"]) > 0
+    tags = ("product", "value", "point", "grows", "shrinks", "first tile", "later tile")
+    assert min(seen[tag] for tag in tags) > 0
 
 
 # binders of 3 to 6 counter bits, so that with two-bit blocks every solve
@@ -1256,15 +1265,14 @@ def test_stop_rule_meters_alike_on_both_paths(block_bits, quota, monkeypatch):
 
 
 @pytest.mark.parametrize("quota", [0, 1])
-def test_points_skipped_only_by_the_candidates_before_the_stop(quota, monkeypatch):
+def test_peak_read_only_over_the_candidates_before_the_stop(quota, monkeypatch):
     # on two atoms, X x X holds a pair of distinct atoms only for X = D, the
     # last candidate, so the product by Q peaks there at 58 units; the
     # product of D - X by P peaks at 48 units for X = {}, the first.  Only
     # the singletons are solutions, so with a quota of 0 the walk stops at
     # the first of them: the first candidate's peak must come from the
-    # second product, which only the highest value of the first over the
-    # candidates before the stop, and not over the block, leaves counted;
-    # with a quota of 1 it stops at the second
+    # second product, read over the tiles before the stop and not over the
+    # block; with a quota of 1 it stops at the second
     X, D, P, Q = Name("X"), Domain(), Name("P"), Name("Q")
     pairs = list(itertools.product(("a", "b"), repeat=2))
     db = db_of(("a", "b"), P=rel(FLAT2, pairs), Q=rel(FLAT2, pairs))
@@ -1314,17 +1322,23 @@ def test_refusal_on_a_solutions_own_charge_agrees_with_relations(few_bits, monke
     # solution's row of 1 + |X| + |Y| units, charged at the solve node while
     # X and Y are live, is the most its candidate has live: under every cap
     # below the peak, some of them on that charge, the refusal's text, counts
-    # and peak total are those of the relation kernels, whether the block
-    # walks from solution to solution or takes the prefix sum
-    monkeypatch.setattr(bitslice, "_FEW_BITS", few_bits)
+    # and peak total are those of the relation kernels; so is the outcome
+    # under each solution cap below the 8 solutions, whether the block lists
+    # its solutions' bits one at a time or by the bytes to find the one past
+    # the cap
+    monkeypatch.setattr(model, "_FEW_BITS", few_bits)
     db = db_of(("a", "b", "c"), P=rel(FLAT1, [("a",), ("c",)]))
     node = Solve((("X", FLAT1), ("Y", FLAT1)), Name("X"), Name("P"))
     caps = range(1, evaluate(node, db)[1].peak_space_units)
-    runs = [[_space_refusal(copied, db, cap) for cap in caps]
+    quotas = range(1, 8)
+    runs = [([_space_refusal(copied, db, cap) for cap in caps],
+             [_outcome(copied, db, EvalBudget(max_solutions=q)) for q in quotas])
             for copied in _representations(monkeypatch, node, db)]  # fmt: skip
     assert runs[0] == runs[1]
+    # the solution past each cap, found on the candidates 42 to 48
+    assert [solve[1:] for _, solve in runs[0][1]] == [(41 + q, 1 + q) for q in quotas]
     # (node path, candidates tested) by increasing cap
-    refusals = [(path, solve[1]) for path, _, solve, _ in runs[0]]
+    refusals = [(path, solve[1]) for path, _, solve, _ in runs[0][0]]
     # a candidate refused at the solve node once its lhs has passed, so on
     # its solution row: all solutions but the last, whose row stays below
     # the peaks of the candidates after it
