@@ -369,28 +369,19 @@ def enumerate_relations(t: RelType, domain: Iterable[str]) -> Iterator[Rel]:
         yield decode((mask,))[0][0]
 
 
-def subset_tables(universe, ordered: bool = False) -> list:
-    """Per 8-row chunk of the universe, all 2^chunk subsets, indexed by bit pattern.
+def subset_tables(universe) -> list:
+    """Per 8-row chunk of the universe, all 2^chunk subsets, indexed by bit
+    pattern, each a tuple of its rows in universe order.
 
-    The subsets are frozensets, or with ``ordered`` tuples of their rows in
-    universe order; both are built by doubling, the subsets with a row being
-    those without it plus the row.  The rows of a mask over the universe
-    (bit i is row i) are then the union of one table entry per mask byte,
-    which is much cheaper than decoding bits row by row; for a canonically
-    ordered universe, the ordered entries of the bytes, lowest first, are
-    the mask's rows in canonical order."""
+    They are built by doubling, the subsets with a row being those without
+    it plus the row.  For a canonically ordered universe, the entries of a
+    mask's bytes (bit i is row i), lowest first, are then its rows in
+    canonical order."""
     tables = []
     for ofs in range(0, len(universe) or 1, 8):  # an empty universe has one subset
-        chunk = universe[ofs : ofs + 8]
-        if ordered:
-            table = [()]
-            for row in chunk:
-                table += [s + (row,) for s in table]
-        else:
-            table = [frozenset()]
-            for row in chunk:
-                single = frozenset((row,))
-                table += [s | single for s in table]
+        table = [()]
+        for row in universe[ofs : ofs + 8]:
+            table += [s + (row,) for s in table]
         tables.append(table)
     return tables
 
@@ -455,6 +446,11 @@ def _bits(x: int, n: int) -> list:
     return [j + i for j in nonzero for i in _BYTE_BITS[data[j >> 3]]]
 
 
+def _subset(chunk, b: int) -> frozenset:
+    """The rows of ``chunk``, at most 8, whose bits are set in the byte ``b``."""
+    return frozenset(map(chunk.__getitem__, _BYTE_BITS[b]))
+
+
 class Candidates:
     """The candidate assignments of relations to a solve's binders.
 
@@ -463,6 +459,12 @@ class Candidates:
     counter value is the mask of its rows, bit j for row j.  ``decode`` is
     the one mask decoder and ``encode`` its inverse; ``rank_keys`` orders
     counter values as the relations they stand for, with nothing decoded.
+
+    Each binder is ``(type, universe, shift, field mask, chunks)``, with one
+    ``(subsets, rows)`` pair per 8-row chunk of the universe: slot b of
+    ``subsets`` is None until ``decode`` first reads it, and then the
+    frozenset of the chunk's rows whose bits are set in b (``_subset``).
+    So a solve with few solutions builds only the few subsets they hold.
     """
 
     __slots__ = ("binders",)
@@ -472,28 +474,36 @@ class Candidates:
         self.binders = []
         for t, u in zip(types, universes):
             shift -= len(u)
-            self.binders.append((t, u, shift, (1 << len(u)) - 1, subset_tables(u)))
+            rows = [u[ofs : ofs + 8] for ofs in range(0, len(u) or 1, 8)]  # one chunk if empty
+            chunks = [([None] * (1 << len(c)), c) for c in rows]
+            self.binders.append((t, u, shift, (1 << len(u)) - 1, chunks))
 
     def decode(self, cands) -> list:
         """The rows of relations that the counter values ``cands`` stand for.
 
-        Each relation is the union of one ``subset_tables`` entry per byte of
-        its mask.  It is built without ``Rel.__init__``, with its hash and,
+        Each relation is the union of one chunk's subset per nonzero byte of
+        its mask (the first chunk's subset even when zero), each built on its
+        first read.  It is built without ``Rel.__init__``, with its hash and,
         when flat, its size; its order caches stay empty until a sort.
         """
         new = object.__new__
         columns = []
-        for t, _, shift, m, tables in self.binders:
-            first, rest = tables[0], tables[1:]
+        for t, _, shift, m, chunks in self.binders:
+            (first, low), rest = chunks[0], chunks[1:]
             w = t.flat_row_size
             column = []
             for c in cands:
                 x = c >> shift & m
                 rows = first[x & 255]
-                for table in rest:
+                if rows is None:
+                    rows = first[x & 255] = _subset(low, x & 255)
+                for subsets, chunk in rest:
                     x >>= 8
                     if x & 255:
-                        rows = rows | table[x & 255]
+                        part = subsets[x & 255]
+                        if part is None:
+                            part = subsets[x & 255] = _subset(chunk, x & 255)
+                        rows = rows | part
                 v = new(Rel)
                 v.rtype = t
                 v.rows = rows

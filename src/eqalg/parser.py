@@ -425,9 +425,10 @@ def _render_counted(space: Candidates, cands: list) -> str:
     canonical order, stand for, with nothing decoded.
 
     Each row of a binder's universe is rendered once, with a comma after
-    it.  Per 8-row chunk of the universe, a table holds the text of each
-    subset of the chunk's rows in universe order, indexed by bit pattern as
-    ``subset_tables`` is.  The first chunk's entries also open the binder's
+    it.  Per 8-row chunk of the universe, a table from ``subset_tables``
+    holds the text of each subset of the chunk's rows in universe order,
+    indexed by bit pattern, all 2^chunk of them built up front: a render
+    reads many.  The first chunk's entries also open the binder's
     relation, and the last chunk's close it; the first binder's also open
     the solution's row, and the last binder's close it with a comma.  A
     solution's text is then one entry per chunk of each binder, and the
@@ -440,7 +441,7 @@ def _render_counted(space: Candidates, cands: list) -> str:
     columns = []
     for i, (_, universe, shift, m, _) in enumerate(space.binders):
         texts = [_render_row(row) + "," for row in universe]
-        tables = [list(map("".join, table)) for table in subset_tables(texts, ordered=True)]
+        tables = [list(map("".join, table)) for table in subset_tables(texts)]
         opener, closer = "[[" if i == 0 else "[", "]]," if i == last else "],"
         tables[0] = [opener + s for s in tables[0]]
         tables[-1] = [s + closer for s in tables[-1]]

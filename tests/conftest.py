@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from eqalg import model
 from eqalg.model import Candidates
 
 sys.path.insert(0, os.path.dirname(__file__))
@@ -42,3 +43,18 @@ def decoded(monkeypatch):
 
     monkeypatch.setattr(Candidates, "decode", counting)
     return counts
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """The bit pattern of each subset that ``Candidates.decode`` builds, in
+    build order."""
+    patterns = []
+    subset = model._subset
+
+    def counting(chunk, b):
+        patterns.append(b)
+        return subset(chunk, b)
+
+    monkeypatch.setattr(model, "_subset", counting)
+    return patterns

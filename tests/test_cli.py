@@ -237,10 +237,11 @@ def test_construction_checks_its_relations_not_extra_ones(capsys, tmp_path, thre
         assert code == 0 and "VERIFY PASS" in err, (name, err)
 
 
-def test_solutions_are_decoded_only_when_read(capsys, tmp_path, decoded):
+def test_solutions_are_decoded_only_when_read(capsys, tmp_path, decoded, built):
     # profile only counts solutions; construction --verify renders its
     # solution set from the counter values and compares it with the oracle's
-    # relation in counter space, so neither decodes a solution
+    # relation in counter space, so neither decodes a solution nor builds a
+    # subset to decode one
     code, _, _ = run(capsys, ["profile", "--eq", "powerset", "--n-range", "1..10"])
     assert code == 0 and sum(decoded) == 0
     atoms = [f"a{i}" for i in range(10)]
@@ -248,7 +249,7 @@ def test_solutions_are_decoded_only_when_read(capsys, tmp_path, decoded):
     db.write_text(f"domain [{','.join(atoms)}]\nR:(0) = [{','.join(f'[{a}]' for a in atoms)}]\n")
     code, _, err = run(capsys, ["construction", "--name", "powerset", "--db", str(db), "--verify"])
     assert code == 0 and "VERIFY PASS" in err
-    assert sum(decoded) == 0
+    assert sum(decoded) == 0 and built == []
 
 
 def _near_miss_powerset(how):

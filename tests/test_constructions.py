@@ -283,6 +283,40 @@ def test_quota_stops_build_no_counter(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")),  # 1 closed superset
+        (("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")),  # 3
+        (("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")),  # 4
+        (("a", "b"), ("b", "c"), ("c", "a")),  # 7
+    ],
+    ids=["k1", "k3", "k4", "k7"],
+)
+def test_closed_superset_solve_builds_only_the_subsets_it_reads(built, pairs):
+    # T's universe on four atoms is 16 rows, two 8-row chunks: the length
+    # of the solution set builds no subset to decode with, and its rows
+    # at most one per chunk per solution
+    atoms = ("a", "b", "c", "d")
+    r = binrel(*pairs)
+    closed = build_tc_powerset_expr().right.arg.left.left
+    got, _ = evaluate(closed, db_with_r(atoms, r), BUDGET)
+    k = len(got)
+    assert built == []
+    # the oracle: the closed relations between R's closure and D x D
+    tc = warshall_tc(r).rows
+    rest = sorted(set(itertools.product(atoms, repeat=2)) - tc)
+    expected = set()
+    for extra in itertools.chain.from_iterable(
+        itertools.combinations(rest, n) for n in range(len(rest) + 1)
+    ):
+        t = tc | set(extra)
+        if all((x, w) in t for (x, y) in t for (z, w) in t if y == z):
+            expected.add((binrel(*t),))
+    assert got.rows == expected and len(expected) == k
+    assert 0 < len(built) <= 2 * k
+
+
 def test_tc_powerset_peak_space_on_three_atoms():
     # the intersection never pairs closed supersets with each other
     e = build_tc_powerset_expr()
@@ -503,8 +537,9 @@ def test_powerset_oracle_is_every_combination():
 
 def test_oracles_name_no_solver_code():
     # no oracle, nor any function or comprehension inside one, names the
-    # evaluator, the candidate decoder, its subset tables or the bit lister
-    banned = {"evaluate", "Candidates", "subset_tables", "_bits", "bitslice"}
+    # evaluator, the candidate decoder, the byte offsets it builds its
+    # subsets from, the ordered subset tables of rendering or the bit lister
+    banned = {"evaluate", "Candidates", "_BYTE_BITS", "subset_tables", "_bits", "bitslice"}
     oracles = [fn for name, fn in vars(constructions).items() if name.startswith("_oracle_")]
     assert len(oracles) == 5
     for fn in oracles:

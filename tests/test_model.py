@@ -380,14 +380,31 @@ def test_subset_rank_is_the_position_in_canonical_order():
 
 
 def test_ordered_subset_tables_hold_the_sorted_rows_of_each_subset():
+    # each entry is the sorted rows of the relation that its byte's mask,
+    # at its chunk's offset, decodes to
     universe = tuple_universe(FLAT2, ("a", "b", "c"))  # 9 rows, two chunks
-    sets, ordered = subset_tables(universe), subset_tables(universe, ordered=True)
-    assert [len(t) for t in ordered] == [256, 2]
-    for table, rows in zip(sets, ordered):
-        assert [tuple(sorted(s)) for s in table] == rows
+    tables = subset_tables(universe)
+    assert [len(t) for t in tables] == [256, 2]
+    decode = Candidates((FLAT2,), (universe,)).decode
+    for j, table in enumerate(tables):
+        rels = decode([b << 8 * j for b in range(len(table))])
+        assert [v.sorted_rows() for (v,) in rels] == table
 
 
 DECODED_TYPES = (FLAT1, FLAT2, RelType((FLAT1, ATOM)), RelType((FLAT1,)))
+
+
+def _assert_fresh(v, t, universe, m):
+    """``v`` holds the rows of ``universe`` that mask ``m`` names, with the
+    caches of a relation of type ``t`` rebuilt through Rel."""
+    f = from_plain(to_plain(v), t)  # rebuilt through Rel at every depth
+    assert v.rows == {r for i, r in enumerate(universe) if m >> i & 1}
+    assert v.rtype == t and v == f
+    assert v._hash == hash(f)
+    assert v._size == (value_size(f) if t.is_flat else None)
+    assert v._sorted is None and v._key is None
+    assert v.sorted_rows() == f.sorted_rows() and value_sort_key(v) == value_sort_key(f)
+    assert value_size(v) == value_size(f)
 
 
 @pytest.mark.parametrize("t", DECODED_TYPES, ids=str)
@@ -397,14 +414,34 @@ def test_decoded_relations_have_the_caches_of_fresh_ones(t):
     masks = range(1 << len(universe))  # up to 512
     rows = Candidates((t,), (universe,)).decode(masks)
     for (v,), m in zip(rows, masks):
-        f = from_plain(to_plain(v), t)  # rebuilt through Rel at every depth
-        assert v.rows == {r for i, r in enumerate(universe) if m >> i & 1}
-        assert v.rtype == t and v == f
-        assert v._hash == hash(f)
-        assert v._size == (value_size(f) if t.is_flat else None)
-        assert v._sorted is None and v._key is None
-        assert v.sorted_rows() == f.sorted_rows() and value_sort_key(v) == value_sort_key(f)
-        assert value_size(v) == value_size(f)
+        _assert_fresh(v, t, universe, m)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17])
+@pytest.mark.parametrize("t", (FLAT2, RelType((FLAT1, ATOM))), ids=str)
+def test_decode_at_chunk_boundaries(built, t, n):
+    # a binder of n rows, a prefix of a 25-row flat or a 24-row nested
+    # universe, above a 3-row one, so its field starts off a byte boundary;
+    # a seeded sample of masks decodes alike in either order through one
+    # space, whose subsets are built once, as they are first read, and
+    # through a fresh one
+    atoms = ("a", "b", "c", "d", "e") if t.is_flat else ("a", "b", "c")
+    universe, low = tuple_universe(t, atoms)[:n], tuple_universe(FLAT1, ("a", "b", "c"))
+    types, universes = (t, FLAT1), (universe, low)
+    masks = random.Random(n).sample(range(1 << n + 3), min(300, 1 << n + 3))
+    masks += [0, (1 << n + 3) - 1]
+    built.clear()  # the nested universe's own decode
+    space = Candidates(types, universes)
+    runs = [space.decode(masks)]
+    first = len(built)
+    runs.append(space.decode(masks[::-1])[::-1])
+    assert len(built) == first
+    runs.append(Candidates(types, universes).decode(masks))
+    assert len(built) == 2 * first
+    for rows in runs:
+        for (v, w), m in zip(rows, masks):
+            _assert_fresh(v, t, universe, m >> 3)
+            _assert_fresh(w, FLAT1, low, m & 7)
 
 
 def test_candidates_decode_fields_last_binder_fastest():
