@@ -6,17 +6,20 @@ as in Biham's bit-sliced DES (FSE 1997), in place of once per candidate.
 ``compile_sliced`` compiles a side to closures over blocks, at the row
 widths and with the joins of the evaluation's plan, and ``Blocks.scan``
 evaluates a block's sides and solutions, then meters the candidates it
-walks, those before its stop candidate, one of two ways.  Each metering
-point of literal evaluation has a scalar bound, the sum of the bounds of
-the values live there, known once the block's values are built
-(``_Size``).  Where no bound could pass the space cap, and every point
-that could pass the peak holds only values that grow with the binders, the
-walked candidates split into aligned tiles, and each tile's top candidate
-has the highest live total of its tile: the peak is read at those tops as
-scalars, off the slices, and no vertical counter is built (``_tile_read``).
-Any other block counts every point per candidate, and one prefix sum on
-the bit planes gives each candidate's live total, and with it the peak
-and the first refused candidate (``_scan``).
+walks, those before its stop candidate, one of two ways.  Every name
+enters a block as a sliced value: a binder's rows are held by the
+candidates whose counter bits set them, and the rows of a free name or
+``D`` by every candidate.  Each metering point of literal evaluation has
+a scalar bound, the sum of the bounds of the values live there, known
+once the block's values are built (``_Size``).  Where no bound could pass
+the space cap, and every point that could pass the peak holds only values
+that grow with the binders, the walked candidates split into aligned
+tiles, and each tile's top candidate has the highest live total of its
+tile: the peak is read at those tops as scalars, off the slices, and no
+vertical counter is built (``_tile_read``).  Any other block counts every
+point per candidate, and one prefix sum on the bit planes gives each
+candidate's live total, and with it the peak and the first refused
+candidate (``_scan``).
 """
 
 from __future__ import annotations
@@ -121,11 +124,6 @@ def _vmax(a: list, b: list, keep: int) -> list:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _vconst(n: int, keep: int) -> list:
-    """The vertical counter with the value ``n`` for every candidate."""
-    return [keep if n >> i & 1 else 0 for i in range(n.bit_length())]
 
 
 def _vcount(slices) -> list:
@@ -288,23 +286,24 @@ class _Size:
     for any candidate, a scalar known as soon as the value is, and the
     vertical counter ``size()``, built on first use.
 
-    ``rows`` bounds the value's row count: the number of rows in its slices
-    (a dict), or for a product, whose rows are not built when it is charged,
-    the product of its two operands' bounds (a pair of ``_Size``).  A free
-    name's row counter, the same for every candidate, is given up front.
-    ``grows`` says that the value only gains rows as the binders do (see
-    ``compile_sliced``), so that no candidate of a tile has more than the
-    tile's top candidate (``_tile_read``).
+    ``of`` is what the size is read from: the value's slices (a dict), or
+    for a product, whose rows are not built when it is charged, the pair of
+    its operands' ``_Size``.  ``rows`` bounds the value's row count: the
+    number of rows in its slices, or the product of the operands' bounds.
+    A free name and ``D`` are sliced values too, each row held by every
+    candidate.  ``grows`` says that the value only gains rows as the binders
+    do (see ``compile_sliced``), so that no candidate of a tile has more
+    than the tile's top candidate (``_tile_read``).
     """
 
     __slots__ = ("rows", "width", "grows", "_of", "_count", "_size", "_t", "_at")
 
-    def __init__(self, rows: int, width: int, of, grows=True, count: list | None = None) -> None:
-        self.rows = rows
+    def __init__(self, width: int, of, grows=True) -> None:
+        self.rows = of[0].rows * of[1].rows if isinstance(of, tuple) else len(of)
         self.width = width
         self.grows = grows
         self._of = of
-        self._count = count
+        self._count = None
         self._size = None
         self._t = -1  # the candidate whose row count _at holds
         self._at = 0
@@ -322,8 +321,6 @@ class _Size:
             of = self._of
             if isinstance(of, tuple):
                 n = of[0].rows_at(t, bit) * of[1].rows_at(t, bit)
-            elif of is None:
-                n = self.rows
             elif bit:
                 n = sum(1 for s in of.values() if s & bit)
             else:
@@ -433,7 +430,7 @@ def compile_sliced(e: ast.Expr, path: str, plan, bound):
             values.append(v)
         if _product:
             a, b = live
-            s = _Size(a.rows * b.rows, _product, (a, b), _grows)
+            s = _Size(_product, (a, b), _grows)
             live.append(s)
             if sum(x.bound for x in live) > room:
                 over = _vabove(_total(live), room, keep)
@@ -445,7 +442,7 @@ def compile_sliced(e: ast.Expr, path: str, plan, bound):
         for kernel, w in _levels:
             if kernel is not None:
                 v = kernel(v)
-            s = _Size(len(v), w, v, _grows)
+            s = _Size(w, v, _grows)
             points.append((*live, s))
             live = [s]
         return v, s, points
@@ -594,9 +591,11 @@ class Blocks:
         ``k``: the solutions, the ``_Size`` of each binder, whose sum is a
         candidate's own charge, and the metering points of its sides, from
         above that charge (see ``compile_sliced``)."""
-        env = {nm: ({r: keep for r in rows},
-                    _Size(len(rows), w, None, count=_vconst(len(rows), keep)))
-               for nm, rows, w in self.free}  # fmt: skip
+        # a free name or D holds each of its rows for every candidate
+        env = {}
+        for nm, rows, w in self.free:
+            value = {r: keep for r in rows}
+            env[nm] = (value, _Size(w, value))
         # the slice of each counter bit: a pattern, or all or none of keep
         slices = [
             keep & (p if p is not None else keep * (k >> j & 1))
@@ -605,7 +604,7 @@ class Blocks:
         charge = []
         for nm, universe, shift, w in self.binders:
             value = {row: s for row, s in zip(universe, slices[shift:]) if s}
-            env[nm] = (value, _Size(len(value), w, value))
+            env[nm] = (value, _Size(w, value))
             charge.append(env[nm][1])
         # a side that mentions no bound variable is charged once per solve
         (vl, sl, pl), (vr, _, pr) = [

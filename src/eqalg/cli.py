@@ -304,6 +304,10 @@ def cmd_repl(args) -> int:
     budget = _budget_from(args)
     show_metrics = False
     stdin = sys.stdin
+    # a byte that is not UTF-8 reaches the parser as a character it rejects,
+    # as under the C locale, in place of ending the session on a decode error
+    if getattr(stdin, "errors", None) == "strict":
+        stdin.reconfigure(errors="surrogateescape")
     while True:
         print("eqalg> ", end="", file=sys.stderr, flush=True)
         line = stdin.readline()

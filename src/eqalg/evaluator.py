@@ -568,11 +568,11 @@ def _compile(e: ast.Expr, path: str, plan: Plan, cached: bool = True):
     node goes through the evaluation's cache (see ``_shared``), unless
     ``cached`` is false, as when that occurrence compiles the node itself.
     A name and the domain share one closure, a solve node runs its solve
-    loop with the solution cap as its quota (see ``_compile_solve``), and a
-    select chain over a product becomes one hash join (see
-    ``_compile_join``).  Every other operator is its kernel (``_kernel``)
-    under the metering wrapper of its arity (``_metered``), over its
-    children compiled at their paths.
+    loop up to an optional quota, by default the solution cap (see
+    ``_compile_solve``), and a select chain over a product becomes one hash
+    join (see ``_compile_join``).  Every other operator is its kernel
+    (``_kernel``) under the metering wrapper of its arity (``_metered``),
+    over its children compiled at their paths.
     """
     if cached:
         names = plan.shared.get(id(e))
@@ -592,8 +592,9 @@ def _compile(e: ast.Expr, path: str, plan: Plan, cached: bool = True):
 
     if isinstance(e, ast.Solve):
 
-        def run(env, ctx, _solve=_compile_solve(e, path, plan), _rt=plan.types[path]):
-            return SolutionSet(_rt, *_run_solve(_solve, env, ctx, ctx.max_solutions))
+        def run(env, ctx, quota=None, _solve=_compile_solve(e, path, plan), _rt=plan.types[path]):
+            quota = ctx.max_solutions if quota is None else quota
+            return SolutionSet(_rt, *_run_solve(_solve, env, ctx, quota))
 
         return run
 
@@ -830,12 +831,6 @@ def _context(db: Database, budget: EvalBudget | None):
     return _Ctx(db, budget or EvalBudget()), env
 
 
-def _prepare(e: ast.Expr, db: Database, budget: EvalBudget | None):
-    """Type ``e`` on ``db``; return its ``Plan``, a fresh context and the
-    environment of the database's relations and ``D``."""
-    return (Plan(e, db.schema), *_context(db, budget))
-
-
 class _Program:
     """A root node's compiled program: the schema it was typed on, as a
     frozenset of name → type pairs, its ``Plan`` and its root closure."""
@@ -862,14 +857,17 @@ def _program(e: ast.Expr, db: Database) -> _Program:
     one-node copy of ``e`` that shares its children (``ast.Expr._values``),
     and no node refers to an ancestor, so no closure refers to ``e``: the
     slot is the only edge between them, and reference counting frees the
-    program with the node, with no table, bound or eviction.
+    program with the node, with no table, bound or eviction.  The root is
+    met once, so it is compiled past the cache of ``_shared``, whose entry
+    for it could never hit, and a solve root's closure takes the quota
+    that ``solve_nonempty`` passes.
     """
     schema = frozenset(db.schema.items())
     program = getattr(e, "_program", None)
     if program is None or program.schema != schema:
         root = type(e)(*e._values())
         plan = Plan(root, db.schema)
-        program = _Program(schema, plan, _compile(root, "", plan))
+        program = _Program(schema, plan, _compile(root, "", plan, cached=False))
         object.__setattr__(e, "_program", program)  # past the guard of ast.Expr
     return program
 
@@ -899,7 +897,9 @@ def solve(binders, lhs: ast.Expr, rhs: ast.Expr, db: Database, budget: EvalBudge
 def solve_nonempty(
     binders, lhs: ast.Expr, rhs: ast.Expr, db: Database, budget: EvalBudget | None = None
 ) -> bool:
-    """True iff the equation has at least one solution (stops at the first)."""
-    node = ast.Solve(binders, lhs, rhs)
-    plan, ctx, env = _prepare(node, db, budget)
-    return bool(_run_solve(_compile_solve(node, "", plan), env, ctx, 0)[0])
+    """True iff the equation has at least one solution.  The solve's kept
+    program (``_program``) runs with a quota of 0, so it stops at the first
+    solution, and the answer reads the solution set's runs: nothing is
+    decoded."""
+    ctx, env = _context(db, budget)
+    return bool(_program(ast.Solve(binders, lhs, rhs), db).run(env, ctx, 0)._runs)

@@ -72,8 +72,9 @@ def test_max_and_constants():
         keep = (1 << n) - 1
         a, b = planes(xs, rng), planes(ys, rng)
         assert values(bitslice._vmax(a, b, keep), n) == [max(x, y) for x, y in zip(xs, ys)]
-        k = rng.choice((0, 1, rng.randrange(1 << 70)))
-        assert values(bitslice._vconst(k, keep), n) == [k] * n
+        # a free name's k rows, each held by every candidate
+        k = rng.choice((0, 1, rng.randrange(2, 300)))
+        assert values(bitslice._vcount([keep] * k), n) == [k] * n
 
 
 def test_count_of_slices():
@@ -111,7 +112,7 @@ def test_max_and_threshold_over_a_mask():
             above = sum(1 << c for c in inside if xs[c] > t)
             assert bitslice._vabove(a, t, mask) == above
     # every value exceeds a negative threshold, 0 and the empty counter too
-    assert bitslice._vabove(bitslice._vconst(3, 0b1111), -1, 0b1111) == 0b1111
+    assert bitslice._vabove(bitslice._vcount([0b1111] * 3), -1, 0b1111) == 0b1111
     assert bitslice._vabove([], -1, 0b101) == 0b101
 
 
@@ -238,9 +239,10 @@ def _declining_cases():
 
 def _solve_loop(node, db, budget, quota):
     """Each block's ``Blocks.scan`` (hit mask, units gained, peak and stop
-    candidate) as the solve loop of ``node`` runs up to ``quota``, and what
-    the loop leaves: its runs, units, live and peak totals and metrics, or
-    the refusal's kind, path, text and solve counts and the peak total."""
+    candidate) as the kept program of the solve ``node`` runs up to
+    ``quota``, as ``solve_nonempty`` runs it with a quota of 0, and what the
+    loop leaves: its runs, units, live and peak totals and metrics, or the
+    refusal's kind, path, text and solve counts and the peak total."""
     scans = []
     scan = bitslice.Blocks.scan
 
@@ -248,15 +250,15 @@ def _solve_loop(node, db, budget, quota):
         scans.append(scan(self, *args))
         return scans[-1]
 
-    plan, ctx, env = evaluator._prepare(node, db, budget)
+    ctx, env = evaluator._context(db, budget)
     bitslice.Blocks.scan = recorded
     try:
-        runs, _, units = evaluator._compile_solve(node, "", plan)(env, ctx, quota)
+        found = evaluator._program(node, db).run(env, ctx, quota)
     except evaluator.BudgetExceeded as exc:
         return scans, (exc.which, exc.path, str(exc), exc.solve, ctx.peak)
     finally:
         bitslice.Blocks.scan = scan
-    return scans, (runs, units, ctx.live, ctx.peak, ctx.metrics())
+    return scans, (found._runs, found._size, ctx.live, ctx.peak, ctx.metrics())
 
 
 @pytest.mark.parametrize("block_bits", [bitslice.BLOCK_BITS, 2])

@@ -508,6 +508,16 @@ def test_type_nested_to_the_limit_parses_checks_and_prints(capsys, tmp_path):
         parse_type(f"({t})")
 
 
+def test_repl_survives_stdin_bytes_that_are_not_utf8(capsys, monkeypatch, pair_db):
+    # stdin decoded as strict UTF-8, as in a UTF-8 locale: a bad byte is a
+    # parse error on its line, and the session goes on
+    data = b"D\xff\nD\n:quit\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    code, out, err = run(capsys, ["repl", "--db", pair_db])
+    assert (code, out) == (0, "[[a],[b]]\n")
+    assert "error: unexpected character '\\udcff' (line 1, column 2)" in err
+
+
 def test_repl_metrics_toggle(capsys, monkeypatch, pair_db):
     lines = io.StringIO(":metrics\nD\n:metrics\nD\n:quit\n")
     monkeypatch.setattr("sys.stdin", lines)

@@ -1,13 +1,16 @@
 """A seeded probe of the command line: mutated expression and database texts
-run through ``cli.main`` in process, under random caps.
+run through ``cli.main`` in process, under random caps, as commands and as
+``repl`` sessions on stdin.
 
 Every input must exit 0, 1, 2 or 3 with no exception escaping ``main`` and
-no traceback on stderr, and an input that exits 0 must print the same
-stdout when run again.  The corpus, the mutations and the caps all come
-from one seed and the input count is fixed, so the probe is deterministic.
+no traceback on stderr, and an input that exits 0, and every repl session,
+must print the same stdout when run again.  The corpus, the mutations and
+the caps all come from one seed and the input count is fixed, so the probe
+is deterministic.
 """
 
 import gc
+import io
 import random
 
 from eqalg import cli
@@ -19,6 +22,7 @@ from oracles import random_expr, random_type, random_value
 from test_evaluator import _flat_cases
 
 PROBES = 240
+REPL_SESSIONS = 40
 
 # tokens a mutation inserts: operator keywords and brackets, a huge
 # integer, NUL and characters outside ASCII
@@ -140,3 +144,64 @@ def test_mutated_inputs_never_escape_the_exit_codes(capsys, tmp_path, monkeypatc
             assert _run(capsys, argv) == (code, out), argv
         codes.add(code)
     assert codes >= {0, 1, 2}
+
+
+def _session(rng, tmp_path, k: int, expr: str, db_text: str) -> bytes:
+    """The stdin of one repl session over the input ``k``: ``:load``,
+    ``:type``, ``:metrics`` and expression lines, each text mutated one time
+    in four, then ``:quit`` or the end of the input."""
+    db = _write(tmp_path / f"repl{k}.edb", _maybe_mutated(rng, db_text))
+    lines = [f":load {db}"]
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice((":load", ":type", ":metrics", "expr", "expr"))
+        if kind == ":load":
+            lines.append(f":load {db}")
+        elif kind == ":metrics":
+            lines.append(":metrics")
+        else:
+            text = _maybe_mutated(rng, expr)
+            lines.append(f":type {text}" if kind == ":type" else text)
+    if rng.random() < 0.8:
+        lines.append(":quit")
+    return "".join(line + "\n" for line in lines).encode("utf-8", "surrogatepass")
+
+
+def _repl(monkeypatch, argv, stdin: bytes):
+    """``(exit code, stdout)`` of ``cli.main(argv)`` with ``stdin`` as its
+    standard input, over the streams a process gets in a UTF-8 locale:
+    strict UTF-8 for stdin and stdout, and stderr escaping what it cannot
+    encode."""
+    out, err = io.BytesIO(), io.BytesIO()
+    streams = {
+        "stdin": io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"),
+        "stdout": io.TextIOWrapper(out, encoding="utf-8", write_through=True),
+        "stderr": io.TextIOWrapper(err, encoding="utf-8", errors="backslashreplace",
+                                   write_through=True),
+    }  # fmt: skip
+    with monkeypatch.context() as m:
+        for name, stream in streams.items():
+            m.setattr(f"sys.{name}", stream)
+        try:
+            code = cli.main(argv)
+        except BaseException as exc:  # noqa: BLE001 - any escape is the failure
+            raise AssertionError(f"{type(exc).__name__} escaped main for {stdin!r}") from exc
+    assert code in (0, 1, 2, 3), stdin
+    assert b"Traceback" not in err.getvalue(), stdin
+    return code, out.getvalue()
+
+
+def test_mutated_repl_sessions_never_escape_the_exit_codes(tmp_path, monkeypatch):
+    # the repl maps a line's errors itself and goes on to the next line; a
+    # session takes its database by :load, so the mutated database text and
+    # every expression line reach its own handlers
+    monkeypatch.setattr(gc, "collect", lambda *args: 0)
+    rng = random.Random(9991)
+    corpus = _corpus(rng)
+    printed = 0
+    for k in range(REPL_SESSIONS):
+        stdin = _session(rng, tmp_path, k, *rng.choice(corpus))
+        argv = ["repl", *_caps(rng)]
+        done = _repl(monkeypatch, argv, stdin)
+        assert _repl(monkeypatch, argv, stdin) == done, stdin
+        printed += bool(done[1])
+    assert printed >= REPL_SESSIONS // 2

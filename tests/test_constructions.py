@@ -213,9 +213,10 @@ def test_tc_powerset_builds_no_counter_below_the_cap(monkeypatch):
     # others, the differences by T and their union, have bounds that cannot
     # reach that peak, so a block reads its peak there and builds no
     # vertical counter.  Under a cap at the peak no candidate is safe from
-    # refusal, so the block counts all six points, the binder T, the
-    # product by _vmul and the five level values by _vcount, and leaves the
-    # same peak; one unit less refuses.
+    # refusal, so the block counts every value live at a point: the binder
+    # T, R, a sliced value like any name, and the five level values by
+    # _vcount, and the product by _vmul; it leaves the same peak, and one
+    # unit less refuses.
     calls = []
 
     def recorded(name, kernel):
@@ -243,7 +244,7 @@ def test_tc_powerset_builds_no_counter_below_the_cap(monkeypatch):
     peak = metrics.peak_space_units
     capped = evaluate(closed, db, EvalBudget(max_space_units=peak))
     assert capped == (got, metrics)
-    assert (calls.count("_vcount"), calls.count("_vmul")) == (6, 1) and "_vadd" in calls
+    assert (calls.count("_vcount"), calls.count("_vmul")) == (7, 1) and "_vadd" in calls
     with pytest.raises(BudgetExceeded):
         evaluate(closed, db, EvalBudget(max_space_units=peak - 1))
 

@@ -935,7 +935,7 @@ def _representations(monkeypatch, e, db):
 def _sliced(e, db) -> dict:
     """Whether each solve of ``e`` runs bit-sliced on ``db``, by path, as the
     plan's per-solve record says."""
-    plan = evaluator._prepare(e, db, None)[0]
+    plan = evaluator.Plan(e, db.schema)
     return {path: plan.solve(node, path)[-1] is not None for path, node in _solve_nodes(e)}
 
 
@@ -1199,16 +1199,16 @@ def test_small_blocks_agree_with_relations(monkeypatch):
 
 
 def _stop(node, db, budget, quota):
-    """The solve loop of ``node`` run up to ``quota``, as ``solve_nonempty``
-    runs it with a quota of 0: the solution runs, units, live and peak
-    totals and metrics it leaves, or the refusal's text, its solve's counts
-    and the peak total."""
-    plan, ctx, env = evaluator._prepare(node, db, budget)
+    """The kept program of the solve ``node`` run up to ``quota``, as
+    ``solve_nonempty`` runs it with a quota of 0: the solution runs, units,
+    live and peak totals and metrics it leaves, or the refusal's text, its
+    solve's counts and the peak total."""
+    ctx, env = evaluator._context(db, budget)
     try:
-        runs, _, units = evaluator._compile_solve(node, "", plan)(env, ctx, quota)
+        found = evaluator._program(node, db).run(env, ctx, quota)
     except BudgetExceeded as exc:
         return str(exc), exc.solve, ctx.peak
-    return runs, units, ctx.live, ctx.peak, ctx.metrics()
+    return found._runs, found._size, ctx.live, ctx.peak, ctx.metrics()
 
 
 @pytest.mark.parametrize("quota", [0, 1, 2, 3])
@@ -1308,11 +1308,12 @@ def test_a_stop_candidate_that_does_not_stop_is_an_internal_error(monkeypatch, c
 
 
 def _space_refusal(node, db, cap):
-    """The refusal of the solve loop of ``node`` under a space cap: its node
-    path and text, its solve's counts and the peak total it leaves."""
-    plan, ctx, env = evaluator._prepare(node, db, EvalBudget(max_space_units=cap))
+    """The refusal of the kept program of the solve ``node``, run up to its
+    solution cap, under a space cap: its node path and text, its solve's
+    counts and the peak total it leaves."""
+    ctx, env = evaluator._context(db, EvalBudget(max_space_units=cap))
     with pytest.raises(BudgetExceeded) as err:
-        evaluator._compile_solve(node, "", plan)(env, ctx, ctx.max_solutions)
+        evaluator._program(node, db).run(env, ctx, ctx.max_solutions)
     return err.value.path, str(err.value), err.value.solve, ctx.peak
 
 
@@ -1498,7 +1499,8 @@ def test_solution_sets_sort_as_fresh_relations(representation, block_bits, monke
             EvalBudget(max_space_units=metrics.peak_space_units),
         ):
             values.append(evaluate(node, db, budget)[0])
-        plan, ctx, env = evaluator._prepare(node, db, EvalBudget())
+        plan = evaluator.Plan(node, db.schema)
+        ctx, env = evaluator._context(db, EvalBudget())
         first = evaluator._compile_solve(node, "", plan)(env, ctx, 0)
         early = SolutionSet(plan.types[""], *first)
         assert values == [value] * 3 and len(early.rows) == min(1, found)
@@ -1845,7 +1847,7 @@ def test_shared_nodes_meter_as_if_evaluated_at_each_path(kind):
         rels = {nm: random_value(rng, t, atoms, max_rows=4) for nm, t in schema.items()}
         db = Database(atoms, rels)
         env = {nm: to_plain(r) for nm, r in rels.items()}
-        cached = id(shared) in evaluator._prepare(e, db, None)[0].shared
+        cached = id(shared) in evaluator.Plan(e, db.schema).shared
         assert cached == (kind != "over_solve")
         tags.update("sliced" if s else "relations" for s in _sliced(e, db).values())
 
@@ -1907,7 +1909,7 @@ def test_stage_equation_runs_each_kernel_once_per_evaluation(monkeypatch):
     r = random_digraph(random.Random(9950), 5, 0.35)
     atoms = tuple(sorted({a for row in r.rows for a in row}))
     db = Database(atoms, {"R": r, "X": build_run(r)})
-    shared = evaluator._prepare(lhs, db, None)[0].shared
+    shared = evaluator.Plan(lhs, db.schema).shared
     lhs = copy.copy(lhs)
     for n in (1, 2):
         evaluate(lhs, db)

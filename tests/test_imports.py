@@ -1,5 +1,6 @@
-"""Every module-level import in ``src/eqalg`` is used by its module, and
-every ``module.name`` reference and bare private name in its docstrings and
+"""Every module-level import in ``src/eqalg`` is used by its module, every
+module-level private definition is read by the package, and every
+``module.name`` reference and bare private name in its docstrings and
 comments resolves."""
 
 import ast
@@ -42,6 +43,57 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_an_unused_import_is_found():
     source = "import bisect\nfrom array import array\nfrom os import path as p\n\nx = p\n"
     assert unused_imports(source) == {"bisect", "array"}
+
+
+def private_definitions(source: str) -> set:
+    """The private names that the module-level functions, classes and
+    assignments of ``source`` define; dunders are not private."""
+    defined = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in defined if n.startswith("_") and not n.startswith("__")}
+
+
+def names_read(source: str) -> set:
+    """Every name that ``source`` reads: a loaded name, an attribute name or
+    a name imported, under its own name or an alias."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def unread_private_definitions(sources: dict) -> dict:
+    """Per module of ``sources`` (name -> source), the private names it
+    defines at module level that no module of ``sources`` reads."""
+    read = set().union(*map(names_read, sources.values()))
+    unread = {name: private_definitions(source) - read for name, source in sources.items()}
+    return {name: names for name, names in unread.items() if names}
+
+
+def test_every_private_definition_is_read_by_the_package():
+    # a private helper that only the tests call is dead code in the package
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert sum(map(len, map(private_definitions, sources.values()))) >= 80
+    assert unread_private_definitions(sources) == {}
+
+
+def test_an_unread_private_definition_is_found():
+    a = (
+        "from b import _used as u\n_ONE = 1\n_two: int = 2\n_x, (_y, z) = 3, (4, 5)\n"
+        "class _Kept:\n    pass\n\ndef _orphan():\n    return _Kept\n\n__all__ = []\n"
+    )
+    b = "import a\n\ndef _used():\n    return a._ONE + a._y\n\ndef g(_x):\n    return _x\n"
+    assert unread_private_definitions({"a": a, "b": b}) == {"a": {"_two", "_orphan"}}
 
 
 # a double-backquoted dotted name, such as ``evaluator.Plan.solve``
